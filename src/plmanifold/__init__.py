@@ -8,7 +8,6 @@ smoothed residuals, and assembly of the nonparametric component.  Classical
 sandwich-covariance inference and a Monte Carlo harness are included.
 """
 
-from ._kernels import BACKEND
 from .bandwidth import (
     BandwidthGrid,
     GridPointDiagnostic,
@@ -68,7 +67,6 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "BandwidthGrid",
     "GridPointDiagnostic",
     "default_grid",

@@ -21,7 +21,7 @@ from .errors import (
     SingularDesignError,
 )
 from .manifold import injectivity_radius, pairwise_distances
-from .plm import PLMDataset
+from .plm import PLMDataset, smooth_dataset
 from .robust_linear import GMConfig, WeightFunction, gm_estimate
 from .smoother import (
     KernelSpec,
@@ -29,7 +29,6 @@ from .smoother import (
     MAD_CONSISTENCY,
     ScoreFunction,
     check_bandwidth,
-    smooth_columns,
 )
 
 _FAILURE_KINDS = (EmptyWindowError, ConvergenceError, DegenerateScaleError,
@@ -80,16 +79,8 @@ def default_grid(dataset: PLMDataset, size: int = 8) -> BandwidthGrid:
 def _loo_prediction_residuals(dataset: PLMDataset, h: float, kernel: KernelSpec,
                               smoother: LocalFitConfig, gm: GMConfig,
                               distances: np.ndarray) -> np.ndarray:
-    cfg = replace(smoother, bandwidth=h)
-    columns = np.column_stack([dataset.y, dataset.x]) if dataset.p else dataset.y[:, None]
-    est, fl = smooth_columns(dataset.manifold, kernel, cfg, dataset.t, columns,
-                             leave_one_out=True, distances=distances)
-    stuck = np.flatnonzero((fl == 2).any(axis=1))
-    if stuck.size:
-        raise ConvergenceError(
-            f"leave-one-out smoothing did not converge at indices {stuck.tolist()}",
-            indices=stuck.tolist(),
-        )
+    est, _ = smooth_dataset(dataset, kernel, replace(smoother, bandwidth=h),
+                            leave_one_out=True, distances=distances)
     r = dataset.y - est[:, 0]
     eta = dataset.x - est[:, 1:]
     if dataset.p == 0:

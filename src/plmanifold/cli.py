@@ -223,20 +223,22 @@ def ingest_csv(path, mapping: ColumnMapping) -> PLMDataset:
     return PLMDataset(y, x, t, Manifold.cylinder((0.0, 1.0)), meta)
 
 
-def _pick_bandwidth(dataset, mode, config: RunConfig, smoother, gm):
-    if config.bandwidth is not None:
-        return float(config.bandwidth), None
+def _select(dataset, mode, config: RunConfig, smoother, gm):
+    """Cross-validate over the configured grid (the default grid if none)."""
     grid = (BandwidthGrid(np.asarray(config.cv_grid, dtype=float))
             if config.cv_grid is not None else default_grid(dataset))
-    h, diagnostics = select_bandwidth(dataset, grid, mode=mode,
-                                      smoother=smoother, gm=gm)
-    return h, diagnostics
+    return select_bandwidth(dataset, grid, mode=mode, smoother=smoother, gm=gm)
+
+
+def _configs(config: RunConfig):
+    return (LocalFitConfig(score=config.score),
+            GMConfig(score=config.score, w1=config.w1))
 
 
 def _fit_one_mode(dataset, mode, config: RunConfig):
-    smoother = LocalFitConfig(score=config.score)
-    gm = GMConfig(score=config.score, w1=config.w1)
-    h, _ = _pick_bandwidth(dataset, mode, config, smoother, gm)
+    smoother, gm = _configs(config)
+    h = (float(config.bandwidth) if config.bandwidth is not None
+         else _select(dataset, mode, config, smoother, gm)[0])
     fitted = fit(dataset, h, mode=mode, smoother=smoother, gm=gm)
     cov = estimate_covariance(fitted)
     ci = confidence_interval(fitted.beta, cov, config.level)
@@ -313,12 +315,7 @@ def _run_cv(config: RunConfig) -> None:
     dataset = ingest_csv(config.input_path, config.mapping)
     report = {}
     for mode in _modes(config):
-        smoother = LocalFitConfig(score=config.score)
-        gm = GMConfig(score=config.score, w1=config.w1)
-        grid = (BandwidthGrid(np.asarray(config.cv_grid, dtype=float))
-                if config.cv_grid is not None else default_grid(dataset))
-        h, diagnostics = select_bandwidth(dataset, grid, mode=mode,
-                                          smoother=smoother, gm=gm)
+        h, diagnostics = _select(dataset, mode, config, *_configs(config))
         report[mode] = {
             "selected_h": float(h),
             "grid": [
@@ -343,7 +340,8 @@ def _run_simulate(config: RunConfig) -> None:
         master_seed=config.seed,
         workers=config.workers,
     )
-    report = run_campaign(sim)
+    smoother, gm = _configs(config)
+    report = run_campaign(sim, smoother=smoother, gm=gm)
     payload = {
         "contamination": sim.contamination,
         "n": sim.n,
@@ -412,18 +410,26 @@ _common = [
     click.option("--score", "score_text", default="huber:1.345",
                  help="huber:C | bisquare:C | identity"),
     click.option("--w1", "w1_text", default="one", help="one | huber:Q95 | huber:C"),
-    click.option("--bandwidth", type=float, default=None),
     click.option("--cv-grid", "cv_grid_text", default=None,
                  help="comma-separated candidate bandwidths"),
-    click.option("--seed", type=int, default=0),
     click.option("--out", required=True, type=click.Path()),
 ]
+_bandwidth_option = click.option("--bandwidth", type=float, default=None)
 
 
 def _with_common(cmd):
     for opt in reversed(_common):
         cmd = opt(cmd)
     return cmd
+
+
+def _parse_or_exit(parser, text: str):
+    # option parse errors exit with code 2, formatted like run()'s errors
+    try:
+        return parser(text)
+    except (ConfigError, ValueError) as err:
+        click.echo(f"error: {type(err).__name__}: {err}", err=True)
+        sys.exit(2)
 
 
 @click.group()
@@ -438,15 +444,18 @@ def main():
 @click.option("--level", type=float, default=0.95)
 @click.option("--null", "null_text", default=None,
               help="null coefficient value(s) for a Wald test")
+@_bandwidth_option
 @_with_common
-def fit_command(input_path, map_text, level, null_text, mode, score_text,
-                w1_text, bandwidth, cv_grid_text, seed, out):
+def fit_command(input_path, map_text, level, null_text, bandwidth, mode, score_text,
+                w1_text, cv_grid_text, out):
     """Fit the model to a CSV dataset and write a JSON report."""
     code = run(RunConfig(
-        command="fit", input_path=input_path, mapping=_safe_mapping(map_text),
-        mode=mode, score=_safe_score(score_text), w1=_safe_w1(w1_text),
-        bandwidth=bandwidth, cv_grid=_parse_grid(cv_grid_text), level=level,
-        null_value=_parse_null(null_text), seed=seed, out=out,
+        command="fit", input_path=input_path,
+        mapping=_parse_or_exit(parse_mapping, map_text), mode=mode,
+        score=_parse_or_exit(parse_score, score_text),
+        w1=_parse_or_exit(parse_w1, w1_text), bandwidth=bandwidth,
+        cv_grid=_parse_grid(cv_grid_text), level=level,
+        null_value=_parse_null(null_text), out=out,
     ))
     sys.exit(code)
 
@@ -455,13 +464,14 @@ def fit_command(input_path, map_text, level, null_text, mode, score_text,
 @click.option("--input", "input_path", required=True, type=click.Path())
 @click.option("--map", "map_text", required=True)
 @_with_common
-def cv_command(input_path, map_text, mode, score_text, w1_text, bandwidth,
-               cv_grid_text, seed, out):
+def cv_command(input_path, map_text, mode, score_text, w1_text, cv_grid_text, out):
     """Evaluate the cross-validation criterion over a bandwidth grid."""
     code = run(RunConfig(
-        command="cv", input_path=input_path, mapping=_safe_mapping(map_text),
-        mode=mode, score=_safe_score(score_text), w1=_safe_w1(w1_text),
-        bandwidth=bandwidth, cv_grid=_parse_grid(cv_grid_text), seed=seed, out=out,
+        command="cv", input_path=input_path,
+        mapping=_parse_or_exit(parse_mapping, map_text), mode=mode,
+        score=_parse_or_exit(parse_score, score_text),
+        w1=_parse_or_exit(parse_w1, w1_text), cv_grid=_parse_grid(cv_grid_text),
+        out=out,
     ))
     sys.exit(code)
 
@@ -473,43 +483,20 @@ def cv_command(input_path, map_text, mode, score_text, w1_text, bandwidth,
 @click.option("--workers", type=int, default=1)
 @click.option("--export-data", "export_data", default=None, type=click.Path(),
               help="also write the replication-0 sample as a CSV dataset")
+@click.option("--seed", type=int, default=0)
+@_bandwidth_option
 @_with_common
-def simulate_command(contamination, n, replications, workers, export_data, mode,
-                     score_text, w1_text, bandwidth, cv_grid_text, seed, out):
+def simulate_command(contamination, n, replications, workers, export_data, seed,
+                     bandwidth, mode, score_text, w1_text, cv_grid_text, out):
     """Run a Monte Carlo campaign and write summary plus boxplot data."""
     code = run(RunConfig(
-        command="simulate", mode=mode, score=_safe_score(score_text),
-        w1=_safe_w1(w1_text), bandwidth=bandwidth,
+        command="simulate", mode=mode, score=_parse_or_exit(parse_score, score_text),
+        w1=_parse_or_exit(parse_w1, w1_text), bandwidth=bandwidth,
         cv_grid=_parse_grid(cv_grid_text), seed=seed, out=out,
         contamination=contamination, n=n, replications=replications,
         workers=workers, export_data=export_data,
     ))
     sys.exit(code)
-
-
-def _safe_mapping(text: str) -> ColumnMapping | None:
-    # parse errors surface through run() with exit code 2
-    try:
-        return parse_mapping(text)
-    except ConfigError as err:
-        click.echo(f"error: ConfigError: {err}", err=True)
-        sys.exit(2)
-
-
-def _safe_score(text: str) -> ScoreFunction:
-    try:
-        return parse_score(text)
-    except ConfigError as err:
-        click.echo(f"error: ConfigError: {err}", err=True)
-        sys.exit(2)
-
-
-def _safe_w1(text: str) -> WeightFunction:
-    try:
-        return parse_w1(text)
-    except ConfigError as err:
-        click.echo(f"error: ConfigError: {err}", err=True)
-        sys.exit(2)
 
 
 if __name__ == "__main__":

@@ -64,6 +64,13 @@ class PLMDataset:
                 f"misaligned dataset: {n} responses, {self.x.shape[0]} covariate "
                 f"rows, {self.t.shape[0]} manifold points"
             )
+        bad_y = ~np.isfinite(self.y)
+        bad_x = ~np.isfinite(self.x)
+        bad = np.flatnonzero(bad_y | bad_x.any(axis=1))
+        if bad.size:
+            i = int(bad[0])
+            where = "y" if bad_y[i] else f"x column {int(np.argmax(bad_x[i]))}"
+            raise ValueError(f"non-finite value in {where} at row {i}")
         if n <= self.p + 1:
             raise InsufficientDataError(
                 f"need n > p + 1 observations (n={n}, p={self.p})"
@@ -109,6 +116,26 @@ class PLMFit:
         return predict_y(self, x, t)
 
 
+def smooth_dataset(dataset: PLMDataset, kernel: KernelSpec, config: LocalFitConfig,
+                   **options):
+    """Smooth the response and every covariate column over the manifold.
+
+    Returns (estimates, flags) with column 0 the response; ``options`` go to
+    ``smooth_columns``.  Raises ConvergenceError listing the query indices
+    where a local solve ran out of iterations.
+    """
+    columns = np.column_stack([dataset.y, dataset.x])
+    est, fl = smooth_columns(dataset.manifold, kernel, config, dataset.t, columns,
+                             **options)
+    stuck = np.flatnonzero((fl == 2).any(axis=1))
+    if stuck.size:
+        raise ConvergenceError(
+            f"local smoothing did not converge at query indices {stuck.tolist()}",
+            indices=stuck.tolist(),
+        )
+    return est, fl
+
+
 def _smoothing_config(mode: str, smoother: LocalFitConfig, bandwidth: float) -> LocalFitConfig:
     score = ScoreFunction.identity() if mode == "classical" else smoother.score
     return replace(smoother, bandwidth=bandwidth, score=score)
@@ -132,14 +159,7 @@ def fit(dataset: PLMDataset, bandwidth: float, mode: str = "robust",
     h = check_bandwidth(dataset.manifold, bandwidth)
     cfg = _smoothing_config(mode, smoother, h)
 
-    columns = np.column_stack([dataset.y, dataset.x]) if dataset.p else dataset.y[:, None]
-    est, fl = smooth_columns(dataset.manifold, kernel, cfg, dataset.t, columns)
-    stuck = np.flatnonzero((fl == 2).any(axis=1))
-    if stuck.size:
-        raise ConvergenceError(
-            f"local smoothing did not converge at sample indices {stuck.tolist()}",
-            indices=stuck.tolist(),
-        )
+    est, fl = smooth_dataset(dataset, kernel, cfg)
     phi0 = est[:, 0]
     phi = est[:, 1:]
 
@@ -205,16 +225,8 @@ def predict_g(fit_result: PLMFit, t):
     coords = as_coords(t)
     single = coords.ndim == 1
     queries = validate_coords(ds.manifold, coords, name="query")
-    columns = np.column_stack([ds.y, ds.x]) if ds.p else ds.y[:, None]
-    est, fl = smooth_columns(ds.manifold, fit_result.kernel,
-                             fit_result.smoother_config, ds.t, columns,
-                             queries=queries)
-    bad = np.flatnonzero((fl == 2).any(axis=1))
-    if bad.size:
-        raise ConvergenceError(
-            f"local smoothing did not converge at query indices {bad.tolist()}",
-            indices=bad.tolist(),
-        )
+    est, _ = smooth_dataset(ds, fit_result.kernel, fit_result.smoother_config,
+                            queries=queries)
     g = est[:, 0] - est[:, 1:] @ fit_result.beta
     return float(g[0]) if single else g
 

@@ -4,13 +4,13 @@ The local fit at a query point composes three pieces: normalized kernel
 weights built from geodesic distances and the volume density, a weighted
 median / weighted MAD pair giving the robust local scale, and a score
 equation solved by bisection (monotone scores) or reweighting (redescending
-scores).  With the identity score and no scale step the smoother reduces to
-the classical kernel-weighted mean.
+scores), all in the batched engine of ``_kernels``.  With the identity score
+and no scale step the smoother reduces to the classical kernel-weighted mean.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -26,8 +26,6 @@ from .manifold import (
     validate_coords,
     volume_density_from_distance,
 )
-
-_MEDIAN_EPS = 1e-12
 
 HUBER_DEFAULT_C = 1.345
 BISQUARE_DEFAULT_C = 4.685
@@ -110,7 +108,7 @@ class ScoreFunction:
     name: str
     c: float | None
     monotone: bool
-    code: int  # dispatch for the batched kernels; -1 means a custom callable
+    code: int  # dispatch for the batched kernel; -1 means a custom callable
     psi_fn: Callable
     psi_prime_fn: Callable
 
@@ -279,11 +277,7 @@ def conditional_ecdf(weights, values) -> ConditionalECDF:
 def weighted_median(weights, values) -> float:
     """Smallest value whose cumulative weight reaches 1/2."""
     w, v = _check_weight_pair(weights, values)
-    order = np.argsort(v, kind="stable")
-    cum = np.cumsum(w[order])
-    k = int(np.searchsorted(cum, 0.5 - _MEDIAN_EPS, side="left"))
-    k = min(k, v.size - 1)
-    return float(v[order][k])
+    return float(_kernels.median_rows(w[None, :], v, np.argsort(v, kind="stable"))[0])
 
 
 def local_mad(weights, values, consistency_constant: float = MAD_CONSISTENCY) -> float:
@@ -294,60 +288,9 @@ def local_mad(weights, values, consistency_constant: float = MAD_CONSISTENCY) ->
     query point).
     """
     w, v = _check_weight_pair(weights, values)
-    med = weighted_median(w, v)
-    return consistency_constant * weighted_median(w, np.abs(v - med))
-
-
-def _solve_monotone(w, v, score: ScoreFunction, scale: float, tol: float,
-                    maxiter: int) -> float:
-    sup = w > 0
-    lo = float(v[sup].min())
-    hi = float(v[sup].max())
-    if hi <= lo:
-        return lo
-    g = None
-    for _ in range(maxiter):
-        mid = 0.5 * (lo + hi)
-        g = float(w @ score.psi((v - mid) / scale))
-        if g > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            return 0.5 * (lo + hi)
-    raise ConvergenceError(
-        f"bisection did not reach tolerance {tol} in {maxiter} iterations",
-        last_iterate=0.5 * (lo + hi),
-        residual=g,
-    )
-
-
-def _solve_redescending(w, v, score: ScoreFunction, scale: float, tol: float,
-                        maxiter: int) -> float:
-    m = weighted_median(w, v)
-    step = None
-    for _ in range(maxiter):
-        u = (v - m) / scale
-        pw = np.empty_like(u)
-        small = np.abs(u) <= 1e-10
-        pw[small] = float(score.psi_prime(0.0))
-        pw[~small] = score.psi(u[~small]) / u[~small]
-        tw = w * pw
-        den = tw.sum()
-        if den <= 0.0:
-            raise ConvergenceError(
-                "all observations received zero local weight", last_iterate=m
-            )
-        m_new = float(tw @ v / den)
-        step = abs(m_new - m)
-        m = m_new
-        if step <= tol:
-            return m
-    raise ConvergenceError(
-        f"reweighting did not converge in {maxiter} iterations",
-        last_iterate=m,
-        residual=step,
-    )
+    W = w[None, :]
+    med = _kernels.median_rows(W, v, np.argsort(v, kind="stable"))
+    return float(_kernels.mad_rows(W, v, med, consistency_constant)[0])
 
 
 def local_m_estimate(weights, values, score: ScoreFunction, scale: float,
@@ -364,9 +307,16 @@ def local_m_estimate(weights, values, score: ScoreFunction, scale: float,
         return float(w @ v)
     if not scale > 0:
         raise ValueError("scale must be positive")
-    if score.monotone:
-        return _solve_monotone(w, v, score, float(scale), tol, max_iterations)
-    return _solve_redescending(w, v, score, float(scale), tol, max_iterations)
+    W = w[None, :]
+    start = _kernels.median_rows(W, v, np.argsort(v, kind="stable"))
+    est, flags = _kernels.solve_rows(W, v, start, np.array([float(scale)]), score.code,
+                                     score.c, tol, max_iterations, score)
+    if flags[0] == 2:
+        raise ConvergenceError(
+            f"local M-estimation did not converge in {max_iterations} iterations",
+            last_iterate=float(est[0]),
+        )
+    return float(est[0])
 
 
 def smooth_columns(manifold: Manifold, kernel: KernelSpec, config: LocalFitConfig,
@@ -427,35 +377,10 @@ def smooth_columns(manifold: Manifold, kernel: KernelSpec, config: LocalFitConfi
         if score.code == 0:
             estimates[:, j] = (W @ v) / totals
             continue
-        if score.code > 0:
-            order = np.argsort(v)
-            est, fl = _kernels.local_m_rows(
-                W, v, order, score.code, score.c, config.mad_constant,
-                config.tol, config.max_iterations,
-            )
-            estimates[:, j] = est
-            flags[:, j] = fl
-            continue
-        # custom score: per-row python path
-        Wn = W / totals[:, None]
-        for q in range(nq):
-            w = Wn[q]
-            med = weighted_median(w, v)
-            mad = local_mad(w, v, config.mad_constant)
-            if mad <= 0.0:
-                estimates[q, j] = med
-                flags[q, j] = 1
-                continue
-            try:
-                if score.monotone:
-                    estimates[q, j] = _solve_monotone(
-                        w, v, score, mad, config.tol, config.max_iterations)
-                else:
-                    estimates[q, j] = _solve_redescending(
-                        w, v, score, mad, config.tol, config.max_iterations)
-            except ConvergenceError as err:
-                estimates[q, j] = err.last_iterate if err.last_iterate is not None else med
-                flags[q, j] = 2
+        estimates[:, j], flags[:, j] = _kernels.local_m_rows(
+            W, v, np.argsort(v), score.code, score.c, config.mad_constant,
+            config.tol, config.max_iterations, score=score,
+        )
     return estimates, flags
 
 
@@ -486,8 +411,3 @@ def fit_smoother(manifold: Manifold, kernel: KernelSpec, config: LocalFitConfig,
     if return_flags:
         return est[:, 0], flags[:, 0]
     return est[:, 0]
-
-
-def classical_config(config: LocalFitConfig) -> LocalFitConfig:
-    """The identity-score version of a local fit configuration."""
-    return replace(config, score=ScoreFunction.identity())

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -273,6 +274,18 @@ def test_simulate_deterministic_outputs(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_simulate_uses_the_score_option(tmp_path):
+    betas = {}
+    for score in ("huber:1.345", "bisquare:4.685"):
+        out = tmp_path / f"{score[:5]}.json"
+        config = RunConfig(command="simulate", mode="robust", bandwidth=1.2,
+                           seed=79, out=str(out), contamination="C1", n=60,
+                           replications=2, score=parse_score(score))
+        assert run(config) == 0
+        betas[score] = json.loads(out.read_text())["modes"]["robust"]["mean_beta"]
+    assert betas["huber:1.345"] != betas["bisquare:4.685"]
+
+
 def test_simulate_boxplot_header(tmp_path):
     out = tmp_path / "sim.json"
     config = RunConfig(command="simulate", mode="robust", bandwidth=1.2,
@@ -332,6 +345,46 @@ def test_click_bad_mapping_exits_2(tmp_path):
         "fit", "--input", "x.csv", "--map", "response=y",
         "--bandwidth", "1.0", "--out", "r.json"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("score,message", [
+    ("cauchy", "error: ConfigError: unknown score 'cauchy'"),
+    ("huber:abc", "error: ValueError: could not convert string to float"),
+], ids=["unknown-name", "bad-number"])
+def test_click_bad_score_exits_2(score, message):
+    result = CliRunner().invoke(main, [
+        "fit", "--input", "x.csv", "--map", MAPPING, "--score", score,
+        "--bandwidth", "1.0", "--out", "r.json"])
+    assert result.exit_code == 2
+    assert message in result.output
+
+
+def test_click_fit_and_cv_have_no_ignored_options():
+    runner = CliRunner()
+    for command, option, value in (("fit", "--seed", "3"), ("cv", "--seed", "3"),
+                                   ("cv", "--bandwidth", "1.0")):
+        result = runner.invoke(main, [command, "--input", "x.csv", "--map", MAPPING,
+                                      "--out", "r.json", option, value])
+        assert result.exit_code == 2
+        assert "No such option" in result.output
+
+
+def test_nonfinite_csv_cell_exits_2_before_smoothing(tmp_path):
+    data = tmp_path / "lin.csv"
+    make_linear_csv(data, seed=17)
+    lines = data.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[1] = "inf"  # the linear covariate x1
+    lines[5] = ",".join(cells)
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(RunConfig(command="fit", input_path=str(data),
+                             mapping=parse_mapping(MAPPING), mode="both",
+                             bandwidth=1.5, out=str(out)))
+    assert code == 2
+    assert not out.exists()
 
 
 def test_click_simulate_smoke(tmp_path):

@@ -24,6 +24,21 @@ def test_dataset_validates_alignment():
         PLMDataset(np.arange(4.0), np.ones((3, 1)), t, CYL)
 
 
+def test_dataset_rejects_nan_response_naming_the_row():
+    t = cylinder_coords([0.0, 1.0, 2.0, 3.0], [0.1, 0.5, 0.9, 0.3])
+    y = np.array([1.0, 2.0, np.nan, 4.0])
+    with pytest.raises(ValueError, match=r"non-finite value in y at row 2"):
+        PLMDataset(y, np.ones((4, 1)), t, CYL)
+
+
+def test_dataset_rejects_inf_covariate_naming_row_and_column():
+    t = cylinder_coords([0.0, 1.0, 2.0, 3.0, 4.0], [0.1, 0.5, 0.9, 0.3, 0.7])
+    x = np.ones((5, 2))
+    x[3, 1] = np.inf
+    with pytest.raises(ValueError, match=r"non-finite value in x column 1 at row 3"):
+        PLMDataset(np.arange(5.0), x, t, CYL)
+
+
 def test_dataset_requires_enough_rows():
     t = cylinder_coords([0.0, 1.0], [0.1, 0.5])
     with pytest.raises(InsufficientDataError):
