@@ -4,12 +4,18 @@ Given a raw kernel-weight matrix W (one row per query point, columns indexed
 like the shared value vector v), each row is normalized and solved for the
 local M-estimate: weighted median, weighted MAD, then either bisection on the
 monotone score equation or a reweighting fixed point for a redescending
-score.  This is the O(n_query * n * iterations) core that dominates
-leave-one-out cross-validation and Monte Carlo runs.
+score.
 
-The pieces (`median_rows`, `mad_rows`, `bisect_rows`, `reweight_rows`) work on
-weights as given; `local_m_rows` normalizes and composes them, and the scalar
-functions in `smoother` are one-row calls into the same pieces.
+The kernel has compact support, so most of each row of W is zero.
+`window_rows` therefore gathers each row's positive weights, with their
+values in ascending order, into a (rows, width) window; every later step
+works on that window only.  The cost is rows x window width x iterations,
+where width is the largest window, not the n columns of W.
+
+The pieces (`window_rows`, `median_rows`, `mad_rows`, `bisect_rows`,
+`reweight_rows`) work on weights as given, with per-row values V that
+broadcast against W; `local_m_rows` normalizes and composes them, and the
+scalar functions in `smoother` are one-row calls into the same pieces.
 
 Score codes: 1 huber, 2 bisquare, -1 a custom score whose vectorized psi
 (and psi'(0)) come from the ``score`` keyword.  The identity score is the
@@ -29,19 +35,46 @@ _SCORE_CUSTOM = -1
 _SCORE_BISQUARE = 2
 
 
-def median_rows(W, v, order):
-    """Per row, the smallest value of v whose cumulative weight reaches 1/2.
+def window_rows(W, v, order):
+    """Each row's positive weights and their values, ascending by value.
 
-    ``order`` sorts v ascending.
+    ``order`` sorts v ascending.  Returns (Ww, Vw), both (rows, width) with
+    width the largest count of positive weights in a row.  Entries are
+    left-aligned; a shorter row is padded with weight 0 and the row's largest
+    value, so every row of Vw stays sorted.  Every row needs a positive
+    weight.
     """
-    cum = np.cumsum(W[:, order], axis=1)
+    Ws = np.take(W, order, axis=1)
+    vs = v[order]
+    n = Ws.shape[1]
+    cells = np.flatnonzero(Ws > 0.0)  # row-major: ascending value within a row
+    rows = cells // n
+    cols = cells - rows * n
+    counts = np.bincount(rows, minlength=W.shape[0])
+    ends = np.cumsum(counts)
+    width = counts.max()
+    slots = rows * width + np.arange(cells.size) - (ends - counts)[rows]
+    Ww = np.zeros((W.shape[0], width))
+    Ww.ravel()[slots] = Ws.ravel()[cells]
+    Vw = np.repeat(vs[cols[ends - 1]], width).reshape(W.shape[0], width)
+    Vw.ravel()[slots] = vs[cols]
+    return Ww, Vw
+
+
+def median_rows(W, V):
+    """Per row, the smallest value of V whose cumulative weight reaches 1/2.
+
+    Each row of V must be sorted ascending.
+    """
+    V = np.broadcast_to(V, W.shape)
+    cum = np.cumsum(W, axis=1)
     k = np.argmax(cum >= 0.5 - _MEDIAN_EPS, axis=1)
-    return v[order][k]
+    return V[np.arange(W.shape[0]), k]
 
 
-def mad_rows(W, v, med, mad_const):
-    """Per row, mad_const times the weighted median of |v - med|."""
-    dev = np.abs(v[None, :] - med[:, None])
+def mad_rows(W, V, med, mad_const):
+    """Per row, mad_const times the weighted median of |V - med|."""
+    dev = np.abs(np.broadcast_to(V, W.shape) - med[:, None])
     dorder = np.argsort(dev, axis=1)
     dsort = np.take_along_axis(dev, dorder, axis=1)
     cum = np.cumsum(np.take_along_axis(W, dorder, axis=1), axis=1)
@@ -49,17 +82,20 @@ def mad_rows(W, v, med, mad_const):
     return mad_const * dsort[np.arange(W.shape[0]), k]
 
 
-def bisect_rows(W, v, scale, psi, tol, maxiter):
-    """Bisection on sum_i W_i psi((v_i - m) / scale) = 0, bracketed by the
-    row's support [min v, max v].  Returns (estimates, converged)."""
+def bisect_rows(W, V, scale, psi, tol, maxiter):
+    """Bisection on sum_i W_i psi((V_i - m) / scale) = 0, bracketed by the
+    row's support [min V, max V].  ``psi`` may overwrite its argument.
+    Returns (estimates, converged)."""
     sup = W > 0.0
-    lo = np.where(sup, v[None, :], np.inf).min(axis=1)
-    hi = np.where(sup, v[None, :], -np.inf).max(axis=1)
+    lo = np.where(sup, V, np.inf).min(axis=1)
+    hi = np.where(sup, V, -np.inf).max(axis=1)
     single = hi <= lo
     done = single.copy()
+    u = np.empty(W.shape)
     for _ in range(maxiter):
         mid = 0.5 * (lo + hi)
-        u = (v[None, :] - mid[:, None]) / scale[:, None]
+        np.subtract(V, mid[:, None], out=u)
+        u /= scale[:, None]
         g = np.einsum("ij,ij->i", W, psi(u))
         pos = g > 0.0
         lo = np.where(done, lo, np.where(pos, mid, lo))
@@ -70,20 +106,25 @@ def bisect_rows(W, v, scale, psi, tol, maxiter):
     return np.where(single, lo, 0.5 * (lo + hi)), done
 
 
-def reweight_rows(W, v, start, scale, weight, tol, maxiter):
-    """Fixed point m = sum w_i(m) v_i / sum w_i(m) with w_i = W_i weight(u_i),
-    u_i = (v_i - m) / scale, iterated from ``start``.  A row whose weights
-    all vanish stops where it is.  Returns (estimates, converged)."""
+def reweight_rows(W, V, start, scale, weight, tol, maxiter):
+    """Fixed point m = sum w_i(m) V_i / sum w_i(m) with w_i = W_i weight(u_i),
+    u_i = (V_i - m) / scale, iterated from ``start``.  A row whose weights
+    all vanish stops where it is.  ``weight`` may overwrite its argument.
+    Returns (estimates, converged)."""
+    V = np.broadcast_to(V, W.shape)
     m = start.copy()
     settled = np.zeros(m.size, dtype=bool)
     stuck = np.zeros(m.size, dtype=bool)
+    u = np.empty(W.shape)
     for _ in range(maxiter):
-        u = (v[None, :] - m[:, None]) / scale[:, None]
-        tw = W * weight(u)
+        np.subtract(V, m[:, None], out=u)
+        u /= scale[:, None]
+        tw = weight(u)
+        tw *= W
         den = tw.sum(axis=1)
         ok = den > 0.0
         stuck |= ~ok & ~settled
-        m_new = np.where(ok, (tw @ v) / np.where(ok, den, 1.0), m)
+        m_new = np.where(ok, np.einsum("ij,ij->i", tw, V) / np.where(ok, den, 1.0), m)
         step = np.abs(m_new - m)
         live = ~settled & ~stuck
         m = np.where(live, m_new, m)
@@ -95,9 +136,14 @@ def reweight_rows(W, v, start, scale, weight, tol, maxiter):
 
 def _bisquare_weight(c):
     def weight(u):
-        z = u / c
-        t = 1.0 - z * z
-        return np.where(np.abs(u) < c, t * t, 0.0)
+        # (1 - (u/c)^2)^2 inside |u| < c, computed in place
+        outside = np.abs(u) >= c
+        u /= c
+        np.square(u, out=u)
+        np.subtract(1.0, u, out=u)
+        np.square(u, out=u)
+        u[outside] = 0.0
+        return u
 
     return weight
 
@@ -114,7 +160,7 @@ def _psi_ratio_weight(score):
     return weight
 
 
-def solve_rows(W, v, start, scale, code, c, tol, maxiter, score=None):
+def solve_rows(W, V, start, scale, code, c, tol, maxiter, score=None):
     """Solve each row's score equation at a fixed per-row ``scale``.
 
     Monotone scores bisect; redescending ones reweight from ``start``.
@@ -122,13 +168,14 @@ def solve_rows(W, v, start, scale, code, c, tol, maxiter, score=None):
     iterations.
     """
     if code == _SCORE_CUSTOM and score.monotone:
-        est, ok = bisect_rows(W, v, scale, score.psi, tol, maxiter)
+        est, ok = bisect_rows(W, V, scale, score.psi, tol, maxiter)
     elif code == _SCORE_CUSTOM:
-        est, ok = reweight_rows(W, v, start, scale, _psi_ratio_weight(score), tol, maxiter)
+        est, ok = reweight_rows(W, V, start, scale, _psi_ratio_weight(score), tol, maxiter)
     elif code == _SCORE_BISQUARE:
-        est, ok = reweight_rows(W, v, start, scale, _bisquare_weight(c), tol, maxiter)
+        est, ok = reweight_rows(W, V, start, scale, _bisquare_weight(c), tol, maxiter)
     else:
-        est, ok = bisect_rows(W, v, scale, lambda u: np.clip(u, -c, c), tol, maxiter)
+        est, ok = bisect_rows(W, V, scale, lambda u: np.clip(u, -c, c, out=u), tol,
+                              maxiter)
     return est, np.where(ok, 0, 2).astype(np.int8)
 
 
@@ -137,9 +184,10 @@ def local_m_rows(W, v, order, code, c, mad_const, tol, maxiter, score=None):
     per row.  ``order`` sorts v ascending; ``score`` is needed for code -1."""
     W = np.asarray(W, dtype=float)
     v = np.asarray(v, dtype=float)
-    Wn = W / W.sum(axis=1, keepdims=True)
-    med = median_rows(Wn, v, order)
-    mad = mad_rows(Wn, v, med, mad_const)
+    Ww, Vw = window_rows(W, v, order)
+    Ww /= W.sum(axis=1, keepdims=True)
+    med = median_rows(Ww, Vw)
+    mad = mad_rows(Ww, Vw, med, mad_const)
 
     est = med.copy()
     flags = np.zeros(W.shape[0], dtype=np.int8)
@@ -147,5 +195,5 @@ def local_m_rows(W, v, order, code, c, mad_const, tol, maxiter, score=None):
     active = np.flatnonzero(mad > 0.0)
     if active.size:
         est[active], flags[active] = solve_rows(
-            Wn[active], v, med[active], mad[active], code, c, tol, maxiter, score)
+            Ww[active], Vw[active], med[active], mad[active], code, c, tol, maxiter, score)
     return est, flags

@@ -148,23 +148,29 @@ def parse_w1(text: str) -> WeightFunction:
     raise ConfigError(f"unknown w1 weight {text!r}")
 
 
-def _parse_cell(raw: str | None):
+def _parse_cell(raw: str | None, column: str, line: int):
     if raw is None:
         return None
     raw = raw.strip()
     if not raw:
         return None
+    where = f"in column {column!r} at CSV line {line}"
     try:
         value = float(raw)
     except ValueError:
-        raise ConfigError(f"cannot parse numeric value {raw!r}")
+        raise ConfigError(f"cannot parse numeric value {raw!r} {where}")
     if math.isnan(value):
         return None
+    if math.isinf(value):
+        raise ConfigError(f"non-finite value {raw!r} {where}")
     return value
 
 
 def ingest_csv(path, mapping: ColumnMapping) -> PLMDataset:
     """Read a CSV file into a dataset, dropping rows with missing mapped fields.
+
+    An empty or NaN cell counts as missing; an unparseable or infinite cell
+    in a mapped column raises ConfigError naming the column and CSV line.
 
     The affine height normalization is recorded in the dataset metadata
     under ``height_map`` for prediction-time reuse.
@@ -184,7 +190,7 @@ def ingest_csv(path, mapping: ColumnMapping) -> PLMDataset:
         kept: list[list[float]] = []
         dropped = 0
         for row in reader:
-            cells = [_parse_cell(row.get(c)) for c in needed]
+            cells = [_parse_cell(row.get(c), c, reader.line_num) for c in needed]
             if any(c is None for c in cells):
                 dropped += 1
                 continue

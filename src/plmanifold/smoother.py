@@ -50,11 +50,8 @@ class KernelSpec:
     def evaluate(self, u):
         u = np.asarray(u, dtype=float)
         if self.family == "quadratic":
-            out = np.zeros_like(u)
-            inside = np.abs(u) < 1.0
-            t = 1.0 - u[inside] ** 2
-            out[inside] = 0.9375 * t * t
-            return out
+            t = np.maximum(1.0 - u * u, 0.0)
+            return 0.9375 * t * t
         if self.evaluator is None:
             raise ValueError(f"kernel family {self.family!r} has no evaluator")
         return np.asarray(self.evaluator(u), dtype=float)
@@ -274,10 +271,16 @@ def conditional_ecdf(weights, values) -> ConditionalECDF:
     return ConditionalECDF(weights, values)
 
 
+def _sorted_row(w, v):
+    # one engine row: weights and values in ascending (stable) value order
+    o = np.argsort(v, kind="stable")
+    return w[o][None], v[o][None]
+
+
 def weighted_median(weights, values) -> float:
     """Smallest value whose cumulative weight reaches 1/2."""
-    w, v = _check_weight_pair(weights, values)
-    return float(_kernels.median_rows(w[None, :], v, np.argsort(v, kind="stable"))[0])
+    W, V = _sorted_row(*_check_weight_pair(weights, values))
+    return float(_kernels.median_rows(W, V)[0])
 
 
 def local_mad(weights, values, consistency_constant: float = MAD_CONSISTENCY) -> float:
@@ -287,10 +290,9 @@ def local_mad(weights, values, consistency_constant: float = MAD_CONSISTENCY) ->
     react (the smoother falls back to the weighted median and flags the
     query point).
     """
-    w, v = _check_weight_pair(weights, values)
-    W = w[None, :]
-    med = _kernels.median_rows(W, v, np.argsort(v, kind="stable"))
-    return float(_kernels.mad_rows(W, v, med, consistency_constant)[0])
+    W, V = _sorted_row(*_check_weight_pair(weights, values))
+    med = _kernels.median_rows(W, V)
+    return float(_kernels.mad_rows(W, V, med, consistency_constant)[0])
 
 
 def local_m_estimate(weights, values, score: ScoreFunction, scale: float,
@@ -307,9 +309,9 @@ def local_m_estimate(weights, values, score: ScoreFunction, scale: float,
         return float(w @ v)
     if not scale > 0:
         raise ValueError("scale must be positive")
-    W = w[None, :]
-    start = _kernels.median_rows(W, v, np.argsort(v, kind="stable"))
-    est, flags = _kernels.solve_rows(W, v, start, np.array([float(scale)]), score.code,
+    W, V = _sorted_row(w, v)
+    start = _kernels.median_rows(W, V)
+    est, flags = _kernels.solve_rows(W, V, start, np.array([float(scale)]), score.code,
                                      score.c, tol, max_iterations, score)
     if flags[0] == 2:
         raise ConvergenceError(

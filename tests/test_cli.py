@@ -387,6 +387,30 @@ def test_nonfinite_csv_cell_exits_2_before_smoothing(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("column,index", [("angle_deg", 2), ("height", 3)])
+@pytest.mark.parametrize("cell", ["inf", "-inf"])
+def test_infinite_manifold_cell_exits_2_naming_column_and_line(tmp_path, capsys,
+                                                               column, index, cell):
+    data = tmp_path / "lin.csv"
+    make_linear_csv(data, seed=17)
+    lines = data.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[index] = cell
+    lines[5] = ",".join(cells)  # CSV line 6: the header is line 1
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(RunConfig(command="fit", input_path=str(data),
+                             mapping=parse_mapping(MAPPING), mode="both",
+                             bandwidth=1.5, out=str(out)))
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "ConfigError" in err
+    assert f"column {column!r} at CSV line 6" in err
+
+
 def test_click_simulate_smoke(tmp_path):
     out = tmp_path / "sim.json"
     runner = CliRunner()

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +7,14 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from plmanifold import _kernels
-from plmanifold.manifold import Manifold, cylinder_coords
+from plmanifold.manifold import Manifold, circle_coords, cylinder_coords, pairwise_distances
 from plmanifold.smoother import (
     KernelSpec,
     LocalFitConfig,
     ScoreFunction,
     local_m_estimate,
     local_mad,
+    raw_weight_matrix,
     smooth_columns,
     weighted_median,
 )
@@ -142,7 +145,7 @@ def test_engine_matches_sort_based_oracle(problem):
     est, flags = _kernels.local_m_rows(W, v, np.argsort(v), 1, HUBER_C, MAD_C,
                                        1e-10, 200)
     Wn = W / W.sum(axis=1, keepdims=True)
-    med = _kernels.median_rows(Wn, v, np.argsort(v))
+    med = _kernels.median_rows(*_kernels.window_rows(Wn, v, np.argsort(v)))
     mad = _kernels.mad_rows(Wn, v, med, MAD_C)
     for q in range(W.shape[0]):
         assert med[q] == oracle_median(W[q], v)
@@ -172,3 +175,156 @@ def test_single_point_and_zero_mad_rows():
     assert flags[2] == 0
     mad = oracle_mad(W[2], v)
     assert est[2] == pytest.approx(oracle_huber(W[2] / 3.0, v, mad), abs=1e-9)
+
+
+# ------------------------------------------------------ per-row value windows
+
+@settings(max_examples=150, deadline=None)
+@given(windows())
+def test_window_rows_gathers_each_rows_support_in_value_order(problem):
+    W, v = problem
+    order = np.argsort(v)
+    Ww, Vw = _kernels.window_rows(W, v, order)
+    counts = np.count_nonzero(W > 0.0, axis=1)
+    assert Ww.shape == Vw.shape == (W.shape[0], counts.max())
+    assert np.all(np.diff(Vw, axis=1) >= 0.0)  # every row sorted, pads included
+    for q, cnt in enumerate(counts):
+        keep = W[q, order] > 0.0
+        assert np.array_equal(Ww[q, :cnt], W[q, order][keep])
+        assert np.array_equal(Vw[q, :cnt], v[order][keep])
+        assert np.all(Ww[q, cnt:] == 0.0)
+        assert np.all(Vw[q, cnt:] == v[W[q] > 0.0].max())
+
+
+@settings(max_examples=150, deadline=None)
+@given(windows())
+def test_median_and_mad_never_land_on_a_pad(problem):
+    W, v = problem
+    Ww, Vw = _kernels.window_rows(W / W.sum(axis=1, keepdims=True), v, np.argsort(v))
+    med = _kernels.median_rows(Ww, Vw)
+    mad = _kernels.mad_rows(Ww, Vw, med, MAD_C)
+    # a pad moved far above the row leaves both statistics where they were
+    far = np.where(Ww > 0.0, Vw, 1e300)
+    assert np.array_equal(_kernels.median_rows(Ww, far), med)
+    assert np.array_equal(_kernels.mad_rows(Ww, far, med, MAD_C), mad)
+    for q in range(W.shape[0]):
+        assert med[q] == oracle_median(W[q], v)
+        assert mad[q] == pytest.approx(oracle_mad(W[q], v), rel=1e-12, abs=0.0)
+
+
+def test_window_rows_ties_at_the_maximum_and_single_points():
+    v = np.array([5.0, 1.0, 5.0, 2.0, 5.0, 1.0])  # duplicate points at 1 and 5
+    W = np.array([[0.0, 1.0, 2.0, 0.0, 3.0, 1.0],   # tied maximum, duplicate minimum
+                  [0.0, 0.0, 0.0, 4.0, 0.0, 0.0],   # a single point
+                  [1.0, 1.0, 1.0, 1.0, 1.0, 1.0]])  # the whole sample
+    Ww, Vw = _kernels.window_rows(W, v, np.argsort(v, kind="stable"))
+    assert Vw.tolist() == [[1.0, 1.0, 5.0, 5.0, 5.0, 5.0],
+                           [2.0, 2.0, 2.0, 2.0, 2.0, 2.0],
+                           [1.0, 1.0, 2.0, 5.0, 5.0, 5.0]]
+    assert Ww.tolist() == [[1.0, 1.0, 2.0, 3.0, 0.0, 0.0],
+                           [4.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                           [1.0, 1.0, 1.0, 1.0, 1.0, 1.0]]
+    est, flags = _kernels.local_m_rows(W, v, np.argsort(v), 1, HUBER_C, MAD_C,
+                                       1e-10, 200)
+    assert flags[1] == 1 and est[1] == 2.0
+
+
+# ----------------------------------- the oracle on windows from every manifold
+
+def _manifold_samples():
+    rng = np.random.default_rng(44)
+    n = 60
+    sphere = rng.normal(size=(n, 3))
+    sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
+    return [
+        ("euclidean", Manifold.euclidean(2), rng.uniform(0.0, 1.0, (n, 2)), 0.35),
+        ("circle", Manifold.circle(), circle_coords(rng.uniform(0.0, 2 * np.pi, n)), 0.6),
+        ("sphere", Manifold.sphere(), sphere, 0.9),
+        ("cylinder", Manifold.cylinder((0.0, 1.0)),
+         cylinder_coords(rng.uniform(0.0, 2 * np.pi, n), rng.uniform(0.0, 1.0, n)), 0.7),
+    ]
+
+
+MANIFOLD_SAMPLES = _manifold_samples()
+
+
+def _columns(n):
+    rng = np.random.default_rng(45)
+    return np.column_stack([rng.standard_t(2, n),
+                            np.round(rng.normal(size=n)),  # ties, some zero-MAD rows
+                            np.where(rng.random(n) < 0.2, 8.0, rng.normal(size=n))])
+
+
+def _oracle_weights(manifold, t, h, leave_one_out):
+    W = raw_weight_matrix(manifold, KernelSpec.quadratic(), h,
+                          pairwise_distances(manifold, t))
+    if leave_one_out:
+        np.fill_diagonal(W, 0.0)
+    return W
+
+
+@pytest.mark.parametrize("leave_one_out", [False, True], ids=["all", "loo"])
+@pytest.mark.parametrize("name,manifold,t,h", MANIFOLD_SAMPLES,
+                         ids=[case[0] for case in MANIFOLD_SAMPLES])
+def test_huber_smoothing_matches_oracle_on_every_manifold(name, manifold, t, h,
+                                                          leave_one_out):
+    columns = _columns(t.shape[0])
+    cfg = LocalFitConfig(bandwidth=h, score=ScoreFunction.huber(HUBER_C),
+                         mad_constant=MAD_C)
+    est, flags = smooth_columns(manifold, KernelSpec.quadratic(), cfg, t, columns,
+                                leave_one_out=leave_one_out)
+    W = _oracle_weights(manifold, t, h, leave_one_out)
+    for j in range(columns.shape[1]):
+        v = columns[:, j]
+        for q in range(W.shape[0]):
+            med, mad = oracle_median(W[q], v), oracle_mad(W[q], v)
+            if mad <= 0.0:
+                assert flags[q, j] == 1 and est[q, j] == med
+                continue
+            assert flags[q, j] == 0
+            wn = W[q] / W[q].sum()
+            ref = oracle_huber(wn, v, mad)
+            assert (abs(est[q, j] - ref) <= 1e-8 * max(1.0, abs(ref))
+                    or _huber_root_interval(wn, v, mad, est[q, j]))
+
+
+@pytest.mark.parametrize("leave_one_out", [False, True], ids=["all", "loo"])
+@pytest.mark.parametrize("name,manifold,t,h", MANIFOLD_SAMPLES,
+                         ids=[case[0] for case in MANIFOLD_SAMPLES])
+def test_bisquare_rows_solve_their_score_equation(name, manifold, t, h, leave_one_out):
+    columns = _columns(t.shape[0])
+    score = ScoreFunction.bisquare()
+    cfg = LocalFitConfig(bandwidth=h, score=score, mad_constant=MAD_C)
+    est, flags = smooth_columns(manifold, KernelSpec.quadratic(), cfg, t, columns,
+                                leave_one_out=leave_one_out)
+    W = _oracle_weights(manifold, t, h, leave_one_out)
+    solved = 0
+    for j in range(columns.shape[1]):
+        v = columns[:, j]
+        for q in range(W.shape[0]):
+            mad = oracle_mad(W[q], v)
+            if mad <= 0.0:
+                assert flags[q, j] == 1 and est[q, j] == oracle_median(W[q], v)
+                continue
+            assert flags[q, j] == 0
+            wn = W[q] / W[q].sum()
+            assert abs(float(wn @ score.psi((v - est[q, j]) / mad))) <= 1e-8
+            solved += 1
+    assert solved > columns.size // 2
+
+
+# ------------------------------------------- the call shape the tracer reads
+
+def test_local_m_rows_call_shape_is_pinned_for_the_benchmark_tracer():
+    """perfbench/spans.py wraps `_kernels.local_m_rows` by position: it reads
+    W at position 0, the score code at position 3 and the flags at result[1].
+    The change that drops `order` (ROADMAP D3) must update perfbench/spans.py
+    and this test together."""
+    params = list(inspect.signature(_kernels.local_m_rows).parameters)
+    assert params[:4] == ["W", "v", "order", "code"]
+    W, v, order = random_problem(np.random.default_rng(5))
+    result = _kernels.local_m_rows(W, v, order, 1, HUBER_C, MAD_C, 1e-10, 200)
+    assert isinstance(result, tuple) and len(result) == 2
+    est, flags = result
+    assert est.shape == flags.shape == (W.shape[0],)
+    assert flags.dtype == np.int8

@@ -44,6 +44,19 @@ def test_quadratic_kernel_values():
     assert QUAD.evaluate(1.5) == 0.0
 
 
+def test_quadratic_kernel_equals_the_masked_formula_bit_for_bit():
+    below_one = np.nextafter(1.0, 0.0)
+    u = np.concatenate([np.linspace(-1.5, 1.5, 3001), [1.0, -1.0, below_one, -below_one,
+                        np.nextafter(1.0, 2.0), 1.0 - 1e-9, 0.0, np.inf]])
+    ref = np.zeros_like(u)
+    inside = np.abs(u) < 1.0
+    t = 1.0 - u[inside] ** 2
+    ref[inside] = 0.9375 * t * t
+    got = QUAD.evaluate(u)
+    assert np.array_equal(got, ref)
+    assert not np.any(np.signbit(got))
+
+
 def test_custom_kernel_validation():
     bad = KernelSpec("custom", evaluator=lambda u: np.ones_like(u))  # no compact support
     with pytest.raises(ValueError, match="vanish"):
