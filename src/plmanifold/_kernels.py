@@ -18,7 +18,7 @@ broadcast against W; `local_m_rows` normalizes and composes them, and the
 scalar functions in `smoother` are one-row calls into the same pieces.
 
 Score codes: 1 huber, 2 bisquare, -1 a custom score whose vectorized psi
-(and psi'(0)) come from the ``score`` keyword.  The identity score is the
+and reweighting weight come from the ``score`` keyword.  The identity score is the
 kernel-weighted mean, which callers compute directly.
 
 Flag conventions (per query row): 0 solved, 1 degenerate local MAD (estimate
@@ -148,18 +148,6 @@ def _bisquare_weight(c):
     return weight
 
 
-def _psi_ratio_weight(score):
-    # psi(u) / u, continued by psi'(0) at u = 0
-    at_zero = float(score.psi_prime(0.0))
-
-    def weight(u):
-        small = np.abs(u) <= 1e-10
-        safe = np.where(small, 1.0, u)
-        return np.where(small, at_zero, score.psi(safe) / safe)
-
-    return weight
-
-
 def solve_rows(W, V, start, scale, code, c, tol, maxiter, score=None):
     """Solve each row's score equation at a fixed per-row ``scale``.
 
@@ -170,7 +158,7 @@ def solve_rows(W, V, start, scale, code, c, tol, maxiter, score=None):
     if code == _SCORE_CUSTOM and score.monotone:
         est, ok = bisect_rows(W, V, scale, score.psi, tol, maxiter)
     elif code == _SCORE_CUSTOM:
-        est, ok = reweight_rows(W, V, start, scale, _psi_ratio_weight(score), tol, maxiter)
+        est, ok = reweight_rows(W, V, start, scale, score.weight, tol, maxiter)
     elif code == _SCORE_BISQUARE:
         est, ok = reweight_rows(W, V, start, scale, _bisquare_weight(c), tol, maxiter)
     else:

@@ -9,7 +9,7 @@ fails) are marked infeasible rather than raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,8 +21,8 @@ from .errors import (
     SingularDesignError,
 )
 from .manifold import injectivity_radius, pairwise_distances
-from .plm import PLMDataset, smooth_dataset
-from .robust_linear import GMConfig, WeightFunction, gm_estimate
+from .plm import PLMDataset, mode_configs, smooth_dataset
+from .robust_linear import GMConfig, gm_estimate
 from .smoother import (
     KernelSpec,
     LocalFitConfig,
@@ -33,6 +33,7 @@ from .smoother import (
 
 _FAILURE_KINDS = (EmptyWindowError, ConvergenceError, DegenerateScaleError,
                   SingularDesignError)
+_GRID_SIZE = 8
 
 
 @dataclass
@@ -45,10 +46,9 @@ class GridPointDiagnostic:
 
 @dataclass
 class BandwidthGrid:
-    """Ascending candidate bandwidths plus per-candidate diagnostics."""
+    """Ascending candidate bandwidths."""
 
     values: np.ndarray
-    diagnostics: list[GridPointDiagnostic] | None = field(default=None)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float).ravel()
@@ -59,11 +59,16 @@ class BandwidthGrid:
         self.values = np.sort(values)
 
 
-def default_grid(dataset: PLMDataset, size: int = 8) -> BandwidthGrid:
+def default_grid(dataset: PLMDataset, size: int = _GRID_SIZE) -> BandwidthGrid:
     """Log-spaced grid from the 10th percentile of pairwise distances up to
     0.9 x injectivity radius (0.9 x the largest pairwise distance on
     unbounded domains)."""
     d = pairwise_distances(dataset.manifold, dataset.t)
+    return _grid_from_distances(dataset, d, size)
+
+
+def _grid_from_distances(dataset: PLMDataset, d: np.ndarray,
+                         size: int = _GRID_SIZE) -> BandwidthGrid:
     off = d[np.triu_indices(dataset.n, k=1)]
     off = off[off > 0]
     if off.size == 0:
@@ -105,16 +110,10 @@ def _criterion(residuals: np.ndarray, cv_score: ScoreFunction,
 
 
 def _resolve_configs(mode: str, kernel, smoother, gm, cv_score):
-    kernel = kernel or KernelSpec.quadratic()
-    smoother = smoother or LocalFitConfig()
-    gm = gm or GMConfig()
-    if mode == "classical":
-        smoother = replace(smoother, score=ScoreFunction.identity())
-        gm = GMConfig(score=ScoreFunction.identity(), w1=WeightFunction.one())
-        cv_score = ScoreFunction.identity()
-    else:
-        cv_score = cv_score or ScoreFunction.huber()
-    return kernel, smoother, gm, cv_score
+    smoother, gm = mode_configs(mode, smoother, gm)
+    cv_score = ScoreFunction.identity() if mode == "classical" else cv_score
+    return (kernel or KernelSpec.quadratic(), smoother, gm,
+            cv_score or ScoreFunction.huber())
 
 
 def rcv_score(dataset: PLMDataset, h: float, kernel: KernelSpec | None = None,
@@ -140,7 +139,7 @@ def rcv_score(dataset: PLMDataset, h: float, kernel: KernelSpec | None = None,
     return _criterion(res, cv_score, scale)
 
 
-def select_bandwidth(dataset: PLMDataset, grid, mode: str = "robust",
+def select_bandwidth(dataset: PLMDataset, grid=None, mode: str = "robust",
                      kernel: KernelSpec | None = None,
                      smoother: LocalFitConfig | None = None,
                      gm: GMConfig | None = None,
@@ -151,13 +150,16 @@ def select_bandwidth(dataset: PLMDataset, grid, mode: str = "robust",
     the robust spread of the leave-one-out residuals at the smallest
     feasible bandwidth; a per-candidate scale would make the criterion
     nearly scale-free and blind to oversmoothing.  Ties break toward the
-    smallest bandwidth.  Returns (h_star, diagnostics); raises
-    InfeasibleGridError with per-candidate reasons when nothing on the grid
-    works.
+    smallest bandwidth.  ``grid=None`` uses the ``default_grid`` candidates.
+    Returns (h_star, diagnostics); raises InfeasibleGridError with
+    per-candidate reasons when nothing on the grid works.
     """
-    if mode not in ("robust", "classical"):
-        raise ValueError(f"mode must be 'robust' or 'classical', got {mode!r}")
-    if not isinstance(grid, BandwidthGrid):
+    kernel, smoother, gm, cv_score = _resolve_configs(mode, kernel, smoother,
+                                                      gm, cv_score)
+    distances = pairwise_distances(dataset.manifold, dataset.t)
+    if grid is None:
+        grid = _grid_from_distances(dataset, distances)
+    elif not isinstance(grid, BandwidthGrid):
         grid = BandwidthGrid(np.asarray(grid, dtype=float))
     inj = injectivity_radius(dataset.manifold)
     for h in grid.values:
@@ -165,9 +167,6 @@ def select_bandwidth(dataset: PLMDataset, grid, mode: str = "robust",
             raise ValueError(
                 f"grid bandwidth {h} is not below the injectivity radius {inj}"
             )
-    kernel, smoother, gm, cv_score = _resolve_configs(mode, kernel, smoother,
-                                                      gm, cv_score)
-    distances = pairwise_distances(dataset.manifold, dataset.t)
 
     diagnostics: list[GridPointDiagnostic] = []
     pilot_scale = None
@@ -192,5 +191,4 @@ def select_bandwidth(dataset: PLMDataset, grid, mode: str = "robust",
             "no feasible bandwidth in the grid",
             reasons={d.h: d.reason for d in diagnostics},
         )
-    grid.diagnostics = diagnostics
     return best.h, diagnostics

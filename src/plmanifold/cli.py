@@ -19,7 +19,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .bandwidth import BandwidthGrid, default_grid, select_bandwidth
+from .bandwidth import select_bandwidth
 from .errors import ConfigError, InsufficientDataError, PLMError
 from .inference import confidence_interval, estimate_covariance, wald_test
 from .manifold import Manifold
@@ -229,13 +229,6 @@ def ingest_csv(path, mapping: ColumnMapping) -> PLMDataset:
     return PLMDataset(y, x, t, Manifold.cylinder((0.0, 1.0)), meta)
 
 
-def _select(dataset, mode, config: RunConfig, smoother, gm):
-    """Cross-validate over the configured grid (the default grid if none)."""
-    grid = (BandwidthGrid(np.asarray(config.cv_grid, dtype=float))
-            if config.cv_grid is not None else default_grid(dataset))
-    return select_bandwidth(dataset, grid, mode=mode, smoother=smoother, gm=gm)
-
-
 def _configs(config: RunConfig):
     return (LocalFitConfig(score=config.score),
             GMConfig(score=config.score, w1=config.w1))
@@ -244,7 +237,8 @@ def _configs(config: RunConfig):
 def _fit_one_mode(dataset, mode, config: RunConfig):
     smoother, gm = _configs(config)
     h = (float(config.bandwidth) if config.bandwidth is not None
-         else _select(dataset, mode, config, smoother, gm)[0])
+         else select_bandwidth(dataset, config.cv_grid, mode=mode, smoother=smoother,
+                               gm=gm)[0])
     fitted = fit(dataset, h, mode=mode, smoother=smoother, gm=gm)
     cov = estimate_covariance(fitted)
     ci = confidence_interval(fitted.beta, cov, config.level)
@@ -298,6 +292,14 @@ def _modes(config: RunConfig) -> list[str]:
 
 
 def _run_fit(config: RunConfig) -> None:
+    if not 0.0 < config.level < 1.0:
+        raise ConfigError(f"--level must lie in (0, 1), got {config.level!r}")
+    p = len(config.mapping.linear)
+    if config.null_value is not None and len(config.null_value) not in (1, p):
+        raise ConfigError(
+            f"--null takes 1 value or one per linear column ({p}), "
+            f"got {len(config.null_value)}"
+        )
     dataset = ingest_csv(config.input_path, config.mapping)
     report = {}
     fits = {}
@@ -321,7 +323,9 @@ def _run_cv(config: RunConfig) -> None:
     dataset = ingest_csv(config.input_path, config.mapping)
     report = {}
     for mode in _modes(config):
-        h, diagnostics = _select(dataset, mode, config, *_configs(config))
+        smoother, gm = _configs(config)
+        h, diagnostics = select_bandwidth(dataset, config.cv_grid, mode=mode,
+                                          smoother=smoother, gm=gm)
         report[mode] = {
             "selected_h": float(h),
             "grid": [

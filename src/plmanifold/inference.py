@@ -16,12 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2, norm
+from scipy.special import chdtrc, ndtr, ndtri
 
 from .errors import DegenerateScaleError, DegenerateTestError, SingularMatrixError
 from .plm import PLMFit
-from .robust_linear import GMConfig, WeightFunction
-from .smoother import ScoreFunction
 
 _COND_LIMIT = 1e12
 
@@ -46,11 +44,13 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def estimate_covariance(fit: PLMFit, gm: GMConfig | None = None) -> AsymptoticCovariance:
+def estimate_covariance(fit: PLMFit) -> AsymptoticCovariance:
     """Sandwich covariance of the fitted regression coefficients.
 
-    Classical fits use the identity-score reduction regardless of ``gm``.
-    Raises SingularMatrixError when the A matrix is numerically singular.
+    Uses the score and design weight the fit was estimated with
+    (``fit.gm_config``), so a classical fit gets the identity-score
+    reduction.  Raises SingularMatrixError when the A matrix is numerically
+    singular.
     """
     ds = fit.dataset
     if ds.p == 0:
@@ -59,10 +59,7 @@ def estimate_covariance(fit: PLMFit, gm: GMConfig | None = None) -> AsymptoticCo
     eps = fit.residuals
     n = ds.n
 
-    classical = fit.mode == "classical"
-    gm = gm or fit.gm_config or GMConfig()
-    score = ScoreFunction.identity() if classical else gm.score
-    w1 = WeightFunction.one() if classical else gm.w1
+    score, w1 = fit.gm_config.score, fit.gm_config.w1
 
     if score.code == 0:
         s = float(np.sqrt(np.mean(eps ** 2)))
@@ -99,7 +96,7 @@ def confidence_interval(beta, cov: AsymptoticCovariance, level: float = 0.95) ->
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must be in (0, 1)")
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    z = norm.ppf(0.5 + level / 2.0)
+    z = ndtri(0.5 + level / 2.0)
     return np.column_stack([beta - z * cov.se, beta + z * cov.se])
 
 
@@ -118,9 +115,9 @@ def wald_test(beta, cov: AsymptoticCovariance, null) -> tuple[float, float]:
         if se <= 0.0:
             raise DegenerateTestError("standard error is zero; the z test is undefined")
         z = (float(beta[0]) - float(null[0])) / se
-        return z, float(2.0 * norm.sf(abs(z)))
+        return z, float(2.0 * ndtr(-abs(z)))
     if not np.all(np.isfinite(cov.V_hat)) or np.linalg.cond(cov.V_hat) > _COND_LIMIT:
         raise SingularMatrixError("covariance matrix is numerically singular")
     d = beta - null
     stat = float(d @ np.linalg.solve(cov.V_hat, d))
-    return stat, float(chi2.sf(stat, p))
+    return stat, float(chdtrc(p, stat))

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (
-    ConvergenceError,
     DegenerateScaleError,
     InsufficientDataError,
     SingularDesignError,
@@ -22,8 +21,8 @@ from .manifold import Manifold, as_coords, validate_coords
 from .robust_linear import (
     GMConfig,
     RegressionResult,
+    WeightFunction,
     gm_estimate,
-    ols_estimate,
     residual_scale,
 )
 from .smoother import (
@@ -35,6 +34,9 @@ from .smoother import (
 )
 
 MODES = ("robust", "classical")
+
+# Step 2 of classical mode: least squares, the identity-score, unit-weight case
+CLASSICAL_GM = GMConfig(score=ScoreFunction.identity(), w1=WeightFunction.one())
 
 
 @dataclass
@@ -107,7 +109,7 @@ class PLMFit:
     dataset: PLMDataset
     kernel: KernelSpec
     smoother_config: LocalFitConfig
-    gm_config: GMConfig | None
+    gm_config: GMConfig
 
     def predict_g(self, t):
         return predict_g(self, t)
@@ -121,24 +123,27 @@ def smooth_dataset(dataset: PLMDataset, kernel: KernelSpec, config: LocalFitConf
     """Smooth the response and every covariate column over the manifold.
 
     Returns (estimates, flags) with column 0 the response; ``options`` go to
-    ``smooth_columns``.  Raises ConvergenceError listing the query indices
-    where a local solve ran out of iterations.
+    ``smooth_columns``.
     """
     columns = np.column_stack([dataset.y, dataset.x])
-    est, fl = smooth_columns(dataset.manifold, kernel, config, dataset.t, columns,
-                             **options)
-    stuck = np.flatnonzero((fl == 2).any(axis=1))
-    if stuck.size:
-        raise ConvergenceError(
-            f"local smoothing did not converge at query indices {stuck.tolist()}",
-            indices=stuck.tolist(),
-        )
-    return est, fl
+    return smooth_columns(dataset.manifold, kernel, config, dataset.t, columns,
+                          **options)
 
 
-def _smoothing_config(mode: str, smoother: LocalFitConfig, bandwidth: float) -> LocalFitConfig:
-    score = ScoreFunction.identity() if mode == "classical" else smoother.score
-    return replace(smoother, bandwidth=bandwidth, score=score)
+def mode_configs(mode: str, smoother: LocalFitConfig | None = None,
+                 gm: GMConfig | None = None) -> tuple[LocalFitConfig, GMConfig]:
+    """The (LocalFitConfig, GMConfig) pair a mode estimates with.
+
+    Robust mode uses the given configurations (defaults for None).  Classical
+    mode is their identity-score case: the same smoother with the identity
+    score, and least squares (``CLASSICAL_GM``) in the regression step.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    smoother = smoother or LocalFitConfig()
+    if mode == "classical":
+        return replace(smoother, score=ScoreFunction.identity()), CLASSICAL_GM
+    return smoother, gm or GMConfig()
 
 
 def fit(dataset: PLMDataset, bandwidth: float, mode: str = "robust",
@@ -147,17 +152,14 @@ def fit(dataset: PLMDataset, bandwidth: float, mode: str = "robust",
         gm: GMConfig | None = None) -> PLMFit:
     """Fit the partially linear model at a fixed bandwidth.
 
-    Classical mode uses identity-score smoothing and least squares
-    throughout; robust mode uses the configured score both locally and in
-    the regression step.
+    The mode picks the configurations through ``mode_configs``: classical
+    mode is the identity-score case of the same three steps, robust mode
+    uses the configured score both locally and in the regression step.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    smoother, gm = mode_configs(mode, smoother, gm)
     kernel = kernel or KernelSpec.quadratic()
-    smoother = smoother or LocalFitConfig()
-    gm = gm or GMConfig()
     h = check_bandwidth(dataset.manifold, bandwidth)
-    cfg = _smoothing_config(mode, smoother, h)
+    cfg = replace(smoother, bandwidth=h)
 
     est, fl = smooth_dataset(dataset, kernel, cfg)
     phi0 = est[:, 0]
@@ -174,7 +176,7 @@ def fit(dataset: PLMDataset, bandwidth: float, mode: str = "robust",
                 f"{np.flatnonzero(dead).tolist()}; the bandwidth is too small "
                 "to identify the regression coefficients"
             )
-        reg = ols_estimate(r, eta) if mode == "classical" else gm_estimate(r, eta, gm)
+        reg = gm_estimate(r, eta, gm)
     else:
         reg = _null_regression(r)
 
@@ -201,7 +203,7 @@ def fit(dataset: PLMDataset, bandwidth: float, mode: str = "robust",
         dataset=dataset,
         kernel=kernel,
         smoother_config=cfg,
-        gm_config=None if mode == "classical" else gm,
+        gm_config=gm,
     )
 
 

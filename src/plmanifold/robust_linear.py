@@ -8,7 +8,7 @@ by iteratively reweighted least squares.  The scale s_n is the residual MAD,
 re-estimated at every reweighting step (a scale frozen at the least-squares
 start inherits that start's vulnerability to outliers); a fixed numeric
 scale can be supplied instead.  With the identity score and w1 = 1 the
-solution is ordinary least squares.
+solution is ordinary least squares, returned without reweighting.
 """
 
 from __future__ import annotations
@@ -156,6 +156,7 @@ def ols_estimate(r, eta) -> RegressionResult:
 def gm_estimate(r, eta, config: GMConfig | None = None) -> RegressionResult:
     """Solve the weighted regression score equation by reweighted least squares.
 
+    The identity score with w1 = 1 returns the least-squares start itself.
     An exact linear fit is returned immediately with zero residuals, since it
     solves the score equation exactly.  With the "mad" scale rule the scale
     shrinks with the residuals across iterations, so a contaminated
@@ -166,6 +167,8 @@ def gm_estimate(r, eta, config: GMConfig | None = None) -> RegressionResult:
     n, p = eta.shape
 
     start = ols_estimate(r, eta)  # raises SingularDesignError on bad designs
+    if config.score.code == 0 and config.w1.name == "one":
+        return start
     beta = start.beta if isinstance(config.init, str) else np.asarray(config.init, dtype=float)
     res = r - eta @ beta
     norms = np.linalg.norm(eta, axis=1)
@@ -181,16 +184,9 @@ def gm_estimate(r, eta, config: GMConfig | None = None) -> RegressionResult:
     else:
         s = float(config.scale)
 
-    score = config.score
-    psi_prime0 = float(score.psi_prime(0.0))
     last_step = np.inf
     for it in range(1, config.max_iterations + 1):
-        u = res / s
-        pw = np.empty_like(u)
-        small = np.abs(u) <= 1e-10
-        pw[small] = psi_prime0
-        pw[~small] = score.psi(u[~small]) / u[~small]
-        w = wd * pw
+        w = wd * config.score.weight(res / s)
         if not np.any(w > 0):
             raise ConvergenceError(
                 "every observation received zero weight", last_iterate=beta

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bandwidth import BandwidthGrid, default_grid, select_bandwidth
+from .bandwidth import select_bandwidth
 from .errors import CampaignError, PLMError
 from .manifold import Manifold, cylinder_coords
 from .plm import PLMDataset, fit
@@ -153,9 +153,6 @@ def run_campaign(config: SimulationConfig, kernel: KernelSpec | None = None,
     excluded from the summaries; more than 10% failures in any mode raises
     CampaignError.
     """
-    kernel = kernel or KernelSpec.quadratic()
-    smoother = smoother or LocalFitConfig()
-    gm = gm or GMConfig()
     reps = config.replications
 
     def one(rep: int) -> dict:
@@ -168,10 +165,7 @@ def run_campaign(config: SimulationConfig, kernel: KernelSpec | None = None,
                 if config.bandwidth is not None:
                     h = float(config.bandwidth)
                 else:
-                    grid = (BandwidthGrid(np.asarray(config.cv_grid, dtype=float))
-                            if config.cv_grid is not None
-                            else default_grid(sample.dataset))
-                    h, _ = select_bandwidth(sample.dataset, grid, mode=mode,
+                    h, _ = select_bandwidth(sample.dataset, config.cv_grid, mode=mode,
                                             kernel=kernel, smoother=smoother,
                                             gm=gm, cv_score=cv_score)
                 fitted = fit(sample.dataset, h, mode=mode, kernel=kernel,

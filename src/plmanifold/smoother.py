@@ -135,6 +135,13 @@ class ScoreFunction:
     def psi_prime(self, u):
         return self.psi_prime_fn(np.asarray(u, dtype=float))
 
+    def weight(self, u):
+        """Reweighting weight psi(u) / u, continued by psi'(0) at |u| <= 1e-10."""
+        u = np.asarray(u, dtype=float)
+        small = np.abs(u) <= 1e-10
+        safe = np.where(small, 1.0, u)
+        return np.where(small, float(self.psi_prime(0.0)), self.psi(safe) / safe)
+
     def validate(self) -> None:
         """Sampled checks of the score assumptions.
 
@@ -217,13 +224,43 @@ def _check_weight_pair(weights, values):
 
 def raw_weight_matrix(manifold: Manifold, kernel: KernelSpec, h: float,
                       distances: np.ndarray) -> np.ndarray:
-    """Unnormalized kernel weights K(d/h) / volume density, elementwise."""
+    """Unnormalized kernel weights K(d/h) / volume density, elementwise, in a
+    new array."""
     k = kernel.evaluate(distances / h)
     if manifold.kind == "sphere":
         pos = k > 0
         theta = volume_density_from_distance(manifold, distances[pos])
         k[pos] = k[pos] / theta
     return k
+
+
+def window_weights(manifold: Manifold, kernel: KernelSpec, h: float,
+                   distances: np.ndarray, leave_one_out: bool = False):
+    """Raw kernel weights of every query row with their row totals.
+
+    ``leave_one_out`` zeroes the diagonal weight, which requires queries ==
+    sample.  Returns (W, totals).  Raises EmptyWindowError listing every
+    query index whose window is empty, with the smallest bandwidth that
+    would cover them all as ``nearest_distance``.
+    """
+    W = raw_weight_matrix(manifold, kernel, h, distances)
+    if leave_one_out:
+        np.fill_diagonal(W, 0.0)
+    totals = W.sum(axis=1)
+    empty = np.flatnonzero(totals <= 0.0)
+    if empty.size:
+        d = distances
+        if leave_one_out:
+            d = distances.copy()
+            np.fill_diagonal(d, np.inf)
+        h_min = float(d[empty].min(axis=1).max())
+        raise EmptyWindowError(
+            f"empty kernel window at query indices {empty.tolist()}; "
+            f"the bandwidth must exceed {h_min:.6g}",
+            nearest_distance=h_min,
+            indices=empty.tolist(),
+        )
+    return W, totals
 
 
 def pelletier_weights(manifold: Manifold, kernel: KernelSpec, h: float,
@@ -236,17 +273,8 @@ def pelletier_weights(manifold: Manifold, kernel: KernelSpec, h: float,
     h = check_bandwidth(manifold, h)
     tq = validate_coords(manifold, as_coords(t), name="query")
     pts = validate_coords(manifold, sample, name="sample")
-    d = cross_distances(manifold, tq, pts)[0]
-    raw = raw_weight_matrix(manifold, kernel, h, d[None, :])[0]
-    total = raw.sum()
-    if total <= 0.0:
-        nearest = float(d.min())
-        raise EmptyWindowError(
-            f"no sample point within bandwidth {h} of the query "
-            f"(nearest at distance {nearest:.6g})",
-            nearest_distance=nearest,
-        )
-    return raw / total
+    W, totals = window_weights(manifold, kernel, h, cross_distances(manifold, tq, pts))
+    return W[0] / totals[0]
 
 
 class ConditionalECDF:
@@ -333,10 +361,12 @@ def smooth_columns(manifold: Manifold, kernel: KernelSpec, config: LocalFitConfi
     sample itself).  ``leave_one_out`` zeroes the diagonal weight, which
     requires queries == sample.  Returns (estimates, flags), both of shape
     (n_queries, k); flag 1 marks a degenerate local MAD (weighted-median
-    fallback), flag 2 a solver that ran out of iterations.
+    fallback).
 
     Raises EmptyWindowError listing every query index whose window is empty
-    together with the smallest bandwidth that would cover them all.
+    together with the smallest bandwidth that would cover them all, and
+    ConvergenceError listing every query index where a local solve ran out
+    of iterations.
     """
     h = check_bandwidth(manifold, config.bandwidth)
     columns = np.asarray(columns, dtype=float)
@@ -350,25 +380,7 @@ def smooth_columns(manifold: Manifold, kernel: KernelSpec, config: LocalFitConfi
         else:
             distances = cross_distances(manifold, queries, sample)
 
-    W = raw_weight_matrix(manifold, kernel, h, distances)
-    if leave_one_out:
-        W = W.copy()
-        np.fill_diagonal(W, 0.0)
-    totals = W.sum(axis=1)
-    empty = np.flatnonzero(totals <= 0.0)
-    if empty.size:
-        d = distances
-        if leave_one_out:
-            d = distances.copy()
-            np.fill_diagonal(d, np.inf)
-        nearest = d[empty].min(axis=1)
-        h_min = float(nearest.max())
-        raise EmptyWindowError(
-            f"empty kernel window at query indices {empty.tolist()}; "
-            f"the bandwidth must exceed {h_min:.6g}",
-            nearest_distance=h_min,
-            indices=empty.tolist(),
-        )
+    W, totals = window_weights(manifold, kernel, h, distances, leave_one_out)
 
     nq, k = W.shape[0], columns.shape[1]
     estimates = np.empty((nq, k))
@@ -382,6 +394,12 @@ def smooth_columns(manifold: Manifold, kernel: KernelSpec, config: LocalFitConfi
         estimates[:, j], flags[:, j] = _kernels.local_m_rows(
             W, v, np.argsort(v), score.code, score.c, config.mad_constant,
             config.tol, config.max_iterations, score=score,
+        )
+    stuck = np.flatnonzero((flags == 2).any(axis=1))
+    if stuck.size:
+        raise ConvergenceError(
+            f"local smoothing did not converge at query indices {stuck.tolist()}",
+            indices=stuck.tolist(),
         )
     return estimates, flags
 
@@ -404,12 +422,6 @@ def fit_smoother(manifold: Manifold, kernel: KernelSpec, config: LocalFitConfig,
         )
     est, flags = smooth_columns(manifold, kernel, config, sample, values,
                                 queries=queries)
-    bad = np.flatnonzero(flags[:, 0] == 2)
-    if bad.size:
-        raise ConvergenceError(
-            f"local M-estimation did not converge at query indices {bad.tolist()}",
-            indices=bad.tolist(),
-        )
     if return_flags:
         return est[:, 0], flags[:, 0]
     return est[:, 0]

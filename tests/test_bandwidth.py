@@ -155,3 +155,12 @@ def test_robust_cv_bounded_under_outlier_classical_diverges():
         dirty_cl = rcv_score(ds_bad, h, smoother=LocalFitConfig(score=IDENTITY),
                              gm=GMConfig(score=IDENTITY), cv_score=IDENTITY)
         assert dirty_cl - clean_cl > 1e6
+
+
+@pytest.mark.parametrize("mode", ["robust", "classical"])
+def test_selector_without_a_grid_uses_the_default_grid(mode):
+    ds = generate_sample(80, "C1", replication_rng(5, 0)).dataset
+    h, diagnostics = select_bandwidth(ds, mode=mode)
+    h_ref, reference = select_bandwidth(ds, default_grid(ds), mode=mode)
+    assert h == h_ref
+    assert diagnostics == reference

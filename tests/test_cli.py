@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -420,3 +423,26 @@ def test_click_simulate_smoke(tmp_path):
         "--mode", "robust", "--out", str(out)])
     assert result.exit_code == 0, result.output
     assert out.exists()
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pm.__file__)))
+    code = "import sys, plmanifold.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("option,value,message", [
+    ("--level", "1.5", "--level must lie in (0, 1), got 1.5"),
+    ("--level", "0", "--level must lie in (0, 1), got 0.0"),
+    ("--null", "1,2", "--null takes 1 value or one per linear column (1), got 2"),
+], ids=["level-above-1", "level-0", "null-count"])
+def test_click_fit_rejects_bad_level_or_null_before_reading_input(tmp_path, option,
+                                                                   value, message):
+    result = CliRunner().invoke(main, [
+        "fit", "--input", str(tmp_path / "missing.csv"), "--map", MAPPING,
+        option, value, "--bandwidth", "1.0", "--out", str(tmp_path / "r.json")])
+    assert result.exit_code == 2
+    assert f"error: ConfigError: {message}" in result.output
+    assert "cannot read input file" not in result.output

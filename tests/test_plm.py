@@ -8,7 +8,7 @@ from plmanifold.errors import (
     SingularDesignError,
 )
 from plmanifold.manifold import Manifold, cylinder_coords
-from plmanifold.plm import PLMDataset, fit, predict_g, predict_y
+from plmanifold.plm import CLASSICAL_GM, PLMDataset, fit, mode_configs, predict_g, predict_y
 from plmanifold.robust_linear import GMConfig, WeightFunction
 from plmanifold.smoother import LocalFitConfig, ScoreFunction
 from conftest import random_cylinder_dataset
@@ -233,3 +233,17 @@ def test_fit_flags_degenerate_windows():
     ds = PLMDataset(rng.normal(size=11), rng.normal(size=(11, 1)), t, CYL)
     f = fit(ds, 0.8, mode="robust")
     assert 0 in f.flags["degenerate_windows"]
+
+
+def test_classical_mode_is_the_identity_case_of_the_given_configs():
+    smoother = LocalFitConfig(score=ScoreFunction.bisquare(), max_iterations=50)
+    robust_gm = GMConfig(w1=WeightFunction.huber())
+    cfg, gm = mode_configs("classical", smoother, robust_gm)
+    assert cfg.score.code == 0 and cfg.max_iterations == 50
+    assert gm is CLASSICAL_GM
+    assert mode_configs("robust", smoother, robust_gm) == (smoother, robust_gm)
+    with pytest.raises(ValueError, match="mode"):
+        mode_configs("ls")
+    ds, _ = random_cylinder_dataset(9, n=50, p=1)
+    assert fit(ds, 1.2, mode="classical").gm_config is CLASSICAL_GM
+    assert fit(ds, 1.2, mode="robust", gm=robust_gm).gm_config is robust_gm

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from plmanifold.errors import ConvergenceError, DegenerateScaleError, SingularDesignError
+from plmanifold.plm import CLASSICAL_GM
 from plmanifold.robust_linear import (
     GMConfig,
     WeightFunction,
@@ -237,3 +238,11 @@ def test_gmconfig_validation():
         GMConfig(scale="median")
     with pytest.raises(ValueError):
         GMConfig(init="random")
+
+
+def test_classical_config_returns_least_squares_exactly():
+    rng = np.random.default_rng(31)
+    eta = rng.normal(size=(60, 3))
+    r = eta @ np.array([1.0, -2.0, 0.5]) + rng.standard_t(2, size=60)
+    res = gm_estimate(r, eta, CLASSICAL_GM)
+    assert np.array_equal(res.beta, ols_estimate(r, eta).beta)

@@ -11,6 +11,7 @@ from plmanifold.manifold import (
     circle_coords,
     cross_distances,
     cylinder_coords,
+    pairwise_distances,
 )
 from plmanifold.smoother import (
     KernelSpec,
@@ -21,7 +22,9 @@ from plmanifold.smoother import (
     local_m_estimate,
     local_mad,
     pelletier_weights,
+    smooth_columns,
     weighted_median,
+    window_weights,
 )
 from conftest import random_weights
 
@@ -124,6 +127,20 @@ def test_empty_window_error_carries_nearest_distance():
     with pytest.raises(EmptyWindowError) as err:
         pelletier_weights(CIR, QUAD, 0.5, t, sample)
     assert err.value.nearest_distance == pytest.approx(2.0, abs=1e-12)
+    assert err.value.indices == [0]
+
+
+def test_window_weights_leave_one_out_leaves_the_distances_alone():
+    rng = np.random.default_rng(12)
+    sample = cylinder_coords(rng.uniform(0, 2 * np.pi, 15), rng.uniform(0, 1, 15))
+    d = pairwise_distances(CYL, sample)
+    before = d.copy()
+    W, totals = window_weights(CYL, QUAD, 1.5, d, leave_one_out=True)
+    assert np.all(np.diag(W) == 0.0)
+    assert np.array_equal(totals, W.sum(axis=1))
+    assert np.array_equal(d, before)
+    W_all, _ = window_weights(CYL, QUAD, 1.5, d)
+    assert np.all(np.diag(W_all) == 0.9375)
 
 
 def test_bandwidth_range_enforced():
@@ -406,6 +423,9 @@ def test_convergence_error_tagged_with_query_index():
     with pytest.raises(ConvergenceError) as err:
         fit_smoother(CYL, QUAD, cfg, sample, values, sample)
     assert err.value.indices
+    with pytest.raises(ConvergenceError) as batched:
+        smooth_columns(CYL, QUAD, cfg, sample, np.column_stack([values, values]))
+    assert batched.value.indices == err.value.indices
 
 
 def test_smoother_length_mismatch():
@@ -436,3 +456,21 @@ def test_sphere_smoother_applies_volume_density_correction():
     # the correction must actually matter at this bandwidth
     uncorrected = (K @ values) / K.sum(axis=1)
     assert np.max(np.abs(oracle - uncorrected)) > 1e-4
+
+
+# ------------------------------------------------------- reweighting weight
+
+def _cauchy():
+    return ScoreFunction.custom("cauchy", lambda u: u / (1.0 + u * u),
+                                lambda u: (1.0 - u * u) / (1.0 + u * u) ** 2)
+
+
+@pytest.mark.parametrize("score", [
+    ScoreFunction.identity(), ScoreFunction.huber(), ScoreFunction.bisquare(), _cauchy(),
+], ids=["identity", "huber", "bisquare", "custom"])
+def test_score_weight_is_psi_over_u_continued_by_the_slope_at_zero(score):
+    u = np.array([-9.0, -4.685, -1.345, -0.2, 2e-10, 1e-3, 0.7, 1.345, 3.0, 20.0])
+    assert np.array_equal(score.weight(u), score.psi(u) / u)
+    at_zero = np.array([0.0, 1e-10, -1e-10, 3e-11])
+    assert np.array_equal(score.weight(at_zero),
+                          np.full(at_zero.size, float(score.psi_prime(0.0))))
