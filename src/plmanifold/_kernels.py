@@ -2,9 +2,11 @@
 
 Given a raw kernel-weight matrix W (one row per query point, columns indexed
 like the shared value vector v), each row is normalized and solved for the
-local M-estimate: weighted median, weighted MAD, then either bisection on the
-monotone score equation or a reweighting fixed point for a redescending
-score.
+local M-estimate: weighted median, weighted MAD, then either Illinois regula
+falsi on the monotone score equation or a reweighting fixed point for a
+redescending score.  Both stop on ``tol`` widened by four float spacings of
+the estimate (`_close`), so an estimate far from zero still converges; the
+Illinois solve also stops once the score sum is zero to rounding.
 
 The kernel has compact support, so most of each row of W is zero.
 `window_rows` therefore gathers each row's positive weights, with their
@@ -12,7 +14,7 @@ values in ascending order, into a (rows, width) window; every later step
 works on that window only.  The cost is rows x window width x iterations,
 where width is the largest window, not the n columns of W.
 
-The pieces (`window_rows`, `median_rows`, `mad_rows`, `bisect_rows`,
+The pieces (`window_rows`, `median_rows`, `mad_rows`, `illinois_rows`,
 `reweight_rows`) work on weights as given, with per-row values V that
 broadcast against W; `local_m_rows` normalizes and composes them, and the
 scalar functions in `smoother` are one-row calls into the same pieces.
@@ -30,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 _MEDIAN_EPS = 1e-12
+_EPS = np.finfo(float).eps
 
 _SCORE_CUSTOM = -1
 _SCORE_BISQUARE = 2
@@ -82,28 +85,57 @@ def mad_rows(W, V, med, mad_const):
     return mad_const * dsort[np.arange(W.shape[0]), k]
 
 
-def bisect_rows(W, V, scale, psi, tol, maxiter):
-    """Bisection on sum_i W_i psi((V_i - m) / scale) = 0, bracketed by the
-    row's support [min V, max V].  ``psi`` may overwrite its argument.
-    Returns (estimates, converged)."""
+def _close(a, b, tol):
+    """|a - b| <= tol, widened by four float spacings of the larger of |a|, |b|
+    so that a tolerance below the spacing near a large |a| can still be met."""
+    return np.abs(a - b) <= tol + 4.0 * _EPS * np.maximum(np.abs(a), np.abs(b))
+
+
+def illinois_rows(W, V, scale, psi, tol, maxiter):
+    """Illinois regula falsi on g(m) = sum_i W_i psi((V_i - m) / scale) = 0,
+    bracketed by the row's support [min V, max V], where g is nonincreasing.
+
+    Each step takes the secant point of the bracket and keeps the end whose
+    g has the other sign; when the same end is kept twice running, the g
+    stored there is halved (Dowell and Jarratt 1971).  A row stops when its
+    bracket has closed to ``tol`` (`_close`), or when |g| at the new point is
+    at most width * eps * (g(lo0) - g(hi0)): for a monotone psi that bounds
+    the rounding error of g anywhere in the bracket, so g is zero to
+    rounding.  Returns the bracket end with the smaller true |g|, and
+    whether the row stopped.  ``psi`` may overwrite its argument.
+    """
+    V = np.broadcast_to(V, W.shape)
     sup = W > 0.0
     lo = np.where(sup, V, np.inf).min(axis=1)
     hi = np.where(sup, V, -np.inf).max(axis=1)
-    single = hi <= lo
-    done = single.copy()
     u = np.empty(W.shape)
+
+    def score(m):
+        np.subtract(V, m[:, None], out=u)
+        np.divide(u, scale[:, None], out=u)
+        return np.einsum("ij,ij->i", W, psi(u))
+
+    g_lo, g_hi = score(lo), score(hi)
+    floor = W.shape[1] * _EPS * (g_lo - g_hi)
+    f_lo, f_hi = g_lo.copy(), g_hi.copy()  # the secant's values, halved by Illinois
+    moved = np.zeros(lo.size, dtype=np.int8)  # end moved last step: +1 lo, -1 hi
+    done = _close(lo, hi, tol) | (np.abs(g_lo) <= floor) | (np.abs(g_hi) <= floor)
     for _ in range(maxiter):
-        mid = 0.5 * (lo + hi)
-        np.subtract(V, mid[:, None], out=u)
-        u /= scale[:, None]
-        g = np.einsum("ij,ij->i", W, psi(u))
-        pos = g > 0.0
-        lo = np.where(done, lo, np.where(pos, mid, lo))
-        hi = np.where(done, hi, np.where(pos, hi, mid))
-        done |= (hi - lo) < tol
         if np.all(done):
             break
-    return np.where(single, lo, 0.5 * (lo + hi)), done
+        # not done: g(lo) > floor >= 0 > -floor > g(hi), so the step is in [lo, hi]
+        live = ~done
+        x = np.clip(lo + (hi - lo) * (f_lo / np.where(live, f_lo - f_hi, 1.0)), lo, hi)
+        g = score(x)
+        up = live & (g > 0.0)
+        down = live & ~up
+        f_hi[up & (moved == 1)] *= 0.5  # hi kept twice running
+        f_lo[down & (moved == -1)] *= 0.5
+        lo[up], g_lo[up], f_lo[up] = x[up], g[up], g[up]
+        hi[down], g_hi[down], f_hi[down] = x[down], g[down], g[down]
+        moved[up], moved[down] = 1, -1
+        done |= live & (_close(lo, hi, tol) | (np.abs(g) <= floor))
+    return np.where(np.abs(g_lo) <= np.abs(g_hi), lo, hi), done
 
 
 def reweight_rows(W, V, start, scale, weight, tol, maxiter):
@@ -125,10 +157,9 @@ def reweight_rows(W, V, start, scale, weight, tol, maxiter):
         ok = den > 0.0
         stuck |= ~ok & ~settled
         m_new = np.where(ok, np.einsum("ij,ij->i", tw, V) / np.where(ok, den, 1.0), m)
-        step = np.abs(m_new - m)
         live = ~settled & ~stuck
+        settled |= live & _close(m_new, m, tol)
         m = np.where(live, m_new, m)
-        settled |= live & (step <= tol)
         if np.all(settled | stuck):
             break
     return m, settled
@@ -151,19 +182,19 @@ def _bisquare_weight(c):
 def solve_rows(W, V, start, scale, code, c, tol, maxiter, score=None):
     """Solve each row's score equation at a fixed per-row ``scale``.
 
-    Monotone scores bisect; redescending ones reweight from ``start``.
-    Returns (estimates, flags) with flag 2 on rows that ran out of
-    iterations.
+    Monotone scores take Illinois steps; redescending ones reweight from
+    ``start``.  Returns (estimates, flags) with flag 2 on rows that ran out
+    of iterations.
     """
     if code == _SCORE_CUSTOM and score.monotone:
-        est, ok = bisect_rows(W, V, scale, score.psi, tol, maxiter)
+        est, ok = illinois_rows(W, V, scale, score.psi, tol, maxiter)
     elif code == _SCORE_CUSTOM:
         est, ok = reweight_rows(W, V, start, scale, score.weight, tol, maxiter)
     elif code == _SCORE_BISQUARE:
         est, ok = reweight_rows(W, V, start, scale, _bisquare_weight(c), tol, maxiter)
     else:
-        est, ok = bisect_rows(W, V, scale, lambda u: np.clip(u, -c, c, out=u), tol,
-                              maxiter)
+        est, ok = illinois_rows(W, V, scale, lambda u: np.clip(u, -c, c, out=u), tol,
+                                maxiter)
     return est, np.where(ok, 0, 2).astype(np.int8)
 
 

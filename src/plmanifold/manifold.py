@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DomainError, InvalidPointError
 
 ON_MANIFOLD_TOL = 1e-9
+PAIRWISE_BLOCK = 256  # rows per block of pairwise_distances
 
 EUCLIDEAN = "euclidean"
 CIRCLE = "circle"
@@ -185,7 +186,20 @@ def cross_distances(manifold: Manifold, a: np.ndarray, b: np.ndarray) -> np.ndar
 
 
 def pairwise_distances(manifold: Manifold, points: np.ndarray) -> np.ndarray:
-    return cross_distances(manifold, points, points)
+    """Symmetric geodesic distance matrix of one validated coordinate batch.
+
+    Only the upper triangle is computed, ``PAIRWISE_BLOCK`` rows at a time,
+    and each block is mirrored into the lower triangle; the blocks also keep
+    ``cross_distances``' temporaries at block size instead of n x n.
+    """
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    D = np.empty((n, n))
+    for s in range(0, n, PAIRWISE_BLOCK):
+        block = cross_distances(manifold, points[s:s + PAIRWISE_BLOCK], points[s:])
+        D[s:s + PAIRWISE_BLOCK, s:] = block
+        D[s:, s:s + PAIRWISE_BLOCK] = block.T
+    return D
 
 
 def geodesic_distance(manifold: Manifold, p, q) -> float:

@@ -3,9 +3,10 @@
 The local fit at a query point composes three pieces: normalized kernel
 weights built from geodesic distances and the volume density, a weighted
 median / weighted MAD pair giving the robust local scale, and a score
-equation solved by bisection (monotone scores) or reweighting (redescending
-scores), all in the batched engine of ``_kernels``.  With the identity score
-and no scale step the smoother reduces to the classical kernel-weighted mean.
+equation solved by Illinois regula falsi (monotone scores) or reweighting
+(redescending scores), all in the batched engine of ``_kernels``.  With the
+identity score and no scale step the smoother reduces to the classical
+kernel-weighted mean.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def _bisquare_psi(c):
 class ScoreFunction:
     """Score psi with derivative, used in the local and regression M-equations.
 
-    ``monotone`` selects the bisection solve path; redescending scores go
+    ``monotone`` selects the bracketed Illinois solve; redescending scores go
     through the reweighting fixed point instead.  Derivatives at the huber
     kinks |u| = c take the outer-branch value 0.
     """
@@ -177,7 +178,11 @@ class LocalFitConfig:
     """Settings for the local robust fit.
 
     ``bandwidth`` may stay None here and be supplied by the caller (the
-    model-level fit and the bandwidth selector vary it).
+    model-level fit and the bandwidth selector vary it).  ``tol`` is the
+    local solve's stopping width: an Illinois bracket (monotone scores) or a
+    reweighting step (redescending scores) of at most ``tol`` plus four float
+    spacings of the estimate; an Illinois row also stops when its score sum
+    is zero to rounding.  ``max_iterations`` bounds either solve.
     """
 
     bandwidth: float | None = None
@@ -328,9 +333,12 @@ def local_m_estimate(weights, values, score: ScoreFunction, scale: float,
     """Solve sum_i w_i psi((v_i - m) / scale) = 0 for the local location m.
 
     The identity score short-circuits to the weighted mean.  Monotone scores
-    are bracketed by [min v, max v] and solved by bisection; redescending
-    scores iterate a reweighting fixed point started from the weighted
-    median.
+    are bracketed by [min v, max v] and solved by Illinois regula falsi,
+    stopping when the bracket is within ``tol`` plus four float spacings of
+    its ends or the score sum is zero to rounding; redescending scores
+    iterate a reweighting fixed point started from the weighted median until
+    a step is that small.  Raises ConvergenceError, carrying the last
+    iterate, after ``max_iterations``.
     """
     w, v = _check_weight_pair(weights, values)
     if score.code == 0:

@@ -137,12 +137,14 @@ def test_ingest_unparseable_cell_is_an_error(tmp_path):
 
 # ------------------------------------------------------------- fit command
 
-def make_linear_csv(path, n=40, slope=3.0, seed=0):
+def make_linear_csv(path, n=40, slope=3.0, seed=0, noise=0.0):
     rng = np.random.default_rng(seed)
     angle = rng.uniform(0, 360.0, n)
     height = rng.uniform(0, 1, n)
     x = rng.normal(size=n)
     y = slope * x
+    if noise:
+        y = y + noise * rng.normal(size=n)
     write_csv(path, list(zip(y, x, angle, height)))
 
 
@@ -170,7 +172,7 @@ def test_fit_command_recovers_slope(tmp_path):
 def test_fit_command_wald_report(tmp_path):
     data = tmp_path / "lin.csv"
     out = tmp_path / "report.json"
-    make_linear_csv(data, slope=2.0, seed=3)
+    make_linear_csv(data, slope=2.0, seed=3, noise=0.3)
     config = RunConfig(command="fit", input_path=str(data),
                        mapping=parse_mapping(MAPPING), mode="robust",
                        bandwidth=1.5, null_value=(2.0,), level=0.95,
@@ -179,6 +181,20 @@ def test_fit_command_wald_report(tmp_path):
     wald = json.loads(out.read_text())["robust"]["wald"]
     assert wald["null"] == [2.0]
     assert 0.0 <= wald["p_value"] <= 1.0
+
+
+def test_wald_on_noise_free_data_is_a_degenerate_test(tmp_path, capsys):
+    """y = 2x exactly: the fit reproduces beta, the sandwich SE is zero and the
+    z test is undefined, so the run exits 3 naming DegenerateTestError."""
+    for seed in range(10):
+        data = tmp_path / f"lin{seed}.csv"
+        make_linear_csv(data, slope=2.0, seed=seed)
+        config = RunConfig(command="fit", input_path=str(data),
+                           mapping=parse_mapping(MAPPING), mode="robust",
+                           bandwidth=1.5, null_value=(2.0,), level=0.95,
+                           out=str(tmp_path / f"report{seed}.json"))
+        assert run(config) == 3
+        assert "DegenerateTestError" in capsys.readouterr().err
 
 
 def test_fit_with_cv_grid(tmp_path):

@@ -2,11 +2,12 @@ import inspect
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from plmanifold import _kernels
+from plmanifold import _kernels, simulation
+from plmanifold.errors import ConvergenceError
 from plmanifold.manifold import Manifold, circle_coords, cylinder_coords, pairwise_distances
 from plmanifold.smoother import (
     KernelSpec,
@@ -138,8 +139,15 @@ def windows(draw):
     return W, v
 
 
+# A Huber score that is zero to rounding (g ~ -6e-17) on a whole interval near
+# the root: a regula falsi stopped only by the bracket width stalls here.
+FLAT_ZERO_ROW = (np.array([[1.0, 0.25, 0.25, 0.25, 1.0, 0.25]]),
+                 np.array([-4.0, -5.0, 0.0, 0.0, 0.0, -4.0]))
+
+
 @settings(max_examples=150, deadline=None)
 @given(windows())
+@example(FLAT_ZERO_ROW)
 def test_engine_matches_sort_based_oracle(problem):
     W, v = problem
     est, flags = _kernels.local_m_rows(W, v, np.argsort(v), 1, HUBER_C, MAD_C,
@@ -175,6 +183,42 @@ def test_single_point_and_zero_mad_rows():
     assert flags[2] == 0
     mad = oracle_mad(W[2], v)
     assert est[2] == pytest.approx(oracle_huber(W[2] / 3.0, v, mad), abs=1e-9)
+
+
+def test_huber_columns_converge_in_25_iterations_on_a_large_sample():
+    """Illinois steps need 6-12 iterations per row here; bisection to 1e-10
+    over the data range needs 36-39."""
+    sample = simulation.generate_sample(2000, "C1", simulation.replication_rng(1, 0))
+    ds = sample.dataset
+    cfg = LocalFitConfig(bandwidth=0.8, score=ScoreFunction.huber(HUBER_C),
+                         mad_constant=MAD_C, max_iterations=25)
+    est, flags = smooth_columns(ds.manifold, KernelSpec.quadratic(), cfg, ds.t,
+                                np.column_stack([ds.y, ds.x]))
+    assert not np.any(flags == 2)
+    assert np.all(np.isfinite(est))
+
+
+def test_monotone_rows_that_run_out_of_iterations_raise():
+    rng = np.random.default_rng(8)
+    n = 30
+    cyl = Manifold.cylinder((0.0, 1.0))
+    t = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
+    v = rng.normal(size=n) + np.linspace(0, 5, n)
+    cfg = LocalFitConfig(bandwidth=2.0, score=ScoreFunction.huber(HUBER_C),
+                         mad_constant=MAD_C, max_iterations=1)
+    W = raw_weight_matrix(cyl, KernelSpec.quadratic(), 2.0, pairwise_distances(cyl, t))
+    _, flags = _kernels.local_m_rows(W, v, np.argsort(v), 1, HUBER_C, MAD_C, 1e-10, 1)
+    stuck = np.flatnonzero(flags == 2).tolist()
+    assert stuck
+    with pytest.raises(ConvergenceError) as err:
+        smooth_columns(cyl, KernelSpec.quadratic(), cfg, t, v)
+    assert err.value.indices == stuck
+
+    w = W[stuck[0]] / W[stuck[0]].sum()
+    with pytest.raises(ConvergenceError) as one:
+        local_m_estimate(w, v, ScoreFunction.huber(HUBER_C), scale=local_mad(w, v, MAD_C),
+                         max_iterations=1)
+    assert v[w > 0].min() <= one.value.last_iterate <= v[w > 0].max()
 
 
 # ------------------------------------------------------ per-row value windows

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from plmanifold.errors import DomainError, InvalidPointError
 from plmanifold.manifold import (
+    PAIRWISE_BLOCK,
     Manifold,
     ManifoldPoint,
     circle_coords,
@@ -79,6 +80,16 @@ def test_distance_axioms_on_random_pairs(manifold):
     dac = cross_distances(manifold, a, c).diagonal()
     dcb = cross_distances(manifold, c, b).diagonal()
     assert np.all(dab <= dac + dcb + 1e-10)
+
+
+@pytest.mark.parametrize("manifold", [CYL, SPH, CIR, EUC3],
+                         ids=["cylinder", "sphere", "circle", "euclidean"])
+def test_blocked_pairwise_distances_equal_the_full_matrix(manifold):
+    # three row blocks, the last one partial; the mirrored lower triangle
+    # must carry the same bits as a direct evaluation
+    pts = random_points(manifold, np.random.default_rng(13), 2 * PAIRWISE_BLOCK + 3)
+    assert np.array_equal(pairwise_distances(manifold, pts),
+                          cross_distances(manifold, pts, pts))
 
 
 def test_cylinder_distance_matches_arc_height_formula():

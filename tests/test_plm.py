@@ -94,6 +94,28 @@ def test_location_equivariance(mode):
     assert f1.g_hat == pytest.approx(f0.g_hat + 13.5, abs=1e-8)
 
 
+@pytest.mark.parametrize("score", [ScoreFunction.huber(), ScoreFunction.bisquare()],
+                         ids=["huber", "bisquare"])
+def test_location_equivariance_at_large_offsets(score):
+    """Shifting y (or x) by c moves g_hat by c (or by -c * sum(beta)) and leaves
+    beta alone, down to the float spacing near c: ulp(1e6) = 1.2e-10, so no
+    absolute stopping tolerance of 1e-10 can be met there."""
+    ds, _ = random_cylinder_dataset(7, n=40, p=2)
+    smoother = LocalFitConfig(score=score)
+    f0 = fit(ds, 1.2, smoother=smoother)
+    eps = np.finfo(float).eps
+    for c in (1e6, 1e7, 1e8):
+        bound = 1e-9 + 16 * eps * c
+        f1 = fit(PLMDataset(ds.y + c, ds.x, ds.t, ds.manifold), 1.2, smoother=smoother)
+        assert np.max(np.abs(f1.beta - f0.beta) / np.abs(f0.beta)) <= 1e-8
+        assert np.max(np.abs(f1.g_hat - c - f0.g_hat)) <= bound
+        f2 = fit(PLMDataset(ds.y, ds.x + c, ds.t, ds.manifold), 1.2, smoother=smoother)
+        assert np.max(np.abs(f2.beta - f0.beta) / np.abs(f0.beta)) <= 1e-8
+        assert np.max(np.abs(f2.phi_hat - c - f0.phi_hat)) <= bound
+        # g_hat carries c * beta, so compare it with the shifted fit's own beta
+        assert np.max(np.abs(f2.g_hat + c * f2.beta.sum() - f0.g_hat)) <= bound
+
+
 def test_classical_regression_coefficient_equivariance():
     ds, _ = random_cylinder_dataset(8, n=40, p=2)
     b = np.array([2.0, -3.0])

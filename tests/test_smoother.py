@@ -298,6 +298,13 @@ def test_local_m_shift_and_scale_equivariance(rng):
         assert scaled == pytest.approx(lam * base, abs=1e-9)
 
 
+def test_local_m_converges_far_from_zero():
+    # the float spacing near 1e6 (1.2e-10) exceeds the 1e-10 tolerance
+    est = local_m_estimate(np.full(5, 0.2), 1e6 + np.arange(5.0), ScoreFunction.huber(),
+                           scale=1.0)
+    assert est == pytest.approx(1e6 + 2.0, abs=1e-9)
+
+
 def test_bisquare_agrees_with_huber_on_clean_symmetric_data(rng):
     w = np.full(9, 1.0 / 9.0)
     v = np.linspace(-1.0, 1.0, 9) + 5.0
