@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -22,7 +22,7 @@ import numpy as np
 from .bandwidth import select_bandwidth
 from .errors import ConfigError, InsufficientDataError, PLMError
 from .inference import confidence_interval, estimate_covariance, wald_test
-from .manifold import Manifold
+from .manifold import ON_MANIFOLD_TOL, Manifold
 from .plm import PLMDataset, fit
 from .robust_linear import GMConfig, WeightFunction
 from .simulation import (
@@ -46,27 +46,6 @@ class ColumnMapping:
     angle_deg: str
     height: str
     height_raw: bool = False
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    mapping: ColumnMapping | None = None
-    mode: str = "robust"
-    score: ScoreFunction = field(default_factory=ScoreFunction.huber)
-    w1: WeightFunction = field(default_factory=WeightFunction.one)
-    bandwidth: float | None = None
-    cv_grid: tuple[float, ...] | None = None
-    level: float = 0.95
-    null_value: tuple[float, ...] | None = None
-    seed: int = 0
-    out: str | None = None
-    contamination: str = "C0"
-    n: int = 200
-    replications: int = 100
-    workers: int = 1
-    export_data: str | None = None
 
 
 def parse_mapping(text: str) -> ColumnMapping:
@@ -170,11 +149,14 @@ def ingest_csv(path, mapping: ColumnMapping) -> PLMDataset:
     """Read a CSV file into a dataset, dropping rows with missing mapped fields.
 
     An empty or NaN cell counts as missing; an unparseable or infinite cell
-    in a mapped column raises ConfigError naming the column and CSV line.
+    in a mapped column, or a ``height_raw`` cell outside the cylinder's height
+    interval, raises ConfigError naming the column and CSV line.
 
     The affine height normalization is recorded in the dataset metadata
     under ``height_map`` for prediction-time reuse.
     """
+    cylinder = Manifold.cylinder((0.0, 1.0))
+    lo, hi = cylinder.height_interval
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as err:
@@ -194,6 +176,12 @@ def ingest_csv(path, mapping: ColumnMapping) -> PLMDataset:
             if any(c is None for c in cells):
                 dropped += 1
                 continue
+            if mapping.height_raw and not (
+                    lo - ON_MANIFOLD_TOL <= cells[-1] <= hi + ON_MANIFOLD_TOL):
+                raise ConfigError(
+                    f"value {cells[-1]!r} outside the cylinder height interval [{lo}, {hi}] "
+                    f"in column {mapping.height!r} at CSV line {reader.line_num}"
+                )
             kept.append(cells)
 
     p = len(mapping.linear)
@@ -226,45 +214,53 @@ def ingest_csv(path, mapping: ColumnMapping) -> PLMDataset:
         meta["height_map"] = {"scale": scale, "offset": offset}
 
     t = np.column_stack([np.cos(angle), np.sin(angle), height])
-    return PLMDataset(y, x, t, Manifold.cylinder((0.0, 1.0)), meta)
+    return PLMDataset(y, x, t, cylinder, meta)
 
 
-def _configs(config: RunConfig):
-    return (LocalFitConfig(score=config.score),
-            GMConfig(score=config.score, w1=config.w1))
+def _configs(score_text: str, w1_text: str):
+    score = parse_score(score_text)
+    return LocalFitConfig(score=score), GMConfig(score=score, w1=parse_w1(w1_text))
 
 
-def _fit_one_mode(dataset, mode, config: RunConfig):
-    smoother, gm = _configs(config)
-    h = (float(config.bandwidth) if config.bandwidth is not None
-         else select_bandwidth(dataset, config.cv_grid, mode=mode, smoother=smoother,
-                               gm=gm)[0])
-    fitted = fit(dataset, h, mode=mode, smoother=smoother, gm=gm)
+def _floats(text: str | None, what: str) -> tuple[float, ...] | None:
+    if text is None:
+        return None
+    try:
+        return tuple(float(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        raise ConfigError(f"cannot parse {what} {text!r}")
+
+
+def _modes(mode: str) -> tuple[str, ...]:
+    return ("robust", "classical") if mode == "both" else (mode,)
+
+
+def _fit_entry(fitted, level: float, null: tuple[float, ...] | None) -> dict:
     cov = estimate_covariance(fitted)
-    ci = confidence_interval(fitted.beta, cov, config.level)
+    ci = confidence_interval(fitted.beta, cov, level)
     entry = {
         "beta": [float(b) for b in fitted.beta],
         "se": [float(s) for s in cov.se],
         "ci": [[float(lo), float(hi)] for lo, hi in ci],
-        "h": float(h),
-        "n_dropped": int(dataset.meta.get("n_dropped", 0)),
+        "h": fitted.bandwidth,
+        "n_dropped": int(fitted.dataset.meta.get("n_dropped", 0)),
         "flags": {
             "degenerate_windows": [int(i) for i in fitted.flags["degenerate_windows"]],
             "regression_converged": bool(fitted.flags["regression_converged"]),
             "regression_iterations": int(fitted.flags["regression_iterations"]),
         },
     }
-    if config.null_value is not None:
-        stat, pval = wald_test(fitted.beta, cov, np.asarray(config.null_value))
-        alpha = 1.0 - config.level
+    if null is not None:
+        stat, pval = wald_test(fitted.beta, cov, np.asarray(null))
+        alpha = 1.0 - level
         entry["wald"] = {
-            "null": [float(v) for v in np.broadcast_to(config.null_value, fitted.beta.shape)],
+            "null": [float(v) for v in np.broadcast_to(null, fitted.beta.shape)],
             "statistic": float(stat),
             "p_value": float(pval),
             "reject": bool(pval < alpha),
             "alpha": alpha,
         }
-    return entry, fitted
+    return entry
 
 
 def _write_json(path, payload) -> None:
@@ -273,60 +269,53 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _ghat_path(out: str) -> Path:
+def _sibling(out: str, suffix: str) -> Path:
     out = Path(out)
-    return out.with_name(out.stem + "_ghat.csv")
+    return out.with_name(f"{out.stem}_{suffix}.csv")
 
 
-def _boxplot_path(out: str) -> Path:
-    out = Path(out)
-    return out.with_name(out.stem + "_boxplot.csv")
-
-
-def _modes(config: RunConfig) -> list[str]:
-    if config.mode == "both":
-        return ["robust", "classical"]
-    if config.mode in ("robust", "classical"):
-        return [config.mode]
-    raise ConfigError(f"mode must be robust, classical or both, got {config.mode!r}")
-
-
-def _run_fit(config: RunConfig) -> None:
-    if not 0.0 < config.level < 1.0:
-        raise ConfigError(f"--level must lie in (0, 1), got {config.level!r}")
-    p = len(config.mapping.linear)
-    if config.null_value is not None and len(config.null_value) not in (1, p):
+def _run_fit(input_path, map_text, level, null_text, bandwidth, mode, score_text,
+             w1_text, cv_grid_text, out) -> None:
+    mapping = parse_mapping(map_text)
+    smoother, gm = _configs(score_text, w1_text)
+    grid = _floats(cv_grid_text, "grid")
+    null = _floats(null_text, "null value")
+    if not 0.0 < level < 1.0:
+        raise ConfigError(f"--level must lie in (0, 1), got {level!r}")
+    p = len(mapping.linear)
+    if null is not None and len(null) not in (1, p):
         raise ConfigError(
-            f"--null takes 1 value or one per linear column ({p}), "
-            f"got {len(config.null_value)}"
+            f"--null takes 1 value or one per linear column ({p}), got {len(null)}"
         )
-    dataset = ingest_csv(config.input_path, config.mapping)
-    report = {}
-    fits = {}
-    for mode in _modes(config):
-        entry, fitted = _fit_one_mode(dataset, mode, config)
-        report[mode] = entry
-        fits[mode] = fitted
-        click.echo(f"{mode}: beta={entry['beta']} se={entry['se']} h={entry['h']:.6g}")
-    _write_json(config.out, report)
-    gpath = _ghat_path(config.out)
+    if bandwidth is not None and grid is not None:
+        raise ConfigError("give either a fixed bandwidth or a CV grid, not both")
+    dataset = ingest_csv(input_path, mapping)
+    report, fits = {}, {}
+    for m in _modes(mode):
+        h = (bandwidth if bandwidth is not None
+             else select_bandwidth(dataset, grid, mode=m, smoother=smoother, gm=gm)[0])
+        fits[m] = fit(dataset, h, mode=m, smoother=smoother, gm=gm)
+        entry = report[m] = _fit_entry(fits[m], level, null)
+        click.echo(f"{m}: beta={entry['beta']} se={entry['se']} h={entry['h']:.6g}")
+    _write_json(out, report)
+    gpath = _sibling(out, "ghat")
     with open(gpath, "w", encoding="utf-8", newline="\n") as fh:
-        names = list(fits)
-        fh.write(",".join(["index"] + [f"ghat_{m}" for m in names]) + "\n")
+        fh.write(",".join(["index"] + [f"ghat_{m}" for m in fits]) + "\n")
         for i in range(dataset.n):
-            cells = [str(i)] + [repr(float(fits[m].g_hat[i])) for m in names]
+            cells = [str(i)] + [repr(float(f.g_hat[i])) for f in fits.values()]
             fh.write(",".join(cells) + "\n")
-    click.echo(f"report written to {config.out}; ghat table to {gpath}")
+    click.echo(f"report written to {out}; ghat table to {gpath}")
 
 
-def _run_cv(config: RunConfig) -> None:
-    dataset = ingest_csv(config.input_path, config.mapping)
+def _run_cv(input_path, map_text, mode, score_text, w1_text, cv_grid_text, out) -> None:
+    mapping = parse_mapping(map_text)
+    smoother, gm = _configs(score_text, w1_text)
+    grid = _floats(cv_grid_text, "grid")
+    dataset = ingest_csv(input_path, mapping)
     report = {}
-    for mode in _modes(config):
-        smoother, gm = _configs(config)
-        h, diagnostics = select_bandwidth(dataset, config.cv_grid, mode=mode,
-                                          smoother=smoother, gm=gm)
-        report[mode] = {
+    for m in _modes(mode):
+        h, diagnostics = select_bandwidth(dataset, grid, mode=m, smoother=smoother, gm=gm)
+        report[m] = {
             "selected_h": float(h),
             "grid": [
                 {"h": d.h, "score": d.score if np.isfinite(d.score) else None,
@@ -334,23 +323,17 @@ def _run_cv(config: RunConfig) -> None:
                 for d in diagnostics
             ],
         }
-        click.echo(f"{mode}: selected h={h:.6g}")
-    _write_json(config.out, report)
-    click.echo(f"diagnostics written to {config.out}")
+        click.echo(f"{m}: selected h={h:.6g}")
+    _write_json(out, report)
+    click.echo(f"diagnostics written to {out}")
 
 
-def _run_simulate(config: RunConfig) -> None:
-    sim = SimulationConfig(
-        n=config.n,
-        replications=config.replications,
-        contamination=config.contamination,
-        bandwidth=config.bandwidth,
-        cv_grid=config.cv_grid,
-        modes=tuple(_modes(config)),
-        master_seed=config.seed,
-        workers=config.workers,
-    )
-    smoother, gm = _configs(config)
+def _run_simulate(contamination, n, replications, workers, export_data, seed,
+                  bandwidth, mode, score_text, w1_text, cv_grid_text, out) -> None:
+    smoother, gm = _configs(score_text, w1_text)
+    sim = SimulationConfig(n=n, replications=replications, contamination=contamination,
+                           bandwidth=bandwidth, cv_grid=_floats(cv_grid_text, "grid"),
+                           modes=_modes(mode), master_seed=seed, workers=workers)
     report = run_campaign(sim, smoother=smoother, gm=gm)
     payload = {
         "contamination": sim.contamination,
@@ -361,57 +344,30 @@ def _run_simulate(config: RunConfig) -> None:
         "modes": {m: report.results[m].summary for m in sim.modes},
         "n_failures": len(report.failures),
     }
-    _write_json(config.out, payload)
-    bpath = _boxplot_path(config.out)
+    _write_json(out, payload)
+    bpath = _sibling(out, "boxplot")
     with open(bpath, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(boxplot_csv(report))
     for m in sim.modes:
         click.echo(f"{m}: {report.results[m].summary}")
-    click.echo(f"summary written to {config.out}; boxplot rows to {bpath}")
-    if config.export_data:
+    click.echo(f"summary written to {out}; boxplot rows to {bpath}")
+    if export_data:
         sample = generate_sample(sim.n, sim.contamination,
                                  replication_rng(sim.master_seed, 0),
                                  x_noise_sd=sim.x_noise_sd)
-        sample_to_csv(sample, config.export_data)
-        click.echo(f"replication-0 sample written to {config.export_data}")
+        sample_to_csv(sample, export_data)
+        click.echo(f"replication-0 sample written to {export_data}")
 
 
-def run(config: RunConfig) -> int:
-    """Execute a command and map errors to exit codes (0 / 2 / 3)."""
+def _run(runner, **options) -> None:
+    """Call a command's runner and exit 0, 2 (configuration) or 3 (numerical)."""
+    code = 0
     try:
-        if config.command == "fit":
-            _run_fit(config)
-        elif config.command == "cv":
-            _run_cv(config)
-        elif config.command == "simulate":
-            _run_simulate(config)
-        else:
-            raise ConfigError(f"unknown command {config.command!r}")
-    except (ConfigError, ValueError) as err:
+        runner(**options)
+    except (ValueError, PLMError) as err:
+        code = 2 if isinstance(err, (ConfigError, ValueError)) else 3
         click.echo(f"error: {type(err).__name__}: {err}", err=True)
-        return 2
-    except PLMError as err:
-        click.echo(f"error: {type(err).__name__}: {err}", err=True)
-        return 3
-    return 0
-
-
-def _parse_grid(text: str | None) -> tuple[float, ...] | None:
-    if text is None:
-        return None
-    try:
-        return tuple(float(v) for v in text.split(",") if v.strip())
-    except ValueError:
-        raise click.BadParameter(f"cannot parse grid {text!r}")
-
-
-def _parse_null(text: str | None) -> tuple[float, ...] | None:
-    if text is None:
-        return None
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise click.BadParameter(f"cannot parse null value {text!r}")
+    sys.exit(code)
 
 
 _common = [
@@ -433,15 +389,6 @@ def _with_common(cmd):
     return cmd
 
 
-def _parse_or_exit(parser, text: str):
-    # option parse errors exit with code 2, formatted like run()'s errors
-    try:
-        return parser(text)
-    except (ConfigError, ValueError) as err:
-        click.echo(f"error: {type(err).__name__}: {err}", err=True)
-        sys.exit(2)
-
-
 @click.group()
 def main():
     """Robust partially linear regression with manifold-valued covariates."""
@@ -456,34 +403,18 @@ def main():
               help="null coefficient value(s) for a Wald test")
 @_bandwidth_option
 @_with_common
-def fit_command(input_path, map_text, level, null_text, bandwidth, mode, score_text,
-                w1_text, cv_grid_text, out):
+def fit_command(**options):
     """Fit the model to a CSV dataset and write a JSON report."""
-    code = run(RunConfig(
-        command="fit", input_path=input_path,
-        mapping=_parse_or_exit(parse_mapping, map_text), mode=mode,
-        score=_parse_or_exit(parse_score, score_text),
-        w1=_parse_or_exit(parse_w1, w1_text), bandwidth=bandwidth,
-        cv_grid=_parse_grid(cv_grid_text), level=level,
-        null_value=_parse_null(null_text), out=out,
-    ))
-    sys.exit(code)
+    _run(_run_fit, **options)
 
 
 @main.command("cv")
 @click.option("--input", "input_path", required=True, type=click.Path())
 @click.option("--map", "map_text", required=True)
 @_with_common
-def cv_command(input_path, map_text, mode, score_text, w1_text, cv_grid_text, out):
+def cv_command(**options):
     """Evaluate the cross-validation criterion over a bandwidth grid."""
-    code = run(RunConfig(
-        command="cv", input_path=input_path,
-        mapping=_parse_or_exit(parse_mapping, map_text), mode=mode,
-        score=_parse_or_exit(parse_score, score_text),
-        w1=_parse_or_exit(parse_w1, w1_text), cv_grid=_parse_grid(cv_grid_text),
-        out=out,
-    ))
-    sys.exit(code)
+    _run(_run_cv, **options)
 
 
 @main.command("simulate")
@@ -496,17 +427,9 @@ def cv_command(input_path, map_text, mode, score_text, w1_text, cv_grid_text, ou
 @click.option("--seed", type=int, default=0)
 @_bandwidth_option
 @_with_common
-def simulate_command(contamination, n, replications, workers, export_data, seed,
-                     bandwidth, mode, score_text, w1_text, cv_grid_text, out):
+def simulate_command(**options):
     """Run a Monte Carlo campaign and write summary plus boxplot data."""
-    code = run(RunConfig(
-        command="simulate", mode=mode, score=_parse_or_exit(parse_score, score_text),
-        w1=_parse_or_exit(parse_w1, w1_text), bandwidth=bandwidth,
-        cv_grid=_parse_grid(cv_grid_text), seed=seed, out=out,
-        contamination=contamination, n=n, replications=replications,
-        workers=workers, export_data=export_data,
-    ))
-    sys.exit(code)
+    _run(_run_simulate, **options)
 
 
 if __name__ == "__main__":

@@ -148,7 +148,7 @@ def validate_coords(manifold: Manifold, points, name: str = "point") -> np.ndarr
         if np.any(bad):
             i = int(np.argmax(bad))
             raise InvalidPointError(
-                f"{name} {i}: height coordinate {h[i]!r} outside the cylinder "
+                f"{name} {i}: height coordinate {float(h[i])} outside the cylinder "
                 f"height interval ({lo}, {hi})"
             )
     return arr

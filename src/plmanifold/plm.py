@@ -168,8 +168,11 @@ def fit(dataset: PLMDataset, bandwidth: float, mode: str = "robust",
     r = dataset.y - phi0
     eta = dataset.x - phi
     if dataset.p:
-        col_scale = np.maximum(1.0, np.linalg.norm(dataset.x, axis=0))
-        dead = np.linalg.norm(eta, axis=0) <= 1e-10 * col_scale
+        # dead: eta is rounding noise next to the column's spread and magnitude
+        x = dataset.x
+        floor = (1e-10 * np.linalg.norm(x - x.mean(axis=0), axis=0)
+                 + x.shape[0] * np.finfo(float).eps * np.abs(x).max(axis=0))
+        dead = np.linalg.norm(eta, axis=0) <= floor
         if np.any(dead):
             raise SingularDesignError(
                 "smoothing annihilated covariate column(s) "

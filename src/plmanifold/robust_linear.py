@@ -176,7 +176,7 @@ def gm_estimate(r, eta, config: GMConfig | None = None) -> RegressionResult:
     wd = config.w1.weights(norms, cutoff)
 
     iterate_scale = isinstance(config.scale, str)
-    exact_tol = 1e-12 * max(1.0, float(np.max(np.abs(r), initial=0.0)))
+    exact_tol = 1e-12 * float(np.max(np.abs(r), initial=0.0))
     if iterate_scale:
         if np.max(np.abs(res)) <= exact_tol:
             return RegressionResult(beta, 0.0, res, True, 0, cutoff, "gm")

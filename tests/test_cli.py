@@ -9,20 +9,19 @@ import pytest
 from click.testing import CliRunner
 
 import plmanifold as pm
-from plmanifold.cli import (
-    RunConfig,
-    ingest_csv,
-    main,
-    parse_mapping,
-    parse_score,
-    parse_w1,
-    run,
-)
+from plmanifold.cli import ingest_csv, main, parse_mapping, parse_score, parse_w1
 from plmanifold.errors import ConfigError, InsufficientDataError
 from plmanifold.simulation import generate_sample, replication_rng, sample_to_csv
 
 MAPPING = "response=y,linear=x1,manifold=cylinder:angle_deg=angle_deg,height=height"
 MAPPING_RAW = "response=y,linear=x1,manifold=cylinder:angle_deg=angle_deg,height_raw=height"
+
+
+def run_cli(*argv):
+    """Run one CLI command in-process and return its exit code."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv), prog_name="plmanifold", standalone_mode=False)
+    return exc.value.code
 
 
 # ----------------------------------------------------------------- parsing
@@ -152,10 +151,8 @@ def test_fit_command_recovers_slope(tmp_path):
     data = tmp_path / "lin.csv"
     out = tmp_path / "report.json"
     make_linear_csv(data)
-    config = RunConfig(command="fit", input_path=str(data),
-                       mapping=parse_mapping(MAPPING), mode="both",
-                       bandwidth=1.5, out=str(out))
-    assert run(config) == 0
+    assert run_cli("fit", "--input", str(data), "--map", MAPPING, "--mode", "both",
+                   "--bandwidth", "1.5", "--out", str(out)) == 0
     report = json.loads(out.read_text())
     for mode in ("robust", "classical"):
         assert report[mode]["beta"][0] == pytest.approx(3.0, abs=1e-6)
@@ -173,11 +170,9 @@ def test_fit_command_wald_report(tmp_path):
     data = tmp_path / "lin.csv"
     out = tmp_path / "report.json"
     make_linear_csv(data, slope=2.0, seed=3, noise=0.3)
-    config = RunConfig(command="fit", input_path=str(data),
-                       mapping=parse_mapping(MAPPING), mode="robust",
-                       bandwidth=1.5, null_value=(2.0,), level=0.95,
-                       out=str(out))
-    assert run(config) == 0
+    assert run_cli("fit", "--input", str(data), "--map", MAPPING, "--mode", "robust",
+                   "--bandwidth", "1.5", "--null", "2.0", "--level", "0.95",
+                   "--out", str(out)) == 0
     wald = json.loads(out.read_text())["robust"]["wald"]
     assert wald["null"] == [2.0]
     assert 0.0 <= wald["p_value"] <= 1.0
@@ -189,11 +184,9 @@ def test_wald_on_noise_free_data_is_a_degenerate_test(tmp_path, capsys):
     for seed in range(10):
         data = tmp_path / f"lin{seed}.csv"
         make_linear_csv(data, slope=2.0, seed=seed)
-        config = RunConfig(command="fit", input_path=str(data),
-                           mapping=parse_mapping(MAPPING), mode="robust",
-                           bandwidth=1.5, null_value=(2.0,), level=0.95,
-                           out=str(tmp_path / f"report{seed}.json"))
-        assert run(config) == 3
+        assert run_cli("fit", "--input", str(data), "--map", MAPPING, "--mode", "robust",
+                       "--bandwidth", "1.5", "--null", "2.0", "--level", "0.95",
+                       "--out", str(tmp_path / f"report{seed}.json")) == 3
         assert "DegenerateTestError" in capsys.readouterr().err
 
 
@@ -201,29 +194,24 @@ def test_fit_with_cv_grid(tmp_path):
     data = tmp_path / "lin.csv"
     out = tmp_path / "report.json"
     make_linear_csv(data, seed=5)
-    config = RunConfig(command="fit", input_path=str(data),
-                       mapping=parse_mapping(MAPPING), mode="classical",
-                       cv_grid=(1.0, 1.5, 2.2), out=str(out))
-    assert run(config) == 0
+    assert run_cli("fit", "--input", str(data), "--map", MAPPING, "--mode", "classical",
+                   "--cv-grid", "1.0,1.5,2.2", "--out", str(out)) == 0
     report = json.loads(out.read_text())
     assert report["classical"]["h"] in (1.0, 1.5, 2.2)
 
 
 def test_exit_code_2_on_config_errors(tmp_path):
     out = tmp_path / "r.json"
-    config = RunConfig(command="fit", input_path=str(tmp_path / "missing.csv"),
-                       mapping=parse_mapping(MAPPING), bandwidth=1.0, out=str(out))
-    assert run(config) == 2
+    assert run_cli("fit", "--input", str(tmp_path / "missing.csv"), "--map", MAPPING,
+                   "--bandwidth", "1.0", "--out", str(out)) == 2
 
 
 def test_exit_code_3_on_numerical_errors(tmp_path):
     data = tmp_path / "lin.csv"
     out = tmp_path / "r.json"
     make_linear_csv(data, seed=7)
-    config = RunConfig(command="fit", input_path=str(data),
-                       mapping=parse_mapping(MAPPING), mode="robust",
-                       bandwidth=0.001, out=str(out))
-    assert run(config) == 3
+    assert run_cli("fit", "--input", str(data), "--map", MAPPING, "--mode", "robust",
+                   "--bandwidth", "0.001", "--out", str(out)) == 3
 
 
 def test_fit_both_modes_with_injected_outliers(tmp_path):
@@ -239,10 +227,8 @@ def test_fit_both_modes_with_injected_outliers(tmp_path):
     data = tmp_path / "outliers.csv"
     out = tmp_path / "report.json"
     write_csv(data, list(zip(y, x, angle, height)))
-    config = RunConfig(command="fit", input_path=str(data),
-                       mapping=parse_mapping(MAPPING), mode="both",
-                       bandwidth=1.5, out=str(out))
-    assert run(config) == 0
+    assert run_cli("fit", "--input", str(data), "--map", MAPPING, "--mode", "both",
+                   "--bandwidth", "1.5", "--out", str(out)) == 0
     report = json.loads(out.read_text())
     assert set(report) == {"robust", "classical"}
     robust_err = abs(report["robust"]["beta"][0] - 2.0)
@@ -256,10 +242,8 @@ def test_cv_command_default_grid(tmp_path):
     data = tmp_path / "lin.csv"
     out = tmp_path / "cv.json"
     make_linear_csv(data, seed=13)
-    config = RunConfig(command="cv", input_path=str(data),
-                       mapping=parse_mapping(MAPPING), mode="classical",
-                       out=str(out))
-    assert run(config) == 0
+    assert run_cli("cv", "--input", str(data), "--map", MAPPING, "--mode", "classical",
+                   "--out", str(out)) == 0
     report = json.loads(out.read_text())
     assert len(report["classical"]["grid"]) == 8
 
@@ -268,10 +252,8 @@ def test_cv_command_writes_diagnostics(tmp_path):
     data = tmp_path / "lin.csv"
     out = tmp_path / "cv.json"
     make_linear_csv(data, seed=9)
-    config = RunConfig(command="cv", input_path=str(data),
-                       mapping=parse_mapping(MAPPING), mode="robust",
-                       cv_grid=(1.0, 1.6, 2.4), out=str(out))
-    assert run(config) == 0
+    assert run_cli("cv", "--input", str(data), "--map", MAPPING, "--mode", "robust",
+                   "--cv-grid", "1.0,1.6,2.4", "--out", str(out)) == 0
     report = json.loads(out.read_text())
     assert report["robust"]["selected_h"] in (1.0, 1.6, 2.4)
     assert len(report["robust"]["grid"]) == 3
@@ -284,10 +266,9 @@ def test_simulate_deterministic_outputs(tmp_path):
     outs = []
     for name in ("a", "b"):
         out = tmp_path / f"{name}.json"
-        config = RunConfig(command="simulate", mode="both", bandwidth=1.2,
-                           seed=77, out=str(out), contamination="C0",
-                           n=60, replications=3)
-        assert run(config) == 0
+        assert run_cli("simulate", "--mode", "both", "--bandwidth", "1.2",
+                       "--seed", "77", "--out", str(out), "--contamination", "C0",
+                       "--n", "60", "--replications", "3") == 0
         outs.append((out.read_bytes(),
                      (tmp_path / f"{name}_boxplot.csv").read_bytes()))
     assert outs[0] == outs[1]
@@ -297,20 +278,18 @@ def test_simulate_uses_the_score_option(tmp_path):
     betas = {}
     for score in ("huber:1.345", "bisquare:4.685"):
         out = tmp_path / f"{score[:5]}.json"
-        config = RunConfig(command="simulate", mode="robust", bandwidth=1.2,
-                           seed=79, out=str(out), contamination="C1", n=60,
-                           replications=2, score=parse_score(score))
-        assert run(config) == 0
+        assert run_cli("simulate", "--mode", "robust", "--bandwidth", "1.2",
+                       "--seed", "79", "--out", str(out), "--contamination", "C1",
+                       "--n", "60", "--replications", "2", "--score", score) == 0
         betas[score] = json.loads(out.read_text())["modes"]["robust"]["mean_beta"]
     assert betas["huber:1.345"] != betas["bisquare:4.685"]
 
 
 def test_simulate_boxplot_header(tmp_path):
     out = tmp_path / "sim.json"
-    config = RunConfig(command="simulate", mode="robust", bandwidth=1.2,
-                       seed=78, out=str(out), contamination="C1",
-                       n=60, replications=2)
-    assert run(config) == 0
+    assert run_cli("simulate", "--mode", "robust", "--bandwidth", "1.2",
+                   "--seed", "78", "--out", str(out), "--contamination", "C1",
+                   "--n", "60", "--replications", "2") == 0
     box = (tmp_path / "sim_boxplot.csv").read_text()
     assert box.startswith("mode,contamination,replication,beta_hat\n")
     assert "robust,C1,0," in box
@@ -333,10 +312,9 @@ def test_round_trip_export_ingest_fit_reproduces_beta(tmp_path):
 def test_round_trip_through_simulate_export(tmp_path):
     out = tmp_path / "sim.json"
     data = tmp_path / "rep0.csv"
-    config = RunConfig(command="simulate", mode="robust", bandwidth=1.2,
-                       seed=55, out=str(out), contamination="C0",
-                       n=60, replications=1, export_data=str(data))
-    assert run(config) == 0
+    assert run_cli("simulate", "--mode", "robust", "--bandwidth", "1.2",
+                   "--seed", "55", "--out", str(out), "--contamination", "C0",
+                   "--n", "60", "--replications", "1", "--export-data", str(data)) == 0
     report = json.loads(out.read_text())
     ds = ingest_csv(data, parse_mapping(MAPPING_RAW))
     f = pm.fit(ds, 1.2, mode="robust")
@@ -399,9 +377,8 @@ def test_nonfinite_csv_cell_exits_2_before_smoothing(tmp_path):
     out = tmp_path / "r.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code = run(RunConfig(command="fit", input_path=str(data),
-                             mapping=parse_mapping(MAPPING), mode="both",
-                             bandwidth=1.5, out=str(out)))
+        code = run_cli("fit", "--input", str(data), "--map", MAPPING, "--mode", "both",
+                       "--bandwidth", "1.5", "--out", str(out))
     assert code == 2
     assert not out.exists()
 
@@ -420,9 +397,8 @@ def test_infinite_manifold_cell_exits_2_naming_column_and_line(tmp_path, capsys,
     out = tmp_path / "r.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code = run(RunConfig(command="fit", input_path=str(data),
-                             mapping=parse_mapping(MAPPING), mode="both",
-                             bandwidth=1.5, out=str(out)))
+        code = run_cli("fit", "--input", str(data), "--map", MAPPING, "--mode", "both",
+                       "--bandwidth", "1.5", "--out", str(out))
     assert code == 2
     assert not out.exists()
     err = capsys.readouterr().err
@@ -462,3 +438,49 @@ def test_click_fit_rejects_bad_level_or_null_before_reading_input(tmp_path, opti
     assert result.exit_code == 2
     assert f"error: ConfigError: {message}" in result.output
     assert "cannot read input file" not in result.output
+
+
+@pytest.mark.parametrize("option,what", [("--cv-grid", "grid"), ("--null", "null value")])
+def test_unparseable_number_list_exits_2_in_the_error_format(tmp_path, capsys, option, what):
+    data = tmp_path / "lin.csv"
+    make_linear_csv(data, seed=19)
+    out = tmp_path / "r.json"
+    args = ["--bandwidth", "1.5"] if option == "--null" else []
+    code = run_cli("fit", "--input", str(data), "--map", MAPPING, option, "abc", *args,
+                   "--out", str(out))
+    assert code == 2
+    assert f"error: ConfigError: cannot parse {what} 'abc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_rejects_bandwidth_with_cv_grid_before_reading_input(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = run_cli("fit", "--input", str(tmp_path / "missing.csv"), "--map", MAPPING,
+                   "--bandwidth", "1.5", "--cv-grid", "1.0,1.5", "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert ("error: ConfigError: give either a fixed bandwidth or a CV grid, not both"
+            in err)
+    assert "cannot read input file" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "cv"])
+def test_out_of_range_height_raw_cell_exits_2_naming_column_and_line(tmp_path, capsys,
+                                                                     command):
+    data = tmp_path / "lin.csv"
+    make_linear_csv(data, seed=23)
+    lines = data.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[3] = "1.5"
+    lines[5] = ",".join(cells)  # CSV line 6: the header is line 1
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "r.json"
+    args = ["--bandwidth", "1.5"] if command == "fit" else ["--cv-grid", "1.0,1.5"]
+    code = run_cli(command, "--input", str(data), "--map", MAPPING_RAW, *args,
+                   "--out", str(out))
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert ("error: ConfigError: value 1.5 outside the cylinder height interval "
+            "[0.0, 1.0] in column 'height' at CSV line 6") in err

@@ -218,6 +218,11 @@ def test_cylinder_height_out_of_interval_rejected():
         validate_coords(CYL, np.array([1.0, 0.0, 1.5]))
 
 
+def test_cylinder_height_error_prints_a_plain_float():
+    with pytest.raises(InvalidPointError, match=r"height coordinate 1\.5 outside"):
+        validate_coords(CYL, np.array([1.0, 0.0, 1.5]))
+
+
 def test_cylinder_angular_part_checked():
     with pytest.raises(InvalidPointError, match="angular"):
         validate_coords(CYL, np.array([0.9, 0.0, 0.5]))

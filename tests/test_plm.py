@@ -125,6 +125,37 @@ def test_classical_regression_coefficient_equivariance():
     assert f1.beta == pytest.approx(f0.beta + b, abs=1e-8)
 
 
+def test_classical_fit_is_scale_equivariant():
+    """Scaling y and x by c leaves beta alone and scales g_hat by c, far below
+    and above unit scale."""
+    ds, _ = random_cylinder_dataset(7, n=40, p=2)
+    f0 = fit(ds, 1.2, mode="classical")
+    for c in (1e-12, 1e-9, 1e-6, 1e-3, 1e3, 1e6):
+        f1 = fit(PLMDataset(c * ds.y, c * ds.x, ds.t, ds.manifold), 1.2, mode="classical")
+        assert np.max(np.abs(f1.beta - f0.beta)) <= 1e-12
+        assert np.max(np.abs(f1.g_hat / c - f0.g_hat)) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["robust", "classical"])
+def test_covariate_offset_of_1e10_keeps_its_column(mode):
+    """x + 1e10 loses ulp(1e10) = 1.9e-6 per entry but keeps its spread, so the
+    smoothed residual column is alive and beta moves by rounding only."""
+    ds, _ = random_cylinder_dataset(7, n=40, p=2)
+    f0 = fit(ds, 1.2, mode=mode)
+    f1 = fit(PLMDataset(ds.y, ds.x + 1e10, ds.t, ds.manifold), 1.2, mode=mode)
+    assert np.max(np.abs(f1.beta - f0.beta)) <= 1e-5
+
+
+@pytest.mark.parametrize("mode", ["robust", "classical"])
+@pytest.mark.parametrize("value", [0.0, 5.0, 1e6 + 0.1])
+def test_constant_covariate_column_raises_singular(mode, value):
+    ds, _ = random_cylinder_dataset(7, n=40, p=2)
+    x = ds.x.copy()
+    x[:, 1] = value
+    with pytest.raises(SingularDesignError, match=r"column\(s\) \[1\]"):
+        fit(PLMDataset(ds.y, x, ds.t, ds.manifold), 1.2, mode=mode)
+
+
 @pytest.mark.parametrize("mode", ["robust", "classical"])
 def test_row_permutation_invariance(mode):
     ds, _ = random_cylinder_dataset(9, n=35, p=1)

@@ -140,6 +140,21 @@ def test_gm_regression_equivariance():
     assert shifted.scale == pytest.approx(base.scale, rel=1e-10)
 
 
+@pytest.mark.parametrize("c", [1e-14, 1e-9, 1e8])
+def test_gm_is_scale_equivariant(c):
+    """gm_estimate(c r, c eta) has the same beta and c times the scale: the
+    exact-fit test is relative to max|r|, so tiny residuals still iterate."""
+    rng = np.random.default_rng(7)
+    eta = rng.normal(size=(50, 2))
+    r = rng.normal(size=50) + eta @ np.array([1.0, 1.0])
+    r[:3] += 8.0  # outliers, so the M-estimate differs from least squares
+    base = gm_estimate(r, eta)
+    assert np.max(np.abs(base.beta - ols_estimate(r, eta).beta)) > 1e-3
+    scaled = gm_estimate(c * r, c * eta)
+    assert np.max(np.abs(scaled.beta - base.beta)) <= 1e-12
+    assert scaled.scale / c == pytest.approx(base.scale, rel=1e-12)
+
+
 def test_gm_bounded_influence_with_huber_weights():
     rng = np.random.default_rng(8)
     eta = rng.normal(size=(100, 2))
