@@ -4,9 +4,10 @@ Given a raw kernel-weight matrix W (one row per query point, columns indexed
 like the shared value vector v), each row is normalized and solved for the
 local M-estimate: weighted median, weighted MAD, then either Illinois regula
 falsi on the monotone score equation or a reweighting fixed point for a
-redescending score.  Both stop on ``tol`` widened by four float spacings of
-the estimate (`_close`), so an estimate far from zero still converges; the
-Illinois solve also stops once the score sum is zero to rounding.
+redescending score.  Each row is solved for its offset from the weighted
+median (`solve_rows`).  Both solves stop on ``tol`` widened by four float
+spacings of the iterate (`_close`); the Illinois solve also stops once the
+score sum is zero to rounding.
 
 The kernel has compact support, so most of each row of W is zero.
 `window_rows` therefore gathers each row's positive weights, with their
@@ -182,20 +183,25 @@ def _bisquare_weight(c):
 def solve_rows(W, V, start, scale, code, c, tol, maxiter, score=None):
     """Solve each row's score equation at a fixed per-row ``scale``.
 
-    Monotone scores take Illinois steps; redescending ones reweight from
-    ``start``.  Returns (estimates, flags) with flag 2 on rows that ran out
-    of iterations.
+    Each row is solved for its offset from ``start`` (the weighted median):
+    start is subtracted from V in place (V is overwritten) and added back
+    once, so the iterates stay near zero and a large common offset costs one
+    rounding, not one per step.  Monotone scores take Illinois steps;
+    redescending ones reweight from offset 0.  Returns (estimates, flags)
+    with flag 2 on rows that ran out of iterations.
     """
+    V -= start[:, None]
+    zero = np.zeros_like(start)
     if code == _SCORE_CUSTOM and score.monotone:
         est, ok = illinois_rows(W, V, scale, score.psi, tol, maxiter)
     elif code == _SCORE_CUSTOM:
-        est, ok = reweight_rows(W, V, start, scale, score.weight, tol, maxiter)
+        est, ok = reweight_rows(W, V, zero, scale, score.weight, tol, maxiter)
     elif code == _SCORE_BISQUARE:
-        est, ok = reweight_rows(W, V, start, scale, _bisquare_weight(c), tol, maxiter)
+        est, ok = reweight_rows(W, V, zero, scale, _bisquare_weight(c), tol, maxiter)
     else:
         est, ok = illinois_rows(W, V, scale, lambda u: np.clip(u, -c, c, out=u), tol,
                                 maxiter)
-    return est, np.where(ok, 0, 2).astype(np.int8)
+    return est + start, np.where(ok, 0, 2).astype(np.int8)
 
 
 def local_m_rows(W, v, order, code, c, mad_const, tol, maxiter, score=None):

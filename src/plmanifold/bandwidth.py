@@ -84,10 +84,10 @@ def _grid_from_distances(dataset: PLMDataset, d: np.ndarray,
 def _loo_prediction_residuals(dataset: PLMDataset, h: float, kernel: KernelSpec,
                               smoother: LocalFitConfig, gm: GMConfig,
                               distances: np.ndarray) -> np.ndarray:
-    est, _ = smooth_dataset(dataset, kernel, replace(smoother, bandwidth=h),
-                            leave_one_out=True, distances=distances)
-    r = dataset.y - est[:, 0]
-    eta = dataset.x - est[:, 1:]
+    _, resid, _ = smooth_dataset(dataset, kernel, replace(smoother, bandwidth=h),
+                                 leave_one_out=True, distances=distances)
+    r = resid[:, 0]
+    eta = resid[:, 1:]
     if dataset.p == 0:
         return r
     reg = gm_estimate(r, eta, gm)

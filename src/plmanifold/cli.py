@@ -365,7 +365,7 @@ def _run(runner, **options) -> None:
     try:
         runner(**options)
     except (ValueError, PLMError) as err:
-        code = 2 if isinstance(err, (ConfigError, ValueError)) else 3
+        code = 2 if isinstance(err, ValueError) else 3  # ConfigError is one too
         click.echo(f"error: {type(err).__name__}: {err}", err=True)
     sys.exit(code)
 

@@ -65,8 +65,8 @@ class CampaignError(PLMError):
     """Too many Monte Carlo replications failed."""
 
 
-class ConfigError(PLMError):
-    """User-supplied configuration is invalid."""
+class ConfigError(PLMError, ValueError):
+    """User-supplied configuration is invalid (also a ValueError)."""
 
 
 class InsufficientDataError(ConfigError):

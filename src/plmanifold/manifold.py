@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DomainError, InvalidPointError
 
 ON_MANIFOLD_TOL = 1e-9
-PAIRWISE_BLOCK = 256  # rows per block of pairwise_distances
+BLOCK_CELLS = 1 << 16  # matrix cells per block of the blocked n x n loops
 
 EUCLIDEAN = "euclidean"
 CIRCLE = "circle"
@@ -155,10 +155,10 @@ def validate_coords(manifold: Manifold, points, name: str = "point") -> np.ndarr
 
 
 def _circle_arc(a, b):
-    # a, b: (..., 2) broadcastable unit vectors; arc length in [0, pi]
-    dot = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
-    cross = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-    return np.abs(np.arctan2(cross, dot))
+    # a, b: (na, 2), (nb, 2) unit vectors; (na, nb) arc lengths in [0, pi] from
+    # one angle per point, exactly symmetric in a and b
+    d = np.abs(np.arctan2(a[:, 1], a[:, 0])[:, None] - np.arctan2(b[:, 1], b[:, 0]))
+    return np.minimum(d, 2.0 * np.pi - d, out=d)
 
 
 def cross_distances(manifold: Manifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -172,33 +172,51 @@ def cross_distances(manifold: Manifold, a: np.ndarray, b: np.ndarray) -> np.ndar
     if manifold.kind == EUCLIDEAN:
         return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
     if manifold.kind == CIRCLE:
-        return _circle_arc(a[:, None, :], b[None, :, :])
+        return _circle_arc(a, b)
     if manifold.kind == SPHERE:
-        dot = a @ b.T
+        # elementwise, not BLAS: a block's bits must not depend on its shape
+        dot = (a[:, None, 0] * b[None, :, 0] + a[:, None, 1] * b[None, :, 1]
+               + a[:, None, 2] * b[None, :, 2])
         cx = a[:, None, 1] * b[None, :, 2] - a[:, None, 2] * b[None, :, 1]
         cy = a[:, None, 2] * b[None, :, 0] - a[:, None, 0] * b[None, :, 2]
         cz = a[:, None, 0] * b[None, :, 1] - a[:, None, 1] * b[None, :, 0]
         cross = np.sqrt(cx * cx + cy * cy + cz * cz)
         return np.arctan2(cross, dot)
-    arc = _circle_arc(a[:, None, :2], b[None, :, :2])
+    # sqrt(arc^2 + dh^2) in place: np.hypot costs more than the rest together
+    d = _circle_arc(a, b)
+    d *= d
     dh = a[:, None, 2] - b[None, :, 2]
-    return np.hypot(arc, dh)
+    dh *= dh
+    d += dh
+    return np.sqrt(d, out=d)
+
+
+def row_blocks(rows: int, cols: int, upper: bool = False):
+    """(start, stop) row ranges of a rows x cols matrix, each block at most
+    ``BLOCK_CELLS`` cells (or one row).  With ``upper`` a block from row s
+    spans columns s: only, the upper triangle of a symmetric matrix."""
+    s = 0
+    while s < rows:
+        width = cols - s if upper else cols
+        stop = min(rows, s + max(1, BLOCK_CELLS // max(width, 1)))
+        yield s, stop
+        s = stop
 
 
 def pairwise_distances(manifold: Manifold, points: np.ndarray) -> np.ndarray:
     """Symmetric geodesic distance matrix of one validated coordinate batch.
 
-    Only the upper triangle is computed, ``PAIRWISE_BLOCK`` rows at a time,
-    and each block is mirrored into the lower triangle; the blocks also keep
+    Only the upper triangle is computed, in ``row_blocks``, and each block is
+    mirrored into the lower triangle; the blocks also keep
     ``cross_distances``' temporaries at block size instead of n x n.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     D = np.empty((n, n))
-    for s in range(0, n, PAIRWISE_BLOCK):
-        block = cross_distances(manifold, points[s:s + PAIRWISE_BLOCK], points[s:])
-        D[s:s + PAIRWISE_BLOCK, s:] = block
-        D[s:, s:s + PAIRWISE_BLOCK] = block.T
+    for s, e in row_blocks(n, n, upper=True):
+        block = cross_distances(manifold, points[s:e], points[s:])
+        D[s:e, s:] = block
+        D[s:, s:e] = block.T
     return D
 
 

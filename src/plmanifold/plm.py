@@ -119,15 +119,23 @@ class PLMFit:
 
 
 def smooth_dataset(dataset: PLMDataset, kernel: KernelSpec, config: LocalFitConfig,
-                   **options):
+                   queries: np.ndarray | None = None, **options):
     """Smooth the response and every covariate column over the manifold.
 
-    Returns (estimates, flags) with column 0 the response; ``options`` go to
+    Each column is smoothed as its offsets from the column median, so a large
+    common offset in y or x costs one exact subtraction, not a rounding of
+    every estimate.  Returns (estimates, residuals, flags) with column 0 the
+    response.  Residuals are the offsets less their smoothed values, at the
+    sample points; with ``queries`` they are None.  ``options`` go to
     ``smooth_columns``.
     """
     columns = np.column_stack([dataset.y, dataset.x])
-    return smooth_columns(dataset.manifold, kernel, config, dataset.t, columns,
-                          **options)
+    centre = np.median(columns, axis=0)
+    offsets = columns - centre
+    est, flags = smooth_columns(dataset.manifold, kernel, config, dataset.t, offsets,
+                                queries=queries, **options)
+    residuals = None if queries is not None else offsets - est
+    return est + centre, residuals, flags
 
 
 def mode_configs(mode: str, smoother: LocalFitConfig | None = None,
@@ -161,12 +169,12 @@ def fit(dataset: PLMDataset, bandwidth: float, mode: str = "robust",
     h = check_bandwidth(dataset.manifold, bandwidth)
     cfg = replace(smoother, bandwidth=h)
 
-    est, fl = smooth_dataset(dataset, kernel, cfg)
+    est, resid, fl = smooth_dataset(dataset, kernel, cfg)
     phi0 = est[:, 0]
     phi = est[:, 1:]
 
-    r = dataset.y - phi0
-    eta = dataset.x - phi
+    r = resid[:, 0]
+    eta = resid[:, 1:]
     if dataset.p:
         # dead: eta is rounding noise next to the column's spread and magnitude
         x = dataset.x
@@ -230,8 +238,8 @@ def predict_g(fit_result: PLMFit, t):
     coords = as_coords(t)
     single = coords.ndim == 1
     queries = validate_coords(ds.manifold, coords, name="query")
-    est, _ = smooth_dataset(ds, fit_result.kernel, fit_result.smoother_config,
-                            queries=queries)
+    est, _, _ = smooth_dataset(ds, fit_result.kernel, fit_result.smoother_config,
+                               queries=queries)
     g = est[:, 0] - est[:, 1:] @ fit_result.beta
     return float(g[0]) if single else g
 

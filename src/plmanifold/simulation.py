@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bandwidth import select_bandwidth
-from .errors import CampaignError, PLMError
+from .errors import CampaignError, ConfigError, PLMError
 from .manifold import Manifold, cylinder_coords
 from .plm import PLMDataset, fit
 from .robust_linear import GMConfig
@@ -51,19 +51,19 @@ class SimulationConfig:
 
     def __post_init__(self):
         if self.n < 20:
-            raise ValueError("need n >= 20 per replication")
+            raise ConfigError("need n >= 20 per replication")
         if self.replications < 1:
-            raise ValueError("need at least one replication")
+            raise ConfigError("need at least one replication")
         if self.contamination not in CONTAMINATIONS:
-            raise ValueError(f"contamination must be one of {CONTAMINATIONS}")
+            raise ConfigError(f"contamination must be one of {CONTAMINATIONS}")
         if not self.modes or any(m not in ("classical", "robust") for m in self.modes):
-            raise ValueError("modes must be a nonempty subset of classical/robust")
+            raise ConfigError("modes must be a nonempty subset of classical/robust")
         if self.bandwidth is not None and self.cv_grid is not None:
-            raise ValueError("give either a fixed bandwidth or a CV grid, not both")
+            raise ConfigError("give either a fixed bandwidth or a CV grid, not both")
         if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+            raise ConfigError("workers must be >= 1")
         if not self.x_noise_sd > 0:
-            raise ValueError("x_noise_sd must be positive")
+            raise ConfigError("x_noise_sd must be positive")
 
 
 @dataclass

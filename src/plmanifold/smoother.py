@@ -23,7 +23,7 @@ from .manifold import (
     as_coords,
     cross_distances,
     injectivity_radius,
-    pairwise_distances,
+    row_blocks,
     validate_coords,
     volume_density_from_distance,
 )
@@ -181,8 +181,9 @@ class LocalFitConfig:
     model-level fit and the bandwidth selector vary it).  ``tol`` is the
     local solve's stopping width: an Illinois bracket (monotone scores) or a
     reweighting step (redescending scores) of at most ``tol`` plus four float
-    spacings of the estimate; an Illinois row also stops when its score sum
-    is zero to rounding.  ``max_iterations`` bounds either solve.
+    spacings of the estimate's offset from the weighted median; an Illinois
+    row also stops when its score sum is zero to rounding.
+    ``max_iterations`` bounds either solve.
     """
 
     bandwidth: float | None = None
@@ -240,25 +241,44 @@ def raw_weight_matrix(manifold: Manifold, kernel: KernelSpec, h: float,
 
 
 def window_weights(manifold: Manifold, kernel: KernelSpec, h: float,
-                   distances: np.ndarray, leave_one_out: bool = False):
-    """Raw kernel weights of every query row with their row totals.
+                   queries: np.ndarray, sample: np.ndarray,
+                   leave_one_out: bool = False, distances: np.ndarray | None = None):
+    """Raw kernel weights of every query row against the sample, with their
+    row totals.
 
-    ``leave_one_out`` zeroes the diagonal weight, which requires queries ==
-    sample.  Returns (W, totals).  Raises EmptyWindowError listing every
-    query index whose window is empty, with the smallest bandwidth that
-    would cover them all as ``nearest_distance``.
+    W is filled in ``row_blocks``: each block's distances are sliced from
+    ``distances`` (the queries x sample matrix) when given and computed from
+    the coordinates otherwise, so the kernel's temporaries stay block-sized.
+    When ``queries is sample`` only blocks on and above the diagonal are
+    computed and each is mirrored.  ``leave_one_out`` zeroes the diagonal
+    weight, which requires queries == sample.  Returns (W, totals).  Raises
+    EmptyWindowError listing every query index whose window is empty, with
+    the smallest bandwidth that would cover them all as ``nearest_distance``.
     """
-    W = raw_weight_matrix(manifold, kernel, h, distances)
+    symmetric = queries is sample
+    nq, n = queries.shape[0], sample.shape[0]
+    W = np.empty((nq, n))
+    for s, e in row_blocks(nq, n, upper=symmetric):
+        c = s if symmetric else 0
+        d = (cross_distances(manifold, queries[s:e], sample[c:]) if distances is None
+             else distances[s:e, c:])
+        k = raw_weight_matrix(manifold, kernel, h, d)
+        if e - s == nq:  # one block holds every row: it is W, no copy
+            W = k
+            break
+        W[s:e, c:] = k
+        if symmetric:
+            W[e:, s:e] = k[:, e - s:].T
     if leave_one_out:
         np.fill_diagonal(W, 0.0)
     totals = W.sum(axis=1)
     empty = np.flatnonzero(totals <= 0.0)
     if empty.size:
-        d = distances
+        d = (cross_distances(manifold, queries[empty], sample) if distances is None
+             else distances[empty])
         if leave_one_out:
-            d = distances.copy()
-            np.fill_diagonal(d, np.inf)
-        h_min = float(d[empty].min(axis=1).max())
+            d[np.arange(empty.size), empty] = np.inf
+        h_min = float(d.min(axis=1).max())
         raise EmptyWindowError(
             f"empty kernel window at query indices {empty.tolist()}; "
             f"the bandwidth must exceed {h_min:.6g}",
@@ -278,7 +298,7 @@ def pelletier_weights(manifold: Manifold, kernel: KernelSpec, h: float,
     h = check_bandwidth(manifold, h)
     tq = validate_coords(manifold, as_coords(t), name="query")
     pts = validate_coords(manifold, sample, name="sample")
-    W, totals = window_weights(manifold, kernel, h, cross_distances(manifold, tq, pts))
+    W, totals = window_weights(manifold, kernel, h, tq, pts)
     return W[0] / totals[0]
 
 
@@ -333,12 +353,12 @@ def local_m_estimate(weights, values, score: ScoreFunction, scale: float,
     """Solve sum_i w_i psi((v_i - m) / scale) = 0 for the local location m.
 
     The identity score short-circuits to the weighted mean.  Monotone scores
-    are bracketed by [min v, max v] and solved by Illinois regula falsi,
-    stopping when the bracket is within ``tol`` plus four float spacings of
-    its ends or the score sum is zero to rounding; redescending scores
-    iterate a reweighting fixed point started from the weighted median until
-    a step is that small.  Raises ConvergenceError, carrying the last
-    iterate, after ``max_iterations``.
+    are bracketed by [min v, max v] and solved by Illinois regula falsi on
+    the offset from the weighted median, stopping when the bracket is within
+    ``tol`` plus four float spacings of its ends or the score sum is zero to
+    rounding; redescending scores iterate a reweighting fixed point started
+    from the weighted median until a step is that small.  Raises
+    ConvergenceError, carrying the last iterate, after ``max_iterations``.
     """
     w, v = _check_weight_pair(weights, values)
     if score.code == 0:
@@ -367,9 +387,11 @@ def smooth_columns(manifold: Manifold, kernel: KernelSpec, config: LocalFitConfi
     ``sample`` are validated training coordinates, ``columns`` an (n, k)
     value matrix, ``queries`` validated query coordinates (defaults to the
     sample itself).  ``leave_one_out`` zeroes the diagonal weight, which
-    requires queries == sample.  Returns (estimates, flags), both of shape
-    (n_queries, k); flag 1 marks a degenerate local MAD (weighted-median
-    fallback).
+    requires queries == sample.  ``distances``, the queries x sample geodesic
+    matrix, lets a caller that smooths at several bandwidths share it; without
+    it the weights are built from the coordinates (`window_weights`).
+    Returns (estimates, flags), both of shape (n_queries, k); flag 1 marks a
+    degenerate local MAD (weighted-median fallback).
 
     Raises EmptyWindowError listing every query index whose window is empty
     together with the smallest bandwidth that would cover them all, and
@@ -382,13 +404,8 @@ def smooth_columns(manifold: Manifold, kernel: KernelSpec, config: LocalFitConfi
         columns = columns[:, None]
     if queries is None:
         queries = sample
-    if distances is None:
-        if queries is sample:
-            distances = pairwise_distances(manifold, sample)
-        else:
-            distances = cross_distances(manifold, queries, sample)
-
-    W, totals = window_weights(manifold, kernel, h, distances, leave_one_out)
+    W, totals = window_weights(manifold, kernel, h, queries, sample, leave_one_out,
+                               distances)
 
     nq, k = W.shape[0], columns.shape[1]
     estimates = np.empty((nq, k))

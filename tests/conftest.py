@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from plmanifold.manifold import Manifold, cylinder_coords
+from plmanifold.manifold import Manifold, circle_coords, cylinder_coords
 from plmanifold.plm import PLMDataset
 
 
@@ -17,6 +17,18 @@ def random_cylinder_dataset(seed, n=40, p=2, noise=0.3, beta=None):
     g = np.cos(angles) + heights ** 2
     y = x @ beta + g + noise * rng.normal(0.0, 1.0, n)
     return PLMDataset(y, x, t, Manifold.cylinder((0.0, 1.0))), np.asarray(beta)
+
+
+def random_points(manifold, rng, n):
+    """n random points of the manifold in ambient coordinates."""
+    if manifold.kind == "cylinder":
+        return cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
+    if manifold.kind == "circle":
+        return circle_coords(rng.uniform(0, 2 * np.pi, n))
+    if manifold.kind == "sphere":
+        v = rng.normal(size=(n, 3))
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
+    return rng.normal(size=(n, manifold.ambient_dim))
 
 
 def random_weights(rng, n):

@@ -465,6 +465,16 @@ def test_fit_rejects_bandwidth_with_cv_grid_before_reading_input(tmp_path, capsy
     assert not out.exists()
 
 
+def test_simulate_rejects_bandwidth_with_cv_grid_in_the_fit_format(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    code = run_cli("simulate", "--n", "40", "--replications", "2", "--bandwidth", "1.2",
+                   "--cv-grid", "1,2", "--out", str(out))
+    assert code == 2
+    assert ("error: ConfigError: give either a fixed bandwidth or a CV grid, not both"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["fit", "cv"])
 def test_out_of_range_height_raw_cell_exits_2_naming_column_and_line(tmp_path, capsys,
                                                                      command):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from plmanifold.errors import DomainError, InvalidPointError
 from plmanifold.manifold import (
-    PAIRWISE_BLOCK,
+    BLOCK_CELLS,
     Manifold,
     ManifoldPoint,
     circle_coords,
@@ -17,26 +17,17 @@ from plmanifold.manifold import (
     geodesic_distance,
     injectivity_radius,
     pairwise_distances,
+    row_blocks,
     validate_coords,
     volume_density,
     volume_density_from_distance,
 )
+from conftest import random_points
 
 CYL = Manifold.cylinder((0.0, 1.0))
 SPH = Manifold.sphere()
 CIR = Manifold.circle()
 EUC3 = Manifold.euclidean(3)
-
-
-def random_points(manifold, rng, n):
-    if manifold.kind == "cylinder":
-        return cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
-    if manifold.kind == "circle":
-        return circle_coords(rng.uniform(0, 2 * np.pi, n))
-    if manifold.kind == "sphere":
-        v = rng.normal(size=(n, 3))
-        return v / np.linalg.norm(v, axis=1, keepdims=True)
-    return rng.normal(size=(n, manifold.ambient_dim))
 
 
 # ---------------------------------------------------------------- distances
@@ -85,11 +76,36 @@ def test_distance_axioms_on_random_pairs(manifold):
 @pytest.mark.parametrize("manifold", [CYL, SPH, CIR, EUC3],
                          ids=["cylinder", "sphere", "circle", "euclidean"])
 def test_blocked_pairwise_distances_equal_the_full_matrix(manifold):
-    # three row blocks, the last one partial; the mirrored lower triangle
-    # must carry the same bits as a direct evaluation
-    pts = random_points(manifold, np.random.default_rng(13), 2 * PAIRWISE_BLOCK + 3)
+    # the upper triangle holds about n^2 / 2 cells, so more than three row
+    # blocks; the mirrored lower triangle must carry the same bits as a
+    # direct evaluation
+    n = math.isqrt(6 * BLOCK_CELLS) + 3
+    assert len(list(row_blocks(n, n, upper=True))) > 3
+    pts = random_points(manifold, np.random.default_rng(13), n)
     assert np.array_equal(pairwise_distances(manifold, pts),
                           cross_distances(manifold, pts, pts))
+
+
+@pytest.mark.parametrize("manifold", [CIR, CYL], ids=["circle", "cylinder"])
+def test_arcs_stay_accurate_at_the_seam_and_at_1e_9(manifold):
+    """The per-point-angle arc min(|a - b|, 2 pi - |a - b|) is exact to a few
+    float spacings of pi across the +-pi seam and on arcs of 1e-9, where the
+    expected arc is the float difference of the two angles."""
+    tiny = 1e-9
+    lo = np.array([np.pi - 1e-3, -np.pi + 1e-3, np.pi - 5e-10, 0.0, 1.0, -2.0, 3.0])
+    hi = np.array([-np.pi + 1e-3, np.pi - 1e-3, np.pi + 5e-10, tiny, 1.0 + tiny,
+                   -2.0 + tiny, 3.0 + tiny])
+    wrapped = np.abs(lo - hi)
+    expected = np.minimum(wrapped, 2 * np.pi - wrapped)
+    if manifold.kind == "circle":
+        a, b = circle_coords(lo), circle_coords(hi)
+    else:
+        s = np.full(lo.size, 0.5)
+        a, b = cylinder_coords(lo, s), cylinder_coords(hi, s)
+    d = cross_distances(manifold, a, b)
+    assert np.max(np.abs(d.diagonal() - expected)) <= 8 * np.finfo(float).eps
+    assert np.array_equal(d, cross_distances(manifold, b, a).T)
+    assert d.diagonal()[:2] == pytest.approx([2e-3, 2e-3], abs=1e-15)
 
 
 def test_cylinder_distance_matches_arc_height_formula():

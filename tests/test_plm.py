@@ -116,6 +116,46 @@ def test_location_equivariance_at_large_offsets(score):
         assert np.max(np.abs(f2.g_hat + c * f2.beta.sum() - f0.g_hat)) <= bound
 
 
+@pytest.mark.parametrize("score", [ScoreFunction.huber(), ScoreFunction.bisquare()],
+                         ids=["huber", "bisquare"])
+def test_covariate_offset_of_1e8_and_back_gives_the_same_beta(score):
+    """x + 1e8 and (x + 1e8) - 1e8 differ by exactly 1e8, so beta must agree:
+    columns are smoothed as offsets from their medians and each local solve
+    as offsets from its window's median, so the 1e8 never meets a rounding."""
+    ds, _ = random_cylinder_dataset(7, n=40, p=2)
+    smoother = LocalFitConfig(score=score)
+    far = ds.x + 1e8
+    f_far = fit(PLMDataset(ds.y, far, ds.t, ds.manifold), 1.2, smoother=smoother)
+    f_back = fit(PLMDataset(ds.y, far - 1e8, ds.t, ds.manifold), 1.2, smoother=smoother)
+    assert np.max(np.abs(f_far.beta - f_back.beta) / np.abs(f_back.beta)) <= 1e-9
+
+
+@pytest.mark.parametrize("mode", ["robust", "classical"])
+def test_fit_and_predict_never_build_an_n_by_n_distance_matrix(monkeypatch, mode):
+    """Kernel weights come from the coordinates one row block at a time."""
+    import plmanifold
+    from plmanifold import bandwidth, manifold, smoother
+    from plmanifold.manifold import BLOCK_CELLS
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pairwise_distances called")
+
+    for module in (plmanifold, bandwidth, manifold):
+        monkeypatch.setattr(module, "pairwise_distances", refuse)
+    shapes = []
+
+    def recording(m, a, b):
+        shapes.append((a.shape[0], b.shape[0]))
+        return manifold.cross_distances(m, a, b)
+
+    monkeypatch.setattr(smoother, "cross_distances", recording)
+    ds, _ = random_cylinder_dataset(3, n=400, p=1)
+    f = fit(ds, 0.8, mode=mode)
+    g = predict_g(f, ds.t[:300])
+    assert np.all(np.isfinite(f.beta)) and np.all(np.isfinite(g))
+    assert shapes and max(r * c for r, c in shapes) <= BLOCK_CELLS < ds.n ** 2
+
+
 def test_classical_regression_coefficient_equivariance():
     ds, _ = random_cylinder_dataset(8, n=40, p=2)
     b = np.array([2.0, -3.0])

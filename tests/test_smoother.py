@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from plmanifold.errors import ConvergenceError, EmptyWindowError
 from plmanifold.manifold import (
+    BLOCK_CELLS,
     Manifold,
     circle_coords,
     cross_distances,
     cylinder_coords,
     pairwise_distances,
+    row_blocks,
 )
 from plmanifold.smoother import (
     KernelSpec,
@@ -22,11 +24,12 @@ from plmanifold.smoother import (
     local_m_estimate,
     local_mad,
     pelletier_weights,
+    raw_weight_matrix,
     smooth_columns,
     weighted_median,
     window_weights,
 )
-from conftest import random_weights
+from conftest import random_points, random_weights
 
 CIR = Manifold.circle()
 CYL = Manifold.cylinder((0.0, 1.0))
@@ -135,12 +138,61 @@ def test_window_weights_leave_one_out_leaves_the_distances_alone():
     sample = cylinder_coords(rng.uniform(0, 2 * np.pi, 15), rng.uniform(0, 1, 15))
     d = pairwise_distances(CYL, sample)
     before = d.copy()
-    W, totals = window_weights(CYL, QUAD, 1.5, d, leave_one_out=True)
+    W, totals = window_weights(CYL, QUAD, 1.5, sample, sample, leave_one_out=True,
+                               distances=d)
     assert np.all(np.diag(W) == 0.0)
     assert np.array_equal(totals, W.sum(axis=1))
     assert np.array_equal(d, before)
-    W_all, _ = window_weights(CYL, QUAD, 1.5, d)
+    W_all, _ = window_weights(CYL, QUAD, 1.5, sample, sample, distances=d)
     assert np.all(np.diag(W_all) == 0.9375)
+
+
+@pytest.mark.parametrize("manifold,h", [(CYL, 0.8), (Manifold.sphere(), 0.8), (CIR, 0.3),
+                                        (Manifold.euclidean(3), 2.0)],
+                         ids=["cylinder", "sphere", "circle", "euclidean"])
+def test_blocked_window_weights_equal_the_dense_kernel(manifold, h):
+    """Every path through the row blocks (one block or more than three, the
+    mirrored upper triangle, queries apart from the sample, leave-one-out,
+    distances given or built from the coordinates) gives the kernel of the
+    full distance matrix."""
+    rng = np.random.default_rng(31)
+    big = math.isqrt(6 * BLOCK_CELLS) + 5
+    for n, nq in ((60, 25), (big, 3 * BLOCK_CELLS // big + 7)):
+        sample = random_points(manifold, rng, n)
+        queries = random_points(manifold, rng, nq)
+        if n == big:
+            assert len(list(row_blocks(n, n, upper=True))) > 3
+            assert len(list(row_blocks(nq, n))) > 3
+        d_self = cross_distances(manifold, sample, sample)
+        d_cross = cross_distances(manifold, queries, sample)
+        dense_self = raw_weight_matrix(manifold, QUAD, h, d_self)
+        dense_loo = dense_self.copy()
+        np.fill_diagonal(dense_loo, 0.0)
+        dense_cross = raw_weight_matrix(manifold, QUAD, h, d_cross)
+        cases = [(sample, False, dense_self), (sample, True, dense_loo),
+                 (queries, False, dense_cross)]
+        for q, loo, dense in cases:
+            d = d_cross if q is queries else d_self
+            for given in (None, d):
+                W, totals = window_weights(manifold, QUAD, h, q, sample,
+                                           leave_one_out=loo, distances=given)
+                assert np.max(np.abs(W - dense)) <= 1e-15
+                assert np.array_equal(totals, W.sum(axis=1))
+
+
+@pytest.mark.parametrize("given", [False, True], ids=["coords", "distances"])
+def test_leave_one_out_empty_window_reports_the_nearest_other_point(given):
+    # points 0 and 1 are 0.5 apart and 2 is 1.2 from 0 and 1.7 from 1: at
+    # h = 0.3 every leave-one-out window is empty, and 2 needs h > 1.2
+    sample = circle_coords([0.0, 0.5, -1.2])
+    d = pairwise_distances(CIR, sample)
+    before = d.copy()
+    with pytest.raises(EmptyWindowError) as err:
+        window_weights(CIR, QUAD, 0.3, sample, sample, leave_one_out=True,
+                       distances=d if given else None)
+    assert err.value.indices == [0, 1, 2]
+    assert err.value.nearest_distance == pytest.approx(1.2, abs=1e-12)
+    assert np.array_equal(d, before)
 
 
 def test_bandwidth_range_enforced():
