@@ -9,7 +9,7 @@ fails) are marked infeasible rather than raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,11 +22,10 @@ from .errors import (
 )
 from .manifold import injectivity_radius, pairwise_distances
 from .plm import PLMDataset, mode_configs, smooth_dataset
-from .robust_linear import GMConfig, gm_estimate
+from .robust_linear import GMConfig, gm_estimate, residual_scale
 from .smoother import (
     KernelSpec,
     LocalFitConfig,
-    MAD_CONSISTENCY,
     ScoreFunction,
     check_bandwidth,
 )
@@ -59,16 +58,15 @@ class BandwidthGrid:
         self.values = np.sort(values)
 
 
-def default_grid(dataset: PLMDataset, size: int = _GRID_SIZE) -> BandwidthGrid:
-    """Log-spaced grid from the 10th percentile of pairwise distances up to
-    0.9 x injectivity radius (0.9 x the largest pairwise distance on
-    unbounded domains)."""
+def default_grid(dataset: PLMDataset) -> BandwidthGrid:
+    """Eight log-spaced candidates from the 10th percentile of pairwise
+    distances up to 0.9 x injectivity radius (0.9 x the largest pairwise
+    distance on unbounded domains)."""
     d = pairwise_distances(dataset.manifold, dataset.t)
-    return _grid_from_distances(dataset, d, size)
+    return _grid_from_distances(dataset, d)
 
 
-def _grid_from_distances(dataset: PLMDataset, d: np.ndarray,
-                         size: int = _GRID_SIZE) -> BandwidthGrid:
+def _grid_from_distances(dataset: PLMDataset, d: np.ndarray) -> BandwidthGrid:
     off = d[np.triu_indices(dataset.n, k=1)]
     off = off[off > 0]
     if off.size == 0:
@@ -78,25 +76,25 @@ def _grid_from_distances(dataset: PLMDataset, d: np.ndarray,
     hi = 0.9 * (inj if np.isfinite(inj) else float(off.max()))
     if lo >= hi:
         lo = hi / 4.0
-    return BandwidthGrid(np.geomspace(lo, hi, size))
+    return BandwidthGrid(np.geomspace(lo, hi, _GRID_SIZE))
 
 
 def _loo_prediction_residuals(dataset: PLMDataset, h: float, kernel: KernelSpec,
                               smoother: LocalFitConfig, gm: GMConfig,
                               distances: np.ndarray) -> np.ndarray:
-    _, resid, _ = smooth_dataset(dataset, kernel, replace(smoother, bandwidth=h),
-                                 leave_one_out=True, distances=distances)
-    r = resid[:, 0]
-    eta = resid[:, 1:]
+    _, resid, _ = smooth_dataset(dataset, kernel, h, smoother, leave_one_out=True,
+                                 distances=distances)
     if dataset.p == 0:
-        return r
-    reg = gm_estimate(r, eta, gm)
-    return r - eta @ reg.beta
+        return resid[:, 0]
+    return gm_estimate(resid[:, 0], resid[:, 1:], gm).residuals
 
 
 def _robust_spread(residuals: np.ndarray) -> float:
-    med = np.median(residuals)
-    return MAD_CONSISTENCY * float(np.median(np.abs(residuals - med)))
+    # 0.0 (not an error) for a zero MAD, so such a candidate stays feasible
+    try:
+        return residual_scale(residuals)
+    except DegenerateScaleError:
+        return 0.0
 
 
 def _criterion(residuals: np.ndarray, cv_score: ScoreFunction,

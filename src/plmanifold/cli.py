@@ -353,8 +353,7 @@ def _run_simulate(contamination, n, replications, workers, export_data, seed,
     click.echo(f"summary written to {out}; boxplot rows to {bpath}")
     if export_data:
         sample = generate_sample(sim.n, sim.contamination,
-                                 replication_rng(sim.master_seed, 0),
-                                 x_noise_sd=sim.x_noise_sd)
+                                 replication_rng(sim.master_seed, 0))
         sample_to_csv(sample, export_data)
         click.echo(f"replication-0 sample written to {export_data}")
 

@@ -118,22 +118,24 @@ class PLMFit:
         return predict_y(self, x, t)
 
 
-def smooth_dataset(dataset: PLMDataset, kernel: KernelSpec, config: LocalFitConfig,
-                   queries: np.ndarray | None = None, **options):
-    """Smooth the response and every covariate column over the manifold.
+def smooth_dataset(dataset: PLMDataset, kernel: KernelSpec, h: float,
+                   config: LocalFitConfig, queries: np.ndarray | None = None, *,
+                   leave_one_out: bool = False, distances: np.ndarray | None = None):
+    """Smooth the response and every covariate column over the manifold at
+    bandwidth h.
 
     Each column is smoothed as its offsets from the column median, so a large
     common offset in y or x costs one exact subtraction, not a rounding of
     every estimate.  Returns (estimates, residuals, flags) with column 0 the
     response.  Residuals are the offsets less their smoothed values, at the
-    sample points; with ``queries`` they are None.  ``options`` go to
-    ``smooth_columns``.
+    sample points; with ``queries`` they are None.  ``leave_one_out`` and
+    ``distances`` are those of ``smooth_columns``.
     """
     columns = np.column_stack([dataset.y, dataset.x])
     centre = np.median(columns, axis=0)
     offsets = columns - centre
-    est, flags = smooth_columns(dataset.manifold, kernel, config, dataset.t, offsets,
-                                queries=queries, **options)
+    est, flags = smooth_columns(dataset.manifold, kernel, h, dataset.t, offsets, config,
+                                queries, leave_one_out, distances)
     residuals = None if queries is not None else offsets - est
     return est + centre, residuals, flags
 
@@ -162,14 +164,14 @@ def fit(dataset: PLMDataset, bandwidth: float, mode: str = "robust",
 
     The mode picks the configurations through ``mode_configs``: classical
     mode is the identity-score case of the same three steps, robust mode
-    uses the configured score both locally and in the regression step.
+    uses the configured score both locally and in the regression step.  The
+    fit keeps h and those configurations; ``predict_g`` smooths with them.
     """
     smoother, gm = mode_configs(mode, smoother, gm)
     kernel = kernel or KernelSpec.quadratic()
     h = check_bandwidth(dataset.manifold, bandwidth)
-    cfg = replace(smoother, bandwidth=h)
 
-    est, resid, fl = smooth_dataset(dataset, kernel, cfg)
+    est, resid, fl = smooth_dataset(dataset, kernel, h, smoother)
     phi0 = est[:, 0]
     phi = est[:, 1:]
 
@@ -213,7 +215,7 @@ def fit(dataset: PLMDataset, bandwidth: float, mode: str = "robust",
         regression=reg,
         dataset=dataset,
         kernel=kernel,
-        smoother_config=cfg,
+        smoother_config=smoother,
         gm_config=gm,
     )
 
@@ -238,8 +240,8 @@ def predict_g(fit_result: PLMFit, t):
     coords = as_coords(t)
     single = coords.ndim == 1
     queries = validate_coords(ds.manifold, coords, name="query")
-    est, _, _ = smooth_dataset(ds, fit_result.kernel, fit_result.smoother_config,
-                               queries=queries)
+    est, _, _ = smooth_dataset(ds, fit_result.kernel, fit_result.bandwidth,
+                               fit_result.smoother_config, queries)
     g = est[:, 0] - est[:, 1:] @ fit_result.beta
     return float(g[0]) if single else g
 

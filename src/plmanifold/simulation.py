@@ -8,9 +8,9 @@ response y = 2 x + (t1 + t2 - t3)^2 + error.  Error contaminations:
     C1: 0.9 N(0, 1) + 0.1 N(0, 25)      (variance inflation)
     C2: 0.9 N(0, 1) + 0.1 N(5, 0.25)    (asymmetric shift)
 
-Normal parameters are (mean, variance).  The covariate noise level is
-configurable; the default of 0.5 gives the regression coefficient a Monte
-Carlo standard deviation near 0.14 at n = 200.  Replication r draws from a
+Normal parameters are (mean, variance).  The covariate noise sd is
+``X_NOISE_SD`` = 0.5, which gives the regression coefficient a Monte Carlo
+standard deviation near 0.14 at n = 200.  Replication r draws from a
 stream derived from (master_seed, r), so results are independent of
 execution order and worker count.
 """
@@ -47,7 +47,6 @@ class SimulationConfig:
     modes: tuple[str, ...] = ("classical", "robust")
     master_seed: int = 0
     workers: int = 1
-    x_noise_sd: float = X_NOISE_SD
 
     def __post_init__(self):
         if self.n < 20:
@@ -62,8 +61,6 @@ class SimulationConfig:
             raise ConfigError("give either a fixed bandwidth or a CV grid, not both")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if not self.x_noise_sd > 0:
-            raise ConfigError("x_noise_sd must be positive")
 
 
 @dataclass
@@ -76,8 +73,7 @@ class GeneratedSample:
     contaminated: np.ndarray
 
 
-def generate_sample(n: int, contamination: str = "C0", rng=None,
-                    x_noise_sd: float = X_NOISE_SD) -> GeneratedSample:
+def generate_sample(n: int, contamination: str = "C0", rng=None) -> GeneratedSample:
     """One synthetic sample from the cylinder model, with the true g values."""
     if contamination not in CONTAMINATIONS:
         raise ValueError(f"contamination must be one of {CONTAMINATIONS}")
@@ -85,7 +81,7 @@ def generate_sample(n: int, contamination: str = "C0", rng=None,
     angles = rng.uniform(0.0, 2.0 * np.pi, n)
     heights = rng.uniform(0.0, 1.0, n)
     t = cylinder_coords(angles, heights)
-    x = np.sin(2.0 * heights) + rng.normal(0.0, x_noise_sd, n)
+    x = np.sin(2.0 * heights) + rng.normal(0.0, X_NOISE_SD, n)
     if contamination == "C0":
         eps = rng.normal(0.0, 1.0, n)
         mask = np.zeros(n, dtype=bool)
@@ -157,8 +153,7 @@ def run_campaign(config: SimulationConfig, kernel: KernelSpec | None = None,
 
     def one(rep: int) -> dict:
         rng = replication_rng(config.master_seed, rep)
-        sample = generate_sample(config.n, config.contamination, rng,
-                                 x_noise_sd=config.x_noise_sd)
+        sample = generate_sample(config.n, config.contamination, rng)
         out = {}
         for mode in config.modes:
             try:

@@ -175,26 +175,22 @@ class ScoreFunction:
 
 @dataclass(frozen=True)
 class LocalFitConfig:
-    """Settings for the local robust fit.
+    """Settings for the local robust fit.  The bandwidth is not one of them:
+    every smoothing call takes h as an argument.
 
-    ``bandwidth`` may stay None here and be supplied by the caller (the
-    model-level fit and the bandwidth selector vary it).  ``tol`` is the
-    local solve's stopping width: an Illinois bracket (monotone scores) or a
-    reweighting step (redescending scores) of at most ``tol`` plus four float
-    spacings of the estimate's offset from the weighted median; an Illinois
-    row also stops when its score sum is zero to rounding.
-    ``max_iterations`` bounds either solve.
+    ``tol`` is the local solve's stopping width: an Illinois bracket
+    (monotone scores) or a reweighting step (redescending scores) of at most
+    ``tol`` plus four float spacings of the estimate's offset from the
+    weighted median; an Illinois row also stops when its score sum is zero to
+    rounding.  ``max_iterations`` bounds either solve.
     """
 
-    bandwidth: float | None = None
     score: ScoreFunction = field(default_factory=ScoreFunction.huber)
     mad_constant: float = MAD_CONSISTENCY
     tol: float = 1e-10
     max_iterations: int = 200
 
     def __post_init__(self):
-        if self.bandwidth is not None and not self.bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
         if not self.tol > 0:
             raise ValueError("solver tolerance must be positive")
         if self.max_iterations < 1:
@@ -251,11 +247,14 @@ def window_weights(manifold: Manifold, kernel: KernelSpec, h: float,
     the coordinates otherwise, so the kernel's temporaries stay block-sized.
     When ``queries is sample`` only blocks on and above the diagonal are
     computed and each is mirrored.  ``leave_one_out`` zeroes the diagonal
-    weight, which requires queries == sample.  Returns (W, totals).  Raises
-    EmptyWindowError listing every query index whose window is empty, with
-    the smallest bandwidth that would cover them all as ``nearest_distance``.
+    weight; it raises ValueError unless ``queries is sample``.  Returns
+    (W, totals).  Raises EmptyWindowError listing every query index whose
+    window is empty, with the smallest bandwidth that would cover them all
+    as ``nearest_distance``.
     """
     symmetric = queries is sample
+    if leave_one_out and not symmetric:
+        raise ValueError("leave_one_out needs the sample itself as the queries")
     nq, n = queries.shape[0], sample.shape[0]
     W = np.empty((nq, n))
     for s, e in row_blocks(nq, n, upper=symmetric):
@@ -377,19 +376,21 @@ def local_m_estimate(weights, values, score: ScoreFunction, scale: float,
     return float(est[0])
 
 
-def smooth_columns(manifold: Manifold, kernel: KernelSpec, config: LocalFitConfig,
-                   sample: np.ndarray, columns: np.ndarray,
+def smooth_columns(manifold: Manifold, kernel: KernelSpec, h: float,
+                   sample: np.ndarray, columns: np.ndarray, config: LocalFitConfig,
                    queries: np.ndarray | None = None,
                    leave_one_out: bool = False,
                    distances: np.ndarray | None = None):
-    """Smooth several value columns at once, sharing the weight matrix.
+    """Smooth several value columns at bandwidth h at once, sharing the
+    weight matrix.
 
     ``sample`` are validated training coordinates, ``columns`` an (n, k)
-    value matrix, ``queries`` validated query coordinates (defaults to the
-    sample itself).  ``leave_one_out`` zeroes the diagonal weight, which
-    requires queries == sample.  ``distances``, the queries x sample geodesic
-    matrix, lets a caller that smooths at several bandwidths share it; without
-    it the weights are built from the coordinates (`window_weights`).
+    value matrix, ``config`` the local fit's score and solver settings,
+    ``queries`` validated query coordinates (defaults to the sample itself).
+    ``leave_one_out`` zeroes the diagonal weight, which requires the default
+    queries.  ``distances``, the queries x sample geodesic matrix, lets a
+    caller that smooths at several bandwidths share it; without it the
+    weights are built from the coordinates (`window_weights`).
     Returns (estimates, flags), both of shape (n_queries, k); flag 1 marks a
     degenerate local MAD (weighted-median fallback).
 
@@ -398,7 +399,7 @@ def smooth_columns(manifold: Manifold, kernel: KernelSpec, config: LocalFitConfi
     ConvergenceError listing every query index where a local solve ran out
     of iterations.
     """
-    h = check_bandwidth(manifold, config.bandwidth)
+    h = check_bandwidth(manifold, h)
     columns = np.asarray(columns, dtype=float)
     if columns.ndim == 1:
         columns = columns[:, None]
@@ -429,14 +430,15 @@ def smooth_columns(manifold: Manifold, kernel: KernelSpec, config: LocalFitConfi
     return estimates, flags
 
 
-def fit_smoother(manifold: Manifold, kernel: KernelSpec, config: LocalFitConfig,
-                 sample, values, queries, return_flags: bool = False):
-    """Robust local fit of one value column at the given query points.
+def fit_smoother(manifold: Manifold, kernel: KernelSpec, h: float, sample, values,
+                 queries, config: LocalFitConfig, return_flags: bool = False):
+    """Robust local fit of one value column at bandwidth h at the given query
+    points.
 
-    With the identity score this is exactly the classical kernel-weighted
-    mean (no scale step).  Degenerate windows fall back to the weighted
-    median and are flagged; solver non-convergence raises ConvergenceError
-    tagged with the query indices.
+    With the identity score in ``config`` this is exactly the classical
+    kernel-weighted mean (no scale step).  Degenerate windows fall back to
+    the weighted median and are flagged; solver non-convergence raises
+    ConvergenceError tagged with the query indices.
     """
     sample = validate_coords(manifold, sample, name="sample")
     queries = validate_coords(manifold, queries, name="query")
@@ -445,7 +447,7 @@ def fit_smoother(manifold: Manifold, kernel: KernelSpec, config: LocalFitConfig,
         raise ValueError(
             f"length mismatch: {sample.shape[0]} sample points vs {values.size} values"
         )
-    est, flags = smooth_columns(manifold, kernel, config, sample, values,
+    est, flags = smooth_columns(manifold, kernel, h, sample, values, config,
                                 queries=queries)
     if return_flags:
         return est[:, 0], flags[:, 0]

@@ -215,13 +215,13 @@ def test_criterion_4_equivariance_suite():
     n = 50
     sample = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
     values = rng.normal(size=n)
-    cfg = LocalFitConfig(bandwidth=1.0)
+    cfg = LocalFitConfig()
 
-    base = fit_smoother(cyl, quad, cfg, sample, values, sample)
+    base = fit_smoother(cyl, quad, 1.0, sample, values, sample, cfg)
     shift_err = float(np.max(np.abs(
-        fit_smoother(cyl, quad, cfg, sample, values + 4.2, sample) - base - 4.2)))
+        fit_smoother(cyl, quad, 1.0, sample, values + 4.2, sample, cfg) - base - 4.2)))
     scale_err = float(np.max(np.abs(
-        fit_smoother(cyl, quad, cfg, sample, 2.5 * values, sample) - 2.5 * base)))
+        fit_smoother(cyl, quad, 1.0, sample, 2.5 * values, sample, cfg) - 2.5 * base)))
 
     ds, _ = random_cylinder_dataset(45, n=45, p=2)
     fit_shift_err = 0.0

@@ -33,7 +33,7 @@ def make_fit(eta, eps, scale, mode="robust", gm=None):
         beta=np.zeros(p), phi0_hat=np.zeros(n), phi_hat=np.zeros((n, p)),
         g_hat=np.zeros(n), residuals=np.asarray(eps, dtype=float), scale=scale,
         bandwidth=1.0, mode=mode, flags={}, regression=reg, dataset=ds,
-        kernel=KernelSpec.quadratic(), smoother_config=LocalFitConfig(bandwidth=1.0),
+        kernel=KernelSpec.quadratic(), smoother_config=LocalFitConfig(),
         gm_config=gm or GMConfig(),
     )
 

@@ -75,8 +75,8 @@ def test_custom_copy_of_builtin_score_matches_through_smooth_columns(builtin, to
                                np.round(rng.normal(size=n))])  # ties in column 2
     runs = []
     for score in (builtin, _custom_copy(builtin)):
-        cfg = LocalFitConfig(bandwidth=0.7, score=score)
-        runs.append(smooth_columns(cyl, KernelSpec.quadratic(), cfg, t, columns))
+        cfg = LocalFitConfig(score=score)
+        runs.append(smooth_columns(cyl, KernelSpec.quadratic(), 0.7, t, columns, cfg))
     (est, flags), (est_custom, flags_custom) = runs
     assert np.array_equal(flags, flags_custom)
     assert np.max(np.abs(est - est_custom)) <= tol
@@ -190,10 +190,10 @@ def test_huber_columns_converge_in_25_iterations_on_a_large_sample():
     over the data range needs 36-39."""
     sample = simulation.generate_sample(2000, "C1", simulation.replication_rng(1, 0))
     ds = sample.dataset
-    cfg = LocalFitConfig(bandwidth=0.8, score=ScoreFunction.huber(HUBER_C),
+    cfg = LocalFitConfig(score=ScoreFunction.huber(HUBER_C),
                          mad_constant=MAD_C, max_iterations=25)
-    est, flags = smooth_columns(ds.manifold, KernelSpec.quadratic(), cfg, ds.t,
-                                np.column_stack([ds.y, ds.x]))
+    est, flags = smooth_columns(ds.manifold, KernelSpec.quadratic(), 0.8, ds.t,
+                                np.column_stack([ds.y, ds.x]), cfg)
     assert not np.any(flags == 2)
     assert np.all(np.isfinite(est))
 
@@ -204,14 +204,14 @@ def test_monotone_rows_that_run_out_of_iterations_raise():
     cyl = Manifold.cylinder((0.0, 1.0))
     t = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
     v = rng.normal(size=n) + np.linspace(0, 5, n)
-    cfg = LocalFitConfig(bandwidth=2.0, score=ScoreFunction.huber(HUBER_C),
+    cfg = LocalFitConfig(score=ScoreFunction.huber(HUBER_C),
                          mad_constant=MAD_C, max_iterations=1)
     W = raw_weight_matrix(cyl, KernelSpec.quadratic(), 2.0, pairwise_distances(cyl, t))
     _, flags = _kernels.local_m_rows(W, v, np.argsort(v), 1, HUBER_C, MAD_C, 1e-10, 1)
     stuck = np.flatnonzero(flags == 2).tolist()
     assert stuck
     with pytest.raises(ConvergenceError) as err:
-        smooth_columns(cyl, KernelSpec.quadratic(), cfg, t, v)
+        smooth_columns(cyl, KernelSpec.quadratic(), 2.0, t, v, cfg)
     assert err.value.indices == stuck
 
     w = W[stuck[0]] / W[stuck[0]].sum()
@@ -313,9 +313,8 @@ def _oracle_weights(manifold, t, h, leave_one_out):
 def test_huber_smoothing_matches_oracle_on_every_manifold(name, manifold, t, h,
                                                           leave_one_out):
     columns = _columns(t.shape[0])
-    cfg = LocalFitConfig(bandwidth=h, score=ScoreFunction.huber(HUBER_C),
-                         mad_constant=MAD_C)
-    est, flags = smooth_columns(manifold, KernelSpec.quadratic(), cfg, t, columns,
+    cfg = LocalFitConfig(score=ScoreFunction.huber(HUBER_C), mad_constant=MAD_C)
+    est, flags = smooth_columns(manifold, KernelSpec.quadratic(), h, t, columns, cfg,
                                 leave_one_out=leave_one_out)
     W = _oracle_weights(manifold, t, h, leave_one_out)
     for j in range(columns.shape[1]):
@@ -338,8 +337,8 @@ def test_huber_smoothing_matches_oracle_on_every_manifold(name, manifold, t, h,
 def test_bisquare_rows_solve_their_score_equation(name, manifold, t, h, leave_one_out):
     columns = _columns(t.shape[0])
     score = ScoreFunction.bisquare()
-    cfg = LocalFitConfig(bandwidth=h, score=score, mad_constant=MAD_C)
-    est, flags = smooth_columns(manifold, KernelSpec.quadratic(), cfg, t, columns,
+    cfg = LocalFitConfig(score=score, mad_constant=MAD_C)
+    est, flags = smooth_columns(manifold, KernelSpec.quadratic(), h, t, columns, cfg,
                                 leave_one_out=leave_one_out)
     W = _oracle_weights(manifold, t, h, leave_one_out)
     solved = 0
@@ -362,10 +361,11 @@ def test_bisquare_rows_solve_their_score_equation(name, manifold, t, h, leave_on
 def test_local_m_rows_call_shape_is_pinned_for_the_benchmark_tracer():
     """perfbench/spans.py wraps `_kernels.local_m_rows` by position: it reads
     W at position 0, the score code at position 3 and the flags at result[1].
-    The change that drops `order` (ROADMAP D3) must update perfbench/spans.py
-    and this test together."""
+    It also reads `smooth_columns`' value columns at position 4.  A change to
+    either signature must update perfbench/spans.py and this test together."""
     params = list(inspect.signature(_kernels.local_m_rows).parameters)
     assert params[:4] == ["W", "v", "order", "code"]
+    assert list(inspect.signature(smooth_columns).parameters).index("columns") == 4
     W, v, order = random_problem(np.random.default_rng(5))
     result = _kernels.local_m_rows(W, v, order, 1, HUBER_C, MAD_C, 1e-10, 200)
     assert isinstance(result, tuple) and len(result) == 2

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -253,6 +255,20 @@ def test_predict_g_at_training_point_matches_stored_values():
     f = fit(ds, 1.2, mode="robust")
     for i in (0, 7, 29):
         assert predict_g(f, ds.t[i]) == pytest.approx(f.g_hat[i], abs=1e-12)
+
+
+def test_fit_keeps_the_given_smoother_config_and_predicts_at_its_own_bandwidth():
+    """h is an argument, not a config field: a fit stores the caller's
+    config as given, and its predictions smooth at the fit's bandwidth."""
+    assert [f.name for f in dataclasses.fields(LocalFitConfig)] == [
+        "score", "mad_constant", "tol", "max_iterations"]
+    ds, _ = random_cylinder_dataset(16, n=40, p=1)
+    smoother = LocalFitConfig(score=ScoreFunction.huber(1.0))
+    probe = ds.t[:5].copy()
+    for h in (0.9, 1.6):
+        f = fit(ds, h, smoother=smoother)
+        assert f.smoother_config is smoother and f.bandwidth == h
+        assert predict_g(f, probe) == pytest.approx(f.g_hat[:5], abs=1e-12)
 
 
 def test_predict_y_identities():

@@ -145,6 +145,13 @@ def test_window_weights_leave_one_out_leaves_the_distances_alone():
     assert np.array_equal(d, before)
     W_all, _ = window_weights(CYL, QUAD, 1.5, sample, sample, distances=d)
     assert np.all(np.diag(W_all) == 0.9375)
+    # the diagonal is a sample point's own weight only when the queries are the sample
+    foreign = cylinder_coords(rng.uniform(0, 2 * np.pi, 10), rng.uniform(0, 1, 10))
+    with pytest.raises(ValueError, match="leave_one_out"):
+        window_weights(CYL, QUAD, 1.5, foreign, sample, leave_one_out=True)
+    with pytest.raises(ValueError, match="leave_one_out"):
+        window_weights(CYL, QUAD, 1.5, sample.copy(), sample, leave_one_out=True,
+                       distances=d)
 
 
 @pytest.mark.parametrize("manifold,h", [(CYL, 0.8), (Manifold.sphere(), 0.8), (CIR, 0.3),
@@ -413,8 +420,8 @@ def test_identity_smoother_equals_direct_kernel_mean():
         sample = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
         values = rng.normal(size=n)
         queries = cylinder_coords(rng.uniform(0, 2 * np.pi, 7), rng.uniform(0, 1, 7))
-        cfg = LocalFitConfig(bandwidth=1.5, score=ScoreFunction.identity())
-        est = fit_smoother(CYL, QUAD, cfg, sample, values, queries)
+        cfg = LocalFitConfig(score=ScoreFunction.identity())
+        est = fit_smoother(CYL, QUAD, 1.5, sample, values, queries, cfg)
         oracle = classical_nw_oracle(CYL, 1.5, sample, values, queries)
         assert est == pytest.approx(oracle, abs=1e-10)
 
@@ -425,8 +432,8 @@ def test_robust_smoother_with_identity_matches_classical_pointwise():
         n = 25
         sample = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
         values = rng.normal(size=n)
-        cfg = LocalFitConfig(bandwidth=1.2, score=ScoreFunction.identity())
-        est = fit_smoother(CYL, QUAD, cfg, sample, values, sample)
+        cfg = LocalFitConfig(score=ScoreFunction.identity())
+        est = fit_smoother(CYL, QUAD, 1.2, sample, values, sample, cfg)
         oracle = classical_nw_oracle(CYL, 1.2, sample, values, sample)
         assert est == pytest.approx(oracle, abs=1e-10)
 
@@ -435,9 +442,9 @@ def test_smoother_shift_equivariance(rng):
     n = 40
     sample = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
     values = rng.normal(size=n)
-    cfg = LocalFitConfig(bandwidth=1.0)
-    base = fit_smoother(CYL, QUAD, cfg, sample, values, sample)
-    shifted = fit_smoother(CYL, QUAD, cfg, sample, values + 11.25, sample)
+    cfg = LocalFitConfig()
+    base = fit_smoother(CYL, QUAD, 1.0, sample, values, sample, cfg)
+    shifted = fit_smoother(CYL, QUAD, 1.0, sample, values + 11.25, sample, cfg)
     assert shifted == pytest.approx(base + 11.25, abs=1e-9)
 
 
@@ -445,10 +452,10 @@ def test_smoother_scale_equivariance(rng):
     n = 40
     sample = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
     values = rng.normal(size=n)
-    cfg = LocalFitConfig(bandwidth=1.0)
-    base = fit_smoother(CYL, QUAD, cfg, sample, values, sample)
+    cfg = LocalFitConfig()
+    base = fit_smoother(CYL, QUAD, 1.0, sample, values, sample, cfg)
     lam = 2.75
-    scaled = fit_smoother(CYL, QUAD, cfg, sample, lam * values, sample)
+    scaled = fit_smoother(CYL, QUAD, 1.0, sample, lam * values, sample, cfg)
     assert scaled == pytest.approx(lam * base, abs=1e-9)
 
 
@@ -456,8 +463,8 @@ def test_smoother_estimates_bounded_by_data(rng):
     n = 50
     sample = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
     values = rng.normal(size=n)
-    cfg = LocalFitConfig(bandwidth=0.8)
-    est = fit_smoother(CYL, QUAD, cfg, sample, values, sample)
+    cfg = LocalFitConfig()
+    est = fit_smoother(CYL, QUAD, 0.8, sample, values, sample, cfg)
     assert np.all(est >= values.min() - 1e-12)
     assert np.all(est <= values.max() + 1e-12)
 
@@ -466,9 +473,9 @@ def test_degenerate_window_falls_back_to_median_and_flags():
     # a far-away cluster of identical values forces a zero local MAD
     sample = cylinder_coords([0.0, 0.01, 3.1], [0.5, 0.5, 0.5])
     values = np.array([2.0, 2.0, 9.0])
-    cfg = LocalFitConfig(bandwidth=0.5)
-    est, flags = fit_smoother(CYL, QUAD, cfg, sample, values,
-                              sample[:1], return_flags=True)
+    cfg = LocalFitConfig()
+    est, flags = fit_smoother(CYL, QUAD, 0.5, sample, values,
+                              sample[:1], cfg, return_flags=True)
     assert est[0] == 2.0
     assert flags[0] == 1
 
@@ -478,20 +485,20 @@ def test_convergence_error_tagged_with_query_index():
     n = 30
     sample = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
     values = rng.normal(size=n) + np.linspace(0, 5, n)
-    cfg = LocalFitConfig(bandwidth=2.0, score=ScoreFunction.bisquare(), max_iterations=1)
+    cfg = LocalFitConfig(score=ScoreFunction.bisquare(), max_iterations=1)
     with pytest.raises(ConvergenceError) as err:
-        fit_smoother(CYL, QUAD, cfg, sample, values, sample)
+        fit_smoother(CYL, QUAD, 2.0, sample, values, sample, cfg)
     assert err.value.indices
     with pytest.raises(ConvergenceError) as batched:
-        smooth_columns(CYL, QUAD, cfg, sample, np.column_stack([values, values]))
+        smooth_columns(CYL, QUAD, 2.0, sample, np.column_stack([values, values]), cfg)
     assert batched.value.indices == err.value.indices
 
 
 def test_smoother_length_mismatch():
     sample = cylinder_coords([0.0, 1.0], [0.2, 0.8])
-    cfg = LocalFitConfig(bandwidth=1.0)
+    cfg = LocalFitConfig()
     with pytest.raises(ValueError, match="length mismatch"):
-        fit_smoother(CYL, QUAD, cfg, sample, np.array([1.0]), sample)
+        fit_smoother(CYL, QUAD, 1.0, sample, np.array([1.0]), sample, cfg)
 
 
 def test_sphere_smoother_applies_volume_density_correction():
@@ -502,8 +509,8 @@ def test_sphere_smoother_applies_volume_density_correction():
     values = rng.normal(size=40)
     queries = sample[:5]
     h = 1.5
-    cfg = LocalFitConfig(bandwidth=h, score=ScoreFunction.identity())
-    est = fit_smoother(sph, QUAD, cfg, sample, values, queries)
+    cfg = LocalFitConfig(score=ScoreFunction.identity())
+    est = fit_smoother(sph, QUAD, h, sample, values, queries, cfg)
 
     # direct oracle: K(d/h) divided by sin(r)/r, then normalized
     d = cross_distances(sph, queries, sample)
