@@ -52,7 +52,6 @@ from .simulation import (
     sample_to_csv,
 )
 from .smoother import (
-    KernelSpec,
     LocalFitConfig,
     ScoreFunction,
     conditional_ecdf,
@@ -104,7 +103,6 @@ __all__ = [
     "replication_rng",
     "run_campaign",
     "sample_to_csv",
-    "KernelSpec",
     "LocalFitConfig",
     "ScoreFunction",
     "conditional_ecdf",

@@ -20,9 +20,11 @@ The pieces (`window_rows`, `median_rows`, `mad_rows`, `illinois_rows`,
 broadcast against W; `local_m_rows` normalizes and composes them, and the
 scalar functions in `smoother` are one-row calls into the same pieces.
 
-Score codes: 1 huber, 2 bisquare, -1 a custom score whose vectorized psi
-and reweighting weight come from the ``score`` keyword.  The identity score is the
-kernel-weighted mean, which callers compute directly.
+Score codes: 1 huber (Illinois on `huber_psi`), 2 bisquare (reweighting by
+`bisquare_weight`).  The identity score is the kernel-weighted mean, which
+callers compute directly.  `huber_psi` and `bisquare_weight` are the
+package's only copies of those formulas; ``smoother.ScoreFunction`` calls
+them on a copy of its input.
 
 Flag conventions (per query row): 0 solved, 1 degenerate local MAD (estimate
 falls back to the weighted median), 2 iteration budget exhausted.
@@ -35,7 +37,6 @@ import numpy as np
 _MEDIAN_EPS = 1e-12
 _EPS = np.finfo(float).eps
 
-_SCORE_CUSTOM = -1
 _SCORE_BISQUARE = 2
 
 
@@ -166,47 +167,46 @@ def reweight_rows(W, V, start, scale, weight, tol, maxiter):
     return m, settled
 
 
-def _bisquare_weight(c):
-    def weight(u):
-        # (1 - (u/c)^2)^2 inside |u| < c, computed in place
-        outside = np.abs(u) >= c
-        u /= c
-        np.square(u, out=u)
-        np.subtract(1.0, u, out=u)
-        np.square(u, out=u)
-        u[outside] = 0.0
-        return u
-
-    return weight
+def huber_psi(u, c):
+    """Huber psi, clip(u, -c, c), computed in place."""
+    return np.clip(u, -c, c, out=u)
 
 
-def solve_rows(W, V, start, scale, code, c, tol, maxiter, score=None):
+def bisquare_weight(u, c):
+    """Bisquare weight psi(u) / u = (1 - (u/c)^2)^2 inside |u| < c and 0
+    outside, computed in place."""
+    outside = np.abs(u) >= c
+    u /= c
+    np.square(u, out=u)
+    np.subtract(1.0, u, out=u)
+    np.square(u, out=u)
+    u[outside] = 0.0
+    return u
+
+
+def solve_rows(W, V, start, scale, code, c, tol, maxiter):
     """Solve each row's score equation at a fixed per-row ``scale``.
 
     Each row is solved for its offset from ``start`` (the weighted median):
     start is subtracted from V in place (V is overwritten) and added back
     once, so the iterates stay near zero and a large common offset costs one
-    rounding, not one per step.  Monotone scores take Illinois steps;
-    redescending ones reweight from offset 0.  Returns (estimates, flags)
-    with flag 2 on rows that ran out of iterations.
+    rounding, not one per step.  Huber (code 1, monotone) takes Illinois
+    steps; bisquare (code 2, redescending) reweights from offset 0.  Returns
+    (estimates, flags) with flag 2 on rows that ran out of iterations.
     """
     V -= start[:, None]
-    zero = np.zeros_like(start)
-    if code == _SCORE_CUSTOM and score.monotone:
-        est, ok = illinois_rows(W, V, scale, score.psi, tol, maxiter)
-    elif code == _SCORE_CUSTOM:
-        est, ok = reweight_rows(W, V, zero, scale, score.weight, tol, maxiter)
-    elif code == _SCORE_BISQUARE:
-        est, ok = reweight_rows(W, V, zero, scale, _bisquare_weight(c), tol, maxiter)
+    if code == _SCORE_BISQUARE:
+        est, ok = reweight_rows(W, V, np.zeros_like(start), scale,
+                                lambda u: bisquare_weight(u, c), tol, maxiter)
     else:
-        est, ok = illinois_rows(W, V, scale, lambda u: np.clip(u, -c, c, out=u), tol,
-                                maxiter)
+        est, ok = illinois_rows(W, V, scale, lambda u: huber_psi(u, c), tol, maxiter)
     return est + start, np.where(ok, 0, 2).astype(np.int8)
 
 
-def local_m_rows(W, v, order, code, c, mad_const, tol, maxiter, score=None):
+def local_m_rows(W, v, order, code, c, mad_const, tol, maxiter):
     """Batched local M solve with the weighted MAD as scale: (estimates, flags)
-    per row.  ``order`` sorts v ascending; ``score`` is needed for code -1."""
+    per row.  ``order`` sorts v ascending; ``code`` is 1 (huber) or 2
+    (bisquare) with constant ``c``."""
     W = np.asarray(W, dtype=float)
     v = np.asarray(v, dtype=float)
     Ww, Vw = window_rows(W, v, order)
@@ -220,5 +220,5 @@ def local_m_rows(W, v, order, code, c, mad_const, tol, maxiter, score=None):
     active = np.flatnonzero(mad > 0.0)
     if active.size:
         est[active], flags[active] = solve_rows(
-            Ww[active], Vw[active], med[active], mad[active], code, c, tol, maxiter, score)
+            Ww[active], Vw[active], med[active], mad[active], code, c, tol, maxiter)
     return est, flags

@@ -23,12 +23,7 @@ from .errors import (
 from .manifold import injectivity_radius, pairwise_distances
 from .plm import PLMDataset, mode_configs, smooth_dataset
 from .robust_linear import GMConfig, gm_estimate, residual_scale
-from .smoother import (
-    KernelSpec,
-    LocalFitConfig,
-    ScoreFunction,
-    check_bandwidth,
-)
+from .smoother import LocalFitConfig, ScoreFunction, check_bandwidth
 
 _FAILURE_KINDS = (EmptyWindowError, ConvergenceError, DegenerateScaleError,
                   SingularDesignError)
@@ -79,10 +74,9 @@ def _grid_from_distances(dataset: PLMDataset, d: np.ndarray) -> BandwidthGrid:
     return BandwidthGrid(np.geomspace(lo, hi, _GRID_SIZE))
 
 
-def _loo_prediction_residuals(dataset: PLMDataset, h: float, kernel: KernelSpec,
-                              smoother: LocalFitConfig, gm: GMConfig,
-                              distances: np.ndarray) -> np.ndarray:
-    _, resid, _ = smooth_dataset(dataset, kernel, h, smoother, leave_one_out=True,
+def _loo_prediction_residuals(dataset: PLMDataset, h: float, smoother: LocalFitConfig,
+                              gm: GMConfig, distances: np.ndarray | None) -> np.ndarray:
+    _, resid, _ = smooth_dataset(dataset, h, smoother, leave_one_out=True,
                                  distances=distances)
     if dataset.p == 0:
         return resid[:, 0]
@@ -107,14 +101,13 @@ def _criterion(residuals: np.ndarray, cv_score: ScoreFunction,
     return float(np.sum(cv_score.psi(residuals / s) ** 2))
 
 
-def _resolve_configs(mode: str, kernel, smoother, gm, cv_score):
+def _resolve_configs(mode: str, smoother, gm, cv_score):
     smoother, gm = mode_configs(mode, smoother, gm)
     cv_score = ScoreFunction.identity() if mode == "classical" else cv_score
-    return (kernel or KernelSpec.quadratic(), smoother, gm,
-            cv_score or ScoreFunction.huber())
+    return smoother, gm, cv_score or ScoreFunction.huber()
 
 
-def rcv_score(dataset: PLMDataset, h: float, kernel: KernelSpec | None = None,
+def rcv_score(dataset: PLMDataset, h: float,
               smoother: LocalFitConfig | None = None, gm: GMConfig | None = None,
               cv_score: ScoreFunction | None = None,
               scale: float | None = None) -> float:
@@ -126,19 +119,16 @@ def rcv_score(dataset: PLMDataset, h: float, kernel: KernelSpec | None = None,
     +inf when h is infeasible (an empty leave-one-out window or a solver
     failure); never raises for feasibility problems.
     """
-    kernel, smoother, gm, cv_score = _resolve_configs("robust", kernel, smoother,
-                                                      gm, cv_score)
+    smoother, gm, cv_score = _resolve_configs("robust", smoother, gm, cv_score)
     check_bandwidth(dataset.manifold, h)
-    distances = pairwise_distances(dataset.manifold, dataset.t)
     try:
-        res = _loo_prediction_residuals(dataset, h, kernel, smoother, gm, distances)
+        res = _loo_prediction_residuals(dataset, h, smoother, gm, None)
     except _FAILURE_KINDS:
         return float("inf")
     return _criterion(res, cv_score, scale)
 
 
 def select_bandwidth(dataset: PLMDataset, grid=None, mode: str = "robust",
-                     kernel: KernelSpec | None = None,
                      smoother: LocalFitConfig | None = None,
                      gm: GMConfig | None = None,
                      cv_score: ScoreFunction | None = None):
@@ -152,8 +142,7 @@ def select_bandwidth(dataset: PLMDataset, grid=None, mode: str = "robust",
     Returns (h_star, diagnostics); raises InfeasibleGridError with
     per-candidate reasons when nothing on the grid works.
     """
-    kernel, smoother, gm, cv_score = _resolve_configs(mode, kernel, smoother,
-                                                      gm, cv_score)
+    smoother, gm, cv_score = _resolve_configs(mode, smoother, gm, cv_score)
     distances = pairwise_distances(dataset.manifold, dataset.t)
     if grid is None:
         grid = _grid_from_distances(dataset, distances)
@@ -170,8 +159,7 @@ def select_bandwidth(dataset: PLMDataset, grid=None, mode: str = "robust",
     pilot_scale = None
     for h in grid.values:
         try:
-            res = _loo_prediction_residuals(dataset, float(h), kernel, smoother,
-                                            gm, distances)
+            res = _loo_prediction_residuals(dataset, float(h), smoother, gm, distances)
             if pilot_scale is None:
                 pilot_scale = _robust_spread(res)
             diagnostics.append(GridPointDiagnostic(

@@ -103,16 +103,22 @@ def parse_mapping(text: str) -> ColumnMapping:
                          angle, height, raw)
 
 
+def _constant(option: str, text: str, arg: str) -> float:
+    try:
+        return float(arg)
+    except ValueError:
+        raise ConfigError(f"{option} {text!r}: {arg!r} is not a number") from None
+
+
 def parse_score(text: str) -> ScoreFunction:
     name, _, arg = text.partition(":")
     name = name.strip().lower()
     if name == "identity":
         return ScoreFunction.identity()
-    if name == "huber":
-        return ScoreFunction.huber(float(arg)) if arg else ScoreFunction.huber()
-    if name == "bisquare":
-        return ScoreFunction.bisquare(float(arg)) if arg else ScoreFunction.bisquare()
-    raise ConfigError(f"unknown score {text!r}")
+    make = {"huber": ScoreFunction.huber, "bisquare": ScoreFunction.bisquare}.get(name)
+    if make is None:
+        raise ConfigError(f"unknown score {text!r}")
+    return make(_constant("--score", text, arg)) if arg else make()
 
 
 def parse_w1(text: str) -> WeightFunction:
@@ -123,7 +129,7 @@ def parse_w1(text: str) -> WeightFunction:
     if name == "huber":
         if not arg or arg.strip().lower() == "q95":
             return WeightFunction.huber("q95")
-        return WeightFunction.huber(float(arg))
+        return WeightFunction.huber(_constant("--w1", text, arg))
     raise ConfigError(f"unknown w1 weight {text!r}")
 
 

@@ -26,7 +26,6 @@ from .robust_linear import (
     residual_scale,
 )
 from .smoother import (
-    KernelSpec,
     LocalFitConfig,
     ScoreFunction,
     check_bandwidth,
@@ -107,7 +106,6 @@ class PLMFit:
     flags: dict
     regression: RegressionResult
     dataset: PLMDataset
-    kernel: KernelSpec
     smoother_config: LocalFitConfig
     gm_config: GMConfig
 
@@ -118,9 +116,9 @@ class PLMFit:
         return predict_y(self, x, t)
 
 
-def smooth_dataset(dataset: PLMDataset, kernel: KernelSpec, h: float,
-                   config: LocalFitConfig, queries: np.ndarray | None = None, *,
-                   leave_one_out: bool = False, distances: np.ndarray | None = None):
+def smooth_dataset(dataset: PLMDataset, h: float, config: LocalFitConfig,
+                   queries: np.ndarray | None = None, *, leave_one_out: bool = False,
+                   distances: np.ndarray | None = None):
     """Smooth the response and every covariate column over the manifold at
     bandwidth h.
 
@@ -134,8 +132,9 @@ def smooth_dataset(dataset: PLMDataset, kernel: KernelSpec, h: float,
     columns = np.column_stack([dataset.y, dataset.x])
     centre = np.median(columns, axis=0)
     offsets = columns - centre
-    est, flags = smooth_columns(dataset.manifold, kernel, h, dataset.t, offsets, config,
-                                queries, leave_one_out, distances)
+    est, flags = smooth_columns(dataset.manifold, h, dataset.t, columns=offsets,
+                                config=config, queries=queries,
+                                leave_one_out=leave_one_out, distances=distances)
     residuals = None if queries is not None else offsets - est
     return est + centre, residuals, flags
 
@@ -157,7 +156,6 @@ def mode_configs(mode: str, smoother: LocalFitConfig | None = None,
 
 
 def fit(dataset: PLMDataset, bandwidth: float, mode: str = "robust",
-        kernel: KernelSpec | None = None,
         smoother: LocalFitConfig | None = None,
         gm: GMConfig | None = None) -> PLMFit:
     """Fit the partially linear model at a fixed bandwidth.
@@ -168,10 +166,9 @@ def fit(dataset: PLMDataset, bandwidth: float, mode: str = "robust",
     fit keeps h and those configurations; ``predict_g`` smooths with them.
     """
     smoother, gm = mode_configs(mode, smoother, gm)
-    kernel = kernel or KernelSpec.quadratic()
     h = check_bandwidth(dataset.manifold, bandwidth)
 
-    est, resid, fl = smooth_dataset(dataset, kernel, h, smoother)
+    est, resid, fl = smooth_dataset(dataset, h, smoother)
     phi0 = est[:, 0]
     phi = est[:, 1:]
 
@@ -214,7 +211,6 @@ def fit(dataset: PLMDataset, bandwidth: float, mode: str = "robust",
         flags=flags,
         regression=reg,
         dataset=dataset,
-        kernel=kernel,
         smoother_config=smoother,
         gm_config=gm,
     )
@@ -240,8 +236,8 @@ def predict_g(fit_result: PLMFit, t):
     coords = as_coords(t)
     single = coords.ndim == 1
     queries = validate_coords(ds.manifold, coords, name="query")
-    est, _, _ = smooth_dataset(ds, fit_result.kernel, fit_result.bandwidth,
-                               fit_result.smoother_config, queries)
+    est, _, _ = smooth_dataset(ds, fit_result.bandwidth, fit_result.smoother_config,
+                               queries)
     g = est[:, 0] - est[:, 1:] @ fit_result.beta
     return float(g[0]) if single else g
 

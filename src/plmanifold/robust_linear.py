@@ -26,8 +26,9 @@ class WeightFunction:
     """Design weight w1 applied to ||eta_i||, valued in [0, 1].
 
     ``one`` is the plain M-estimator.  ``huber`` downweights high-leverage
-    rows as min(1, cutoff / u); the cutoff may be a number or the string
-    "q95", resolved at fit time as the 0.95 quantile of the observed norms.
+    rows as min(1, cutoff / u), the Huber score's weight; the cutoff may be
+    a number or the string "q95", resolved at fit time as the 0.95 quantile
+    of the observed norms.
     """
 
     name: str = "one"
@@ -53,7 +54,7 @@ class WeightFunction:
         if self.name == "one":
             return np.ones_like(norms)
         cw = self.resolve_cutoff(norms) if cutoff is None else float(cutoff)
-        return np.where(norms <= cw, 1.0, cw / norms)
+        return ScoreFunction.huber(cw).weight(norms)
 
     def validate(self) -> None:
         if self.name not in ("one", "huber"):
@@ -62,8 +63,8 @@ class WeightFunction:
             if isinstance(self.cutoff, str):
                 if self.cutoff.lower() != "q95":
                     raise ValueError(f"unknown cutoff rule {self.cutoff!r}")
-            elif self.cutoff is None or not float(self.cutoff) > 0:
-                raise ValueError("huber weight cutoff must be positive")
+            elif self.cutoff is None or not 0 < float(self.cutoff) < np.inf:
+                raise ValueError("huber weight cutoff must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,6 @@ class GMConfig:
     init: str | tuple = "ols"
 
     def __post_init__(self):
-        self.score.validate()
         self.w1.validate()
         if isinstance(self.scale, str):
             if self.scale != "mad":

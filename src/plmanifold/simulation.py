@@ -28,7 +28,7 @@ from .errors import CampaignError, ConfigError, PLMError
 from .manifold import Manifold, cylinder_coords
 from .plm import PLMDataset, fit
 from .robust_linear import GMConfig
-from .smoother import KernelSpec, LocalFitConfig, ScoreFunction
+from .smoother import LocalFitConfig, ScoreFunction
 
 CONTAMINATIONS = ("C0", "C1", "C2")
 BETA_TRUE = 2.0
@@ -137,8 +137,7 @@ def _summarize(beta: np.ndarray, mse_g: np.ndarray, beta_true: float) -> dict:
     }
 
 
-def run_campaign(config: SimulationConfig, kernel: KernelSpec | None = None,
-                 smoother: LocalFitConfig | None = None,
+def run_campaign(config: SimulationConfig, smoother: LocalFitConfig | None = None,
                  gm: GMConfig | None = None,
                  cv_score: ScoreFunction | None = None) -> SimulationReport:
     """Run the Monte Carlo study described by ``config``.
@@ -161,10 +160,8 @@ def run_campaign(config: SimulationConfig, kernel: KernelSpec | None = None,
                     h = float(config.bandwidth)
                 else:
                     h, _ = select_bandwidth(sample.dataset, config.cv_grid, mode=mode,
-                                            kernel=kernel, smoother=smoother,
-                                            gm=gm, cv_score=cv_score)
-                fitted = fit(sample.dataset, h, mode=mode, kernel=kernel,
-                             smoother=smoother, gm=gm)
+                                            smoother=smoother, gm=gm, cv_score=cv_score)
+                fitted = fit(sample.dataset, h, mode=mode, smoother=smoother, gm=gm)
                 mse_g = float(np.mean((fitted.g_hat - sample.g_true) ** 2))
                 out[mode] = (float(fitted.beta[0]), mse_g, float(h), None)
             except PLMError as err:

@@ -1,18 +1,17 @@
 """Kernel-weighted local statistics and robust local M-smoothers.
 
-The local fit at a query point composes three pieces: normalized kernel
-weights built from geodesic distances and the volume density, a weighted
-median / weighted MAD pair giving the robust local scale, and a score
-equation solved by Illinois regula falsi (monotone scores) or reweighting
-(redescending scores), all in the batched engine of ``_kernels``.  With the
-identity score and no scale step the smoother reduces to the classical
-kernel-weighted mean.
+The local fit at a query point composes three pieces: normalized quartic
+kernel weights built from geodesic distances and the volume density, a
+weighted median / weighted MAD pair giving the robust local scale, and a
+score equation solved by Illinois regula falsi (Huber) or reweighting
+(bisquare), all in the batched engine of ``_kernels``.  With the identity
+score and no scale step the smoother reduces to the classical kernel-weighted
+mean.  The kernel and the three scores are the whole estimator family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -33,160 +32,92 @@ BISQUARE_DEFAULT_C = 4.685
 MAD_CONSISTENCY = 1.4826
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Nonnegative kernel with compact support [0, 1].
-
-    The quadratic family is built in; other families plug in through
-    ``evaluator``, a vectorized map u >= 0 -> K(u) with K(u) = 0 for u >= 1.
-    """
-
-    family: str = "quadratic"
-    evaluator: Callable | None = None
-
-    @classmethod
-    def quadratic(cls) -> "KernelSpec":
-        return cls("quadratic")
-
-    def evaluate(self, u):
-        u = np.asarray(u, dtype=float)
-        if self.family == "quadratic":
-            t = np.maximum(1.0 - u * u, 0.0)
-            return 0.9375 * t * t
-        if self.evaluator is None:
-            raise ValueError(f"kernel family {self.family!r} has no evaluator")
-        return np.asarray(self.evaluator(u), dtype=float)
-
-    def validate(self, n_grid: int = 201) -> None:
-        """Spot-check compact support, nonnegativity and boundedness."""
-        u = np.linspace(0.0, 2.0, n_grid)
-        k = self.evaluate(u)
-        if np.any(k < 0):
-            raise ValueError("kernel must be nonnegative")
-        if np.any(k[u >= 1.0] != 0.0):
-            raise ValueError("kernel must vanish outside [0, 1]")
-        if not np.all(np.isfinite(k)):
-            raise ValueError("kernel must be bounded")
+def quartic_kernel(u):
+    """The smoothing kernel K(u) = 0.9375 (1 - u^2)^2 on |u| < 1, 0 elsewhere,
+    in a new array."""
+    t = np.maximum(1.0 - u * u, 0.0)
+    return 0.9375 * t * t
 
 
-def _huber_psi(c):
-    def psi(u):
-        return np.clip(u, -c, c)
-
-    def psi_prime(u):
-        return (np.abs(np.asarray(u, dtype=float)) < c).astype(float)
-
-    return psi, psi_prime
-
-
-def _bisquare_psi(c):
-    def psi(u):
-        u = np.asarray(u, dtype=float)
-        z = u / c
-        t = 1.0 - z * z
-        return np.where(np.abs(u) < c, u * t * t, 0.0)
-
-    def psi_prime(u):
-        u = np.asarray(u, dtype=float)
-        z2 = (u / c) ** 2
-        return np.where(np.abs(u) < c, (1.0 - z2) * (1.0 - 5.0 * z2), 0.0)
-
-    return psi, psi_prime
+_SCORE_NAMES = ("identity", "huber", "bisquare")
 
 
 @dataclass(frozen=True)
 class ScoreFunction:
-    """Score psi with derivative, used in the local and regression M-equations.
-
-    ``monotone`` selects the bracketed Illinois solve; redescending scores go
-    through the reweighting fixed point instead.  Derivatives at the huber
-    kinks |u| = c take the outer-branch value 0.
+    """The score psi of the local and regression M-equations: identity
+    (code 0), Huber with constant c (code 1, monotone, solved by Illinois
+    steps) or bisquare with constant c (code 2, redescending, solved by
+    reweighting).  ``code`` is the dispatch of the batched engine.
+    Derivatives at the kinks |u| = c take the outer-branch value 0.
     """
 
-    name: str
+    code: int
     c: float | None
-    monotone: bool
-    code: int  # dispatch for the batched kernel; -1 means a custom callable
-    psi_fn: Callable
-    psi_prime_fn: Callable
+
+    def __post_init__(self):
+        if self.code != 0 and not (np.isfinite(self.c) and self.c > 0):
+            raise ValueError(f"{_SCORE_NAMES[self.code]} constant must be finite "
+                             f"and > 0, got {self.c!r}")
 
     @classmethod
     def identity(cls) -> "ScoreFunction":
-        return cls("identity", None, True, 0, lambda u: np.asarray(u, dtype=float),
-                   lambda u: np.ones_like(np.asarray(u, dtype=float)))
+        return cls(0, None)
 
     @classmethod
     def huber(cls, c: float = HUBER_DEFAULT_C) -> "ScoreFunction":
-        psi, psi_prime = _huber_psi(float(c))
-        return cls("huber", float(c), True, 1, psi, psi_prime)
+        return cls(1, float(c))
 
     @classmethod
     def bisquare(cls, c: float = BISQUARE_DEFAULT_C) -> "ScoreFunction":
-        psi, psi_prime = _bisquare_psi(float(c))
-        return cls("bisquare", float(c), False, 2, psi, psi_prime)
-
-    @classmethod
-    def custom(cls, name: str, psi: Callable, psi_prime: Callable,
-               monotone: bool = False) -> "ScoreFunction":
-        return cls(name, None, monotone, -1, psi, psi_prime)
+        return cls(2, float(c))
 
     def psi(self, u):
-        return self.psi_fn(np.asarray(u, dtype=float))
+        u = np.array(u, dtype=float)  # a copy: the engine's forms work in place
+        if self.code == 1:
+            return _kernels.huber_psi(u, self.c)
+        if self.code == 2:
+            z = u / self.c
+            t = 1.0 - z * z
+            return np.where(np.abs(u) < self.c, u * t * t, 0.0)
+        return u
 
     def psi_prime(self, u):
-        return self.psi_prime_fn(np.asarray(u, dtype=float))
+        u = np.asarray(u, dtype=float)
+        if self.code == 1:
+            return (np.abs(u) < self.c).astype(float)
+        if self.code == 2:
+            z2 = (u / self.c) ** 2
+            return np.where(np.abs(u) < self.c, (1.0 - z2) * (1.0 - 5.0 * z2), 0.0)
+        return np.ones_like(u)
 
     def weight(self, u):
-        """Reweighting weight psi(u) / u, continued by psi'(0) at |u| <= 1e-10."""
-        u = np.asarray(u, dtype=float)
-        small = np.abs(u) <= 1e-10
-        safe = np.where(small, 1.0, u)
-        return np.where(small, float(self.psi_prime(0.0)), self.psi(safe) / safe)
-
-    def validate(self) -> None:
-        """Sampled checks of the score assumptions.
-
-        Oddness to 1e-12; monotonicity for scores that claim it; the huber
-        bound |psi| <= c; derivative against centered differences to 1e-6 on
-        a grid that avoids the kink points.
-        """
-        ref = self.c if self.c else 2.0
-        u = np.linspace(0.05, 4.0 * ref, 160)
-        if np.max(np.abs(self.psi(-u) + self.psi(u))) > 1e-12:
-            raise ValueError(f"score {self.name!r} is not odd")
-        if self.monotone:
-            grid = np.linspace(-4.0 * ref, 4.0 * ref, 321)
-            if np.any(np.diff(self.psi(grid)) < -1e-12):
-                raise ValueError(f"score {self.name!r} must be nondecreasing")
-        if self.name == "huber":
-            wide = np.linspace(-50.0, 50.0, 501)
-            if np.max(np.abs(self.psi(wide))) > self.c + 1e-12:
-                raise ValueError("huber score must be bounded by its constant")
-        grid = np.linspace(-3.0 * ref, 3.0 * ref, 97)
-        if self.c is not None:
-            grid = grid[np.abs(np.abs(grid) - self.c) > 0.05]
-        h = 1e-6
-        fd = (self.psi(grid + h) - self.psi(grid - h)) / (2.0 * h)
-        if np.max(np.abs(fd - self.psi_prime(grid))) > 1e-6:
-            raise ValueError(
-                f"score {self.name!r}: psi_prime disagrees with finite differences"
-            )
+        """Reweighting weight psi(u) / u in closed form, continued by
+        psi'(0) = 1 at |u| <= 1e-10."""
+        u = np.array(u, dtype=float)
+        a = np.abs(u)
+        small = a <= 1e-10
+        if self.code == 1:
+            w = np.minimum(1.0, np.divide(self.c, a, out=np.ones_like(a), where=~small))
+        elif self.code == 2:
+            w = _kernels.bisquare_weight(u, self.c)
+        else:
+            w = np.ones_like(u)
+        return np.where(small, 1.0, w)
 
 
 @dataclass(frozen=True)
 class LocalFitConfig:
     """Settings for the local robust fit.  The bandwidth is not one of them:
-    every smoothing call takes h as an argument.
+    every smoothing call takes h as an argument, and the local scale is the
+    weighted MAD times ``MAD_CONSISTENCY``.
 
-    ``tol`` is the local solve's stopping width: an Illinois bracket
-    (monotone scores) or a reweighting step (redescending scores) of at most
-    ``tol`` plus four float spacings of the estimate's offset from the
-    weighted median; an Illinois row also stops when its score sum is zero to
-    rounding.  ``max_iterations`` bounds either solve.
+    ``tol`` is the local solve's stopping width: an Illinois bracket (Huber)
+    or a reweighting step (bisquare) of at most ``tol`` plus four float
+    spacings of the estimate's offset from the weighted median; an Illinois
+    row also stops when its score sum is zero to rounding.  ``max_iterations`` bounds either solve.
     """
 
     score: ScoreFunction = field(default_factory=ScoreFunction.huber)
-    mad_constant: float = MAD_CONSISTENCY
     tol: float = 1e-10
     max_iterations: int = 200
 
@@ -195,9 +126,6 @@ class LocalFitConfig:
             raise ValueError("solver tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not self.mad_constant > 0:
-            raise ValueError("mad_constant must be positive")
-        self.score.validate()
 
 
 def check_bandwidth(manifold: Manifold, h: float) -> float:
@@ -224,11 +152,10 @@ def _check_weight_pair(weights, values):
     return w, v
 
 
-def raw_weight_matrix(manifold: Manifold, kernel: KernelSpec, h: float,
-                      distances: np.ndarray) -> np.ndarray:
+def raw_weight_matrix(manifold: Manifold, h: float, distances: np.ndarray) -> np.ndarray:
     """Unnormalized kernel weights K(d/h) / volume density, elementwise, in a
     new array."""
-    k = kernel.evaluate(distances / h)
+    k = quartic_kernel(distances / h)
     if manifold.kind == "sphere":
         pos = k > 0
         theta = volume_density_from_distance(manifold, distances[pos])
@@ -236,8 +163,7 @@ def raw_weight_matrix(manifold: Manifold, kernel: KernelSpec, h: float,
     return k
 
 
-def window_weights(manifold: Manifold, kernel: KernelSpec, h: float,
-                   queries: np.ndarray, sample: np.ndarray,
+def window_weights(manifold: Manifold, h: float, queries: np.ndarray, sample: np.ndarray,
                    leave_one_out: bool = False, distances: np.ndarray | None = None):
     """Raw kernel weights of every query row against the sample, with their
     row totals.
@@ -261,7 +187,7 @@ def window_weights(manifold: Manifold, kernel: KernelSpec, h: float,
         c = s if symmetric else 0
         d = (cross_distances(manifold, queries[s:e], sample[c:]) if distances is None
              else distances[s:e, c:])
-        k = raw_weight_matrix(manifold, kernel, h, d)
+        k = raw_weight_matrix(manifold, h, d)
         if e - s == nq:  # one block holds every row: it is W, no copy
             W = k
             break
@@ -287,8 +213,7 @@ def window_weights(manifold: Manifold, kernel: KernelSpec, h: float,
     return W, totals
 
 
-def pelletier_weights(manifold: Manifold, kernel: KernelSpec, h: float,
-                      t, sample) -> np.ndarray:
+def pelletier_weights(manifold: Manifold, h: float, t, sample) -> np.ndarray:
     """Normalized kernel weights of the sample points relative to t.
 
     Raises EmptyWindowError (carrying the nearest-neighbor distance) when no
@@ -297,7 +222,7 @@ def pelletier_weights(manifold: Manifold, kernel: KernelSpec, h: float,
     h = check_bandwidth(manifold, h)
     tq = validate_coords(manifold, as_coords(t), name="query")
     pts = validate_coords(manifold, sample, name="sample")
-    W, totals = window_weights(manifold, kernel, h, tq, pts)
+    W, totals = window_weights(manifold, h, tq, pts)
     return W[0] / totals[0]
 
 
@@ -351,11 +276,11 @@ def local_m_estimate(weights, values, score: ScoreFunction, scale: float,
                      tol: float = 1e-10, max_iterations: int = 200) -> float:
     """Solve sum_i w_i psi((v_i - m) / scale) = 0 for the local location m.
 
-    The identity score short-circuits to the weighted mean.  Monotone scores
-    are bracketed by [min v, max v] and solved by Illinois regula falsi on
+    The identity score short-circuits to the weighted mean.  Huber is
+    bracketed by [min v, max v] and solved by Illinois regula falsi on
     the offset from the weighted median, stopping when the bracket is within
     ``tol`` plus four float spacings of its ends or the score sum is zero to
-    rounding; redescending scores iterate a reweighting fixed point started
+    rounding; bisquare iterates a reweighting fixed point started
     from the weighted median until a step is that small.  Raises
     ConvergenceError, carrying the last iterate, after ``max_iterations``.
     """
@@ -367,7 +292,7 @@ def local_m_estimate(weights, values, score: ScoreFunction, scale: float,
     W, V = _sorted_row(w, v)
     start = _kernels.median_rows(W, V)
     est, flags = _kernels.solve_rows(W, V, start, np.array([float(scale)]), score.code,
-                                     score.c, tol, max_iterations, score)
+                                     score.c, tol, max_iterations)
     if flags[0] == 2:
         raise ConvergenceError(
             f"local M-estimation did not converge in {max_iterations} iterations",
@@ -376,8 +301,8 @@ def local_m_estimate(weights, values, score: ScoreFunction, scale: float,
     return float(est[0])
 
 
-def smooth_columns(manifold: Manifold, kernel: KernelSpec, h: float,
-                   sample: np.ndarray, columns: np.ndarray, config: LocalFitConfig,
+def smooth_columns(manifold: Manifold, h: float, sample: np.ndarray,
+                   columns: np.ndarray, config: LocalFitConfig,
                    queries: np.ndarray | None = None,
                    leave_one_out: bool = False,
                    distances: np.ndarray | None = None):
@@ -405,8 +330,7 @@ def smooth_columns(manifold: Manifold, kernel: KernelSpec, h: float,
         columns = columns[:, None]
     if queries is None:
         queries = sample
-    W, totals = window_weights(manifold, kernel, h, queries, sample, leave_one_out,
-                               distances)
+    W, totals = window_weights(manifold, h, queries, sample, leave_one_out, distances)
 
     nq, k = W.shape[0], columns.shape[1]
     estimates = np.empty((nq, k))
@@ -418,8 +342,8 @@ def smooth_columns(manifold: Manifold, kernel: KernelSpec, h: float,
             estimates[:, j] = (W @ v) / totals
             continue
         estimates[:, j], flags[:, j] = _kernels.local_m_rows(
-            W, v, np.argsort(v), score.code, score.c, config.mad_constant,
-            config.tol, config.max_iterations, score=score,
+            W, v, np.argsort(v), score.code, score.c, MAD_CONSISTENCY,
+            config.tol, config.max_iterations,
         )
     stuck = np.flatnonzero((flags == 2).any(axis=1))
     if stuck.size:
@@ -430,8 +354,8 @@ def smooth_columns(manifold: Manifold, kernel: KernelSpec, h: float,
     return estimates, flags
 
 
-def fit_smoother(manifold: Manifold, kernel: KernelSpec, h: float, sample, values,
-                 queries, config: LocalFitConfig, return_flags: bool = False):
+def fit_smoother(manifold: Manifold, h: float, sample, values, queries,
+                 config: LocalFitConfig, return_flags: bool = False):
     """Robust local fit of one value column at bandwidth h at the given query
     points.
 
@@ -447,7 +371,7 @@ def fit_smoother(manifold: Manifold, kernel: KernelSpec, h: float, sample, value
         raise ValueError(
             f"length mismatch: {sample.shape[0]} sample points vs {values.size} values"
         )
-    est, flags = smooth_columns(manifold, kernel, h, sample, values, config,
+    est, flags = smooth_columns(manifold, h, sample, columns=values, config=config,
                                 queries=queries)
     if return_flags:
         return est[:, 0], flags[:, 0]

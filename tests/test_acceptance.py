@@ -29,7 +29,6 @@ from plmanifold.simulation import (
     run_campaign,
 )
 from plmanifold.smoother import (
-    KernelSpec,
     LocalFitConfig,
     ScoreFunction,
     local_m_estimate,
@@ -211,17 +210,16 @@ def test_criterion_3_local_m_solver():
 def test_criterion_4_equivariance_suite():
     rng = np.random.default_rng(44)
     cyl = pm.Manifold.cylinder((0.0, 1.0))
-    quad = KernelSpec.quadratic()
     n = 50
     sample = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
     values = rng.normal(size=n)
     cfg = LocalFitConfig()
 
-    base = fit_smoother(cyl, quad, 1.0, sample, values, sample, cfg)
+    base = fit_smoother(cyl, 1.0, sample, values, sample, cfg)
     shift_err = float(np.max(np.abs(
-        fit_smoother(cyl, quad, 1.0, sample, values + 4.2, sample, cfg) - base - 4.2)))
+        fit_smoother(cyl, 1.0, sample, values + 4.2, sample, cfg) - base - 4.2)))
     scale_err = float(np.max(np.abs(
-        fit_smoother(cyl, quad, 1.0, sample, 2.5 * values, sample, cfg) - 2.5 * base)))
+        fit_smoother(cyl, 1.0, sample, 2.5 * values, sample, cfg) - 2.5 * base)))
 
     ds, _ = random_cylinder_dataset(45, n=45, p=2)
     fit_shift_err = 0.0

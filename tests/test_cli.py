@@ -53,7 +53,7 @@ def test_parse_mapping_rejects_unknown_bits():
 
 def test_parse_score_and_w1():
     assert parse_score("huber:2.0").c == 2.0
-    assert parse_score("identity").name == "identity"
+    assert parse_score("identity") == pm.ScoreFunction.identity()
     assert parse_score("bisquare").c == 4.685
     assert parse_w1("one").name == "one"
     assert parse_w1("huber:Q95").cutoff == "q95"
@@ -344,16 +344,29 @@ def test_click_bad_mapping_exits_2(tmp_path):
     assert result.exit_code == 2
 
 
-@pytest.mark.parametrize("score,message", [
-    ("cauchy", "error: ConfigError: unknown score 'cauchy'"),
-    ("huber:abc", "error: ValueError: could not convert string to float"),
-], ids=["unknown-name", "bad-number"])
-def test_click_bad_score_exits_2(score, message):
+NOT_A_NUMBER = "'abc' is not a number"
+BAD_CONSTANT = "constant must be finite and > 0, got"
+
+
+@pytest.mark.parametrize("option,value,message", [
+    ("--score", "cauchy", "error: ConfigError: unknown score 'cauchy'"),
+    ("--score", "huber:abc", f"error: ConfigError: --score 'huber:abc': {NOT_A_NUMBER}"),
+    ("--w1", "huber:abc", f"error: ConfigError: --w1 'huber:abc': {NOT_A_NUMBER}"),
+    ("--w1", "huber:inf",
+     "error: ValueError: huber weight cutoff must be finite and positive"),
+    ("--score", "huber:0", f"error: ValueError: huber {BAD_CONSTANT} 0.0"),
+    ("--score", "bisquare:-2", f"error: ValueError: bisquare {BAD_CONSTANT} -2.0"),
+    ("--score", "huber:inf", f"error: ValueError: huber {BAD_CONSTANT} inf"),
+    ("--score", "huber:nan", f"error: ValueError: huber {BAD_CONSTANT} nan"),
+], ids=["unknown-name", "bad-number", "bad-w1-number", "w1-inf", "huber-zero",
+        "bisquare-negative", "huber-inf", "huber-nan"])
+def test_click_bad_score_exits_2(option, value, message):
+    """A bad score or w1 constant exits 2 before the input (absent here) is read."""
     result = CliRunner().invoke(main, [
-        "fit", "--input", "x.csv", "--map", MAPPING, "--score", score,
+        "fit", "--input", "x.csv", "--map", MAPPING, option, value,
         "--bandwidth", "1.0", "--out", "r.json"])
     assert result.exit_code == 2
-    assert message in result.output
+    assert result.output.strip().splitlines() == [message]
 
 
 def test_click_fit_and_cv_have_no_ignored_options():
@@ -423,6 +436,10 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+NOT_A_NUMBER = "'abc' is not a number"
+BAD_CONSTANT = "constant must be finite and > 0, got"
 
 
 @pytest.mark.parametrize("option,value,message", [

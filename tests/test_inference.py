@@ -12,7 +12,7 @@ from plmanifold.inference import (
 from plmanifold.manifold import Manifold, cylinder_coords
 from plmanifold.plm import PLMDataset, PLMFit, fit
 from plmanifold.robust_linear import GMConfig, RegressionResult, WeightFunction
-from plmanifold.smoother import KernelSpec, LocalFitConfig
+from plmanifold.smoother import LocalFitConfig
 from conftest import random_cylinder_dataset
 
 CYL = Manifold.cylinder((0.0, 1.0))
@@ -33,7 +33,7 @@ def make_fit(eta, eps, scale, mode="robust", gm=None):
         beta=np.zeros(p), phi0_hat=np.zeros(n), phi_hat=np.zeros((n, p)),
         g_hat=np.zeros(n), residuals=np.asarray(eps, dtype=float), scale=scale,
         bandwidth=1.0, mode=mode, flags={}, regression=reg, dataset=ds,
-        kernel=KernelSpec.quadratic(), smoother_config=LocalFitConfig(),
+        smoother_config=LocalFitConfig(),
         gm_config=gm or GMConfig(),
     )
 

@@ -6,11 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from plmanifold import _kernels, simulation
+from plmanifold import _kernels, bandwidth, plm, simulation
 from plmanifold.errors import ConvergenceError
 from plmanifold.manifold import Manifold, circle_coords, cylinder_coords, pairwise_distances
 from plmanifold.smoother import (
-    KernelSpec,
     LocalFitConfig,
     ScoreFunction,
     local_m_estimate,
@@ -56,30 +55,34 @@ def _row_mad(w, v):
     return 1.4826 * dev[order2][np.searchsorted(cum2, 0.5 - 1e-12)]
 
 
-# --------------------------------------------------- custom scores, same engine
+# ------------------------------------------ any score, through the engine pieces
 
-def _custom_copy(score):
-    return ScoreFunction.custom(f"custom-{score.name}", score.psi_fn,
-                                score.psi_prime_fn, monotone=score.monotone)
+def test_engine_pieces_solve_scores_outside_the_builtin_family(rng):
+    """`illinois_rows` solves any monotone psi and `reweight_rows` iterates any
+    weight; here tanh against brentq and the Cauchy weight 1 / (1 + u^2) to
+    its fixed point."""
+    W, v, _ = random_problem(rng)
+    W = W / W.sum(axis=1, keepdims=True)
+    scale = np.full(W.shape[0], 1.5)
+    est, done = _kernels.illinois_rows(W, v, scale, lambda u: np.tanh(u, out=u),
+                                       1e-12, 200)
+    assert np.all(done)
+    for q in range(W.shape[0]):
+        sup = v[W[q] > 0]
+        ref = brentq(lambda m: float(W[q] @ np.tanh((v - m) / 1.5)), sup.min(),
+                     sup.max(), xtol=1e-14)
+        assert est[q] == pytest.approx(ref, abs=1e-10)
 
+    def cauchy(u):
+        np.square(u, out=u)
+        u += 1.0
+        return np.reciprocal(u, out=u)
 
-@pytest.mark.parametrize("builtin,tol", [(ScoreFunction.huber(), 1e-12),
-                                         (ScoreFunction.bisquare(), 1e-10)],
-                         ids=["huber", "bisquare"])
-def test_custom_copy_of_builtin_score_matches_through_smooth_columns(builtin, tol):
-    rng = np.random.default_rng(31)
-    n = 80
-    cyl = Manifold.cylinder((0.0, 1.0))
-    t = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
-    columns = np.column_stack([rng.standard_t(2, n), rng.normal(size=n),
-                               np.round(rng.normal(size=n))])  # ties in column 2
-    runs = []
-    for score in (builtin, _custom_copy(builtin)):
-        cfg = LocalFitConfig(score=score)
-        runs.append(smooth_columns(cyl, KernelSpec.quadratic(), 0.7, t, columns, cfg))
-    (est, flags), (est_custom, flags_custom) = runs
-    assert np.array_equal(flags, flags_custom)
-    assert np.max(np.abs(est - est_custom)) <= tol
+    start = _kernels.median_rows(*_kernels.window_rows(W, v, np.argsort(v)))
+    est, settled = _kernels.reweight_rows(W, v, start, scale, cauchy, 1e-12, 500)
+    assert np.all(settled)
+    w = W / (1.0 + ((v - est[:, None]) / 1.5) ** 2)
+    assert np.max(np.abs(est - (w @ v) / w.sum(axis=1))) <= 1e-10
 
 
 # ------------------------------------------------ slow, sort-based oracle
@@ -190,9 +193,8 @@ def test_huber_columns_converge_in_25_iterations_on_a_large_sample():
     over the data range needs 36-39."""
     sample = simulation.generate_sample(2000, "C1", simulation.replication_rng(1, 0))
     ds = sample.dataset
-    cfg = LocalFitConfig(score=ScoreFunction.huber(HUBER_C),
-                         mad_constant=MAD_C, max_iterations=25)
-    est, flags = smooth_columns(ds.manifold, KernelSpec.quadratic(), 0.8, ds.t,
+    cfg = LocalFitConfig(score=ScoreFunction.huber(HUBER_C), max_iterations=25)
+    est, flags = smooth_columns(ds.manifold, 0.8, ds.t,
                                 np.column_stack([ds.y, ds.x]), cfg)
     assert not np.any(flags == 2)
     assert np.all(np.isfinite(est))
@@ -204,14 +206,13 @@ def test_monotone_rows_that_run_out_of_iterations_raise():
     cyl = Manifold.cylinder((0.0, 1.0))
     t = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
     v = rng.normal(size=n) + np.linspace(0, 5, n)
-    cfg = LocalFitConfig(score=ScoreFunction.huber(HUBER_C),
-                         mad_constant=MAD_C, max_iterations=1)
-    W = raw_weight_matrix(cyl, KernelSpec.quadratic(), 2.0, pairwise_distances(cyl, t))
+    cfg = LocalFitConfig(score=ScoreFunction.huber(HUBER_C), max_iterations=1)
+    W = raw_weight_matrix(cyl, 2.0, pairwise_distances(cyl, t))
     _, flags = _kernels.local_m_rows(W, v, np.argsort(v), 1, HUBER_C, MAD_C, 1e-10, 1)
     stuck = np.flatnonzero(flags == 2).tolist()
     assert stuck
     with pytest.raises(ConvergenceError) as err:
-        smooth_columns(cyl, KernelSpec.quadratic(), 2.0, t, v, cfg)
+        smooth_columns(cyl, 2.0, t, v, cfg)
     assert err.value.indices == stuck
 
     w = W[stuck[0]] / W[stuck[0]].sum()
@@ -300,8 +301,7 @@ def _columns(n):
 
 
 def _oracle_weights(manifold, t, h, leave_one_out):
-    W = raw_weight_matrix(manifold, KernelSpec.quadratic(), h,
-                          pairwise_distances(manifold, t))
+    W = raw_weight_matrix(manifold, h, pairwise_distances(manifold, t))
     if leave_one_out:
         np.fill_diagonal(W, 0.0)
     return W
@@ -313,9 +313,8 @@ def _oracle_weights(manifold, t, h, leave_one_out):
 def test_huber_smoothing_matches_oracle_on_every_manifold(name, manifold, t, h,
                                                           leave_one_out):
     columns = _columns(t.shape[0])
-    cfg = LocalFitConfig(score=ScoreFunction.huber(HUBER_C), mad_constant=MAD_C)
-    est, flags = smooth_columns(manifold, KernelSpec.quadratic(), h, t, columns, cfg,
-                                leave_one_out=leave_one_out)
+    cfg = LocalFitConfig(score=ScoreFunction.huber(HUBER_C))
+    est, flags = smooth_columns(manifold, h, t, columns, cfg, leave_one_out=leave_one_out)
     W = _oracle_weights(manifold, t, h, leave_one_out)
     for j in range(columns.shape[1]):
         v = columns[:, j]
@@ -337,9 +336,8 @@ def test_huber_smoothing_matches_oracle_on_every_manifold(name, manifold, t, h,
 def test_bisquare_rows_solve_their_score_equation(name, manifold, t, h, leave_one_out):
     columns = _columns(t.shape[0])
     score = ScoreFunction.bisquare()
-    cfg = LocalFitConfig(score=score, mad_constant=MAD_C)
-    est, flags = smooth_columns(manifold, KernelSpec.quadratic(), h, t, columns, cfg,
-                                leave_one_out=leave_one_out)
+    cfg = LocalFitConfig(score=score)
+    est, flags = smooth_columns(manifold, h, t, columns, cfg, leave_one_out=leave_one_out)
     W = _oracle_weights(manifold, t, h, leave_one_out)
     solved = 0
     for j in range(columns.shape[1]):
@@ -358,17 +356,32 @@ def test_bisquare_rows_solve_their_score_equation(name, manifold, t, h, leave_on
 
 # ------------------------------------------- the call shape the tracer reads
 
-def test_local_m_rows_call_shape_is_pinned_for_the_benchmark_tracer():
+def test_local_m_rows_call_shape_is_pinned_for_the_benchmark_tracer(monkeypatch):
     """perfbench/spans.py wraps `_kernels.local_m_rows` by position: it reads
     W at position 0, the score code at position 3 and the flags at result[1].
-    It also reads `smooth_columns`' value columns at position 4.  A change to
-    either signature must update perfbench/spans.py and this test together."""
+    It reads `smooth_columns`' value columns as the keyword ``columns``
+    (position 4 otherwise), so the package passes them by keyword.  A change
+    to either call shape must update perfbench/spans.py and this test
+    together."""
     params = list(inspect.signature(_kernels.local_m_rows).parameters)
     assert params[:4] == ["W", "v", "order", "code"]
-    assert list(inspect.signature(smooth_columns).parameters).index("columns") == 4
     W, v, order = random_problem(np.random.default_rng(5))
     result = _kernels.local_m_rows(W, v, order, 1, HUBER_C, MAD_C, 1e-10, 200)
     assert isinstance(result, tuple) and len(result) == 2
     est, flags = result
     assert est.shape == flags.shape == (W.shape[0],)
     assert flags.dtype == np.int8
+
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return smooth_columns(*args, **kwargs)
+
+    monkeypatch.setattr(plm, "smooth_columns", recording)
+    ds = simulation.generate_sample(40, "C0", simulation.replication_rng(3, 0)).dataset
+    fitted = plm.fit(ds, 1.2)
+    fitted.predict_g(ds.t[:3])
+    bandwidth.rcv_score(ds, 1.2)
+    assert len(calls) == 3
+    assert all("columns" in kwargs for kwargs in calls)

@@ -261,7 +261,7 @@ def test_fit_keeps_the_given_smoother_config_and_predicts_at_its_own_bandwidth()
     """h is an argument, not a config field: a fit stores the caller's
     config as given, and its predictions smooth at the fit's bandwidth."""
     assert [f.name for f in dataclasses.fields(LocalFitConfig)] == [
-        "score", "mad_constant", "tol", "max_iterations"]
+        "score", "tol", "max_iterations"]
     ds, _ = random_cylinder_dataset(16, n=40, p=1)
     smoother = LocalFitConfig(score=ScoreFunction.huber(1.0))
     probe = ds.t[:5].copy()

@@ -238,6 +238,12 @@ def test_weight_function_huber_cutoff_q95():
     assert np.all(np.abs(w * norms - np.minimum(norms, cw)) < 1e-12)
 
 
+def test_weight_function_huber_gives_a_zero_norm_row_full_weight():
+    # min(1, cutoff / u) at u = 0, without a division by zero
+    w = WeightFunction.huber(2.0).weights(np.array([0.0, 1.0, 4.0]))
+    assert w.tolist() == [1.0, 1.0, 0.5]
+
+
 def test_weight_function_validation():
     with pytest.raises(ValueError):
         WeightFunction("huber", -1.0).validate()

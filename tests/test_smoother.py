@@ -16,7 +16,6 @@ from plmanifold.manifold import (
     row_blocks,
 )
 from plmanifold.smoother import (
-    KernelSpec,
     LocalFitConfig,
     ScoreFunction,
     conditional_ecdf,
@@ -24,6 +23,7 @@ from plmanifold.smoother import (
     local_m_estimate,
     local_mad,
     pelletier_weights,
+    quartic_kernel,
     raw_weight_matrix,
     smooth_columns,
     weighted_median,
@@ -33,21 +33,20 @@ from conftest import random_points, random_weights
 
 CIR = Manifold.circle()
 CYL = Manifold.cylinder((0.0, 1.0))
-QUAD = KernelSpec.quadratic()
 
 
-def quad_kernel(u):
-    # independent scalar oracle for the quadratic kernel
+def quartic_oracle(u):
+    # independent scalar oracle for the quartic kernel
     return 0.9375 * (1.0 - u * u) ** 2 if abs(u) < 1.0 else 0.0
 
 
 # ------------------------------------------------------------------ kernel
 
 def test_quadratic_kernel_values():
-    assert QUAD.evaluate(0.0) == pytest.approx(15.0 / 16.0, abs=1e-15)
-    assert QUAD.evaluate(0.5) == pytest.approx(quad_kernel(0.5), abs=1e-15)
-    assert QUAD.evaluate(1.0) == 0.0
-    assert QUAD.evaluate(1.5) == 0.0
+    assert quartic_kernel(0.0) == pytest.approx(15.0 / 16.0, abs=1e-15)
+    assert quartic_kernel(0.5) == pytest.approx(quartic_oracle(0.5), abs=1e-15)
+    assert quartic_kernel(1.0) == 0.0
+    assert quartic_kernel(1.5) == 0.0
 
 
 def test_quadratic_kernel_equals_the_masked_formula_bit_for_bit():
@@ -58,22 +57,16 @@ def test_quadratic_kernel_equals_the_masked_formula_bit_for_bit():
     inside = np.abs(u) < 1.0
     t = 1.0 - u[inside] ** 2
     ref[inside] = 0.9375 * t * t
-    got = QUAD.evaluate(u)
+    got = quartic_kernel(u)
     assert np.array_equal(got, ref)
     assert not np.any(np.signbit(got))
-
-
-def test_custom_kernel_validation():
-    bad = KernelSpec("custom", evaluator=lambda u: np.ones_like(u))  # no compact support
-    with pytest.raises(ValueError, match="vanish"):
-        bad.validate()
 
 
 # ----------------------------------------------------------------- weights
 
 def test_single_point_window_gets_unit_weight():
     t = circle_coords([0.0])[0]
-    w = pelletier_weights(CIR, QUAD, 1.0, t, t[None, :])
+    w = pelletier_weights(CIR, 1.0, t, t[None, :])
     assert w.shape == (1,)
     assert w[0] == 1.0
 
@@ -83,9 +76,9 @@ def test_circle_example_weights_match_scalar_oracle():
     sample = circle_coords([0.0, math.pi / 2, math.pi])
     t = circle_coords([0.0])[0]
     h = 2.0
-    raw = np.array([quad_kernel(0.0), quad_kernel(math.pi / 4), quad_kernel(math.pi / 2)])
+    raw = np.array([quartic_oracle(0.0), quartic_oracle(math.pi / 4), quartic_oracle(math.pi / 2)])
     expected = raw / raw.sum()
-    w = pelletier_weights(CIR, QUAD, h, t, sample)
+    w = pelletier_weights(CIR, h, t, sample)
     assert w == pytest.approx(expected, abs=1e-12)
     assert w[2] == 0.0
     assert abs(w.sum() - 1.0) < 1e-12
@@ -94,14 +87,14 @@ def test_circle_example_weights_match_scalar_oracle():
 def test_symmetric_pair_gets_equal_weights():
     sample = circle_coords([0.4, -0.4])
     t = circle_coords([0.0])[0]
-    w = pelletier_weights(CIR, QUAD, 1.0, t, sample)
+    w = pelletier_weights(CIR, 1.0, t, sample)
     assert w[0] == pytest.approx(w[1], abs=1e-15)
 
 
 def test_weights_zero_at_or_beyond_bandwidth():
     sample = circle_coords([0.0, 0.5, 1.0])
     t = circle_coords([0.0])[0]
-    w = pelletier_weights(CIR, QUAD, 0.5, t, sample)
+    w = pelletier_weights(CIR, 0.5, t, sample)
     assert w[1] == 0.0 and w[2] == 0.0
 
 
@@ -109,9 +102,9 @@ def test_permutation_of_sample_permutes_weights():
     rng = np.random.default_rng(2)
     sample = circle_coords(rng.uniform(0, 2 * np.pi, 20))
     t = circle_coords([1.0])[0]
-    w = pelletier_weights(CIR, QUAD, 2.0, t, sample)
+    w = pelletier_weights(CIR, 2.0, t, sample)
     perm = rng.permutation(20)
-    wp = pelletier_weights(CIR, QUAD, 2.0, t, sample[perm])
+    wp = pelletier_weights(CIR, 2.0, t, sample[perm])
     assert wp == pytest.approx(w[perm], abs=1e-15)
 
 
@@ -119,7 +112,7 @@ def test_weights_normalized_on_random_queries(rng):
     sample = cylinder_coords(rng.uniform(0, 2 * np.pi, 60), rng.uniform(0, 1, 60))
     for _ in range(100):
         t = cylinder_coords([rng.uniform(0, 2 * np.pi)], [rng.uniform(0, 1)])[0]
-        w = pelletier_weights(CYL, QUAD, 1.0, t, sample)
+        w = pelletier_weights(CYL, 1.0, t, sample)
         assert abs(w.sum() - 1.0) < 1e-12
         assert np.all(w >= 0)
 
@@ -128,7 +121,7 @@ def test_empty_window_error_carries_nearest_distance():
     sample = circle_coords([2.0, 2.5])
     t = circle_coords([0.0])[0]
     with pytest.raises(EmptyWindowError) as err:
-        pelletier_weights(CIR, QUAD, 0.5, t, sample)
+        pelletier_weights(CIR, 0.5, t, sample)
     assert err.value.nearest_distance == pytest.approx(2.0, abs=1e-12)
     assert err.value.indices == [0]
 
@@ -138,19 +131,19 @@ def test_window_weights_leave_one_out_leaves_the_distances_alone():
     sample = cylinder_coords(rng.uniform(0, 2 * np.pi, 15), rng.uniform(0, 1, 15))
     d = pairwise_distances(CYL, sample)
     before = d.copy()
-    W, totals = window_weights(CYL, QUAD, 1.5, sample, sample, leave_one_out=True,
+    W, totals = window_weights(CYL, 1.5, sample, sample, leave_one_out=True,
                                distances=d)
     assert np.all(np.diag(W) == 0.0)
     assert np.array_equal(totals, W.sum(axis=1))
     assert np.array_equal(d, before)
-    W_all, _ = window_weights(CYL, QUAD, 1.5, sample, sample, distances=d)
+    W_all, _ = window_weights(CYL, 1.5, sample, sample, distances=d)
     assert np.all(np.diag(W_all) == 0.9375)
     # the diagonal is a sample point's own weight only when the queries are the sample
     foreign = cylinder_coords(rng.uniform(0, 2 * np.pi, 10), rng.uniform(0, 1, 10))
     with pytest.raises(ValueError, match="leave_one_out"):
-        window_weights(CYL, QUAD, 1.5, foreign, sample, leave_one_out=True)
+        window_weights(CYL, 1.5, foreign, sample, leave_one_out=True)
     with pytest.raises(ValueError, match="leave_one_out"):
-        window_weights(CYL, QUAD, 1.5, sample.copy(), sample, leave_one_out=True,
+        window_weights(CYL, 1.5, sample.copy(), sample, leave_one_out=True,
                        distances=d)
 
 
@@ -172,16 +165,16 @@ def test_blocked_window_weights_equal_the_dense_kernel(manifold, h):
             assert len(list(row_blocks(nq, n))) > 3
         d_self = cross_distances(manifold, sample, sample)
         d_cross = cross_distances(manifold, queries, sample)
-        dense_self = raw_weight_matrix(manifold, QUAD, h, d_self)
+        dense_self = raw_weight_matrix(manifold, h, d_self)
         dense_loo = dense_self.copy()
         np.fill_diagonal(dense_loo, 0.0)
-        dense_cross = raw_weight_matrix(manifold, QUAD, h, d_cross)
+        dense_cross = raw_weight_matrix(manifold, h, d_cross)
         cases = [(sample, False, dense_self), (sample, True, dense_loo),
                  (queries, False, dense_cross)]
         for q, loo, dense in cases:
             d = d_cross if q is queries else d_self
             for given in (None, d):
-                W, totals = window_weights(manifold, QUAD, h, q, sample,
+                W, totals = window_weights(manifold, h, q, sample,
                                            leave_one_out=loo, distances=given)
                 assert np.max(np.abs(W - dense)) <= 1e-15
                 assert np.array_equal(totals, W.sum(axis=1))
@@ -195,7 +188,7 @@ def test_leave_one_out_empty_window_reports_the_nearest_other_point(given):
     d = pairwise_distances(CIR, sample)
     before = d.copy()
     with pytest.raises(EmptyWindowError) as err:
-        window_weights(CIR, QUAD, 0.3, sample, sample, leave_one_out=True,
+        window_weights(CIR, 0.3, sample, sample, leave_one_out=True,
                        distances=d if given else None)
     assert err.value.indices == [0, 1, 2]
     assert err.value.nearest_distance == pytest.approx(1.2, abs=1e-12)
@@ -205,9 +198,9 @@ def test_leave_one_out_empty_window_reports_the_nearest_other_point(given):
 def test_bandwidth_range_enforced():
     t = circle_coords([0.0])[0]
     with pytest.raises(ValueError, match="bandwidth"):
-        pelletier_weights(CIR, QUAD, math.pi, t, t[None, :])
+        pelletier_weights(CIR, math.pi, t, t[None, :])
     with pytest.raises(ValueError, match="bandwidth"):
-        pelletier_weights(CIR, QUAD, 0.0, t, t[None, :])
+        pelletier_weights(CIR, 0.0, t, t[None, :])
 
 
 # -------------------------------------------------------------------- ecdf
@@ -376,26 +369,37 @@ def test_scale_must_be_positive():
         local_m_estimate([0.5, 0.5], [0.0, 1.0], ScoreFunction.huber(), scale=0.0)
 
 
-# --------------------------------------------------------------- validation
+# ------------------------------------------------------------------ scores
 
-def test_score_validation_catches_even_function():
-    broken = ScoreFunction.custom("square", lambda u: np.asarray(u) ** 2,
-                                  lambda u: 2 * np.asarray(u))
-    with pytest.raises(ValueError, match="odd"):
-        broken.validate()
+BUILTIN_SCORES = [ScoreFunction.identity(), ScoreFunction.huber(), ScoreFunction.bisquare()]
+SCORE_IDS = ["identity", "huber", "bisquare"]
 
 
-def test_score_validation_catches_wrong_derivative():
-    broken = ScoreFunction.custom("odd", lambda u: np.asarray(u) ** 3,
-                                  lambda u: np.ones_like(np.asarray(u)), monotone=True)
-    with pytest.raises(ValueError, match="finite differences"):
-        broken.validate()
+@pytest.mark.parametrize("score", BUILTIN_SCORES, ids=SCORE_IDS)
+def test_builtin_score_properties(score):
+    """psi is odd, the monotone scores are nondecreasing, Huber's psi is
+    bounded by c, and psi' agrees with centred differences off the kinks."""
+    ref = score.c or 2.0
+    u = np.linspace(-50.0, 50.0, 2001)
+    assert np.array_equal(score.psi(-u), -score.psi(u))
+    if score.code != 2:
+        assert np.all(np.diff(score.psi(u)) >= 0.0)
+    if score.code == 1:
+        assert np.max(np.abs(score.psi(u))) == score.c
+    grid = np.linspace(-3.0 * ref, 3.0 * ref, 97)
+    if score.c is not None:
+        grid = grid[np.abs(np.abs(grid) - score.c) > 0.05]
+    step = 1e-6
+    fd = (score.psi(grid + step) - score.psi(grid - step)) / (2.0 * step)
+    assert np.max(np.abs(fd - score.psi_prime(grid))) <= 1e-6
 
 
-def test_builtin_scores_pass_validation():
-    ScoreFunction.huber().validate()
-    ScoreFunction.bisquare().validate()
-    ScoreFunction.identity().validate()
+@pytest.mark.parametrize("make", [ScoreFunction.huber, ScoreFunction.bisquare],
+                         ids=["huber", "bisquare"])
+@pytest.mark.parametrize("c", [0.0, -2.0, np.inf, np.nan])
+def test_score_constant_must_be_finite_and_positive(make, c):
+    with pytest.raises(ValueError, match=f"{make.__name__} constant must be finite"):
+        make(c)
 
 
 def test_huber_psi_prime_zero_at_kink():
@@ -421,7 +425,7 @@ def test_identity_smoother_equals_direct_kernel_mean():
         values = rng.normal(size=n)
         queries = cylinder_coords(rng.uniform(0, 2 * np.pi, 7), rng.uniform(0, 1, 7))
         cfg = LocalFitConfig(score=ScoreFunction.identity())
-        est = fit_smoother(CYL, QUAD, 1.5, sample, values, queries, cfg)
+        est = fit_smoother(CYL, 1.5, sample, values, queries, cfg)
         oracle = classical_nw_oracle(CYL, 1.5, sample, values, queries)
         assert est == pytest.approx(oracle, abs=1e-10)
 
@@ -433,7 +437,7 @@ def test_robust_smoother_with_identity_matches_classical_pointwise():
         sample = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
         values = rng.normal(size=n)
         cfg = LocalFitConfig(score=ScoreFunction.identity())
-        est = fit_smoother(CYL, QUAD, 1.2, sample, values, sample, cfg)
+        est = fit_smoother(CYL, 1.2, sample, values, sample, cfg)
         oracle = classical_nw_oracle(CYL, 1.2, sample, values, sample)
         assert est == pytest.approx(oracle, abs=1e-10)
 
@@ -443,8 +447,8 @@ def test_smoother_shift_equivariance(rng):
     sample = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
     values = rng.normal(size=n)
     cfg = LocalFitConfig()
-    base = fit_smoother(CYL, QUAD, 1.0, sample, values, sample, cfg)
-    shifted = fit_smoother(CYL, QUAD, 1.0, sample, values + 11.25, sample, cfg)
+    base = fit_smoother(CYL, 1.0, sample, values, sample, cfg)
+    shifted = fit_smoother(CYL, 1.0, sample, values + 11.25, sample, cfg)
     assert shifted == pytest.approx(base + 11.25, abs=1e-9)
 
 
@@ -453,9 +457,9 @@ def test_smoother_scale_equivariance(rng):
     sample = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
     values = rng.normal(size=n)
     cfg = LocalFitConfig()
-    base = fit_smoother(CYL, QUAD, 1.0, sample, values, sample, cfg)
+    base = fit_smoother(CYL, 1.0, sample, values, sample, cfg)
     lam = 2.75
-    scaled = fit_smoother(CYL, QUAD, 1.0, sample, lam * values, sample, cfg)
+    scaled = fit_smoother(CYL, 1.0, sample, lam * values, sample, cfg)
     assert scaled == pytest.approx(lam * base, abs=1e-9)
 
 
@@ -464,7 +468,7 @@ def test_smoother_estimates_bounded_by_data(rng):
     sample = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
     values = rng.normal(size=n)
     cfg = LocalFitConfig()
-    est = fit_smoother(CYL, QUAD, 0.8, sample, values, sample, cfg)
+    est = fit_smoother(CYL, 0.8, sample, values, sample, cfg)
     assert np.all(est >= values.min() - 1e-12)
     assert np.all(est <= values.max() + 1e-12)
 
@@ -474,7 +478,7 @@ def test_degenerate_window_falls_back_to_median_and_flags():
     sample = cylinder_coords([0.0, 0.01, 3.1], [0.5, 0.5, 0.5])
     values = np.array([2.0, 2.0, 9.0])
     cfg = LocalFitConfig()
-    est, flags = fit_smoother(CYL, QUAD, 0.5, sample, values,
+    est, flags = fit_smoother(CYL, 0.5, sample, values,
                               sample[:1], cfg, return_flags=True)
     assert est[0] == 2.0
     assert flags[0] == 1
@@ -487,10 +491,10 @@ def test_convergence_error_tagged_with_query_index():
     values = rng.normal(size=n) + np.linspace(0, 5, n)
     cfg = LocalFitConfig(score=ScoreFunction.bisquare(), max_iterations=1)
     with pytest.raises(ConvergenceError) as err:
-        fit_smoother(CYL, QUAD, 2.0, sample, values, sample, cfg)
+        fit_smoother(CYL, 2.0, sample, values, sample, cfg)
     assert err.value.indices
     with pytest.raises(ConvergenceError) as batched:
-        smooth_columns(CYL, QUAD, 2.0, sample, np.column_stack([values, values]), cfg)
+        smooth_columns(CYL, 2.0, sample, np.column_stack([values, values]), cfg)
     assert batched.value.indices == err.value.indices
 
 
@@ -498,7 +502,7 @@ def test_smoother_length_mismatch():
     sample = cylinder_coords([0.0, 1.0], [0.2, 0.8])
     cfg = LocalFitConfig()
     with pytest.raises(ValueError, match="length mismatch"):
-        fit_smoother(CYL, QUAD, 1.0, sample, np.array([1.0]), sample, cfg)
+        fit_smoother(CYL, 1.0, sample, np.array([1.0]), sample, cfg)
 
 
 def test_sphere_smoother_applies_volume_density_correction():
@@ -510,7 +514,7 @@ def test_sphere_smoother_applies_volume_density_correction():
     queries = sample[:5]
     h = 1.5
     cfg = LocalFitConfig(score=ScoreFunction.identity())
-    est = fit_smoother(sph, QUAD, h, sample, values, queries, cfg)
+    est = fit_smoother(sph, h, sample, values, queries, cfg)
 
     # direct oracle: K(d/h) divided by sin(r)/r, then normalized
     d = cross_distances(sph, queries, sample)
@@ -526,17 +530,23 @@ def test_sphere_smoother_applies_volume_density_correction():
 
 # ------------------------------------------------------- reweighting weight
 
-def _cauchy():
-    return ScoreFunction.custom("cauchy", lambda u: u / (1.0 + u * u),
-                                lambda u: (1.0 - u * u) / (1.0 + u * u) ** 2)
+def _closed_form_weight(score, u):
+    if score.code == 1:
+        return np.minimum(1.0, score.c / np.abs(u))
+    if score.code == 2:
+        return np.where(np.abs(u) < score.c, (1.0 - (u / score.c) ** 2) ** 2, 0.0)
+    return np.ones_like(u)
 
 
-@pytest.mark.parametrize("score", [
-    ScoreFunction.identity(), ScoreFunction.huber(), ScoreFunction.bisquare(), _cauchy(),
-], ids=["identity", "huber", "bisquare", "custom"])
+@pytest.mark.parametrize("score", BUILTIN_SCORES, ids=SCORE_IDS)
 def test_score_weight_is_psi_over_u_continued_by_the_slope_at_zero(score):
+    """The weight is its closed form bit for bit; that is psi(u) / u to
+    rounding (exactly for identity and Huber), and psi'(0) near zero."""
     u = np.array([-9.0, -4.685, -1.345, -0.2, 2e-10, 1e-3, 0.7, 1.345, 3.0, 20.0])
-    assert np.array_equal(score.weight(u), score.psi(u) / u)
+    weight = score.weight(u)
+    assert np.array_equal(weight, _closed_form_weight(score, u))
+    rtol = 4e-16 if score.code == 2 else 0.0
+    np.testing.assert_allclose(weight, score.psi(u) / u, rtol=rtol, atol=0.0)
     at_zero = np.array([0.0, 1e-10, -1e-10, 3e-11])
     assert np.array_equal(score.weight(at_zero),
                           np.full(at_zero.size, float(score.psi_prime(0.0))))
