@@ -23,7 +23,6 @@ from .inference import (
 )
 from .manifold import (
     Manifold,
-    ManifoldPoint,
     circle_coords,
     cylinder_coords,
     geodesic_distance,
@@ -54,7 +53,6 @@ from .simulation import (
 from .smoother import (
     LocalFitConfig,
     ScoreFunction,
-    conditional_ecdf,
     fit_smoother,
     local_m_estimate,
     local_mad,
@@ -76,7 +74,6 @@ __all__ = [
     "estimate_covariance",
     "wald_test",
     "Manifold",
-    "ManifoldPoint",
     "circle_coords",
     "cylinder_coords",
     "geodesic_distance",
@@ -105,7 +102,6 @@ __all__ = [
     "sample_to_csv",
     "LocalFitConfig",
     "ScoreFunction",
-    "conditional_ecdf",
     "fit_smoother",
     "local_m_estimate",
     "local_mad",

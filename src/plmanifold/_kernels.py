@@ -1,7 +1,8 @@
 """The local M-step, batched over rows: the one implementation in the package.
 
 Given a raw kernel-weight matrix W (one row per query point, columns indexed
-like the shared value vector v), each row is normalized and solved for the
+like the shared value vector v; ``smoother.smooth_columns`` passes one row
+block of the weights at a time), each row is normalized and solved for the
 local M-estimate: weighted median, weighted MAD, then either Illinois regula
 falsi on the monotone score equation or a reweighting fixed point for a
 redescending score.  Each row is solved for its offset from the weighted
@@ -13,7 +14,7 @@ The kernel has compact support, so most of each row of W is zero.
 `window_rows` therefore gathers each row's positive weights, with their
 values in ascending order, into a (rows, width) window; every later step
 works on that window only.  The cost is rows x window width x iterations,
-where width is the largest window, not the n columns of W.
+where width is the largest window of the block, not the n columns of W.
 
 The pieces (`window_rows`, `median_rows`, `mad_rows`, `illinois_rows`,
 `reweight_rows`) work on weights as given, with per-row values V that

@@ -48,9 +48,10 @@ def estimate_covariance(fit: PLMFit) -> AsymptoticCovariance:
     """Sandwich covariance of the fitted regression coefficients.
 
     Uses the score and design weight the fit was estimated with
-    (``fit.gm_config``), so a classical fit gets the identity-score
-    reduction.  Raises SingularMatrixError when the A matrix is numerically
-    singular.
+    (``fit.gm_config``), at the cutoff the regression step resolved
+    (``fit.regression.w1_cutoff``), so a classical fit gets the
+    identity-score reduction.  Raises SingularMatrixError when the A matrix
+    is numerically singular.
     """
     ds = fit.dataset
     if ds.p == 0:
@@ -75,7 +76,7 @@ def estimate_covariance(fit: PLMFit) -> AsymptoticCovariance:
         u = eps / s
 
     norms = np.linalg.norm(eta, axis=1)
-    w = w1.weights(norms)
+    w = w1.weights(norms, fit.regression.w1_cutoff)
     A = _sym((eta * (score.psi_prime(u) * w)[:, None]).T @ eta / n)
     M = _sym((eta * (w ** 2)[:, None]).T @ eta / n)
     Sigma = float(np.mean(score.psi(u) ** 2)) * M

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DomainError, InvalidPointError
 
 ON_MANIFOLD_TOL = 1e-9
-BLOCK_CELLS = 1 << 16  # matrix cells per block of the blocked n x n loops
+BLOCK_CELLS = 1 << 16  # matrix cells per block of `row_blocks`
 
 EUCLIDEAN = "euclidean"
 CIRCLE = "circle"
@@ -68,23 +68,6 @@ class Manifold:
         return cls(CYLINDER, 2, 3, (lo, hi))
 
 
-@dataclass(frozen=True)
-class ManifoldPoint:
-    """A point given by its ambient coordinate vector."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", np.asarray(self.coords, dtype=float))
-
-
-def as_coords(point) -> np.ndarray:
-    """Coordinate array of a ManifoldPoint or array-like."""
-    if isinstance(point, ManifoldPoint):
-        return point.coords
-    return np.asarray(point, dtype=float)
-
-
 def injectivity_radius(manifold: Manifold) -> float:
     """Largest radius with unique minimizing geodesics; caps the bandwidth."""
     if manifold.kind == EUCLIDEAN:
@@ -92,30 +75,15 @@ def injectivity_radius(manifold: Manifold) -> float:
     return math.pi
 
 
-def diameter(manifold: Manifold) -> float:
-    if manifold.kind == EUCLIDEAN:
-        return math.inf
-    if manifold.kind == CYLINDER:
-        lo, hi = manifold.height_interval
-        return math.hypot(math.pi, hi - lo)
-    return math.pi
-
-
 def validate_coords(manifold: Manifold, points, name: str = "point") -> np.ndarray:
     """Check point invariants and return a float array of shape (n, ambient_dim).
 
-    Accepts a single coordinate vector, a batch, a ManifoldPoint or a
-    sequence of ManifoldPoints.  Raises InvalidPointError naming the violated
-    constraint.
+    Accepts a single coordinate vector or a batch.  Raises InvalidPointError
+    naming the violated constraint.
     """
-    if isinstance(points, ManifoldPoint):
-        arr = points.coords[None, :]
-    elif isinstance(points, (list, tuple)) and points and isinstance(points[0], ManifoldPoint):
-        arr = np.asarray([p.coords for p in points], dtype=float)
-    else:
-        arr = np.asarray(points, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[None, :]
+    arr = np.asarray(points, dtype=float)
+    if arr.ndim == 1:
+        arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != manifold.ambient_dim:
         raise InvalidPointError(
             f"{name}: expected {manifold.ambient_dim} ambient coordinates, "
@@ -156,8 +124,10 @@ def validate_coords(manifold: Manifold, points, name: str = "point") -> np.ndarr
 
 def _circle_arc(a, b):
     # a, b: (na, 2), (nb, 2) unit vectors; (na, nb) arc lengths in [0, pi] from
-    # one angle per point, exactly symmetric in a and b
-    d = np.abs(np.arctan2(a[:, 1], a[:, 0])[:, None] - np.arctan2(b[:, 1], b[:, 0]))
+    # one angle per point, exactly symmetric in a and b; in place, since every
+    # block-sized temporary costs page faults
+    d = np.arctan2(a[:, 1], a[:, 0])[:, None] - np.arctan2(b[:, 1], b[:, 0])
+    np.abs(d, out=d)
     return np.minimum(d, 2.0 * np.pi - d, out=d)
 
 
@@ -191,39 +161,31 @@ def cross_distances(manifold: Manifold, a: np.ndarray, b: np.ndarray) -> np.ndar
     return np.sqrt(d, out=d)
 
 
-def row_blocks(rows: int, cols: int, upper: bool = False):
+def row_blocks(rows: int, cols: int):
     """(start, stop) row ranges of a rows x cols matrix, each block at most
-    ``BLOCK_CELLS`` cells (or one row).  With ``upper`` a block from row s
-    spans columns s: only, the upper triangle of a symmetric matrix."""
-    s = 0
-    while s < rows:
-        width = cols - s if upper else cols
-        stop = min(rows, s + max(1, BLOCK_CELLS // max(width, 1)))
-        yield s, stop
-        s = stop
+    ``BLOCK_CELLS`` cells (or one row)."""
+    step = max(1, BLOCK_CELLS // max(cols, 1))
+    for s in range(0, rows, step):
+        yield s, min(rows, s + step)
 
 
 def pairwise_distances(manifold: Manifold, points: np.ndarray) -> np.ndarray:
-    """Symmetric geodesic distance matrix of one validated coordinate batch.
-
-    Only the upper triangle is computed, in ``row_blocks``, and each block is
-    mirrored into the lower triangle; the blocks also keep
-    ``cross_distances``' temporaries at block size instead of n x n.
-    """
+    """Symmetric geodesic distance matrix of one validated coordinate batch,
+    filled in ``row_blocks`` so that ``cross_distances``' temporaries stay
+    block-sized.  Every ``cross_distances`` form is exactly symmetric in its
+    arguments, so the matrix is too."""
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     D = np.empty((n, n))
-    for s, e in row_blocks(n, n, upper=True):
-        block = cross_distances(manifold, points[s:e], points[s:])
-        D[s:e, s:] = block
-        D[s:, s:e] = block.T
+    for s, e in row_blocks(n, n):
+        D[s:e] = cross_distances(manifold, points[s:e], points)
     return D
 
 
 def geodesic_distance(manifold: Manifold, p, q) -> float:
     """Geodesic distance between two points (validates both)."""
-    a = validate_coords(manifold, as_coords(p), name="p")
-    b = validate_coords(manifold, as_coords(q), name="q")
+    a = validate_coords(manifold, p, name="p")
+    b = validate_coords(manifold, q, name="q")
     return float(cross_distances(manifold, a, b)[0, 0])
 
 
@@ -245,8 +207,8 @@ def volume_density_from_distance(manifold: Manifold, r):
 
 def volume_density(manifold: Manifold, p, q) -> float:
     """Volume density at q relative to p; requires d(p, q) < injectivity radius."""
-    a = validate_coords(manifold, as_coords(p), name="p")
-    b = validate_coords(manifold, as_coords(q), name="q")
+    a = validate_coords(manifold, p, name="p")
+    b = validate_coords(manifold, q, name="q")
     r = float(cross_distances(manifold, a, b)[0, 0])
     inj = injectivity_radius(manifold)
     if r >= inj:

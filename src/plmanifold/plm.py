@@ -17,7 +17,7 @@ from .errors import (
     InsufficientDataError,
     SingularDesignError,
 )
-from .manifold import Manifold, as_coords, validate_coords
+from .manifold import Manifold, validate_coords
 from .robust_linear import (
     GMConfig,
     RegressionResult,
@@ -222,7 +222,7 @@ def _null_regression(r: np.ndarray) -> RegressionResult:
         scale = residual_scale(r) if r.size >= 2 else 0.0
     except DegenerateScaleError:
         scale = 0.0
-    return RegressionResult(np.zeros(0), scale, r.copy(), True, 0, None, "none")
+    return RegressionResult(np.zeros(0), scale, r.copy(), True, 0)
 
 
 def predict_g(fit_result: PLMFit, t):
@@ -233,7 +233,7 @@ def predict_g(fit_result: PLMFit, t):
     query falls outside every kernel window.
     """
     ds = fit_result.dataset
-    coords = as_coords(t)
+    coords = np.asarray(t, dtype=float)
     single = coords.ndim == 1
     queries = validate_coords(ds.manifold, coords, name="query")
     est, _, _ = smooth_dataset(ds, fit_result.bandwidth, fit_result.smoother_config,
@@ -245,9 +245,10 @@ def predict_g(fit_result: PLMFit, t):
 def predict_y(fit_result: PLMFit, x, t):
     """Predicted response x' beta + g(t)."""
     x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
     p = fit_result.dataset.p
-    single = x.ndim <= 1 and as_coords(t).ndim == 1
-    xmat = x.reshape(-1, p) if p else np.zeros((np.atleast_2d(as_coords(t)).shape[0], 0))
+    single = x.ndim <= 1 and t.ndim == 1
+    xmat = x.reshape(-1, p) if p else np.zeros((np.atleast_2d(t).shape[0], 0))
     g = predict_g(fit_result, t)
     out = xmat @ fit_result.beta + np.atleast_1d(g)
     return float(out[0]) if single else out

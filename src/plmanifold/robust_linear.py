@@ -6,9 +6,9 @@ Solves the weighted score equation
 
 by iteratively reweighted least squares.  The scale s_n is the residual MAD,
 re-estimated at every reweighting step (a scale frozen at the least-squares
-start inherits that start's vulnerability to outliers); a fixed numeric
-scale can be supplied instead.  With the identity score and w1 = 1 the
-solution is ordinary least squares, returned without reweighting.
+start inherits that start's vulnerability to outliers).  With the identity
+score and w1 = 1 the solution is ordinary least squares, returned without
+reweighting.
 """
 
 from __future__ import annotations
@@ -26,13 +26,24 @@ class WeightFunction:
     """Design weight w1 applied to ||eta_i||, valued in [0, 1].
 
     ``one`` is the plain M-estimator.  ``huber`` downweights high-leverage
-    rows as min(1, cutoff / u), the Huber score's weight; the cutoff may be
-    a number or the string "q95", resolved at fit time as the 0.95 quantile
-    of the observed norms.
+    rows as min(1, cutoff / u), the Huber score's weight; the cutoff is a
+    finite positive number or the string "q95", resolved at fit time as the
+    0.95 quantile of the observed norms.  Any other name or cutoff raises
+    ValueError.
     """
 
     name: str = "one"
     cutoff: float | str | None = None
+
+    def __post_init__(self):
+        if self.name not in ("one", "huber"):
+            raise ValueError(f"unknown weight function {self.name!r}")
+        if self.name == "huber":
+            if isinstance(self.cutoff, str):
+                if self.cutoff.lower() != "q95":
+                    raise ValueError(f"unknown cutoff rule {self.cutoff!r}")
+            elif self.cutoff is None or not 0 < float(self.cutoff) < np.inf:
+                raise ValueError("huber weight cutoff must be finite and positive")
 
     @classmethod
     def one(cls) -> "WeightFunction":
@@ -56,44 +67,22 @@ class WeightFunction:
         cw = self.resolve_cutoff(norms) if cutoff is None else float(cutoff)
         return ScoreFunction.huber(cw).weight(norms)
 
-    def validate(self) -> None:
-        if self.name not in ("one", "huber"):
-            raise ValueError(f"unknown weight function {self.name!r}")
-        if self.name == "huber":
-            if isinstance(self.cutoff, str):
-                if self.cutoff.lower() != "q95":
-                    raise ValueError(f"unknown cutoff rule {self.cutoff!r}")
-            elif self.cutoff is None or not 0 < float(self.cutoff) < np.inf:
-                raise ValueError("huber weight cutoff must be finite and positive")
-
 
 @dataclass(frozen=True)
 class GMConfig:
-    """Configuration of the regression M-step.
-
-    ``scale`` is either "mad" (residual MAD, re-estimated at every
-    reweighting step) or a fixed positive number.  ``init`` is "ols" or an
-    explicit coefficient vector.
+    """Configuration of the regression M-step: the score, the design weight,
+    and the reweighting's stopping rule.  The start is least squares and the
+    scale is the residual MAD, re-estimated at every reweighting step.
     """
 
     score: ScoreFunction = field(default_factory=ScoreFunction.huber)
     w1: WeightFunction = field(default_factory=WeightFunction.one)
-    scale: float | str = "mad"
     tol: float = 1e-8
     max_iterations: int = 100
-    init: str | tuple = "ols"
 
     def __post_init__(self):
-        self.w1.validate()
-        if isinstance(self.scale, str):
-            if self.scale != "mad":
-                raise ValueError(f"unknown scale rule {self.scale!r}")
-        elif not float(self.scale) > 0:
-            raise ValueError("fixed scale must be positive")
         if not self.tol > 0 or self.max_iterations < 1:
             raise ValueError("need tol > 0 and max_iterations >= 1")
-        if isinstance(self.init, str) and self.init != "ols":
-            raise ValueError(f"unknown init policy {self.init!r}")
 
 
 @dataclass
@@ -104,7 +93,6 @@ class RegressionResult:
     converged: bool
     iterations: int
     w1_cutoff: float | None = None
-    method: str = "gm"
 
 
 def residual_scale(residuals) -> float:
@@ -150,7 +138,7 @@ def ols_estimate(r, eta) -> RegressionResult:
         scale = residual_scale(residuals)
     except DegenerateScaleError:
         scale = 0.0  # exact or half-degenerate fit; recorded as-is
-    return RegressionResult(beta, scale, residuals, True, 0, None, "ols")
+    return RegressionResult(beta, scale, residuals, True, 0)
 
 
 def gm_estimate(r, eta, config: GMConfig | None = None) -> RegressionResult:
@@ -158,31 +146,25 @@ def gm_estimate(r, eta, config: GMConfig | None = None) -> RegressionResult:
 
     The identity score with w1 = 1 returns the least-squares start itself.
     An exact linear fit is returned immediately with zero residuals, since it
-    solves the score equation exactly.  With the "mad" scale rule the scale
-    shrinks with the residuals across iterations, so a contaminated
-    least-squares start does not poison the influence bound.
+    solves the score equation exactly.  The MAD scale shrinks with the
+    residuals across iterations, so a contaminated least-squares start does
+    not poison the influence bound.
     """
     config = config or GMConfig()
     r, eta = _check_design(r, eta)
-    n, p = eta.shape
-
     start = ols_estimate(r, eta)  # raises SingularDesignError on bad designs
     if config.score.code == 0 and config.w1.name == "one":
         return start
-    beta = start.beta if isinstance(config.init, str) else np.asarray(config.init, dtype=float)
-    res = r - eta @ beta
+    beta = start.beta
+    res = start.residuals
     norms = np.linalg.norm(eta, axis=1)
     cutoff = config.w1.resolve_cutoff(norms)
     wd = config.w1.weights(norms, cutoff)
 
-    iterate_scale = isinstance(config.scale, str)
     exact_tol = 1e-12 * float(np.max(np.abs(r), initial=0.0))
-    if iterate_scale:
-        if np.max(np.abs(res)) <= exact_tol:
-            return RegressionResult(beta, 0.0, res, True, 0, cutoff, "gm")
-        s = residual_scale(res)
-    else:
-        s = float(config.scale)
+    if np.max(np.abs(res)) <= exact_tol:
+        return RegressionResult(beta, 0.0, res, True, 0, cutoff)
+    s = residual_scale(res)
 
     last_step = np.inf
     for it in range(1, config.max_iterations + 1):
@@ -196,12 +178,11 @@ def gm_estimate(r, eta, config: GMConfig | None = None) -> RegressionResult:
         last_step = float(np.linalg.norm(beta_new - beta) / max(1.0, np.linalg.norm(beta_new)))
         beta = beta_new
         res = r - eta @ beta
-        if iterate_scale:
-            if np.max(np.abs(res)) <= exact_tol:
-                return RegressionResult(beta, 0.0, res, True, it, cutoff, "gm")
-            s = residual_scale(res)
+        if np.max(np.abs(res)) <= exact_tol:
+            return RegressionResult(beta, 0.0, res, True, it, cutoff)
+        s = residual_scale(res)
         if last_step < config.tol:
-            return RegressionResult(beta, s, res, True, it, cutoff, "gm")
+            return RegressionResult(beta, s, res, True, it, cutoff)
     raise ConvergenceError(
         f"reweighting did not converge in {config.max_iterations} iterations "
         f"(last relative step {last_step:.3e})",
@@ -209,14 +190,3 @@ def gm_estimate(r, eta, config: GMConfig | None = None) -> RegressionResult:
         residual=last_step,
     )
 
-
-def estimating_equation(result: RegressionResult, eta, config: GMConfig) -> np.ndarray:
-    """Value of (1/n) sum_i psi(res_i/s) w1(||eta_i||) eta_i at the estimate."""
-    eta = np.asarray(eta, dtype=float)
-    if eta.ndim == 1:
-        eta = eta[:, None]
-    norms = np.linalg.norm(eta, axis=1)
-    wd = config.w1.weights(norms, result.w1_cutoff)
-    s = result.scale if result.scale > 0 else 1.0
-    psi = config.score.psi(result.residuals / s)
-    return (eta * (psi * wd)[:, None]).mean(axis=0)

@@ -1,7 +1,8 @@
 """Kernel-weighted local statistics and robust local M-smoothers.
 
 The local fit at a query point composes three pieces: normalized quartic
-kernel weights built from geodesic distances and the volume density, a
+kernel weights built from geodesic distances and the volume density, one
+block of query rows at a time (`window_weights`, so no n x n array is made), a
 weighted median / weighted MAD pair giving the robust local scale, and a
 score equation solved by Illinois regula falsi (Huber) or reweighting
 (bisquare), all in the batched engine of ``_kernels``.  With the identity
@@ -19,7 +20,6 @@ from . import _kernels
 from .errors import ConvergenceError, EmptyWindowError
 from .manifold import (
     Manifold,
-    as_coords,
     cross_distances,
     injectivity_radius,
     row_blocks,
@@ -34,9 +34,15 @@ MAD_CONSISTENCY = 1.4826
 
 def quartic_kernel(u):
     """The smoothing kernel K(u) = 0.9375 (1 - u^2)^2 on |u| < 1, 0 elsewhere,
-    in a new array."""
-    t = np.maximum(1.0 - u * u, 0.0)
-    return 0.9375 * t * t
+    in a new array.  Works in place on one copy of u: block-sized
+    temporaries cost page faults, not just arithmetic."""
+    t = np.array(u, dtype=float)
+    t *= t
+    np.subtract(1.0, t, out=t)
+    np.maximum(t, 0.0, out=t)
+    k = 0.9375 * t
+    k *= t
+    return k
 
 
 _SCORE_NAMES = ("identity", "huber", "bisquare")
@@ -165,52 +171,46 @@ def raw_weight_matrix(manifold: Manifold, h: float, distances: np.ndarray) -> np
 
 def window_weights(manifold: Manifold, h: float, queries: np.ndarray, sample: np.ndarray,
                    leave_one_out: bool = False, distances: np.ndarray | None = None):
-    """Raw kernel weights of every query row against the sample, with their
-    row totals.
+    """Raw kernel weights of the query rows against the sample, one row block
+    at a time.
 
-    W is filled in ``row_blocks``: each block's distances are sliced from
-    ``distances`` (the queries x sample matrix) when given and computed from
-    the coordinates otherwise, so the kernel's temporaries stay block-sized.
-    When ``queries is sample`` only blocks on and above the diagonal are
-    computed and each is mirrored.  ``leave_one_out`` zeroes the diagonal
-    weight; it raises ValueError unless ``queries is sample``.  Returns
-    (W, totals).  Raises EmptyWindowError listing every query index whose
-    window is empty, with the smallest bandwidth that would cover them all
-    as ``nearest_distance``.
+    Yields (start, stop, W, totals) for each block of ``row_blocks``: W holds
+    the weights of query rows start:stop against every sample point and
+    totals their row sums.  A block's distances are a slice of ``distances``
+    (the queries x sample matrix) when given and are computed from the
+    coordinates otherwise, so no array larger than a block is made.
+    ``leave_one_out`` zeroes each query's weight on itself; it raises
+    ValueError unless ``queries is sample``.  After the last block, raises
+    EmptyWindowError listing every query index whose window is empty, with
+    the smallest bandwidth that would cover them all as
+    ``nearest_distance``; no block is yielded once an empty window is found.
     """
-    symmetric = queries is sample
-    if leave_one_out and not symmetric:
+    if leave_one_out and queries is not sample:
         raise ValueError("leave_one_out needs the sample itself as the queries")
-    nq, n = queries.shape[0], sample.shape[0]
-    W = np.empty((nq, n))
-    for s, e in row_blocks(nq, n, upper=symmetric):
-        c = s if symmetric else 0
-        d = (cross_distances(manifold, queries[s:e], sample[c:]) if distances is None
-             else distances[s:e, c:])
-        k = raw_weight_matrix(manifold, h, d)
-        if e - s == nq:  # one block holds every row: it is W, no copy
-            W = k
-            break
-        W[s:e, c:] = k
-        if symmetric:
-            W[e:, s:e] = k[:, e - s:].T
-    if leave_one_out:
-        np.fill_diagonal(W, 0.0)
-    totals = W.sum(axis=1)
-    empty = np.flatnonzero(totals <= 0.0)
-    if empty.size:
-        d = (cross_distances(manifold, queries[empty], sample) if distances is None
-             else distances[empty])
+    empty, nearest = [], 0.0
+    for s, e in row_blocks(queries.shape[0], sample.shape[0]):
+        d = (cross_distances(manifold, queries[s:e], sample) if distances is None
+             else distances[s:e])
+        W = raw_weight_matrix(manifold, h, d)
         if leave_one_out:
-            d[np.arange(empty.size), empty] = np.inf
-        h_min = float(d.min(axis=1).max())
+            np.fill_diagonal(W[:, s:e], 0.0)
+        totals = W.sum(axis=1)
+        hollow = np.flatnonzero(totals <= 0.0)
+        if hollow.size:
+            near = d[hollow]  # a copy: a given matrix stays untouched
+            if leave_one_out:
+                near[np.arange(hollow.size), s + hollow] = np.inf
+            nearest = max(nearest, float(near.min(axis=1).max()))
+            empty.extend((s + hollow).tolist())
+        elif not empty:
+            yield s, e, W, totals
+    if empty:
         raise EmptyWindowError(
-            f"empty kernel window at query indices {empty.tolist()}; "
-            f"the bandwidth must exceed {h_min:.6g}",
-            nearest_distance=h_min,
-            indices=empty.tolist(),
+            f"empty kernel window at query indices {empty}; "
+            f"the bandwidth must exceed {nearest:.6g}",
+            nearest_distance=nearest,
+            indices=empty,
         )
-    return W, totals
 
 
 def pelletier_weights(manifold: Manifold, h: float, t, sample) -> np.ndarray:
@@ -220,32 +220,10 @@ def pelletier_weights(manifold: Manifold, h: float, t, sample) -> np.ndarray:
     sample point falls within bandwidth h of t.
     """
     h = check_bandwidth(manifold, h)
-    tq = validate_coords(manifold, as_coords(t), name="query")
+    tq = validate_coords(manifold, t, name="query")
     pts = validate_coords(manifold, sample, name="sample")
-    W, totals = window_weights(manifold, h, tq, pts)
+    [(_, _, W, totals)] = window_weights(manifold, h, tq, pts)
     return W[0] / totals[0]
-
-
-class ConditionalECDF:
-    """Right-continuous weighted empirical distribution function."""
-
-    def __init__(self, weights, values):
-        w, v = _check_weight_pair(weights, values)
-        order = np.argsort(v, kind="stable")
-        self.support = v[order]
-        self.cumulative = np.cumsum(w[order])
-
-    def __call__(self, y):
-        y = np.asarray(y, dtype=float)
-        idx = np.searchsorted(self.support, y, side="right")
-        padded = np.concatenate([[0.0], self.cumulative])
-        out = padded[idx]
-        return float(out) if out.ndim == 0 else out
-
-
-def conditional_ecdf(weights, values) -> ConditionalECDF:
-    """Weighted conditional ECDF as a callable step function."""
-    return ConditionalECDF(weights, values)
 
 
 def _sorted_row(w, v):
@@ -306,16 +284,16 @@ def smooth_columns(manifold: Manifold, h: float, sample: np.ndarray,
                    queries: np.ndarray | None = None,
                    leave_one_out: bool = False,
                    distances: np.ndarray | None = None):
-    """Smooth several value columns at bandwidth h at once, sharing the
-    weight matrix.
+    """Smooth several value columns at bandwidth h at once, one row block
+    of kernel weights (`window_weights`) at a time.
 
     ``sample`` are validated training coordinates, ``columns`` an (n, k)
     value matrix, ``config`` the local fit's score and solver settings,
     ``queries`` validated query coordinates (defaults to the sample itself).
     ``leave_one_out`` zeroes the diagonal weight, which requires the default
     queries.  ``distances``, the queries x sample geodesic matrix, lets a
-    caller that smooths at several bandwidths share it; without it the
-    weights are built from the coordinates (`window_weights`).
+    caller that smooths at several bandwidths share it; without it each
+    block's distances are built from the coordinates.
     Returns (estimates, flags), both of shape (n_queries, k); flag 1 marks a
     degenerate local MAD (weighted-median fallback).
 
@@ -330,21 +308,22 @@ def smooth_columns(manifold: Manifold, h: float, sample: np.ndarray,
         columns = columns[:, None]
     if queries is None:
         queries = sample
-    W, totals = window_weights(manifold, h, queries, sample, leave_one_out, distances)
 
-    nq, k = W.shape[0], columns.shape[1]
+    nq, k = queries.shape[0], columns.shape[1]
     estimates = np.empty((nq, k))
     flags = np.zeros((nq, k), dtype=np.int8)
     score = config.score
-    for j in range(k):
-        v = columns[:, j]
+    orders = [np.argsort(columns[:, j]) for j in range(k)] if score.code else []
+    for s, e, W, totals in window_weights(manifold, h, queries, sample, leave_one_out,
+                                          distances):
         if score.code == 0:
-            estimates[:, j] = (W @ v) / totals
+            estimates[s:e] = (W @ columns) / totals[:, None]
             continue
-        estimates[:, j], flags[:, j] = _kernels.local_m_rows(
-            W, v, np.argsort(v), score.code, score.c, MAD_CONSISTENCY,
-            config.tol, config.max_iterations,
-        )
+        for j, order in enumerate(orders):
+            estimates[s:e, j], flags[s:e, j] = _kernels.local_m_rows(
+                W, columns[:, j], order, score.code, score.c, MAD_CONSISTENCY,
+                config.tol, config.max_iterations,
+            )
     stuck = np.flatnonzero((flags == 2).any(axis=1))
     if stuck.size:
         raise ConvergenceError(

@@ -27,8 +27,7 @@ def make_fit(eta, eps, scale, mode="robust", gm=None):
     rng = np.random.default_rng(0)
     t = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
     ds = PLMDataset(np.zeros(n), eta, t, CYL)
-    reg = RegressionResult(np.zeros(p), scale, np.asarray(eps, dtype=float),
-                           True, 1, None, "gm")
+    reg = RegressionResult(np.zeros(p), scale, np.asarray(eps, dtype=float), True, 1)
     return PLMFit(
         beta=np.zeros(p), phi0_hat=np.zeros(n), phi_hat=np.zeros((n, p)),
         g_hat=np.zeros(n), residuals=np.asarray(eps, dtype=float), scale=scale,
@@ -80,6 +79,24 @@ def test_covariance_with_mallows_weights():
     cov = estimate_covariance(f)
     assert np.all(np.isfinite(cov.se))
     assert np.all(cov.se > 0)
+
+
+def test_covariance_weights_rows_at_the_cutoff_the_fit_resolved():
+    """w1 in A and Sigma uses the regression step's cutoff, not a fresh 0.95
+    quantile of the recomputed norms."""
+    rng = np.random.default_rng(3)
+    eta = rng.normal(size=40)
+    eps = rng.normal(size=40)
+    f = make_fit(eta, eps, 1.0, gm=GMConfig(w1=WeightFunction.huber("q95")))
+    norms = np.abs(eta)
+    f.regression.w1_cutoff = float(np.median(norms))
+    cov = estimate_covariance(f)
+    w = np.minimum(1.0, f.regression.w1_cutoff / norms)
+    psi = np.clip(eps, -1.345, 1.345)
+    assert cov.A_hat[0, 0] == pytest.approx(np.mean((np.abs(eps) < 1.345) * w * eta ** 2),
+                                            rel=1e-12)
+    assert cov.Sigma_hat[0, 0] == pytest.approx(np.mean(psi ** 2) * np.mean(w ** 2 * eta ** 2),
+                                                rel=1e-12)
 
 
 def test_singular_A_detected():

@@ -9,11 +9,9 @@ from plmanifold.errors import DomainError, InvalidPointError
 from plmanifold.manifold import (
     BLOCK_CELLS,
     Manifold,
-    ManifoldPoint,
     circle_coords,
     cross_distances,
     cylinder_coords,
-    diameter,
     geodesic_distance,
     injectivity_radius,
     pairwise_distances,
@@ -49,13 +47,6 @@ def test_cylinder_pythagorean_combination():
     assert geodesic_distance(CYL, p, q) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_manifold_point_wrapper_accepted():
-    p = ManifoldPoint(np.array([1.0, 0.0, 0.5]))
-    q = ManifoldPoint(np.array([0.0, 1.0, 0.5]))
-    d = geodesic_distance(CYL, p, q)
-    assert d == pytest.approx(math.pi / 2, abs=1e-12)
-
-
 @pytest.mark.parametrize("manifold", [CYL, SPH, CIR, EUC3],
                          ids=["cylinder", "sphere", "circle", "euclidean"])
 def test_distance_axioms_on_random_pairs(manifold):
@@ -66,7 +57,10 @@ def test_distance_axioms_on_random_pairs(manifold):
     dba = cross_distances(manifold, b, a).diagonal()
     assert np.all(np.abs(dab - dba) < 1e-12)
     assert np.all(dab >= 0)
-    assert np.all(dab <= diameter(manifold) + 1e-12)
+    # the diameter: pi on the circle and sphere, hypot(pi, height) on the cylinder
+    if manifold.kind != "euclidean":
+        lo, hi = manifold.height_interval or (0.0, 0.0)
+        assert np.all(dab <= math.hypot(math.pi, hi - lo) + 1e-12)
     c = random_points(manifold, rng, 1000)
     dac = cross_distances(manifold, a, c).diagonal()
     dcb = cross_distances(manifold, c, b).diagonal()
@@ -76,14 +70,18 @@ def test_distance_axioms_on_random_pairs(manifold):
 @pytest.mark.parametrize("manifold", [CYL, SPH, CIR, EUC3],
                          ids=["cylinder", "sphere", "circle", "euclidean"])
 def test_blocked_pairwise_distances_equal_the_full_matrix(manifold):
-    # the upper triangle holds about n^2 / 2 cells, so more than three row
-    # blocks; the mirrored lower triangle must carry the same bits as a
-    # direct evaluation
+    # more than three row blocks, each of whole rows; the blocked matrix
+    # carries the same bits as a direct evaluation and is exactly symmetric
     n = math.isqrt(6 * BLOCK_CELLS) + 3
-    assert len(list(row_blocks(n, n, upper=True))) > 3
+    blocks = list(row_blocks(n, n))
+    assert len(blocks) > 3
+    assert all((e - s) * n <= BLOCK_CELLS for s, e in blocks)
+    assert [s for s, _ in blocks[1:]] == [e for _, e in blocks[:-1]]
+    assert blocks[0][0] == 0 and blocks[-1][1] == n
     pts = random_points(manifold, np.random.default_rng(13), n)
-    assert np.array_equal(pairwise_distances(manifold, pts),
-                          cross_distances(manifold, pts, pts))
+    D = pairwise_distances(manifold, pts)
+    assert np.array_equal(D, cross_distances(manifold, pts, pts))
+    assert np.array_equal(D, D.T)
 
 
 @pytest.mark.parametrize("manifold", [CIR, CYL], ids=["circle", "cylinder"])

@@ -134,7 +134,8 @@ def test_covariate_offset_of_1e8_and_back_gives_the_same_beta(score):
 
 @pytest.mark.parametrize("mode", ["robust", "classical"])
 def test_fit_and_predict_never_build_an_n_by_n_distance_matrix(monkeypatch, mode):
-    """Kernel weights come from the coordinates one row block at a time."""
+    """Distances and kernel weights come from the coordinates one row block
+    at a time."""
     import plmanifold
     from plmanifold import bandwidth, manifold, smoother
     from plmanifold.manifold import BLOCK_CELLS
@@ -151,11 +152,22 @@ def test_fit_and_predict_never_build_an_n_by_n_distance_matrix(monkeypatch, mode
         return manifold.cross_distances(m, a, b)
 
     monkeypatch.setattr(smoother, "cross_distances", recording)
+    weight_shapes = []
+    raw_weight_matrix = smoother.raw_weight_matrix
+
+    def recording_weights(m, h, d):
+        weight_shapes.append(d.shape)
+        return raw_weight_matrix(m, h, d)
+
+    monkeypatch.setattr(smoother, "raw_weight_matrix", recording_weights)
     ds, _ = random_cylinder_dataset(3, n=400, p=1)
     f = fit(ds, 0.8, mode=mode)
     g = predict_g(f, ds.t[:300])
     assert np.all(np.isfinite(f.beta)) and np.all(np.isfinite(g))
     assert shapes and max(r * c for r, c in shapes) <= BLOCK_CELLS < ds.n ** 2
+    # no weight array beyond one block either: W is never whole
+    assert sum(r for r, _ in weight_shapes) == ds.n + 300
+    assert max(r * c for r, c in weight_shapes) <= BLOCK_CELLS
 
 
 def test_classical_regression_coefficient_equivariance():

@@ -2,9 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from plmanifold import _kernels
 from plmanifold.errors import ConvergenceError, EmptyWindowError
 from plmanifold.manifold import (
     BLOCK_CELLS,
@@ -16,9 +15,9 @@ from plmanifold.manifold import (
     row_blocks,
 )
 from plmanifold.smoother import (
+    MAD_CONSISTENCY,
     LocalFitConfig,
     ScoreFunction,
-    conditional_ecdf,
     fit_smoother,
     local_m_estimate,
     local_mad,
@@ -131,53 +130,99 @@ def test_window_weights_leave_one_out_leaves_the_distances_alone():
     sample = cylinder_coords(rng.uniform(0, 2 * np.pi, 15), rng.uniform(0, 1, 15))
     d = pairwise_distances(CYL, sample)
     before = d.copy()
-    W, totals = window_weights(CYL, 1.5, sample, sample, leave_one_out=True,
-                               distances=d)
+    [(s, e, W, totals)] = window_weights(CYL, 1.5, sample, sample, leave_one_out=True,
+                                         distances=d)
+    assert (s, e) == (0, 15)
     assert np.all(np.diag(W) == 0.0)
     assert np.array_equal(totals, W.sum(axis=1))
     assert np.array_equal(d, before)
-    W_all, _ = window_weights(CYL, 1.5, sample, sample, distances=d)
+    [(_, _, W_all, _)] = window_weights(CYL, 1.5, sample, sample, distances=d)
     assert np.all(np.diag(W_all) == 0.9375)
     # the diagonal is a sample point's own weight only when the queries are the sample
     foreign = cylinder_coords(rng.uniform(0, 2 * np.pi, 10), rng.uniform(0, 1, 10))
     with pytest.raises(ValueError, match="leave_one_out"):
-        window_weights(CYL, 1.5, foreign, sample, leave_one_out=True)
+        next(window_weights(CYL, 1.5, foreign, sample, leave_one_out=True))
     with pytest.raises(ValueError, match="leave_one_out"):
-        window_weights(CYL, 1.5, sample.copy(), sample, leave_one_out=True,
-                       distances=d)
+        next(window_weights(CYL, 1.5, sample.copy(), sample, leave_one_out=True,
+                            distances=d))
 
 
-@pytest.mark.parametrize("manifold,h", [(CYL, 0.8), (Manifold.sphere(), 0.8), (CIR, 0.3),
-                                        (Manifold.euclidean(3), 2.0)],
-                         ids=["cylinder", "sphere", "circle", "euclidean"])
-def test_blocked_window_weights_equal_the_dense_kernel(manifold, h):
-    """Every path through the row blocks (one block or more than three, the
-    mirrored upper triangle, queries apart from the sample, leave-one-out,
-    distances given or built from the coordinates) gives the kernel of the
+MANIFOLD_BANDWIDTHS = [(CYL, 0.8), (Manifold.sphere(), 0.8), (CIR, 0.3),
+                       (Manifold.euclidean(3), 2.0)]
+MANIFOLD_IDS = ["cylinder", "sphere", "circle", "euclidean"]
+
+
+def _block_cases(manifold, rng):
+    """(sample, cases) for one sample of more than three row blocks: the
+    sample against itself, leave-one-out, and foreign queries, each with its
     full distance matrix."""
-    rng = np.random.default_rng(31)
-    big = math.isqrt(6 * BLOCK_CELLS) + 5
-    for n, nq in ((60, 25), (big, 3 * BLOCK_CELLS // big + 7)):
-        sample = random_points(manifold, rng, n)
-        queries = random_points(manifold, rng, nq)
-        if n == big:
-            assert len(list(row_blocks(n, n, upper=True))) > 3
-            assert len(list(row_blocks(nq, n))) > 3
-        d_self = cross_distances(manifold, sample, sample)
-        d_cross = cross_distances(manifold, queries, sample)
-        dense_self = raw_weight_matrix(manifold, h, d_self)
-        dense_loo = dense_self.copy()
-        np.fill_diagonal(dense_loo, 0.0)
-        dense_cross = raw_weight_matrix(manifold, h, d_cross)
-        cases = [(sample, False, dense_self), (sample, True, dense_loo),
-                 (queries, False, dense_cross)]
-        for q, loo, dense in cases:
-            d = d_cross if q is queries else d_self
-            for given in (None, d):
-                W, totals = window_weights(manifold, h, q, sample,
-                                           leave_one_out=loo, distances=given)
-                assert np.max(np.abs(W - dense)) <= 1e-15
+    n = math.isqrt(6 * BLOCK_CELLS) + 5
+    nq = 3 * BLOCK_CELLS // n + 7
+    assert len(list(row_blocks(n, n))) > 3 and len(list(row_blocks(nq, n))) > 3
+    sample = random_points(manifold, rng, n)
+    queries = random_points(manifold, rng, nq)
+    d_self = cross_distances(manifold, sample, sample)
+    d_cross = cross_distances(manifold, queries, sample)
+    return sample, [(sample, False, d_self), (sample, True, d_self),
+                    (queries, False, d_cross)]
+
+
+def _dense_kernel(manifold, h, d, loo):
+    W = raw_weight_matrix(manifold, h, d)
+    if loo:
+        np.fill_diagonal(W, 0.0)
+    return W
+
+
+@pytest.mark.parametrize("manifold,h", MANIFOLD_BANDWIDTHS, ids=MANIFOLD_IDS)
+def test_blocked_window_weights_equal_the_dense_kernel(manifold, h):
+    """Every block (queries apart from the sample or the sample itself,
+    leave-one-out, distances given or built from the coordinates) is its rows
+    of the kernel of the full distance matrix, and the blocks tile the query
+    rows in order, each at most BLOCK_CELLS cells."""
+    sample, cases = _block_cases(manifold, np.random.default_rng(31))
+    n = sample.shape[0]
+    for q, loo, d in cases:
+        dense = _dense_kernel(manifold, h, d, loo)
+        before = d.copy()
+        for given in (None, d):
+            stop = 0
+            for s, e, W, totals in window_weights(manifold, h, q, sample,
+                                                  leave_one_out=loo, distances=given):
+                assert s == stop and W.shape == (e - s, n) and W.size <= BLOCK_CELLS
+                assert np.max(np.abs(W - dense[s:e])) <= 1e-15
                 assert np.array_equal(totals, W.sum(axis=1))
+                stop = e
+            assert stop == q.shape[0]
+        assert np.array_equal(d, before)
+
+
+@pytest.mark.parametrize("manifold,h", MANIFOLD_BANDWIDTHS, ids=MANIFOLD_IDS)
+def test_streamed_smoothing_equals_dense_kernel_smoothing(manifold, h):
+    """smooth_columns over more than three row blocks matches the same
+    statistics of the full kernel matrix: the kernel-weighted mean to 1e-15,
+    and the Huber and bisquare solves to their tolerance (the Illinois
+    stopping floor scales with the widest window of the rows solved
+    together, which changes with the block)."""
+    rng = np.random.default_rng(41)
+    sample, cases = _block_cases(manifold, rng)
+    columns = rng.normal(size=(sample.shape[0], 2))
+    for score, atol in ((ScoreFunction.identity(), 1e-15), (ScoreFunction.huber(), 1e-10),
+                        (ScoreFunction.bisquare(), 1e-10)):
+        config = LocalFitConfig(score=score)
+        for q, loo, d in cases:
+            W = _dense_kernel(manifold, h, d, loo)
+            if score.code == 0:
+                dense = (W @ columns) / W.sum(axis=1)[:, None]
+            else:
+                dense = np.column_stack([_kernels.local_m_rows(
+                    W, v, np.argsort(v), score.code, score.c, MAD_CONSISTENCY,
+                    config.tol, config.max_iterations)[0] for v in columns.T])
+            for given in (None, d):
+                est, _ = smooth_columns(manifold, h, sample, columns, config,
+                                        queries=None if q is sample else q,
+                                        leave_one_out=loo, distances=given)
+                assert np.max(np.abs(est - dense)) <= atol
 
 
 @pytest.mark.parametrize("given", [False, True], ids=["coords", "distances"])
@@ -187,12 +232,38 @@ def test_leave_one_out_empty_window_reports_the_nearest_other_point(given):
     sample = circle_coords([0.0, 0.5, -1.2])
     d = pairwise_distances(CIR, sample)
     before = d.copy()
+    blocks = window_weights(CIR, 0.3, sample, sample, leave_one_out=True,
+                            distances=d if given else None)
     with pytest.raises(EmptyWindowError) as err:
-        window_weights(CIR, 0.3, sample, sample, leave_one_out=True,
-                       distances=d if given else None)
+        list(blocks)
     assert err.value.indices == [0, 1, 2]
     assert err.value.nearest_distance == pytest.approx(1.2, abs=1e-12)
     assert np.array_equal(d, before)
+
+
+@pytest.mark.parametrize("given", [False, True], ids=["coords", "distances"])
+def test_empty_windows_in_two_blocks_raise_one_error(given):
+    """Point 5 (angle 2.0, 1.5 from the cluster) and point 600 (angle -2.0,
+    2.0 from it) lie in different row blocks; one error names both, with the
+    bandwidth that would cover them all, and no block after the first empty
+    window reaches the caller."""
+    angles = np.linspace(0.0, 0.5, 700)
+    angles[5], angles[600] = 2.0, -2.0
+    sample = circle_coords(angles)
+    blocks = list(row_blocks(700, 700))
+    assert [i for i, (s, e) in enumerate(blocks) if s <= 5 < e or s <= 600 < e] == [0, 6]
+    d = pairwise_distances(CIR, sample) if given else None
+    with pytest.raises(EmptyWindowError) as err:
+        smooth_columns(CIR, 0.3, sample, angles, LocalFitConfig(), leave_one_out=True,
+                       distances=d)
+    assert err.value.indices == [5, 600]
+    assert err.value.nearest_distance == pytest.approx(2.0, abs=1e-12)
+    seen = []
+    with pytest.raises(EmptyWindowError):
+        for s, _, _, _ in window_weights(CIR, 0.3, sample, sample, leave_one_out=True,
+                                         distances=d):
+            seen.append(s)
+    assert seen == []
 
 
 def test_bandwidth_range_enforced():
@@ -201,53 +272,6 @@ def test_bandwidth_range_enforced():
         pelletier_weights(CIR, math.pi, t, t[None, :])
     with pytest.raises(ValueError, match="bandwidth"):
         pelletier_weights(CIR, 0.0, t, t[None, :])
-
-
-# -------------------------------------------------------------------- ecdf
-
-def test_ecdf_enumerated_steps():
-    F = conditional_ecdf([0.2, 0.3, 0.5], [1.0, 2.0, 3.0])
-    assert F(0.9) == 0.0
-    assert F(1.0) == pytest.approx(0.2)
-    assert F(1.5) == pytest.approx(0.2)
-    assert F(2.0) == pytest.approx(0.5)
-    assert F(3.0) == pytest.approx(1.0)
-    assert F(10.0) == pytest.approx(1.0)
-
-
-def test_ecdf_single_point():
-    F = conditional_ecdf([1.0], [5.0])
-    assert F(4.999999) == 0.0
-    assert F(5.0) == 1.0
-
-
-def test_ecdf_all_values_equal():
-    F = conditional_ecdf([0.25] * 4, [7.0] * 4)
-    assert F(6.999) == 0.0
-    assert F(7.0) == pytest.approx(1.0)
-
-
-def test_ecdf_length_mismatch():
-    with pytest.raises(ValueError, match="length mismatch"):
-        conditional_ecdf([0.5, 0.5], [1.0])
-
-
-def test_ecdf_requires_normalized_weights():
-    with pytest.raises(ValueError, match="sum to 1"):
-        conditional_ecdf([0.5, 0.2], [1.0, 2.0])
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(-100, 100), min_size=1, max_size=20))
-def test_ecdf_monotone_from_zero_to_one(values):
-    n = len(values)
-    w = np.full(n, 1.0 / n)
-    F = conditional_ecdf(w, values)
-    grid = np.linspace(min(values) - 1, max(values) + 1, 50)
-    out = F(grid)
-    assert np.all(np.diff(out) >= 0)
-    assert out[0] == 0.0
-    assert out[-1] == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------- weighted median
@@ -272,11 +296,28 @@ def test_weighted_median_is_ecdf_argmin(rng):
         w = random_weights(rng, n)
         v = rng.normal(size=n)
         med = weighted_median(w, v)
-        F = conditional_ecdf(w, v)
+        # the weighted ECDF, a right-continuous step function of sorted v
+        order = np.argsort(v, kind="stable")
+        support, cumulative = v[order], np.cumsum(w[order])
+
+        def F(y):
+            k = np.searchsorted(support, y, side="right")
+            return cumulative[k - 1] if k else 0.0
+
         assert F(med) >= 0.5 - 1e-9
         below = v[v < med]
         if below.size:
             assert F(below.max()) < 0.5
+
+
+def test_weighted_statistics_validate_their_weights():
+    for stat in (weighted_median, local_mad):
+        with pytest.raises(ValueError, match="length mismatch"):
+            stat([0.5, 0.5], [1.0])
+        with pytest.raises(ValueError, match="sum to 1"):
+            stat([0.5, 0.2], [1.0, 2.0])
+        with pytest.raises(ValueError, match="nonnegative"):
+            stat([1.5, -0.5], [1.0, 2.0])
 
 
 # ----------------------------------------------------------------- local MAD
