@@ -310,12 +310,23 @@ def test_weighted_median_is_ecdf_argmin(rng):
             assert F(below.max()) < 0.5
 
 
-def test_weighted_statistics_validate_their_weights():
+# weighted_median and local_mad both read off the weighted ECDF of their
+# (weights, values) pair and share its validation
+
+def test_ecdf_length_mismatch():
     for stat in (weighted_median, local_mad):
         with pytest.raises(ValueError, match="length mismatch"):
             stat([0.5, 0.5], [1.0])
+
+
+def test_ecdf_requires_normalized_weights():
+    for stat in (weighted_median, local_mad):
         with pytest.raises(ValueError, match="sum to 1"):
             stat([0.5, 0.2], [1.0, 2.0])
+
+
+def test_ecdf_requires_nonnegative_weights():
+    for stat in (weighted_median, local_mad):
         with pytest.raises(ValueError, match="nonnegative"):
             stat([1.5, -0.5], [1.0, 2.0])
 
