@@ -51,7 +51,6 @@ from .simulation import (
     sample_to_csv,
 )
 from .smoother import (
-    LocalFitConfig,
     ScoreFunction,
     fit_smoother,
     local_m_estimate,
@@ -100,7 +99,6 @@ __all__ = [
     "replication_rng",
     "run_campaign",
     "sample_to_csv",
-    "LocalFitConfig",
     "ScoreFunction",
     "fit_smoother",
     "local_m_estimate",

@@ -1,8 +1,8 @@
 """Bandwidth selection by leave-one-out cross-validation.
 
-The robust criterion sums a bounded score of standardized leave-one-out
-prediction residuals; with the identity score and classical configurations
-it reduces to the usual sum of squared prediction errors.  Candidate
+The robust criterion sums the squared Huber score (``CV_SCORE``) of
+standardized leave-one-out prediction residuals; in classical mode it is
+the usual sum of squared prediction errors.  Candidate
 bandwidths where a leave-one-out window is empty (or a downstream solver
 fails) are marked infeasible rather than raising.
 """
@@ -22,12 +22,13 @@ from .errors import (
 )
 from .manifold import injectivity_radius, pairwise_distances
 from .plm import PLMDataset, mode_configs, smooth_dataset
-from .robust_linear import GMConfig, gm_estimate, residual_scale
-from .smoother import LocalFitConfig, ScoreFunction, check_bandwidth
+from .robust_linear import GMConfig, gm_estimate, residual_scale_or_zero
+from .smoother import ScoreFunction, check_bandwidth
 
 _FAILURE_KINDS = (EmptyWindowError, ConvergenceError, DegenerateScaleError,
                   SingularDesignError)
 _GRID_SIZE = 8
+CV_SCORE = ScoreFunction.huber()  # the robust criterion's bounded score
 
 
 @dataclass
@@ -74,75 +75,55 @@ def _grid_from_distances(dataset: PLMDataset, d: np.ndarray) -> BandwidthGrid:
     return BandwidthGrid(np.geomspace(lo, hi, _GRID_SIZE))
 
 
-def _loo_prediction_residuals(dataset: PLMDataset, h: float, smoother: LocalFitConfig,
+def _loo_prediction_residuals(dataset: PLMDataset, h: float, local_score: ScoreFunction,
                               gm: GMConfig, distances: np.ndarray | None) -> np.ndarray:
-    _, resid, _ = smooth_dataset(dataset, h, smoother, leave_one_out=True,
+    _, resid, _ = smooth_dataset(dataset, h, local_score, leave_one_out=True,
                                  distances=distances)
     if dataset.p == 0:
         return resid[:, 0]
     return gm_estimate(resid[:, 0], resid[:, 1:], gm).residuals
 
 
-def _robust_spread(residuals: np.ndarray) -> float:
-    # 0.0 (not an error) for a zero MAD, so such a candidate stays feasible
-    try:
-        return residual_scale(residuals)
-    except DegenerateScaleError:
-        return 0.0
-
-
-def _criterion(residuals: np.ndarray, cv_score: ScoreFunction,
-               scale: float | None = None) -> float:
-    if cv_score.code == 0:
+def _criterion(residuals: np.ndarray, mode: str, scale: float) -> float:
+    if mode == "classical":
         return float(np.sum(residuals ** 2))
-    s = _robust_spread(residuals) if scale is None else float(scale)
-    if s <= 0.0:
-        s = 1.0  # all residuals (near) identical; scoring the raw values
-    return float(np.sum(cv_score.psi(residuals / s) ** 2))
+    s = scale if scale > 0.0 else 1.0  # all residuals (near) identical: score them raw
+    return float(np.sum(CV_SCORE.psi(residuals / s) ** 2))
 
 
-def _resolve_configs(mode: str, smoother, gm, cv_score):
-    smoother, gm = mode_configs(mode, smoother, gm)
-    cv_score = ScoreFunction.identity() if mode == "classical" else cv_score
-    return smoother, gm, cv_score or ScoreFunction.huber()
-
-
-def rcv_score(dataset: PLMDataset, h: float,
-              smoother: LocalFitConfig | None = None, gm: GMConfig | None = None,
-              cv_score: ScoreFunction | None = None,
-              scale: float | None = None) -> float:
+def rcv_score(dataset: PLMDataset, h: float, mode: str = "robust",
+              local_score: ScoreFunction | None = None,
+              gm: GMConfig | None = None) -> float:
     """Cross-validation criterion at bandwidth h.
 
-    Bounded scores are applied to standardized residuals; ``scale`` fixes
-    the standardization (the selector shares one pilot scale across the
-    grid), otherwise the residuals' own robust spread is used.  Returns
-    +inf when h is infeasible (an empty leave-one-out window or a solver
-    failure); never raises for feasibility problems.
+    In robust mode the residuals are standardized by their own robust
+    spread before scoring.  Returns +inf when h is infeasible (an empty
+    leave-one-out window or a solver failure); never raises for
+    feasibility problems.
     """
-    smoother, gm, cv_score = _resolve_configs("robust", smoother, gm, cv_score)
+    local_score, gm = mode_configs(mode, local_score, gm)
     check_bandwidth(dataset.manifold, h)
     try:
-        res = _loo_prediction_residuals(dataset, h, smoother, gm, None)
+        res = _loo_prediction_residuals(dataset, h, local_score, gm, None)
     except _FAILURE_KINDS:
         return float("inf")
-    return _criterion(res, cv_score, scale)
+    return _criterion(res, mode, residual_scale_or_zero(res))
 
 
 def select_bandwidth(dataset: PLMDataset, grid=None, mode: str = "robust",
-                     smoother: LocalFitConfig | None = None,
-                     gm: GMConfig | None = None,
-                     cv_score: ScoreFunction | None = None):
+                     local_score: ScoreFunction | None = None,
+                     gm: GMConfig | None = None):
     """Feasible argmin of the cross-validation criterion over the grid.
 
-    For bounded scores every candidate is scored against one pilot scale,
-    the robust spread of the leave-one-out residuals at the smallest
-    feasible bandwidth; a per-candidate scale would make the criterion
-    nearly scale-free and blind to oversmoothing.  Ties break toward the
-    smallest bandwidth.  ``grid=None`` uses the ``default_grid`` candidates.
+    In robust mode every candidate is scored against one pilot scale, the
+    robust spread of the leave-one-out residuals at the smallest feasible
+    bandwidth; a per-candidate scale would make the criterion nearly
+    scale-free and blind to oversmoothing.  Ties break toward the smallest
+    bandwidth.  ``grid=None`` uses the ``default_grid`` candidates.
     Returns (h_star, diagnostics); raises InfeasibleGridError with
     per-candidate reasons when nothing on the grid works.
     """
-    smoother, gm, cv_score = _resolve_configs(mode, smoother, gm, cv_score)
+    local_score, gm = mode_configs(mode, local_score, gm)
     distances = pairwise_distances(dataset.manifold, dataset.t)
     if grid is None:
         grid = _grid_from_distances(dataset, distances)
@@ -159,11 +140,11 @@ def select_bandwidth(dataset: PLMDataset, grid=None, mode: str = "robust",
     pilot_scale = None
     for h in grid.values:
         try:
-            res = _loo_prediction_residuals(dataset, float(h), smoother, gm, distances)
+            res = _loo_prediction_residuals(dataset, float(h), local_score, gm, distances)
             if pilot_scale is None:
-                pilot_scale = _robust_spread(res)
+                pilot_scale = residual_scale_or_zero(res)
             diagnostics.append(GridPointDiagnostic(
-                float(h), _criterion(res, cv_score, pilot_scale), True))
+                float(h), _criterion(res, mode, pilot_scale), True))
         except _FAILURE_KINDS as err:
             diagnostics.append(GridPointDiagnostic(
                 float(h), float("inf"), False, f"{type(err).__name__}: {err}"))

@@ -19,7 +19,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .bandwidth import select_bandwidth
+from .bandwidth import BandwidthGrid, select_bandwidth
 from .errors import ConfigError, InsufficientDataError, PLMError
 from .inference import confidence_interval, estimate_covariance, wald_test
 from .manifold import ON_MANIFOLD_TOL, Manifold
@@ -33,9 +33,10 @@ from .simulation import (
     run_campaign,
     sample_to_csv,
 )
-from .smoother import LocalFitConfig, ScoreFunction
+from .smoother import ScoreFunction, check_bandwidth
 
 _TOP_KEYS = ("response", "linear", "manifold")
+_CYLINDER = Manifold.cylinder((0.0, 1.0))  # the one manifold of the CLI
 
 
 @dataclass
@@ -161,8 +162,7 @@ def ingest_csv(path, mapping: ColumnMapping) -> PLMDataset:
     The affine height normalization is recorded in the dataset metadata
     under ``height_map`` for prediction-time reuse.
     """
-    cylinder = Manifold.cylinder((0.0, 1.0))
-    lo, hi = cylinder.height_interval
+    lo, hi = _CYLINDER.height_interval
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as err:
@@ -220,21 +220,41 @@ def ingest_csv(path, mapping: ColumnMapping) -> PLMDataset:
         meta["height_map"] = {"scale": scale, "offset": offset}
 
     t = np.column_stack([np.cos(angle), np.sin(angle), height])
-    return PLMDataset(y, x, t, cylinder, meta)
+    return PLMDataset(y, x, t, _CYLINDER, meta)
 
 
 def _configs(score_text: str, w1_text: str):
     score = parse_score(score_text)
-    return LocalFitConfig(score=score), GMConfig(score=score, w1=parse_w1(w1_text))
+    return score, GMConfig(score=score, w1=parse_w1(w1_text))
 
 
 def _floats(text: str | None, what: str) -> tuple[float, ...] | None:
     if text is None:
         return None
     try:
-        return tuple(float(v) for v in text.split(",") if v.strip())
+        values = tuple(float(v) for v in text.split(",") if v.strip())
     except ValueError:
         raise ConfigError(f"cannot parse {what} {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{what} {text!r} must be finite")
+    return values
+
+
+def _grid(bandwidth: float | None, grid_text: str | None) -> BandwidthGrid | None:
+    """The CV grid, or None with a fixed bandwidth.  The fixed bandwidth or
+    every grid candidate is checked against the cylinder, so a bad value
+    fails before the input is read."""
+    values = _floats(grid_text, "grid")
+    if values is None:
+        if bandwidth is not None:
+            check_bandwidth(_CYLINDER, bandwidth)
+        return None
+    if bandwidth is not None:
+        raise ConfigError("give either a fixed bandwidth or a CV grid, not both")
+    grid = BandwidthGrid(values)
+    for h in grid.values:
+        check_bandwidth(_CYLINDER, h)
+    return grid
 
 
 def _modes(mode: str) -> tuple[str, ...]:
@@ -283,8 +303,8 @@ def _sibling(out: str, suffix: str) -> Path:
 def _run_fit(input_path, map_text, level, null_text, bandwidth, mode, score_text,
              w1_text, cv_grid_text, out) -> None:
     mapping = parse_mapping(map_text)
-    smoother, gm = _configs(score_text, w1_text)
-    grid = _floats(cv_grid_text, "grid")
+    local_score, gm = _configs(score_text, w1_text)
+    grid = _grid(bandwidth, cv_grid_text)
     null = _floats(null_text, "null value")
     if not 0.0 < level < 1.0:
         raise ConfigError(f"--level must lie in (0, 1), got {level!r}")
@@ -293,14 +313,12 @@ def _run_fit(input_path, map_text, level, null_text, bandwidth, mode, score_text
         raise ConfigError(
             f"--null takes 1 value or one per linear column ({p}), got {len(null)}"
         )
-    if bandwidth is not None and grid is not None:
-        raise ConfigError("give either a fixed bandwidth or a CV grid, not both")
     dataset = ingest_csv(input_path, mapping)
     report, fits = {}, {}
     for m in _modes(mode):
-        h = (bandwidth if bandwidth is not None
-             else select_bandwidth(dataset, grid, mode=m, smoother=smoother, gm=gm)[0])
-        fits[m] = fit(dataset, h, mode=m, smoother=smoother, gm=gm)
+        h = (bandwidth if bandwidth is not None else
+             select_bandwidth(dataset, grid, mode=m, local_score=local_score, gm=gm)[0])
+        fits[m] = fit(dataset, h, mode=m, local_score=local_score, gm=gm)
         entry = report[m] = _fit_entry(fits[m], level, null)
         click.echo(f"{m}: beta={entry['beta']} se={entry['se']} h={entry['h']:.6g}")
     _write_json(out, report)
@@ -315,12 +333,13 @@ def _run_fit(input_path, map_text, level, null_text, bandwidth, mode, score_text
 
 def _run_cv(input_path, map_text, mode, score_text, w1_text, cv_grid_text, out) -> None:
     mapping = parse_mapping(map_text)
-    smoother, gm = _configs(score_text, w1_text)
-    grid = _floats(cv_grid_text, "grid")
+    local_score, gm = _configs(score_text, w1_text)
+    grid = _grid(None, cv_grid_text)
     dataset = ingest_csv(input_path, mapping)
     report = {}
     for m in _modes(mode):
-        h, diagnostics = select_bandwidth(dataset, grid, mode=m, smoother=smoother, gm=gm)
+        h, diagnostics = select_bandwidth(dataset, grid, mode=m, local_score=local_score,
+                                          gm=gm)
         report[m] = {
             "selected_h": float(h),
             "grid": [
@@ -336,11 +355,11 @@ def _run_cv(input_path, map_text, mode, score_text, w1_text, cv_grid_text, out) 
 
 def _run_simulate(contamination, n, replications, workers, export_data, seed,
                   bandwidth, mode, score_text, w1_text, cv_grid_text, out) -> None:
-    smoother, gm = _configs(score_text, w1_text)
+    local_score, gm = _configs(score_text, w1_text)
     sim = SimulationConfig(n=n, replications=replications, contamination=contamination,
                            bandwidth=bandwidth, cv_grid=_floats(cv_grid_text, "grid"),
                            modes=_modes(mode), master_seed=seed, workers=workers)
-    report = run_campaign(sim, smoother=smoother, gm=gm)
+    report = run_campaign(sim, local_score=local_score, gm=gm)
     payload = {
         "contamination": sim.contamination,
         "n": sim.n,

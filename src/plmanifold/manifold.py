@@ -92,24 +92,19 @@ def validate_coords(manifold: Manifold, points, name: str = "point") -> np.ndarr
     if not np.all(np.isfinite(arr)):
         raise InvalidPointError(f"{name}: coordinates must be finite")
 
-    if manifold.kind in (CIRCLE, SPHERE):
-        norms = np.linalg.norm(arr, axis=1)
+    if manifold.kind != EUCLIDEAN:
+        # the whole point on the circle and sphere, (c1, c2) on the cylinder
+        angular = arr[:, :2] if manifold.kind == CYLINDER else arr
+        norms = np.linalg.norm(angular, axis=1)
         bad = np.abs(norms - 1.0) > ON_MANIFOLD_TOL
         if np.any(bad):
             i = int(np.argmax(bad))
             raise InvalidPointError(
-                f"{name} {i}: {manifold.kind} points must have unit norm; "
-                f"|‖coords‖-1| = {abs(norms[i] - 1.0):.3e} exceeds {ON_MANIFOLD_TOL}"
+                f"{name} {i}: {manifold.kind} points need angular coordinates of "
+                f"unit norm; |‖angular‖-1| = {abs(norms[i] - 1.0):.3e} exceeds "
+                f"{ON_MANIFOLD_TOL}"
             )
-    elif manifold.kind == CYLINDER:
-        norms = np.linalg.norm(arr[:, :2], axis=1)
-        bad = np.abs(norms - 1.0) > ON_MANIFOLD_TOL
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise InvalidPointError(
-                f"{name} {i}: cylinder points need unit-norm angular part; "
-                f"|‖(c1,c2)‖-1| = {abs(norms[i] - 1.0):.3e} exceeds {ON_MANIFOLD_TOL}"
-            )
+    if manifold.kind == CYLINDER:
         lo, hi = manifold.height_interval
         h = arr[:, 2]
         bad = (h < lo - ON_MANIFOLD_TOL) | (h > hi + ON_MANIFOLD_TOL)

@@ -8,29 +8,20 @@ nonparametric component g(t) = phi0(t) - beta' phi(t).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateScaleError,
-    InsufficientDataError,
-    SingularDesignError,
-)
+from .errors import InsufficientDataError, SingularDesignError
 from .manifold import Manifold, validate_coords
 from .robust_linear import (
     GMConfig,
     RegressionResult,
     WeightFunction,
     gm_estimate,
-    residual_scale,
+    residual_scale_or_zero,
 )
-from .smoother import (
-    LocalFitConfig,
-    ScoreFunction,
-    check_bandwidth,
-    smooth_columns,
-)
+from .smoother import ScoreFunction, check_bandwidth, smooth_columns
 
 MODES = ("robust", "classical")
 
@@ -106,7 +97,7 @@ class PLMFit:
     flags: dict
     regression: RegressionResult
     dataset: PLMDataset
-    smoother_config: LocalFitConfig
+    local_score: ScoreFunction
     gm_config: GMConfig
 
     def predict_g(self, t):
@@ -116,11 +107,11 @@ class PLMFit:
         return predict_y(self, x, t)
 
 
-def smooth_dataset(dataset: PLMDataset, h: float, config: LocalFitConfig,
+def smooth_dataset(dataset: PLMDataset, h: float, score: ScoreFunction,
                    queries: np.ndarray | None = None, *, leave_one_out: bool = False,
                    distances: np.ndarray | None = None):
     """Smooth the response and every covariate column over the manifold at
-    bandwidth h.
+    bandwidth h with the local ``score``.
 
     Each column is smoothed as its offsets from the column median, so a large
     common offset in y or x costs one exact subtraction, not a rounding of
@@ -133,42 +124,42 @@ def smooth_dataset(dataset: PLMDataset, h: float, config: LocalFitConfig,
     centre = np.median(columns, axis=0)
     offsets = columns - centre
     est, flags = smooth_columns(dataset.manifold, h, dataset.t, columns=offsets,
-                                config=config, queries=queries,
+                                score=score, queries=queries,
                                 leave_one_out=leave_one_out, distances=distances)
     residuals = None if queries is not None else offsets - est
     return est + centre, residuals, flags
 
 
-def mode_configs(mode: str, smoother: LocalFitConfig | None = None,
-                 gm: GMConfig | None = None) -> tuple[LocalFitConfig, GMConfig]:
-    """The (LocalFitConfig, GMConfig) pair a mode estimates with.
+def mode_configs(mode: str, local_score: ScoreFunction | None = None,
+                 gm: GMConfig | None = None) -> tuple[ScoreFunction, GMConfig]:
+    """The (local score, GMConfig) pair a mode estimates with.
 
-    Robust mode uses the given configurations (defaults for None).  Classical
-    mode is their identity-score case: the same smoother with the identity
-    score, and least squares (``CLASSICAL_GM``) in the regression step.
+    Robust mode uses the given ones (Huber and ``GMConfig()`` for None).
+    Classical mode is their identity-score case: the identity local score
+    (the kernel-weighted mean) and least squares (``CLASSICAL_GM``) in the
+    regression step.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    smoother = smoother or LocalFitConfig()
     if mode == "classical":
-        return replace(smoother, score=ScoreFunction.identity()), CLASSICAL_GM
-    return smoother, gm or GMConfig()
+        return ScoreFunction.identity(), CLASSICAL_GM
+    return local_score or ScoreFunction.huber(), gm or GMConfig()
 
 
 def fit(dataset: PLMDataset, bandwidth: float, mode: str = "robust",
-        smoother: LocalFitConfig | None = None,
+        local_score: ScoreFunction | None = None,
         gm: GMConfig | None = None) -> PLMFit:
     """Fit the partially linear model at a fixed bandwidth.
 
     The mode picks the configurations through ``mode_configs``: classical
     mode is the identity-score case of the same three steps, robust mode
-    uses the configured score both locally and in the regression step.  The
-    fit keeps h and those configurations; ``predict_g`` smooths with them.
+    uses ``local_score`` in the smoothing step and ``gm`` in the regression
+    step.  The fit keeps h and both; ``predict_g`` smooths with them.
     """
-    smoother, gm = mode_configs(mode, smoother, gm)
+    local_score, gm = mode_configs(mode, local_score, gm)
     h = check_bandwidth(dataset.manifold, bandwidth)
 
-    est, resid, fl = smooth_dataset(dataset, h, smoother)
+    est, resid, fl = smooth_dataset(dataset, h, local_score)
     phi0 = est[:, 0]
     phi = est[:, 1:]
 
@@ -211,18 +202,14 @@ def fit(dataset: PLMDataset, bandwidth: float, mode: str = "robust",
         flags=flags,
         regression=reg,
         dataset=dataset,
-        smoother_config=smoother,
+        local_score=local_score,
         gm_config=gm,
     )
 
 
 def _null_regression(r: np.ndarray) -> RegressionResult:
     # p = 0: nothing to regress, the smoothed residuals are the errors
-    try:
-        scale = residual_scale(r) if r.size >= 2 else 0.0
-    except DegenerateScaleError:
-        scale = 0.0
-    return RegressionResult(np.zeros(0), scale, r.copy(), True, 0)
+    return RegressionResult(np.zeros(0), residual_scale_or_zero(r), r.copy(), True, 0)
 
 
 def predict_g(fit_result: PLMFit, t):
@@ -236,8 +223,7 @@ def predict_g(fit_result: PLMFit, t):
     coords = np.asarray(t, dtype=float)
     single = coords.ndim == 1
     queries = validate_coords(ds.manifold, coords, name="query")
-    est, _, _ = smooth_dataset(ds, fit_result.bandwidth, fit_result.smoother_config,
-                               queries)
+    est, _, _ = smooth_dataset(ds, fit_result.bandwidth, fit_result.local_score, queries)
     g = est[:, 0] - est[:, 1:] @ fit_result.beta
     return float(g[0]) if single else g
 

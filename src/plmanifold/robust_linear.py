@@ -20,6 +20,11 @@ import numpy as np
 from .errors import ConvergenceError, DegenerateScaleError, SingularDesignError
 from .smoother import MAD_CONSISTENCY, ScoreFunction
 
+# The reweighting stops once a step moves beta by less than GM_TOL relative
+# to max(1, |beta|), and raises ConvergenceError after GM_MAX_ITERATIONS steps.
+GM_TOL = 1e-8
+GM_MAX_ITERATIONS = 100
+
 
 @dataclass(frozen=True)
 class WeightFunction:
@@ -70,19 +75,13 @@ class WeightFunction:
 
 @dataclass(frozen=True)
 class GMConfig:
-    """Configuration of the regression M-step: the score, the design weight,
-    and the reweighting's stopping rule.  The start is least squares and the
-    scale is the residual MAD, re-estimated at every reweighting step.
+    """Configuration of the regression M-step: the score and the design
+    weight.  The start is least squares and the scale is the residual MAD,
+    re-estimated at every reweighting step.
     """
 
     score: ScoreFunction = field(default_factory=ScoreFunction.huber)
     w1: WeightFunction = field(default_factory=WeightFunction.one)
-    tol: float = 1e-8
-    max_iterations: int = 100
-
-    def __post_init__(self):
-        if not self.tol > 0 or self.max_iterations < 1:
-            raise ValueError("need tol > 0 and max_iterations >= 1")
 
 
 @dataclass
@@ -107,6 +106,14 @@ def residual_scale(residuals) -> float:
             "residual MAD is zero: more than half the residuals coincide"
         )
     return s
+
+
+def residual_scale_or_zero(residuals) -> float:
+    """``residual_scale``, or 0.0 where the MAD is zero."""
+    try:
+        return residual_scale(residuals)
+    except DegenerateScaleError:
+        return 0.0
 
 
 def _check_design(r, eta):
@@ -134,11 +141,8 @@ def ols_estimate(r, eta) -> RegressionResult:
         raise SingularDesignError("design matrix is rank deficient")
     beta, *_ = np.linalg.lstsq(eta, r, rcond=None)
     residuals = r - eta @ beta
-    try:
-        scale = residual_scale(residuals)
-    except DegenerateScaleError:
-        scale = 0.0  # exact or half-degenerate fit; recorded as-is
-    return RegressionResult(beta, scale, residuals, True, 0)
+    # an exact or half-degenerate fit records scale 0.0 as-is
+    return RegressionResult(beta, residual_scale_or_zero(residuals), residuals, True, 0)
 
 
 def gm_estimate(r, eta, config: GMConfig | None = None) -> RegressionResult:
@@ -167,7 +171,7 @@ def gm_estimate(r, eta, config: GMConfig | None = None) -> RegressionResult:
     s = residual_scale(res)
 
     last_step = np.inf
-    for it in range(1, config.max_iterations + 1):
+    for it in range(1, GM_MAX_ITERATIONS + 1):
         w = wd * config.score.weight(res / s)
         if not np.any(w > 0):
             raise ConvergenceError(
@@ -181,10 +185,10 @@ def gm_estimate(r, eta, config: GMConfig | None = None) -> RegressionResult:
         if np.max(np.abs(res)) <= exact_tol:
             return RegressionResult(beta, 0.0, res, True, it, cutoff)
         s = residual_scale(res)
-        if last_step < config.tol:
+        if last_step < GM_TOL:
             return RegressionResult(beta, s, res, True, it, cutoff)
     raise ConvergenceError(
-        f"reweighting did not converge in {config.max_iterations} iterations "
+        f"reweighting did not converge in {GM_MAX_ITERATIONS} iterations "
         f"(last relative step {last_step:.3e})",
         last_iterate=beta,
         residual=last_step,

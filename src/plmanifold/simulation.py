@@ -28,7 +28,7 @@ from .errors import CampaignError, ConfigError, PLMError
 from .manifold import Manifold, cylinder_coords
 from .plm import PLMDataset, fit
 from .robust_linear import GMConfig
-from .smoother import LocalFitConfig, ScoreFunction
+from .smoother import ScoreFunction
 
 CONTAMINATIONS = ("C0", "C1", "C2")
 BETA_TRUE = 2.0
@@ -137,9 +137,8 @@ def _summarize(beta: np.ndarray, mse_g: np.ndarray, beta_true: float) -> dict:
     }
 
 
-def run_campaign(config: SimulationConfig, smoother: LocalFitConfig | None = None,
-                 gm: GMConfig | None = None,
-                 cv_score: ScoreFunction | None = None) -> SimulationReport:
+def run_campaign(config: SimulationConfig, local_score: ScoreFunction | None = None,
+                 gm: GMConfig | None = None) -> SimulationReport:
     """Run the Monte Carlo study described by ``config``.
 
     Per replication and mode: draw a sample, pick the bandwidth (fixed or by
@@ -160,8 +159,8 @@ def run_campaign(config: SimulationConfig, smoother: LocalFitConfig | None = Non
                     h = float(config.bandwidth)
                 else:
                     h, _ = select_bandwidth(sample.dataset, config.cv_grid, mode=mode,
-                                            smoother=smoother, gm=gm, cv_score=cv_score)
-                fitted = fit(sample.dataset, h, mode=mode, smoother=smoother, gm=gm)
+                                            local_score=local_score, gm=gm)
+                fitted = fit(sample.dataset, h, mode=mode, local_score=local_score, gm=gm)
                 mse_g = float(np.mean((fitted.g_hat - sample.g_true) ** 2))
                 out[mode] = (float(fitted.beta[0]), mse_g, float(h), None)
             except PLMError as err:

@@ -12,7 +12,7 @@ mean.  The kernel and the three scores are the whole estimator family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,12 @@ from .manifold import (
 HUBER_DEFAULT_C = 1.345
 BISQUARE_DEFAULT_C = 4.685
 MAD_CONSISTENCY = 1.4826
+# The local solve's stopping width: an Illinois bracket (Huber) or a
+# reweighting step (bisquare) of at most LOCAL_TOL plus four float spacings of
+# the estimate's offset from the weighted median; an Illinois row also stops
+# when its score sum is zero to rounding.  LOCAL_MAX_ITERATIONS bounds either.
+LOCAL_TOL = 1e-10
+LOCAL_MAX_ITERATIONS = 200
 
 
 def quartic_kernel(u):
@@ -82,9 +88,7 @@ class ScoreFunction:
         if self.code == 1:
             return _kernels.huber_psi(u, self.c)
         if self.code == 2:
-            z = u / self.c
-            t = 1.0 - z * z
-            return np.where(np.abs(u) < self.c, u * t * t, 0.0)
+            return u * _kernels.bisquare_weight(u.copy(), self.c)
         return u
 
     def psi_prime(self, u):
@@ -109,29 +113,6 @@ class ScoreFunction:
         else:
             w = np.ones_like(u)
         return np.where(small, 1.0, w)
-
-
-@dataclass(frozen=True)
-class LocalFitConfig:
-    """Settings for the local robust fit.  The bandwidth is not one of them:
-    every smoothing call takes h as an argument, and the local scale is the
-    weighted MAD times ``MAD_CONSISTENCY``.
-
-    ``tol`` is the local solve's stopping width: an Illinois bracket (Huber)
-    or a reweighting step (bisquare) of at most ``tol`` plus four float
-    spacings of the estimate's offset from the weighted median; an Illinois
-    row also stops when its score sum is zero to rounding.  ``max_iterations`` bounds either solve.
-    """
-
-    score: ScoreFunction = field(default_factory=ScoreFunction.huber)
-    tol: float = 1e-10
-    max_iterations: int = 200
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("solver tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 def check_bandwidth(manifold: Manifold, h: float) -> float:
@@ -250,17 +231,17 @@ def local_mad(weights, values, consistency_constant: float = MAD_CONSISTENCY) ->
     return float(_kernels.mad_rows(W, V, med, consistency_constant)[0])
 
 
-def local_m_estimate(weights, values, score: ScoreFunction, scale: float,
-                     tol: float = 1e-10, max_iterations: int = 200) -> float:
+def local_m_estimate(weights, values, score: ScoreFunction, scale: float) -> float:
     """Solve sum_i w_i psi((v_i - m) / scale) = 0 for the local location m.
 
     The identity score short-circuits to the weighted mean.  Huber is
-    bracketed by [min v, max v] and solved by Illinois regula falsi on
-    the offset from the weighted median, stopping when the bracket is within
-    ``tol`` plus four float spacings of its ends or the score sum is zero to
-    rounding; bisquare iterates a reweighting fixed point started
+    bracketed by [min v, max v] and solved by Illinois regula falsi on the
+    offset from the weighted median, stopping when the bracket is within
+    ``LOCAL_TOL`` plus four float spacings of its ends or the score sum is
+    zero to rounding; bisquare iterates a reweighting fixed point started
     from the weighted median until a step is that small.  Raises
-    ConvergenceError, carrying the last iterate, after ``max_iterations``.
+    ConvergenceError, carrying the last iterate, after
+    ``LOCAL_MAX_ITERATIONS``.
     """
     w, v = _check_weight_pair(weights, values)
     if score.code == 0:
@@ -270,17 +251,17 @@ def local_m_estimate(weights, values, score: ScoreFunction, scale: float,
     W, V = _sorted_row(w, v)
     start = _kernels.median_rows(W, V)
     est, flags = _kernels.solve_rows(W, V, start, np.array([float(scale)]), score.code,
-                                     score.c, tol, max_iterations)
+                                     score.c, LOCAL_TOL, LOCAL_MAX_ITERATIONS)
     if flags[0] == 2:
         raise ConvergenceError(
-            f"local M-estimation did not converge in {max_iterations} iterations",
+            f"local M-estimation did not converge in {LOCAL_MAX_ITERATIONS} iterations",
             last_iterate=float(est[0]),
         )
     return float(est[0])
 
 
 def smooth_columns(manifold: Manifold, h: float, sample: np.ndarray,
-                   columns: np.ndarray, config: LocalFitConfig,
+                   columns: np.ndarray, score: ScoreFunction,
                    queries: np.ndarray | None = None,
                    leave_one_out: bool = False,
                    distances: np.ndarray | None = None):
@@ -288,8 +269,9 @@ def smooth_columns(manifold: Manifold, h: float, sample: np.ndarray,
     of kernel weights (`window_weights`) at a time.
 
     ``sample`` are validated training coordinates, ``columns`` an (n, k)
-    value matrix, ``config`` the local fit's score and solver settings,
-    ``queries`` validated query coordinates (defaults to the sample itself).
+    value matrix, ``score`` the local score (identity: the kernel-weighted
+    mean), ``queries`` validated query coordinates (defaults to the sample
+    itself).
     ``leave_one_out`` zeroes the diagonal weight, which requires the default
     queries.  ``distances``, the queries x sample geodesic matrix, lets a
     caller that smooths at several bandwidths share it; without it each
@@ -312,7 +294,6 @@ def smooth_columns(manifold: Manifold, h: float, sample: np.ndarray,
     nq, k = queries.shape[0], columns.shape[1]
     estimates = np.empty((nq, k))
     flags = np.zeros((nq, k), dtype=np.int8)
-    score = config.score
     orders = [np.argsort(columns[:, j]) for j in range(k)] if score.code else []
     for s, e, W, totals in window_weights(manifold, h, queries, sample, leave_one_out,
                                           distances):
@@ -322,7 +303,7 @@ def smooth_columns(manifold: Manifold, h: float, sample: np.ndarray,
         for j, order in enumerate(orders):
             estimates[s:e, j], flags[s:e, j] = _kernels.local_m_rows(
                 W, columns[:, j], order, score.code, score.c, MAD_CONSISTENCY,
-                config.tol, config.max_iterations,
+                LOCAL_TOL, LOCAL_MAX_ITERATIONS,
             )
     stuck = np.flatnonzero((flags == 2).any(axis=1))
     if stuck.size:
@@ -334,11 +315,11 @@ def smooth_columns(manifold: Manifold, h: float, sample: np.ndarray,
 
 
 def fit_smoother(manifold: Manifold, h: float, sample, values, queries,
-                 config: LocalFitConfig, return_flags: bool = False):
+                 score: ScoreFunction, return_flags: bool = False):
     """Robust local fit of one value column at bandwidth h at the given query
     points.
 
-    With the identity score in ``config`` this is exactly the classical
+    With the identity ``score`` this is exactly the classical
     kernel-weighted mean (no scale step).  Degenerate windows fall back to
     the weighted median and are flagged; solver non-convergence raises
     ConvergenceError tagged with the query indices.
@@ -350,7 +331,7 @@ def fit_smoother(manifold: Manifold, h: float, sample, values, queries,
         raise ValueError(
             f"length mismatch: {sample.shape[0]} sample points vs {values.size} values"
         )
-    est, flags = smooth_columns(manifold, h, sample, columns=values, config=config,
+    est, flags = smooth_columns(manifold, h, sample, columns=values, score=score,
                                 queries=queries)
     if return_flags:
         return est[:, 0], flags[:, 0]

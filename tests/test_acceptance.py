@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 import plmanifold as pm
-from plmanifold.bandwidth import default_grid, rcv_score, select_bandwidth
+from plmanifold.bandwidth import CV_SCORE, default_grid, rcv_score, select_bandwidth
 from plmanifold.inference import confidence_interval, estimate_covariance, wald_test
 from plmanifold.manifold import cross_distances, cylinder_coords
 from plmanifold.plm import PLMDataset, fit
@@ -29,7 +29,6 @@ from plmanifold.simulation import (
     run_campaign,
 )
 from plmanifold.smoother import (
-    LocalFitConfig,
     ScoreFunction,
     local_m_estimate,
     fit_smoother,
@@ -67,11 +66,11 @@ def test_criterion_1_degeneracy_oracle():
     """Robust pipeline with identity score equals the classical pipeline."""
     worst_beta = 0.0
     worst_g = 0.0
-    smoother = LocalFitConfig(score=ScoreFunction.identity())
-    gm = GMConfig(score=ScoreFunction.identity(), w1=WeightFunction.one())
+    identity = ScoreFunction.identity()
+    gm = GMConfig(score=identity, w1=WeightFunction.one())
     for seed in range(20):
         ds, _ = random_cylinder_dataset(seed, n=50, p=2)
-        f_r = fit(ds, 1.2, mode="robust", smoother=smoother, gm=gm)
+        f_r = fit(ds, 1.2, mode="robust", local_score=identity, gm=gm)
         f_c = fit(ds, 1.2, mode="classical")
         worst_beta = max(worst_beta, float(np.max(np.abs(f_r.beta - f_c.beta))))
         worst_g = max(worst_g, float(np.max(np.abs(f_r.g_hat - f_c.g_hat))))
@@ -213,13 +212,13 @@ def test_criterion_4_equivariance_suite():
     n = 50
     sample = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
     values = rng.normal(size=n)
-    cfg = LocalFitConfig()
+    score = ScoreFunction.huber()
 
-    base = fit_smoother(cyl, 1.0, sample, values, sample, cfg)
+    base = fit_smoother(cyl, 1.0, sample, values, sample, score)
     shift_err = float(np.max(np.abs(
-        fit_smoother(cyl, 1.0, sample, values + 4.2, sample, cfg) - base - 4.2)))
+        fit_smoother(cyl, 1.0, sample, values + 4.2, sample, score) - base - 4.2)))
     scale_err = float(np.max(np.abs(
-        fit_smoother(cyl, 1.0, sample, 2.5 * values, sample, cfg) - 2.5 * base)))
+        fit_smoother(cyl, 1.0, sample, 2.5 * values, sample, score) - 2.5 * base)))
 
     ds, _ = random_cylinder_dataset(45, n=45, p=2)
     fit_shift_err = 0.0
@@ -257,20 +256,16 @@ def test_criterion_5_robust_cv_boundedness():
     y_bad[0] += 1e6
     ds_bad = PLMDataset(y_bad, ds.x, ds.t, ds.manifold)
     grid = default_grid(ds)
-    cv = ScoreFunction.huber(1.345)
-    bound = ds.n * cv.c ** 2
-    identity = ScoreFunction.identity()
+    bound = ds.n * CV_SCORE.c ** 2
 
     max_robust_change = 0.0
     min_classical_change = math.inf
     for h in grid.values:
-        r0 = rcv_score(ds, h, cv_score=cv)
-        r1 = rcv_score(ds_bad, h, cv_score=cv)
+        r0 = rcv_score(ds, h)
+        r1 = rcv_score(ds_bad, h)
         max_robust_change = max(max_robust_change, abs(r1 - r0))
-        c0 = rcv_score(ds, h, smoother=LocalFitConfig(score=identity),
-                       gm=GMConfig(score=identity), cv_score=identity)
-        c1 = rcv_score(ds_bad, h, smoother=LocalFitConfig(score=identity),
-                       gm=GMConfig(score=identity), cv_score=identity)
+        c0 = rcv_score(ds, h, mode="classical")
+        c1 = rcv_score(ds_bad, h, mode="classical")
         min_classical_change = min(min_classical_change, c1 - c0)
     ok = max_robust_change <= bound and min_classical_change > 1e6
     report_line("5 RCV-boundedness", ok,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from plmanifold.bandwidth import (
+    CV_SCORE,
     BandwidthGrid,
     default_grid,
     rcv_score,
@@ -10,13 +11,11 @@ from plmanifold.bandwidth import (
 from plmanifold.errors import InfeasibleGridError
 from plmanifold.manifold import Manifold, cross_distances, cylinder_coords
 from plmanifold.plm import PLMDataset
-from plmanifold.robust_linear import GMConfig, WeightFunction
 from plmanifold.simulation import generate_sample, replication_rng
-from plmanifold.smoother import LocalFitConfig, ScoreFunction
+from plmanifold.smoother import ScoreFunction
 from conftest import random_cylinder_dataset
 
 CYL = Manifold.cylinder((0.0, 1.0))
-IDENTITY = ScoreFunction.identity()
 
 
 def classical_loo_cv_oracle(ds, h):
@@ -50,12 +49,7 @@ def test_identity_configuration_reduces_to_classical_cv():
     for seed in (0, 1, 2):
         ds, _ = random_cylinder_dataset(seed, n=35, p=2)
         for h in (1.0, 1.5):
-            got = rcv_score(
-                ds, h,
-                smoother=LocalFitConfig(score=IDENTITY),
-                gm=GMConfig(score=IDENTITY, w1=WeightFunction.one()),
-                cv_score=IDENTITY,
-            )
+            got = rcv_score(ds, h, mode="classical")
             assert got == pytest.approx(classical_loo_cv_oracle(ds, h), rel=1e-8)
 
 
@@ -144,16 +138,14 @@ def test_robust_cv_bounded_under_outlier_classical_diverges():
     y_bad = ds.y.copy()
     y_bad[0] += 1e6
     ds_bad = PLMDataset(y_bad, ds.x, ds.t, ds.manifold)
-    cv = ScoreFunction.huber(1.345)
-    bound = ds.n * cv.c ** 2
+    assert CV_SCORE == ScoreFunction.huber(1.345)
+    bound = ds.n * CV_SCORE.c ** 2
     for h in (0.8, 1.3, 2.0):
-        clean = rcv_score(ds, h, cv_score=cv)
-        dirty = rcv_score(ds_bad, h, cv_score=cv)
+        clean = rcv_score(ds, h)
+        dirty = rcv_score(ds_bad, h)
         assert abs(dirty - clean) <= bound
-        clean_cl = rcv_score(ds, h, smoother=LocalFitConfig(score=IDENTITY),
-                             gm=GMConfig(score=IDENTITY), cv_score=IDENTITY)
-        dirty_cl = rcv_score(ds_bad, h, smoother=LocalFitConfig(score=IDENTITY),
-                             gm=GMConfig(score=IDENTITY), cv_score=IDENTITY)
+        clean_cl = rcv_score(ds, h, mode="classical")
+        dirty_cl = rcv_score(ds_bad, h, mode="classical")
         assert dirty_cl - clean_cl > 1e6
 
 

@@ -446,7 +446,9 @@ BAD_CONSTANT = "constant must be finite and > 0, got"
     ("--level", "1.5", "--level must lie in (0, 1), got 1.5"),
     ("--level", "0", "--level must lie in (0, 1), got 0.0"),
     ("--null", "1,2", "--null takes 1 value or one per linear column (1), got 2"),
-], ids=["level-above-1", "level-0", "null-count"])
+    ("--null", "nan", "null value 'nan' must be finite"),
+    ("--null", "-inf", "null value '-inf' must be finite"),
+], ids=["level-above-1", "level-0", "null-count", "null-nan", "null-inf"])
 def test_click_fit_rejects_bad_level_or_null_before_reading_input(tmp_path, option,
                                                                    value, message):
     result = CliRunner().invoke(main, [
@@ -467,6 +469,27 @@ def test_unparseable_number_list_exits_2_in_the_error_format(tmp_path, capsys, o
                    "--out", str(out))
     assert code == 2
     assert f"error: ConfigError: cannot parse {what} 'abc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,option,value,message", [
+    ("fit", "--cv-grid", "-1,2", "bandwidth candidates must be positive and finite"),
+    ("fit", "--cv-grid", "1,4", "bandwidth 4.0 must lie in (0, "),
+    ("fit", "--bandwidth", "-1", "bandwidth -1.0 must lie in (0, "),
+    ("fit", "--bandwidth", "3.5", "bandwidth 3.5 must lie in (0, "),
+    ("cv", "--cv-grid", "-1,2", "bandwidth candidates must be positive and finite"),
+    ("cv", "--cv-grid", "0.5,3.5", "bandwidth 3.5 must lie in (0, "),
+], ids=["fit-grid-negative", "fit-grid-too-wide", "fit-h-negative", "fit-h-too-wide",
+        "cv-grid-negative", "cv-grid-too-wide"])
+def test_bandwidths_are_checked_before_the_input_is_read(tmp_path, capsys, command, option,
+                                                         value, message):
+    out = tmp_path / "r.json"
+    code = run_cli(command, "--input", str(tmp_path / "missing.csv"), "--map", MAPPING,
+                   f"{option}={value}", "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: ValueError: {message}" in err
+    assert "cannot read input file" not in err
     assert not out.exists()
 
 

@@ -12,7 +12,7 @@ from plmanifold.inference import (
 from plmanifold.manifold import Manifold, cylinder_coords
 from plmanifold.plm import PLMDataset, PLMFit, fit
 from plmanifold.robust_linear import GMConfig, RegressionResult, WeightFunction
-from plmanifold.smoother import LocalFitConfig
+from plmanifold.smoother import ScoreFunction
 from conftest import random_cylinder_dataset
 
 CYL = Manifold.cylinder((0.0, 1.0))
@@ -32,7 +32,7 @@ def make_fit(eta, eps, scale, mode="robust", gm=None):
         beta=np.zeros(p), phi0_hat=np.zeros(n), phi_hat=np.zeros((n, p)),
         g_hat=np.zeros(n), residuals=np.asarray(eps, dtype=float), scale=scale,
         bandwidth=1.0, mode=mode, flags={}, regression=reg, dataset=ds,
-        smoother_config=LocalFitConfig(),
+        local_score=ScoreFunction.huber(),
         gm_config=gm or GMConfig(),
     )
 

@@ -6,11 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from plmanifold import _kernels, bandwidth, plm, simulation
+from plmanifold import _kernels, bandwidth, plm, simulation, smoother
 from plmanifold.errors import ConvergenceError
 from plmanifold.manifold import Manifold, circle_coords, cylinder_coords, pairwise_distances
 from plmanifold.smoother import (
-    LocalFitConfig,
     ScoreFunction,
     local_m_estimate,
     local_mad,
@@ -188,37 +187,36 @@ def test_single_point_and_zero_mad_rows():
     assert est[2] == pytest.approx(oracle_huber(W[2] / 3.0, v, mad), abs=1e-9)
 
 
-def test_huber_columns_converge_in_25_iterations_on_a_large_sample():
+def test_huber_columns_converge_in_25_iterations_on_a_large_sample(monkeypatch):
     """Illinois steps need 6-12 iterations per row here; bisection to 1e-10
     over the data range needs 36-39."""
+    monkeypatch.setattr(smoother, "LOCAL_MAX_ITERATIONS", 25)
     sample = simulation.generate_sample(2000, "C1", simulation.replication_rng(1, 0))
     ds = sample.dataset
-    cfg = LocalFitConfig(score=ScoreFunction.huber(HUBER_C), max_iterations=25)
     est, flags = smooth_columns(ds.manifold, 0.8, ds.t,
-                                np.column_stack([ds.y, ds.x]), cfg)
+                                np.column_stack([ds.y, ds.x]), ScoreFunction.huber(HUBER_C))
     assert not np.any(flags == 2)
     assert np.all(np.isfinite(est))
 
 
-def test_monotone_rows_that_run_out_of_iterations_raise():
+def test_monotone_rows_that_run_out_of_iterations_raise(monkeypatch):
+    monkeypatch.setattr(smoother, "LOCAL_MAX_ITERATIONS", 1)
     rng = np.random.default_rng(8)
     n = 30
     cyl = Manifold.cylinder((0.0, 1.0))
     t = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
     v = rng.normal(size=n) + np.linspace(0, 5, n)
-    cfg = LocalFitConfig(score=ScoreFunction.huber(HUBER_C), max_iterations=1)
     W = raw_weight_matrix(cyl, 2.0, pairwise_distances(cyl, t))
     _, flags = _kernels.local_m_rows(W, v, np.argsort(v), 1, HUBER_C, MAD_C, 1e-10, 1)
     stuck = np.flatnonzero(flags == 2).tolist()
     assert stuck
     with pytest.raises(ConvergenceError) as err:
-        smooth_columns(cyl, 2.0, t, v, cfg)
+        smooth_columns(cyl, 2.0, t, v, ScoreFunction.huber(HUBER_C))
     assert err.value.indices == stuck
 
     w = W[stuck[0]] / W[stuck[0]].sum()
     with pytest.raises(ConvergenceError) as one:
-        local_m_estimate(w, v, ScoreFunction.huber(HUBER_C), scale=local_mad(w, v, MAD_C),
-                         max_iterations=1)
+        local_m_estimate(w, v, ScoreFunction.huber(HUBER_C), scale=local_mad(w, v, MAD_C))
     assert v[w > 0].min() <= one.value.last_iterate <= v[w > 0].max()
 
 
@@ -313,8 +311,8 @@ def _oracle_weights(manifold, t, h, leave_one_out):
 def test_huber_smoothing_matches_oracle_on_every_manifold(name, manifold, t, h,
                                                           leave_one_out):
     columns = _columns(t.shape[0])
-    cfg = LocalFitConfig(score=ScoreFunction.huber(HUBER_C))
-    est, flags = smooth_columns(manifold, h, t, columns, cfg, leave_one_out=leave_one_out)
+    est, flags = smooth_columns(manifold, h, t, columns, ScoreFunction.huber(HUBER_C),
+                                leave_one_out=leave_one_out)
     W = _oracle_weights(manifold, t, h, leave_one_out)
     for j in range(columns.shape[1]):
         v = columns[:, j]
@@ -336,8 +334,7 @@ def test_huber_smoothing_matches_oracle_on_every_manifold(name, manifold, t, h,
 def test_bisquare_rows_solve_their_score_equation(name, manifold, t, h, leave_one_out):
     columns = _columns(t.shape[0])
     score = ScoreFunction.bisquare()
-    cfg = LocalFitConfig(score=score)
-    est, flags = smooth_columns(manifold, h, t, columns, cfg, leave_one_out=leave_one_out)
+    est, flags = smooth_columns(manifold, h, t, columns, score, leave_one_out=leave_one_out)
     W = _oracle_weights(manifold, t, h, leave_one_out)
     solved = 0
     for j in range(columns.shape[1]):

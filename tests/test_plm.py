@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,7 @@ from plmanifold.errors import (
 from plmanifold.manifold import Manifold, cylinder_coords
 from plmanifold.plm import CLASSICAL_GM, PLMDataset, fit, mode_configs, predict_g, predict_y
 from plmanifold.robust_linear import GMConfig, WeightFunction
-from plmanifold.smoother import LocalFitConfig, ScoreFunction
+from plmanifold.smoother import ScoreFunction
 from conftest import random_cylinder_dataset
 
 CYL = Manifold.cylinder((0.0, 1.0))
@@ -78,9 +76,9 @@ def test_noiseless_linear_data_recovers_beta_exactly():
 def test_robust_identity_matches_classical_pipeline():
     for seed in range(5):
         ds, _ = random_cylinder_dataset(seed, n=40, p=2)
-        smoother = LocalFitConfig(score=ScoreFunction.identity())
-        gm = GMConfig(score=ScoreFunction.identity(), w1=WeightFunction.one())
-        f_r = fit(ds, 1.2, mode="robust", smoother=smoother, gm=gm)
+        identity = ScoreFunction.identity()
+        gm = GMConfig(score=identity, w1=WeightFunction.one())
+        f_r = fit(ds, 1.2, mode="robust", local_score=identity, gm=gm)
         f_c = fit(ds, 1.2, mode="classical")
         assert f_r.beta == pytest.approx(f_c.beta, abs=1e-8)
         assert f_r.g_hat == pytest.approx(f_c.g_hat, abs=1e-8)
@@ -103,15 +101,14 @@ def test_location_equivariance_at_large_offsets(score):
     beta alone, down to the float spacing near c: ulp(1e6) = 1.2e-10, so no
     absolute stopping tolerance of 1e-10 can be met there."""
     ds, _ = random_cylinder_dataset(7, n=40, p=2)
-    smoother = LocalFitConfig(score=score)
-    f0 = fit(ds, 1.2, smoother=smoother)
+    f0 = fit(ds, 1.2, local_score=score)
     eps = np.finfo(float).eps
     for c in (1e6, 1e7, 1e8):
         bound = 1e-9 + 16 * eps * c
-        f1 = fit(PLMDataset(ds.y + c, ds.x, ds.t, ds.manifold), 1.2, smoother=smoother)
+        f1 = fit(PLMDataset(ds.y + c, ds.x, ds.t, ds.manifold), 1.2, local_score=score)
         assert np.max(np.abs(f1.beta - f0.beta) / np.abs(f0.beta)) <= 1e-8
         assert np.max(np.abs(f1.g_hat - c - f0.g_hat)) <= bound
-        f2 = fit(PLMDataset(ds.y, ds.x + c, ds.t, ds.manifold), 1.2, smoother=smoother)
+        f2 = fit(PLMDataset(ds.y, ds.x + c, ds.t, ds.manifold), 1.2, local_score=score)
         assert np.max(np.abs(f2.beta - f0.beta) / np.abs(f0.beta)) <= 1e-8
         assert np.max(np.abs(f2.phi_hat - c - f0.phi_hat)) <= bound
         # g_hat carries c * beta, so compare it with the shifted fit's own beta
@@ -125,10 +122,9 @@ def test_covariate_offset_of_1e8_and_back_gives_the_same_beta(score):
     columns are smoothed as offsets from their medians and each local solve
     as offsets from its window's median, so the 1e8 never meets a rounding."""
     ds, _ = random_cylinder_dataset(7, n=40, p=2)
-    smoother = LocalFitConfig(score=score)
     far = ds.x + 1e8
-    f_far = fit(PLMDataset(ds.y, far, ds.t, ds.manifold), 1.2, smoother=smoother)
-    f_back = fit(PLMDataset(ds.y, far - 1e8, ds.t, ds.manifold), 1.2, smoother=smoother)
+    f_far = fit(PLMDataset(ds.y, far, ds.t, ds.manifold), 1.2, local_score=score)
+    f_back = fit(PLMDataset(ds.y, far - 1e8, ds.t, ds.manifold), 1.2, local_score=score)
     assert np.max(np.abs(f_far.beta - f_back.beta) / np.abs(f_back.beta)) <= 1e-9
 
 
@@ -271,15 +267,13 @@ def test_predict_g_at_training_point_matches_stored_values():
 
 def test_fit_keeps_the_given_smoother_config_and_predicts_at_its_own_bandwidth():
     """h is an argument, not a config field: a fit stores the caller's
-    config as given, and its predictions smooth at the fit's bandwidth."""
-    assert [f.name for f in dataclasses.fields(LocalFitConfig)] == [
-        "score", "tol", "max_iterations"]
+    local score as given, and its predictions smooth at the fit's bandwidth."""
     ds, _ = random_cylinder_dataset(16, n=40, p=1)
-    smoother = LocalFitConfig(score=ScoreFunction.huber(1.0))
+    score = ScoreFunction.huber(1.0)
     probe = ds.t[:5].copy()
     for h in (0.9, 1.6):
-        f = fit(ds, h, smoother=smoother)
-        assert f.smoother_config is smoother and f.bandwidth == h
+        f = fit(ds, h, local_score=score)
+        assert f.local_score is score and f.bandwidth == h
         assert predict_g(f, probe) == pytest.approx(f.g_hat[:5], abs=1e-12)
 
 
@@ -357,12 +351,12 @@ def test_fit_flags_degenerate_windows():
 
 
 def test_classical_mode_is_the_identity_case_of_the_given_configs():
-    smoother = LocalFitConfig(score=ScoreFunction.bisquare(), max_iterations=50)
+    local = ScoreFunction.bisquare()
     robust_gm = GMConfig(w1=WeightFunction.huber())
-    cfg, gm = mode_configs("classical", smoother, robust_gm)
-    assert cfg.score.code == 0 and cfg.max_iterations == 50
+    score, gm = mode_configs("classical", local, robust_gm)
+    assert score == ScoreFunction.identity()
     assert gm is CLASSICAL_GM
-    assert mode_configs("robust", smoother, robust_gm) == (smoother, robust_gm)
+    assert mode_configs("robust", local, robust_gm) == (local, robust_gm)
     with pytest.raises(ValueError, match="mode"):
         mode_configs("ls")
     ds, _ = random_cylinder_dataset(9, n=50, p=1)

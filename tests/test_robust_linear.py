@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from plmanifold import robust_linear
 from plmanifold.errors import ConvergenceError, DegenerateScaleError, SingularDesignError
 from plmanifold.plm import CLASSICAL_GM
 from plmanifold.robust_linear import (
@@ -9,6 +12,7 @@ from plmanifold.robust_linear import (
     gm_estimate,
     ols_estimate,
     residual_scale,
+    residual_scale_or_zero,
 )
 from plmanifold.smoother import ScoreFunction
 
@@ -22,6 +26,11 @@ def test_residual_scale_hand_case():
 def test_residual_scale_degenerate():
     with pytest.raises(DegenerateScaleError):
         residual_scale([3.0, 3.0, 3.0, 3.0])
+
+
+def test_residual_scale_or_zero_is_zero_only_where_the_mad_is():
+    assert residual_scale_or_zero([3.0, 3.0, 3.0, 3.0]) == 0.0
+    assert residual_scale_or_zero([-1.0, 0.0, 1.0]) == residual_scale([-1.0, 0.0, 1.0])
 
 
 def test_residual_scale_majority_ties_degenerate():
@@ -178,13 +187,14 @@ def test_gm_breakdown_smoke_one_huge_outlier():
     assert ols_move > 10.0
 
 
-def test_gm_nonconvergence_reports_trajectory():
+def test_gm_nonconvergence_reports_trajectory(monkeypatch):
+    monkeypatch.setattr(robust_linear, "GM_MAX_ITERATIONS", 1)
+    monkeypatch.setattr(robust_linear, "GM_TOL", 1e-14)
     rng = np.random.default_rng(9)
     eta = rng.normal(size=(40, 1))
     r = eta[:, 0] * 2 + rng.standard_cauchy(40)
-    config = GMConfig(max_iterations=1, tol=1e-14)
     with pytest.raises(ConvergenceError) as err:
-        gm_estimate(r, eta, config)
+        gm_estimate(r, eta, GMConfig())
     assert err.value.last_iterate is not None
     assert err.value.residual is not None
 
@@ -240,11 +250,13 @@ def test_weight_function_rejects_a_bad_name_or_cutoff_rule_when_built():
         WeightFunction.huber(np.inf)
 
 
-def test_gmconfig_validation():
-    with pytest.raises(ValueError):
+def test_gm_stopping_rule_is_a_module_constant():
+    """GMConfig is the score and the design weight; the reweighting's
+    tolerance and iteration bound are constants, not fields."""
+    assert [f.name for f in dataclasses.fields(GMConfig)] == ["score", "w1"]
+    assert (robust_linear.GM_TOL, robust_linear.GM_MAX_ITERATIONS) == (1e-8, 100)
+    with pytest.raises(TypeError):
         GMConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        GMConfig(max_iterations=0)
 
 
 def test_classical_config_returns_least_squares_exactly():

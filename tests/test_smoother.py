@@ -14,9 +14,11 @@ from plmanifold.manifold import (
     pairwise_distances,
     row_blocks,
 )
+from plmanifold import smoother
 from plmanifold.smoother import (
+    LOCAL_MAX_ITERATIONS,
+    LOCAL_TOL,
     MAD_CONSISTENCY,
-    LocalFitConfig,
     ScoreFunction,
     fit_smoother,
     local_m_estimate,
@@ -209,7 +211,6 @@ def test_streamed_smoothing_equals_dense_kernel_smoothing(manifold, h):
     columns = rng.normal(size=(sample.shape[0], 2))
     for score, atol in ((ScoreFunction.identity(), 1e-15), (ScoreFunction.huber(), 1e-10),
                         (ScoreFunction.bisquare(), 1e-10)):
-        config = LocalFitConfig(score=score)
         for q, loo, d in cases:
             W = _dense_kernel(manifold, h, d, loo)
             if score.code == 0:
@@ -217,9 +218,9 @@ def test_streamed_smoothing_equals_dense_kernel_smoothing(manifold, h):
             else:
                 dense = np.column_stack([_kernels.local_m_rows(
                     W, v, np.argsort(v), score.code, score.c, MAD_CONSISTENCY,
-                    config.tol, config.max_iterations)[0] for v in columns.T])
+                    LOCAL_TOL, LOCAL_MAX_ITERATIONS)[0] for v in columns.T])
             for given in (None, d):
-                est, _ = smooth_columns(manifold, h, sample, columns, config,
+                est, _ = smooth_columns(manifold, h, sample, columns, score,
                                         queries=None if q is sample else q,
                                         leave_one_out=loo, distances=given)
                 assert np.max(np.abs(est - dense)) <= atol
@@ -254,7 +255,7 @@ def test_empty_windows_in_two_blocks_raise_one_error(given):
     assert [i for i, (s, e) in enumerate(blocks) if s <= 5 < e or s <= 600 < e] == [0, 6]
     d = pairwise_distances(CIR, sample) if given else None
     with pytest.raises(EmptyWindowError) as err:
-        smooth_columns(CIR, 0.3, sample, angles, LocalFitConfig(), leave_one_out=True,
+        smooth_columns(CIR, 0.3, sample, angles, ScoreFunction.huber(), leave_one_out=True,
                        distances=d)
     assert err.value.indices == [5, 600]
     assert err.value.nearest_distance == pytest.approx(2.0, abs=1e-12)
@@ -476,8 +477,8 @@ def test_identity_smoother_equals_direct_kernel_mean():
         sample = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
         values = rng.normal(size=n)
         queries = cylinder_coords(rng.uniform(0, 2 * np.pi, 7), rng.uniform(0, 1, 7))
-        cfg = LocalFitConfig(score=ScoreFunction.identity())
-        est = fit_smoother(CYL, 1.5, sample, values, queries, cfg)
+        score = ScoreFunction.identity()
+        est = fit_smoother(CYL, 1.5, sample, values, queries, score)
         oracle = classical_nw_oracle(CYL, 1.5, sample, values, queries)
         assert est == pytest.approx(oracle, abs=1e-10)
 
@@ -488,8 +489,8 @@ def test_robust_smoother_with_identity_matches_classical_pointwise():
         n = 25
         sample = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
         values = rng.normal(size=n)
-        cfg = LocalFitConfig(score=ScoreFunction.identity())
-        est = fit_smoother(CYL, 1.2, sample, values, sample, cfg)
+        score = ScoreFunction.identity()
+        est = fit_smoother(CYL, 1.2, sample, values, sample, score)
         oracle = classical_nw_oracle(CYL, 1.2, sample, values, sample)
         assert est == pytest.approx(oracle, abs=1e-10)
 
@@ -498,9 +499,9 @@ def test_smoother_shift_equivariance(rng):
     n = 40
     sample = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
     values = rng.normal(size=n)
-    cfg = LocalFitConfig()
-    base = fit_smoother(CYL, 1.0, sample, values, sample, cfg)
-    shifted = fit_smoother(CYL, 1.0, sample, values + 11.25, sample, cfg)
+    score = ScoreFunction.huber()
+    base = fit_smoother(CYL, 1.0, sample, values, sample, score)
+    shifted = fit_smoother(CYL, 1.0, sample, values + 11.25, sample, score)
     assert shifted == pytest.approx(base + 11.25, abs=1e-9)
 
 
@@ -508,10 +509,10 @@ def test_smoother_scale_equivariance(rng):
     n = 40
     sample = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
     values = rng.normal(size=n)
-    cfg = LocalFitConfig()
-    base = fit_smoother(CYL, 1.0, sample, values, sample, cfg)
+    score = ScoreFunction.huber()
+    base = fit_smoother(CYL, 1.0, sample, values, sample, score)
     lam = 2.75
-    scaled = fit_smoother(CYL, 1.0, sample, lam * values, sample, cfg)
+    scaled = fit_smoother(CYL, 1.0, sample, lam * values, sample, score)
     assert scaled == pytest.approx(lam * base, abs=1e-9)
 
 
@@ -519,8 +520,8 @@ def test_smoother_estimates_bounded_by_data(rng):
     n = 50
     sample = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
     values = rng.normal(size=n)
-    cfg = LocalFitConfig()
-    est = fit_smoother(CYL, 0.8, sample, values, sample, cfg)
+    score = ScoreFunction.huber()
+    est = fit_smoother(CYL, 0.8, sample, values, sample, score)
     assert np.all(est >= values.min() - 1e-12)
     assert np.all(est <= values.max() + 1e-12)
 
@@ -529,32 +530,33 @@ def test_degenerate_window_falls_back_to_median_and_flags():
     # a far-away cluster of identical values forces a zero local MAD
     sample = cylinder_coords([0.0, 0.01, 3.1], [0.5, 0.5, 0.5])
     values = np.array([2.0, 2.0, 9.0])
-    cfg = LocalFitConfig()
+    score = ScoreFunction.huber()
     est, flags = fit_smoother(CYL, 0.5, sample, values,
-                              sample[:1], cfg, return_flags=True)
+                              sample[:1], score, return_flags=True)
     assert est[0] == 2.0
     assert flags[0] == 1
 
 
-def test_convergence_error_tagged_with_query_index():
+def test_convergence_error_tagged_with_query_index(monkeypatch):
+    monkeypatch.setattr(smoother, "LOCAL_MAX_ITERATIONS", 1)
     rng = np.random.default_rng(8)
     n = 30
     sample = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
     values = rng.normal(size=n) + np.linspace(0, 5, n)
-    cfg = LocalFitConfig(score=ScoreFunction.bisquare(), max_iterations=1)
+    score = ScoreFunction.bisquare()
     with pytest.raises(ConvergenceError) as err:
-        fit_smoother(CYL, 2.0, sample, values, sample, cfg)
+        fit_smoother(CYL, 2.0, sample, values, sample, score)
     assert err.value.indices
     with pytest.raises(ConvergenceError) as batched:
-        smooth_columns(CYL, 2.0, sample, np.column_stack([values, values]), cfg)
+        smooth_columns(CYL, 2.0, sample, np.column_stack([values, values]), score)
     assert batched.value.indices == err.value.indices
 
 
 def test_smoother_length_mismatch():
     sample = cylinder_coords([0.0, 1.0], [0.2, 0.8])
-    cfg = LocalFitConfig()
+    score = ScoreFunction.huber()
     with pytest.raises(ValueError, match="length mismatch"):
-        fit_smoother(CYL, 1.0, sample, np.array([1.0]), sample, cfg)
+        fit_smoother(CYL, 1.0, sample, np.array([1.0]), sample, score)
 
 
 def test_sphere_smoother_applies_volume_density_correction():
@@ -565,8 +567,8 @@ def test_sphere_smoother_applies_volume_density_correction():
     values = rng.normal(size=40)
     queries = sample[:5]
     h = 1.5
-    cfg = LocalFitConfig(score=ScoreFunction.identity())
-    est = fit_smoother(sph, h, sample, values, queries, cfg)
+    score = ScoreFunction.identity()
+    est = fit_smoother(sph, h, sample, values, queries, score)
 
     # direct oracle: K(d/h) divided by sin(r)/r, then normalized
     d = cross_distances(sph, queries, sample)
