@@ -9,19 +9,51 @@ form s^2 A^{-1} Sigma A^{-1} / n with
 estimated by plugging in fitted residuals and smoothed covariate residuals.
 With the identity score and unit weights this collapses to the classical
 least-squares covariance.
+
+The normal quantile, the normal tail and the chi-squared tail come from the
+standard library (``statistics.NormalDist`` and ``math.erfc``/``math.lgamma``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import chdtrc, ndtr, ndtri
 
 from .errors import DegenerateScaleError, DegenerateTestError, SingularMatrixError
 from .plm import PLMFit
 
 _COND_LIMIT = 1e12
+
+
+def normal_two_sided_p(z: float) -> float:
+    """P(|Z| > |z|) = erfc(|z| / sqrt(2)) for a standard normal Z."""
+    return math.erfc(abs(z) / math.sqrt(2.0))
+
+
+def chi2_sf(x: float, p: int) -> float:
+    """Upper tail P(chi^2_p > x) for an integer p >= 1, in closed form.
+
+    With y = x/2 the tail is [p odd] erfc(sqrt(y)) plus the sum of
+    y^a e^{-y} / Gamma(a + 1) over a = (p mod 2)/2, (p mod 2)/2 + 1, ...,
+    p/2 - 1: a Poisson sum for even p, the half-integer series for odd p.
+    Every term is positive, so nothing cancels, and each is built in log
+    space, so the sum stays right where e^{-y} alone underflows.
+    """
+    if x <= 0.0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    y = 0.5 * x
+    log_y = math.log(y)
+    head = math.erfc(math.sqrt(y)) if p % 2 else 0.0
+    start = 0.5 * (p % 2)
+    return head + math.fsum(
+        math.exp(a * log_y - y - math.lgamma(a + 1.0))
+        for a in (start + j for j in range(p // 2))
+    )
 
 
 @dataclass
@@ -93,11 +125,16 @@ def estimate_covariance(fit: PLMFit) -> AsymptoticCovariance:
 
 
 def confidence_interval(beta, cov: AsymptoticCovariance, level: float = 0.95) -> np.ndarray:
-    """Wald intervals beta_j +/- z_{(1+level)/2} se_j, one row per coefficient."""
+    """Wald intervals beta_j +/- z se_j, one row per coefficient.
+
+    z is the upper (1 - level)/2 normal quantile, taken from the tail:
+    1 - level is exact for level >= 0.5 and stays positive for every level
+    below 1, so z is finite wherever 0.5 + level/2 would round to 1.
+    """
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must be in (0, 1)")
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    z = ndtri(0.5 + level / 2.0)
+    z = -NormalDist().inv_cdf((1.0 - level) / 2.0)
     return np.column_stack([beta - z * cov.se, beta + z * cov.se])
 
 
@@ -116,9 +153,9 @@ def wald_test(beta, cov: AsymptoticCovariance, null) -> tuple[float, float]:
         if se <= 0.0:
             raise DegenerateTestError("standard error is zero; the z test is undefined")
         z = (float(beta[0]) - float(null[0])) / se
-        return z, float(2.0 * ndtr(-abs(z)))
+        return z, normal_two_sided_p(z)
     if not np.all(np.isfinite(cov.V_hat)) or np.linalg.cond(cov.V_hat) > _COND_LIMIT:
         raise SingularMatrixError("covariance matrix is numerically singular")
     d = beta - null
     stat = float(d @ np.linalg.solve(cov.V_hat, d))
-    return stat, float(chdtrc(p, stat))
+    return stat, chi2_sf(stat, p)

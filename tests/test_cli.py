@@ -178,6 +178,27 @@ def test_fit_command_wald_report(tmp_path):
     assert 0.0 <= wald["p_value"] <= 1.0
 
 
+def _reject_constant(name):
+    raise ValueError(f"the report holds {name}, which is not JSON")
+
+
+def test_fit_report_at_a_level_next_to_one_is_strict_json(tmp_path):
+    """At the largest level below 1 the interval stays finite, so the report
+    holds no Infinity (0.5 + level/2 used to round to 1 and give z = inf)."""
+    data = tmp_path / "lin.csv"
+    out = tmp_path / "report.json"
+    make_linear_csv(data, slope=2.0, seed=3, noise=0.3)
+    assert run_cli("fit", "--input", str(data), "--map", MAPPING, "--mode", "robust",
+                   "--bandwidth", "1.5", "--null", "2", "--level", "0.9999999999999999",
+                   "--out", str(out)) == 0
+    entry = json.loads(out.read_text(), parse_constant=_reject_constant)["robust"]
+    (lo, hi), = entry["ci"]
+    beta, se = entry["beta"][0], entry["se"][0]
+    assert lo < beta < hi
+    assert (hi - beta) / se == pytest.approx(8.29, abs=0.01)
+    assert entry["wald"]["alpha"] > 0.0
+
+
 def test_wald_on_noise_free_data_is_a_degenerate_test(tmp_path, capsys):
     """y = 2x exactly: the fit reproduces beta, the sandwich SE is zero and the
     z test is undefined, so the run exits 3 naming DegenerateTestError."""
@@ -430,12 +451,18 @@ def test_click_simulate_smoke(tmp_path):
     assert out.exists()
 
 
-def test_importing_the_cli_leaves_scipy_stats_unloaded():
+def test_importing_the_package_or_the_cli_loads_no_scipy_module():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pm.__file__)))
-    code = "import sys, plmanifold.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+            "import plmanifold\n"
+            "print(scipy_modules())\n"
+            "import plmanifold.cli\n"
+            "print(scipy_modules())\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.splitlines() == ["[]", "[]"]
 
 
 NOT_A_NUMBER = "'abc' is not a number"

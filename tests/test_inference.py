@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.special import chdtrc, ndtr, ndtri
+from scipy.stats import chi2, norm
 
 from plmanifold.errors import DegenerateTestError, SingularMatrixError
 from plmanifold.inference import (
     AsymptoticCovariance,
+    chi2_sf,
     confidence_interval,
     estimate_covariance,
+    normal_two_sided_p,
     wald_test,
 )
 from plmanifold.manifold import Manifold, cylinder_coords
@@ -130,6 +135,25 @@ def test_confidence_interval_level_validation():
         confidence_interval(np.array([0.0]), cov, 1.0)
 
 
+def test_confidence_interval_is_finite_next_to_level_one():
+    """0.5 + level/2 rounds to 1 here; the tail (1 - level)/2 does not."""
+    level = math.nextafter(1.0, 0.0)
+    ci = confidence_interval(np.array([1.0]), _cov1(0.5), level)
+    assert np.all(np.isfinite(ci))
+    assert (ci[0, 1] - 1.0) / 0.5 == pytest.approx(norm.isf((1.0 - level) / 2), rel=1e-15)
+
+
+def test_interval_quantile_matches_scipy():
+    """With beta = 0 and se = 1 the upper end is the quantile itself; for
+    level = 2q - 1 (exact for q >= 0.5) it is Phi^{-1}(q)."""
+    q = np.concatenate([np.linspace(0.5005, 1.0 - 1e-7, 2001),
+                        1.0 - np.geomspace(1e-7, 0.4995, 200)])
+    hi = np.array([confidence_interval(np.zeros(1), _cov1(1.0), 2.0 * qi - 1.0)[0, 1]
+                   for qi in q])
+    assert hi == pytest.approx(ndtri(q), rel=1e-15)
+    assert hi == pytest.approx(norm.ppf(q), rel=1e-15)
+
+
 def test_interval_width_scales_with_quantile():
     cov = AsymptoticCovariance(np.eye(1), np.eye(1), np.array([[0.04]]),
                                np.array([0.2]), 1.0, 100)
@@ -159,6 +183,39 @@ def test_wald_two_sigma():
     assert p == pytest.approx(2 * norm.sf(2.0), abs=1e-12)
 
 
+def test_normal_tail_matches_scipy():
+    z = np.linspace(-37.0, 37.0, 7401)
+    p = np.array([normal_two_sided_p(float(zi)) for zi in z])
+    assert p == pytest.approx(2.0 * ndtr(-np.abs(z)), rel=5e-13)
+    assert p == pytest.approx(2.0 * norm.sf(np.abs(z)), rel=5e-13)
+
+
+@pytest.mark.parametrize("p", range(1, 12))
+def test_chi2_tail_matches_scipy(p):
+    x = np.geomspace(1e-6, 400.0, 1000)
+    tail = np.array([chi2_sf(float(xi), p) for xi in x])
+    assert tail == pytest.approx(chdtrc(p, x), rel=1e-13)
+    assert tail == pytest.approx(chi2.sf(x, p), rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [1600, 2000])
+def test_chi2_tail_where_the_exponential_underflows(p):
+    """At x = p the tail is near 1/2, but e^{-x/2} is below the smallest double."""
+    assert math.exp(-p / 2) == 0.0
+    assert chi2_sf(float(p), p) == pytest.approx(chdtrc(p, p), rel=1e-10)
+    assert chi2_sf(float(p), p) == pytest.approx(chi2.sf(p, p), rel=1e-10)
+
+
+@pytest.mark.parametrize("p", range(1, 12))
+def test_wald_p_value_is_one_at_the_null(p):
+    V = np.diag(np.linspace(0.5, 2.0, p))
+    cov = AsymptoticCovariance(np.eye(p), np.eye(p), V, np.sqrt(np.diag(V)), 1.0, 100)
+    beta = np.linspace(-1.0, 1.0, p)
+    stat, pval = wald_test(beta, cov, beta)
+    assert stat == 0.0
+    assert pval == 1.0
+
+
 def test_wald_zero_se_raises():
     with pytest.raises(DegenerateTestError):
         wald_test(np.array([2.0]), _cov1(0.0), 1.0)
@@ -166,17 +223,25 @@ def test_wald_zero_se_raises():
 
 def test_wald_ci_duality_on_random_instances():
     rng = np.random.default_rng(100)
-    for _ in range(100):
-        beta = rng.normal()
-        se = rng.uniform(0.01, 2.0)
-        b0 = rng.normal()
-        level = rng.uniform(0.5, 0.99)
+
+    def check(beta, se, b0, level):
         cov = _cov1(se)
         _, p = wald_test(np.array([beta]), cov, b0)
         lo, hi = confidence_interval(np.array([beta]), cov, level)[0]
         rejected = p < 1.0 - level
         outside = (b0 < lo) or (b0 > hi)
-        assert rejected == outside
+        assert rejected == outside, (beta, se, b0, level)
+
+    for _ in range(100):
+        check(rng.normal(), rng.uniform(0.01, 2.0), rng.normal(), rng.uniform(0.5, 0.99))
+    # levels up to 1 - 1e-12, with the null a relative distance of 1e-10 to
+    # 1e-1 inside or outside the interval's end
+    for _ in range(400):
+        beta, se = rng.normal(), rng.uniform(0.01, 2.0)
+        level = 1.0 - 10.0 ** -rng.uniform(0.3, 12.0)
+        z = norm.isf((1.0 - level) / 2)
+        offset = rng.choice([-1.0, 1.0]) * 10.0 ** -rng.uniform(1.0, 10.0)
+        check(beta, se, beta + rng.choice([-1.0, 1.0]) * z * (1.0 + offset) * se, level)
 
 
 def test_wald_joint_quadratic_form():
@@ -187,6 +252,11 @@ def test_wald_joint_quadratic_form():
     stat, p = wald_test(beta, cov, null)
     d = beta - null
     assert stat == pytest.approx(float(d @ np.linalg.solve(V, d)), abs=1e-12)
+    assert p == pytest.approx(chi2.sf(stat, 2), rel=1e-13)
+    assert p == pytest.approx(math.exp(-stat / 2), rel=1e-13)
+    with np.errstate(over="ignore"):
+        stat_inf, p_inf = wald_test(beta, cov, np.array([1e300, -1e300]))
+    assert stat_inf == math.inf and p_inf == 0.0
     stat0, p0 = wald_test(beta, cov, beta)
     assert stat0 == 0.0 and p0 == 1.0
 
