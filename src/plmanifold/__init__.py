@@ -9,7 +9,6 @@ sandwich-covariance inference and a Monte Carlo harness are included.
 """
 
 from .bandwidth import (
-    BandwidthGrid,
     GridPointDiagnostic,
     default_grid,
     rcv_score,
@@ -63,7 +62,6 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandwidthGrid",
     "GridPointDiagnostic",
     "default_grid",
     "rcv_score",

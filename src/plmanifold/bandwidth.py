@@ -20,7 +20,7 @@ from .errors import (
     InfeasibleGridError,
     SingularDesignError,
 )
-from .manifold import injectivity_radius, pairwise_distances
+from .manifold import Manifold, injectivity_radius, pairwise_distances
 from .plm import PLMDataset, mode_configs, smooth_dataset
 from .robust_linear import GMConfig, gm_estimate, residual_scale_or_zero
 from .smoother import ScoreFunction, check_bandwidth
@@ -39,30 +39,24 @@ class GridPointDiagnostic:
     reason: str | None = None
 
 
-@dataclass
-class BandwidthGrid:
-    """Ascending candidate bandwidths."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).ravel()
-        if values.size == 0:
-            raise ValueError("bandwidth grid must be nonempty")
-        if np.any(values <= 0) or not np.all(np.isfinite(values)):
-            raise ValueError("bandwidth candidates must be positive and finite")
-        self.values = np.sort(values)
+def check_grid(manifold: Manifold, values) -> np.ndarray:
+    """Candidate bandwidths as an ascending float array.  Each candidate
+    passes ``check_bandwidth``; an empty grid raises ValueError."""
+    hs = [check_bandwidth(manifold, h) for h in np.asarray(values, dtype=float).ravel()]
+    if not hs:
+        raise ValueError("bandwidth grid must be nonempty")
+    return np.sort(hs)
 
 
-def default_grid(dataset: PLMDataset) -> BandwidthGrid:
+def default_grid(dataset: PLMDataset) -> np.ndarray:
     """Eight log-spaced candidates from the 10th percentile of pairwise
-    distances up to 0.9 x injectivity radius (0.9 x the largest pairwise
+    distances up to 0.9 x ``injectivity_radius`` (0.9 x the largest pairwise
     distance on unbounded domains)."""
     d = pairwise_distances(dataset.manifold, dataset.t)
     return _grid_from_distances(dataset, d)
 
 
-def _grid_from_distances(dataset: PLMDataset, d: np.ndarray) -> BandwidthGrid:
+def _grid_from_distances(dataset: PLMDataset, d: np.ndarray) -> np.ndarray:
     off = d[np.triu_indices(dataset.n, k=1)]
     off = off[off > 0]
     if off.size == 0:
@@ -72,11 +66,11 @@ def _grid_from_distances(dataset: PLMDataset, d: np.ndarray) -> BandwidthGrid:
     hi = 0.9 * (inj if np.isfinite(inj) else float(off.max()))
     if lo >= hi:
         lo = hi / 4.0
-    return BandwidthGrid(np.geomspace(lo, hi, _GRID_SIZE))
+    return np.geomspace(lo, hi, _GRID_SIZE)
 
 
 def _loo_prediction_residuals(dataset: PLMDataset, h: float, local_score: ScoreFunction,
-                              gm: GMConfig, distances: np.ndarray | None) -> np.ndarray:
+                              gm: GMConfig, distances: np.ndarray) -> np.ndarray:
     _, resid, _ = smooth_dataset(dataset, h, local_score, leave_one_out=True,
                                  distances=distances)
     if dataset.p == 0:
@@ -94,20 +88,17 @@ def _criterion(residuals: np.ndarray, mode: str, scale: float) -> float:
 def rcv_score(dataset: PLMDataset, h: float, mode: str = "robust",
               local_score: ScoreFunction | None = None,
               gm: GMConfig | None = None) -> float:
-    """Cross-validation criterion at bandwidth h.
-
-    In robust mode the residuals are standardized by their own robust
-    spread before scoring.  Returns +inf when h is infeasible (an empty
-    leave-one-out window or a solver failure); never raises for
-    feasibility problems.
+    """Cross-validation criterion at bandwidth h: the score of the
+    one-candidate grid [h] in ``select_bandwidth``, so in robust mode the
+    residuals are standardized by their own robust spread.  Returns +inf
+    when h is infeasible (an empty leave-one-out window or a solver
+    failure); never raises for feasibility problems.
     """
-    local_score, gm = mode_configs(mode, local_score, gm)
-    check_bandwidth(dataset.manifold, h)
     try:
-        res = _loo_prediction_residuals(dataset, h, local_score, gm, None)
-    except _FAILURE_KINDS:
+        _, [diagnostic] = select_bandwidth(dataset, [h], mode, local_score, gm)
+    except InfeasibleGridError:
         return float("inf")
-    return _criterion(res, mode, residual_scale_or_zero(res))
+    return diagnostic.score
 
 
 def select_bandwidth(dataset: PLMDataset, grid=None, mode: str = "robust",
@@ -119,26 +110,19 @@ def select_bandwidth(dataset: PLMDataset, grid=None, mode: str = "robust",
     robust spread of the leave-one-out residuals at the smallest feasible
     bandwidth; a per-candidate scale would make the criterion nearly
     scale-free and blind to oversmoothing.  Ties break toward the smallest
-    bandwidth.  ``grid=None`` uses the ``default_grid`` candidates.
-    Returns (h_star, diagnostics); raises InfeasibleGridError with
-    per-candidate reasons when nothing on the grid works.
+    bandwidth.  ``grid=None`` uses the ``default_grid`` candidates; a given
+    grid goes through ``check_grid``.  Returns (h_star, diagnostics); raises
+    InfeasibleGridError with per-candidate reasons when nothing on the grid
+    works.
     """
     local_score, gm = mode_configs(mode, local_score, gm)
     distances = pairwise_distances(dataset.manifold, dataset.t)
-    if grid is None:
-        grid = _grid_from_distances(dataset, distances)
-    elif not isinstance(grid, BandwidthGrid):
-        grid = BandwidthGrid(np.asarray(grid, dtype=float))
-    inj = injectivity_radius(dataset.manifold)
-    for h in grid.values:
-        if not h < inj:
-            raise ValueError(
-                f"grid bandwidth {h} is not below the injectivity radius {inj}"
-            )
+    grid = (_grid_from_distances(dataset, distances) if grid is None
+            else check_grid(dataset.manifold, grid))
 
     diagnostics: list[GridPointDiagnostic] = []
     pilot_scale = None
-    for h in grid.values:
+    for h in grid:
         try:
             res = _loo_prediction_residuals(dataset, float(h), local_score, gm, distances)
             if pilot_scale is None:

@@ -19,13 +19,14 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .bandwidth import BandwidthGrid, select_bandwidth
+from .bandwidth import check_grid, select_bandwidth
 from .errors import ConfigError, InsufficientDataError, PLMError
 from .inference import confidence_interval, estimate_covariance, wald_test
-from .manifold import ON_MANIFOLD_TOL, Manifold
+from .manifold import CYLINDER_HEIGHTS, ON_MANIFOLD_TOL, Manifold
 from .plm import PLMDataset, fit
 from .robust_linear import GMConfig, WeightFunction
 from .simulation import (
+    BETA_TRUE,
     SimulationConfig,
     boxplot_csv,
     generate_sample,
@@ -36,14 +37,13 @@ from .simulation import (
 from .smoother import ScoreFunction, check_bandwidth
 
 _TOP_KEYS = ("response", "linear", "manifold")
-_CYLINDER = Manifold.cylinder((0.0, 1.0))  # the one manifold of the CLI
+_CYLINDER = Manifold.cylinder()  # the one manifold of the CLI
 
 
 @dataclass
 class ColumnMapping:
     response: str
     linear: list[str]
-    manifold_kind: str
     angle_deg: str
     height: str
     height_raw: bool = False
@@ -100,8 +100,7 @@ def parse_mapping(text: str) -> ColumnMapping:
         raise ConfigError(
             "cylinder mapping needs angle_deg=COL and height=COL (or height_raw=COL)"
         )
-    return ColumnMapping(fields["response"], fields["linear"], "cylinder",
-                         angle, height, raw)
+    return ColumnMapping(fields["response"], fields["linear"], angle, height, raw)
 
 
 def _constant(option: str, text: str, arg: str) -> float:
@@ -157,12 +156,10 @@ def ingest_csv(path, mapping: ColumnMapping) -> PLMDataset:
 
     An empty or NaN cell counts as missing; an unparseable or infinite cell
     in a mapped column, or a ``height_raw`` cell outside the cylinder's height
-    interval, raises ConfigError naming the column and CSV line.
-
-    The affine height normalization is recorded in the dataset metadata
-    under ``height_map`` for prediction-time reuse.
+    interval, raises ConfigError naming the column and CSV line.  The
+    dataset's ``meta`` records the number of dropped rows as ``n_dropped``.
     """
-    lo, hi = _CYLINDER.height_interval
+    lo, hi = CYLINDER_HEIGHTS
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as err:
@@ -202,25 +199,16 @@ def ingest_csv(path, mapping: ColumnMapping) -> PLMDataset:
     angle = np.radians(data[:, 1 + p])
     height = data[:, 2 + p]
 
-    meta = {"n_dropped": dropped, "columns": {
-        "response": mapping.response, "linear": list(mapping.linear),
-        "angle_deg": mapping.angle_deg, "height": mapping.height,
-    }}
-    if mapping.height_raw:
-        meta["height_map"] = None
-    else:
+    if not mapping.height_raw:
         lo, hi = float(height.min()), float(height.max())
         if hi > lo:
             scale = 0.98 / (hi - lo)
-            offset = 0.01 - scale * lo
-            height = scale * height + offset
+            height = scale * height + (0.01 - scale * lo)
         else:
-            scale, offset = 0.0, 0.5
             height = np.full_like(height, 0.5)
-        meta["height_map"] = {"scale": scale, "offset": offset}
 
     t = np.column_stack([np.cos(angle), np.sin(angle), height])
-    return PLMDataset(y, x, t, _CYLINDER, meta)
+    return PLMDataset(y, x, t, _CYLINDER, {"n_dropped": dropped})
 
 
 def _configs(score_text: str, w1_text: str):
@@ -240,7 +228,7 @@ def _floats(text: str | None, what: str) -> tuple[float, ...] | None:
     return values
 
 
-def _grid(bandwidth: float | None, grid_text: str | None) -> BandwidthGrid | None:
+def _grid(bandwidth: float | None, grid_text: str | None) -> np.ndarray | None:
     """The CV grid, or None with a fixed bandwidth.  The fixed bandwidth or
     every grid candidate is checked against the cylinder, so a bad value
     fails before the input is read."""
@@ -251,10 +239,7 @@ def _grid(bandwidth: float | None, grid_text: str | None) -> BandwidthGrid | Non
         return None
     if bandwidth is not None:
         raise ConfigError("give either a fixed bandwidth or a CV grid, not both")
-    grid = BandwidthGrid(values)
-    for h in grid.values:
-        check_bandwidth(_CYLINDER, h)
-    return grid
+    return check_grid(_CYLINDER, values)
 
 
 def _modes(mode: str) -> tuple[str, ...]:
@@ -272,7 +257,6 @@ def _fit_entry(fitted, level: float, null: tuple[float, ...] | None) -> dict:
         "n_dropped": int(fitted.dataset.meta.get("n_dropped", 0)),
         "flags": {
             "degenerate_windows": [int(i) for i in fitted.flags["degenerate_windows"]],
-            "regression_converged": bool(fitted.flags["regression_converged"]),
             "regression_iterations": int(fitted.flags["regression_iterations"]),
         },
     }
@@ -290,9 +274,10 @@ def _fit_entry(fitted, level: float, null: tuple[float, ...] | None) -> dict:
 
 
 def _write_json(path, payload) -> None:
+    """Write strict JSON; a NaN or infinity raises before the file is opened."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _sibling(out: str, suffix: str) -> Path:
@@ -365,7 +350,7 @@ def _run_simulate(contamination, n, replications, workers, export_data, seed,
         "n": sim.n,
         "replications": sim.replications,
         "seed": sim.master_seed,
-        "beta_true": report.beta_true,
+        "beta_true": BETA_TRUE,
         "modes": {m: report.results[m].summary for m in sim.modes},
         "n_failures": len(report.failures),
     }

@@ -143,7 +143,8 @@ def wald_test(beta, cov: AsymptoticCovariance, null) -> tuple[float, float]:
 
     Scalar coefficients give a normal z test; several coefficients give the
     quadratic-form chi-squared test.  Rejection at level alpha is exactly
-    dual to the (1 - alpha) confidence interval.
+    dual to the (1 - alpha) confidence interval.  Raises DegenerateTestError
+    when the statistic overflows.
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     null = np.broadcast_to(np.atleast_1d(np.asarray(null, dtype=float)), beta.shape)
@@ -152,10 +153,13 @@ def wald_test(beta, cov: AsymptoticCovariance, null) -> tuple[float, float]:
         se = float(cov.se[0])
         if se <= 0.0:
             raise DegenerateTestError("standard error is zero; the z test is undefined")
-        z = (float(beta[0]) - float(null[0])) / se
-        return z, normal_two_sided_p(z)
-    if not np.all(np.isfinite(cov.V_hat)) or np.linalg.cond(cov.V_hat) > _COND_LIMIT:
-        raise SingularMatrixError("covariance matrix is numerically singular")
-    d = beta - null
-    stat = float(d @ np.linalg.solve(cov.V_hat, d))
-    return stat, chi2_sf(stat, p)
+        stat = (float(beta[0]) - float(null[0])) / se
+    else:
+        if not np.all(np.isfinite(cov.V_hat)) or np.linalg.cond(cov.V_hat) > _COND_LIMIT:
+            raise SingularMatrixError("covariance matrix is numerically singular")
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = beta - null
+            stat = float(d @ np.linalg.solve(cov.V_hat, d))
+    if not math.isfinite(stat):
+        raise DegenerateTestError(f"Wald statistic {stat}: the null is too far from beta")
+    return stat, normal_two_sided_p(stat) if p == 1 else chi2_sf(stat, p)

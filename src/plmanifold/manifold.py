@@ -23,49 +23,48 @@ CIRCLE = "circle"
 SPHERE = "sphere"
 CYLINDER = "cylinder"
 
-_KINDS = (EUCLIDEAN, CIRCLE, SPHERE, CYLINDER)
+CYLINDER_HEIGHTS = (0.0, 1.0)  # the cylinder's height interval
+
+# the coordinate length each kind fixes; None: any n >= 1 (Euclidean space)
+_AMBIENT_DIMS = {EUCLIDEAN: None, CIRCLE: 2, SPHERE: 3, CYLINDER: 3}
 
 
 @dataclass(frozen=True)
 class Manifold:
     """One of the supported smoothing domains.
 
-    ``dim`` is the intrinsic dimension, ``ambient_dim`` the length of the
-    coordinate vectors.  The cylinder has unit radius and a finite height
-    interval; the sphere is the unit 2-sphere.
+    ``ambient_dim`` is the length of the coordinate vectors, which the kind
+    fixes: 2 for the circle, 3 for the sphere and the cylinder, any n >= 1
+    for Euclidean space.  The cylinder has unit radius and the height
+    interval ``CYLINDER_HEIGHTS``; the sphere is the unit 2-sphere.
     """
 
     kind: str
-    dim: int
     ambient_dim: int
-    height_interval: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _AMBIENT_DIMS:
             raise ValueError(f"unknown manifold kind {self.kind!r}")
-        if self.dim < 1 or self.ambient_dim < self.dim:
-            raise ValueError("need dim >= 1 and ambient_dim >= dim")
+        want = _AMBIENT_DIMS[self.kind]
+        if (self.ambient_dim < 1) if want is None else (self.ambient_dim != want):
+            raise ValueError(f"a {self.kind} needs {want or 'n >= 1'} ambient "
+                             f"coordinates, got {self.ambient_dim!r}")
 
     @classmethod
     def euclidean(cls, dim: int) -> "Manifold":
-        if dim < 1:
-            raise ValueError("euclidean dimension must be >= 1")
-        return cls(EUCLIDEAN, dim, dim)
+        return cls(EUCLIDEAN, dim)
 
     @classmethod
     def circle(cls) -> "Manifold":
-        return cls(CIRCLE, 1, 2)
+        return cls(CIRCLE, 2)
 
     @classmethod
     def sphere(cls) -> "Manifold":
-        return cls(SPHERE, 2, 3)
+        return cls(SPHERE, 3)
 
     @classmethod
-    def cylinder(cls, height_interval: tuple[float, float] = (0.0, 1.0)) -> "Manifold":
-        lo, hi = float(height_interval[0]), float(height_interval[1])
-        if not hi > lo:
-            raise ValueError("cylinder height interval must have positive length")
-        return cls(CYLINDER, 2, 3, (lo, hi))
+    def cylinder(cls) -> "Manifold":
+        return cls(CYLINDER, 3)
 
 
 def injectivity_radius(manifold: Manifold) -> float:
@@ -105,7 +104,7 @@ def validate_coords(manifold: Manifold, points, name: str = "point") -> np.ndarr
                 f"{ON_MANIFOLD_TOL}"
             )
     if manifold.kind == CYLINDER:
-        lo, hi = manifold.height_interval
+        lo, hi = CYLINDER_HEIGHTS
         h = arr[:, 2]
         bad = (h < lo - ON_MANIFOLD_TOL) | (h > hi + ON_MANIFOLD_TOL)
         if np.any(bad):

@@ -93,7 +93,6 @@ class PLMFit:
     residuals: np.ndarray
     scale: float
     bandwidth: float
-    mode: str
     flags: dict
     regression: RegressionResult
     dataset: PLMDataset
@@ -185,11 +184,7 @@ def fit(dataset: PLMDataset, bandwidth: float, mode: str = "robust",
     g_hat = phi0 - phi @ beta
     residuals = reg.residuals
     degenerate = sorted(set(np.flatnonzero((fl == 1).any(axis=1)).tolist()))
-    flags = {
-        "degenerate_windows": degenerate,
-        "regression_converged": reg.converged,
-        "regression_iterations": reg.iterations,
-    }
+    flags = {"degenerate_windows": degenerate, "regression_iterations": reg.iterations}
     return PLMFit(
         beta=beta,
         phi0_hat=phi0,
@@ -198,7 +193,6 @@ def fit(dataset: PLMDataset, bandwidth: float, mode: str = "robust",
         residuals=residuals,
         scale=reg.scale,
         bandwidth=h,
-        mode=mode,
         flags=flags,
         regression=reg,
         dataset=dataset,
@@ -209,7 +203,7 @@ def fit(dataset: PLMDataset, bandwidth: float, mode: str = "robust",
 
 def _null_regression(r: np.ndarray) -> RegressionResult:
     # p = 0: nothing to regress, the smoothed residuals are the errors
-    return RegressionResult(np.zeros(0), residual_scale_or_zero(r), r.copy(), True, 0)
+    return RegressionResult(np.zeros(0), residual_scale_or_zero(r), r.copy(), 0)
 
 
 def predict_g(fit_result: PLMFit, t):

@@ -86,10 +86,11 @@ class GMConfig:
 
 @dataclass
 class RegressionResult:
+    """A solved regression step; a solve that does not converge raises."""
+
     beta: np.ndarray
     scale: float
     residuals: np.ndarray
-    converged: bool
     iterations: int
     w1_cutoff: float | None = None
 
@@ -142,7 +143,7 @@ def ols_estimate(r, eta) -> RegressionResult:
     beta, *_ = np.linalg.lstsq(eta, r, rcond=None)
     residuals = r - eta @ beta
     # an exact or half-degenerate fit records scale 0.0 as-is
-    return RegressionResult(beta, residual_scale_or_zero(residuals), residuals, True, 0)
+    return RegressionResult(beta, residual_scale_or_zero(residuals), residuals, 0)
 
 
 def gm_estimate(r, eta, config: GMConfig | None = None) -> RegressionResult:
@@ -167,7 +168,7 @@ def gm_estimate(r, eta, config: GMConfig | None = None) -> RegressionResult:
 
     exact_tol = 1e-12 * float(np.max(np.abs(r), initial=0.0))
     if np.max(np.abs(res)) <= exact_tol:
-        return RegressionResult(beta, 0.0, res, True, 0, cutoff)
+        return RegressionResult(beta, 0.0, res, 0, cutoff)
     s = residual_scale(res)
 
     last_step = np.inf
@@ -183,10 +184,10 @@ def gm_estimate(r, eta, config: GMConfig | None = None) -> RegressionResult:
         beta = beta_new
         res = r - eta @ beta
         if np.max(np.abs(res)) <= exact_tol:
-            return RegressionResult(beta, 0.0, res, True, it, cutoff)
+            return RegressionResult(beta, 0.0, res, it, cutoff)
         s = residual_scale(res)
         if last_step < GM_TOL:
-            return RegressionResult(beta, s, res, True, it, cutoff)
+            return RegressionResult(beta, s, res, it, cutoff)
     raise ConvergenceError(
         f"reweighting did not converge in {GM_MAX_ITERATIONS} iterations "
         f"(last relative step {last_step:.3e})",

@@ -23,16 +23,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bandwidth import select_bandwidth
+from .bandwidth import check_grid, select_bandwidth
 from .errors import CampaignError, ConfigError, PLMError
 from .manifold import Manifold, cylinder_coords
 from .plm import PLMDataset, fit
 from .robust_linear import GMConfig
-from .smoother import ScoreFunction
+from .smoother import ScoreFunction, check_bandwidth
 
 CONTAMINATIONS = ("C0", "C1", "C2")
 BETA_TRUE = 2.0
 X_NOISE_SD = 0.5
+_CYLINDER = Manifold.cylinder()
 
 BOXPLOT_HEADER = "mode,contamination,replication,beta_hat"
 
@@ -59,6 +60,10 @@ class SimulationConfig:
             raise ConfigError("modes must be a nonempty subset of classical/robust")
         if self.bandwidth is not None and self.cv_grid is not None:
             raise ConfigError("give either a fixed bandwidth or a CV grid, not both")
+        if self.bandwidth is not None:
+            check_bandwidth(_CYLINDER, self.bandwidth)
+        if self.cv_grid is not None:
+            check_grid(_CYLINDER, self.cv_grid)
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
 
@@ -67,7 +72,6 @@ class SimulationConfig:
 class GeneratedSample:
     dataset: PLMDataset
     g_true: np.ndarray
-    beta_true: float
     angles: np.ndarray
     heights: np.ndarray
     contaminated: np.ndarray
@@ -92,8 +96,8 @@ def generate_sample(n: int, contamination: str = "C0", rng=None) -> GeneratedSam
         eps = np.where(mask, tail, core)
     g_true = (t[:, 0] + t[:, 1] - t[:, 2]) ** 2
     y = BETA_TRUE * x + g_true + eps
-    dataset = PLMDataset(y, x[:, None], t, Manifold.cylinder((0.0, 1.0)))
-    return GeneratedSample(dataset, g_true, BETA_TRUE, angles, heights, mask)
+    dataset = PLMDataset(y, x[:, None], t, _CYLINDER)
+    return GeneratedSample(dataset, g_true, angles, heights, mask)
 
 
 def replication_rng(master_seed: int, replication: int) -> np.random.Generator:
@@ -116,10 +120,9 @@ class SimulationReport:
     config: SimulationConfig
     results: dict[str, ModeResults]
     failures: list[dict]
-    beta_true: float = BETA_TRUE
 
 
-def _summarize(beta: np.ndarray, mse_g: np.ndarray, beta_true: float) -> dict:
+def _summarize(beta: np.ndarray, mse_g: np.ndarray) -> dict:
     ok = np.isfinite(beta)
     b = beta[ok]
     n_ok = int(b.size)
@@ -132,7 +135,7 @@ def _summarize(beta: np.ndarray, mse_g: np.ndarray, beta_true: float) -> dict:
         "n_failed": int(beta.size - n_ok),
         "mean_beta": mean,
         "sd_beta": sd,
-        "mse_beta": float(np.mean((b - beta_true) ** 2)),
+        "mse_beta": float(np.mean((b - BETA_TRUE) ** 2)),
         "mean_mse_g": float(np.mean(mse_g[ok])),
     }
 
@@ -184,7 +187,7 @@ def run_campaign(config: SimulationConfig, local_score: ScoreFunction | None = N
                 failures.append({"replication": r, "mode": mode,
                                  "error": rows[r][mode][3]})
         res = ModeResults(beta, mse_g, hs)
-        res.summary = _summarize(beta, mse_g, BETA_TRUE)
+        res.summary = _summarize(beta, mse_g)
         results[mode] = res
 
     worst = max(results[m].summary.get("n_failed", 0) for m in config.modes)

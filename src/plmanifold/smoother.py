@@ -219,8 +219,9 @@ def weighted_median(weights, values) -> float:
     return float(_kernels.median_rows(W, V)[0])
 
 
-def local_mad(weights, values, consistency_constant: float = MAD_CONSISTENCY) -> float:
-    """Weighted median absolute deviation from the weighted median.
+def local_mad(weights, values) -> float:
+    """Weighted median absolute deviation from the weighted median, times
+    ``MAD_CONSISTENCY``.
 
     Returns 0.0 when the window is locally degenerate; callers decide how to
     react (the smoother falls back to the weighted median and flags the
@@ -228,7 +229,7 @@ def local_mad(weights, values, consistency_constant: float = MAD_CONSISTENCY) ->
     """
     W, V = _sorted_row(*_check_weight_pair(weights, values))
     med = _kernels.median_rows(W, V)
-    return float(_kernels.mad_rows(W, V, med, consistency_constant)[0])
+    return float(_kernels.mad_rows(W, V, med, MAD_CONSISTENCY)[0])
 
 
 def local_m_estimate(weights, values, score: ScoreFunction, scale: float) -> float:
@@ -315,14 +316,14 @@ def smooth_columns(manifold: Manifold, h: float, sample: np.ndarray,
 
 
 def fit_smoother(manifold: Manifold, h: float, sample, values, queries,
-                 score: ScoreFunction, return_flags: bool = False):
+                 score: ScoreFunction):
     """Robust local fit of one value column at bandwidth h at the given query
     points.
 
     With the identity ``score`` this is exactly the classical
     kernel-weighted mean (no scale step).  Degenerate windows fall back to
-    the weighted median and are flagged; solver non-convergence raises
-    ConvergenceError tagged with the query indices.
+    the weighted median (``smooth_columns`` returns their flags); solver
+    non-convergence raises ConvergenceError tagged with the query indices.
     """
     sample = validate_coords(manifold, sample, name="sample")
     queries = validate_coords(manifold, queries, name="query")
@@ -331,8 +332,6 @@ def fit_smoother(manifold: Manifold, h: float, sample, values, queries,
         raise ValueError(
             f"length mismatch: {sample.shape[0]} sample points vs {values.size} values"
         )
-    est, flags = smooth_columns(manifold, h, sample, columns=values, score=score,
-                                queries=queries)
-    if return_flags:
-        return est[:, 0], flags[:, 0]
+    est, _ = smooth_columns(manifold, h, sample, columns=values, score=score,
+                            queries=queries)
     return est[:, 0]

@@ -16,7 +16,7 @@ def random_cylinder_dataset(seed, n=40, p=2, noise=0.3, beta=None):
         beta = rng.normal(0.0, 1.0, p)
     g = np.cos(angles) + heights ** 2
     y = x @ beta + g + noise * rng.normal(0.0, 1.0, n)
-    return PLMDataset(y, x, t, Manifold.cylinder((0.0, 1.0))), np.asarray(beta)
+    return PLMDataset(y, x, t, Manifold.cylinder()), np.asarray(beta)
 
 
 def random_points(manifold, rng, n):

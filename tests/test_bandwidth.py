@@ -3,7 +3,7 @@ import pytest
 
 from plmanifold.bandwidth import (
     CV_SCORE,
-    BandwidthGrid,
+    check_grid,
     default_grid,
     rcv_score,
     select_bandwidth,
@@ -15,7 +15,7 @@ from plmanifold.simulation import generate_sample, replication_rng
 from plmanifold.smoother import ScoreFunction
 from conftest import random_cylinder_dataset
 
-CYL = Manifold.cylinder((0.0, 1.0))
+CYL = Manifold.cylinder()
 
 
 def classical_loo_cv_oracle(ds, h):
@@ -116,20 +116,26 @@ def test_all_infeasible_grid_raises_with_reasons():
 def test_grid_validation():
     ds, _ = random_cylinder_dataset(6, n=30, p=1)
     with pytest.raises(ValueError, match="nonempty"):
-        BandwidthGrid(np.array([]))
-    with pytest.raises(ValueError, match="positive"):
-        BandwidthGrid(np.array([-0.5, 1.0]))
-    with pytest.raises(ValueError, match="injectivity"):
+        check_grid(CYL, [])
+    with pytest.raises(ValueError, match=r"bandwidth -0.5 must lie in \(0, "):
+        check_grid(CYL, [-0.5, 1.0])
+    with pytest.raises(ValueError, match=r"bandwidth inf must lie in \(0, inf\)"):
+        check_grid(Manifold.euclidean(2), [1.0, np.inf])
+    with pytest.raises(ValueError, match=r"bandwidth 3.5 must lie in \(0, "):
         select_bandwidth(ds, [1.0, 3.5], mode="robust")
+    with pytest.raises(ValueError, match=r"bandwidth 3.5 must lie in \(0, "):
+        rcv_score(ds, 3.5)
+    grid = check_grid(CYL, (2.0, 0.5, 1))
+    assert grid.dtype == float and grid.tolist() == [0.5, 1.0, 2.0]
 
 
 def test_default_grid_spans_distances_to_injectivity():
     s = generate_sample(100, "C0", replication_rng(11, 0))
     grid = default_grid(s.dataset)
-    assert grid.values.size == 8
-    assert np.all(np.diff(grid.values) > 0)
-    assert grid.values[-1] == pytest.approx(0.9 * np.pi)
-    assert 0 < grid.values[0] < 1.0
+    assert isinstance(grid, np.ndarray) and grid.size == 8
+    assert np.all(np.diff(grid) > 0)
+    assert grid[-1] == pytest.approx(0.9 * np.pi)
+    assert 0 < grid[0] < 1.0
 
 
 def test_robust_cv_bounded_under_outlier_classical_diverges():

@@ -9,7 +9,14 @@ import pytest
 from click.testing import CliRunner
 
 import plmanifold as pm
-from plmanifold.cli import ingest_csv, main, parse_mapping, parse_score, parse_w1
+from plmanifold.cli import (
+    _write_json,
+    ingest_csv,
+    main,
+    parse_mapping,
+    parse_score,
+    parse_w1,
+)
 from plmanifold.errors import ConfigError, InsufficientDataError
 from plmanifold.simulation import generate_sample, replication_rng, sample_to_csv
 
@@ -31,7 +38,6 @@ def test_parse_mapping_full_grammar():
                       "manifold=cylinder:angle_deg=dir,height=speed")
     assert m.response == "insolation"
     assert m.linear == ["humidity", "pressure"]
-    assert m.manifold_kind == "cylinder"
     assert m.angle_deg == "dir"
     assert m.height == "speed"
     assert not m.height_raw
@@ -93,9 +99,7 @@ def test_ingest_height_normalization(tmp_path):
     h = ds.t[:, 2]
     assert h.min() == pytest.approx(0.01)
     assert h.max() == pytest.approx(0.99)
-    hm = ds.meta["height_map"]
-    assert hm["scale"] * 10.0 + hm["offset"] == pytest.approx(0.01)
-    assert hm["scale"] * 20.0 + hm["offset"] == pytest.approx(0.99)
+    assert h == pytest.approx(0.01 + 0.98 * (np.array([10.0, 20.0, 15.0, 12.0]) - 10.0) / 10.0)
 
 
 def test_ingest_drops_and_counts_missing_rows(tmp_path):
@@ -197,6 +201,57 @@ def test_fit_report_at_a_level_next_to_one_is_strict_json(tmp_path):
     assert lo < beta < hi
     assert (hi - beta) / se == pytest.approx(8.29, abs=0.01)
     assert entry["wald"]["alpha"] > 0.0
+
+
+def test_fit_report_keys_are_pinned(tmp_path):
+    data = tmp_path / "lin.csv"
+    make_linear_csv(data, slope=2.0, seed=3, noise=0.3)
+    entry_keys = {"beta", "se", "ci", "h", "n_dropped", "flags"}
+    for null in ([], ["--null", "2"]):
+        out = tmp_path / f"report{len(null)}.json"
+        assert run_cli("fit", "--input", str(data), "--map", MAPPING, "--mode", "both",
+                       "--bandwidth", "1.5", *null, "--out", str(out)) == 0
+        report = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert set(report) == {"robust", "classical"}
+        for entry in report.values():
+            assert set(entry) == entry_keys | ({"wald"} if null else set())
+            assert set(entry["flags"]) == {"degenerate_windows", "regression_iterations"}
+            if null:
+                assert set(entry["wald"]) == {"null", "statistic", "p_value", "reject",
+                                              "alpha"}
+
+
+@pytest.mark.parametrize("linear,null", [(1, "1e308"), (2, "1e300,-1e300")],
+                         ids=["z", "joint"])
+def test_overflowing_wald_statistic_exits_3_without_a_report(tmp_path, capsys, linear,
+                                                             null):
+    """A null so far from beta that the statistic overflows is a degenerate
+    test: exit 3, no report, no RuntimeWarning (the statistic was written as
+    Infinity or -Infinity, which is not JSON)."""
+    rng = np.random.default_rng(4)
+    n = 40
+    x = rng.normal(size=(n, linear))
+    y = x @ np.arange(1.0, linear + 1.0) + 0.3 * rng.normal(size=n)
+    columns = [f"x{j + 1}" for j in range(linear)]
+    data = tmp_path / "lin.csv"
+    write_csv(data, [(y[i], *x[i], rng.uniform(0, 360.0), rng.uniform(0, 1))
+                     for i in range(n)], header=",".join(["y", *columns, "angle_deg", "height"]))
+    mapping = MAPPING.replace("linear=x1", "linear=" + ",".join(columns))
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli("fit", "--input", str(data), "--map", mapping, "--bandwidth", "1.5",
+                       "--null", null, "--out", str(out)) == 3
+    assert "DegenerateTestError: Wald statistic" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_json_with_a_nan_or_infinity_is_refused_before_the_file_is_opened(tmp_path):
+    for value in (float("nan"), float("inf")):
+        out = tmp_path / "r.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _write_json(out, {"statistic": value})
+        assert not out.exists()
 
 
 def test_wald_on_noise_free_data_is_a_degenerate_test(tmp_path, capsys):
@@ -500,11 +555,11 @@ def test_unparseable_number_list_exits_2_in_the_error_format(tmp_path, capsys, o
 
 
 @pytest.mark.parametrize("command,option,value,message", [
-    ("fit", "--cv-grid", "-1,2", "bandwidth candidates must be positive and finite"),
+    ("fit", "--cv-grid", "-1,2", "bandwidth -1.0 must lie in (0, "),
     ("fit", "--cv-grid", "1,4", "bandwidth 4.0 must lie in (0, "),
     ("fit", "--bandwidth", "-1", "bandwidth -1.0 must lie in (0, "),
     ("fit", "--bandwidth", "3.5", "bandwidth 3.5 must lie in (0, "),
-    ("cv", "--cv-grid", "-1,2", "bandwidth candidates must be positive and finite"),
+    ("cv", "--cv-grid", "-1,2", "bandwidth -1.0 must lie in (0, "),
     ("cv", "--cv-grid", "0.5,3.5", "bandwidth 3.5 must lie in (0, "),
 ], ids=["fit-grid-negative", "fit-grid-too-wide", "fit-h-negative", "fit-h-too-wide",
         "cv-grid-negative", "cv-grid-too-wide"])

@@ -20,10 +20,10 @@ from plmanifold.robust_linear import GMConfig, RegressionResult, WeightFunction
 from plmanifold.smoother import ScoreFunction
 from conftest import random_cylinder_dataset
 
-CYL = Manifold.cylinder((0.0, 1.0))
+CYL = Manifold.cylinder()
 
 
-def make_fit(eta, eps, scale, mode="robust", gm=None):
+def make_fit(eta, eps, scale, gm=None):
     """Assemble a PLMFit directly so covariance formulas can be hand-checked."""
     eta = np.asarray(eta, dtype=float)
     if eta.ndim == 1:
@@ -32,11 +32,11 @@ def make_fit(eta, eps, scale, mode="robust", gm=None):
     rng = np.random.default_rng(0)
     t = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
     ds = PLMDataset(np.zeros(n), eta, t, CYL)
-    reg = RegressionResult(np.zeros(p), scale, np.asarray(eps, dtype=float), True, 1)
+    reg = RegressionResult(np.zeros(p), scale, np.asarray(eps, dtype=float), 1)
     return PLMFit(
         beta=np.zeros(p), phi0_hat=np.zeros(n), phi_hat=np.zeros((n, p)),
         g_hat=np.zeros(n), residuals=np.asarray(eps, dtype=float), scale=scale,
-        bandwidth=1.0, mode=mode, flags={}, regression=reg, dataset=ds,
+        bandwidth=1.0, flags={}, regression=reg, dataset=ds,
         local_score=ScoreFunction.huber(),
         gm_config=gm or GMConfig(),
     )
@@ -254,11 +254,19 @@ def test_wald_joint_quadratic_form():
     assert stat == pytest.approx(float(d @ np.linalg.solve(V, d)), abs=1e-12)
     assert p == pytest.approx(chi2.sf(stat, 2), rel=1e-13)
     assert p == pytest.approx(math.exp(-stat / 2), rel=1e-13)
-    with np.errstate(over="ignore"):
-        stat_inf, p_inf = wald_test(beta, cov, np.array([1e300, -1e300]))
-    assert stat_inf == math.inf and p_inf == 0.0
     stat0, p0 = wald_test(beta, cov, beta)
     assert stat0 == 0.0 and p0 == 1.0
+
+
+@pytest.mark.parametrize("beta,null", [
+    ([2.0], [1e308]),                   # the z statistic is -inf
+    ([1.0, 2.0], [1e300, -1e300]),      # d' V^-1 d overflows to inf
+], ids=["z", "joint"])
+def test_wald_overflowing_statistic_raises(beta, null):
+    V = np.array([[0.01]]) if len(beta) == 1 else np.array([[0.04, 0.01], [0.01, 0.09]])
+    cov = AsymptoticCovariance(V, V, V, np.sqrt(np.diag(V)), 1.0, 100)
+    with pytest.raises(DegenerateTestError, match="Wald statistic -?inf"):
+        wald_test(np.array(beta), cov, np.array(null))  # RuntimeWarnings are errors here
 
 
 # --------------------------------------------------- pinned regression run

@@ -161,7 +161,7 @@ def test_engine_matches_sort_based_oracle(problem):
         assert med[q] == oracle_median(W[q], v)
         assert mad[q] == pytest.approx(oracle_mad(W[q], v), rel=1e-12, abs=0.0)
         assert weighted_median(Wn[q], v) == med[q]
-        assert local_mad(Wn[q], v, MAD_C) == mad[q]
+        assert local_mad(Wn[q], v) == mad[q]
         if mad[q] <= 0.0:
             assert flags[q] == 1 and est[q] == med[q]
             continue
@@ -203,7 +203,7 @@ def test_monotone_rows_that_run_out_of_iterations_raise(monkeypatch):
     monkeypatch.setattr(smoother, "LOCAL_MAX_ITERATIONS", 1)
     rng = np.random.default_rng(8)
     n = 30
-    cyl = Manifold.cylinder((0.0, 1.0))
+    cyl = Manifold.cylinder()
     t = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
     v = rng.normal(size=n) + np.linspace(0, 5, n)
     W = raw_weight_matrix(cyl, 2.0, pairwise_distances(cyl, t))
@@ -216,7 +216,7 @@ def test_monotone_rows_that_run_out_of_iterations_raise(monkeypatch):
 
     w = W[stuck[0]] / W[stuck[0]].sum()
     with pytest.raises(ConvergenceError) as one:
-        local_m_estimate(w, v, ScoreFunction.huber(HUBER_C), scale=local_mad(w, v, MAD_C))
+        local_m_estimate(w, v, ScoreFunction.huber(HUBER_C), scale=local_mad(w, v))
     assert v[w > 0].min() <= one.value.last_iterate <= v[w > 0].max()
 
 
@@ -283,7 +283,7 @@ def _manifold_samples():
         ("euclidean", Manifold.euclidean(2), rng.uniform(0.0, 1.0, (n, 2)), 0.35),
         ("circle", Manifold.circle(), circle_coords(rng.uniform(0.0, 2 * np.pi, n)), 0.6),
         ("sphere", Manifold.sphere(), sphere, 0.9),
-        ("cylinder", Manifold.cylinder((0.0, 1.0)),
+        ("cylinder", Manifold.cylinder(),
          cylinder_coords(rng.uniform(0.0, 2 * np.pi, n), rng.uniform(0.0, 1.0, n)), 0.7),
     ]
 

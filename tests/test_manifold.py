@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from plmanifold.errors import DomainError, InvalidPointError
 from plmanifold.manifold import (
     BLOCK_CELLS,
+    CYLINDER_HEIGHTS,
     Manifold,
     circle_coords,
     cross_distances,
@@ -22,7 +23,7 @@ from plmanifold.manifold import (
 )
 from conftest import random_points
 
-CYL = Manifold.cylinder((0.0, 1.0))
+CYL = Manifold.cylinder()
 SPH = Manifold.sphere()
 CIR = Manifold.circle()
 EUC3 = Manifold.euclidean(3)
@@ -59,7 +60,7 @@ def test_distance_axioms_on_random_pairs(manifold):
     assert np.all(dab >= 0)
     # the diameter: pi on the circle and sphere, hypot(pi, height) on the cylinder
     if manifold.kind != "euclidean":
-        lo, hi = manifold.height_interval or (0.0, 0.0)
+        lo, hi = CYLINDER_HEIGHTS if manifold.kind == "cylinder" else (0.0, 0.0)
         assert np.all(dab <= math.hypot(math.pi, hi - lo) + 1e-12)
     c = random_points(manifold, rng, 1000)
     dac = cross_distances(manifold, a, c).diagonal()
@@ -221,6 +222,20 @@ def test_injectivity_radii():
 
 
 # -------------------------------------------------------------- validation
+
+@pytest.mark.parametrize("kind,ambient_dim", [
+    ("circle", 3), ("sphere", 2), ("cylinder", 2), ("euclidean", 0)])
+def test_the_kind_fixes_the_ambient_dimension(kind, ambient_dim):
+    with pytest.raises(ValueError, match="ambient coordinates"):
+        Manifold(kind, ambient_dim)
+
+
+def test_constructors_give_each_kind_its_ambient_dimension():
+    assert [m.ambient_dim for m in (CIR, SPH, CYL, EUC3)] == [2, 3, 3, 3]
+    assert Manifold.euclidean(1).ambient_dim == 1
+    with pytest.raises(ValueError, match="ambient coordinates"):
+        Manifold.euclidean(0)
+
 
 def test_off_circle_point_rejected():
     with pytest.raises(InvalidPointError, match="unit norm"):

@@ -13,7 +13,7 @@ from plmanifold.robust_linear import GMConfig, WeightFunction
 from plmanifold.smoother import ScoreFunction
 from conftest import random_cylinder_dataset
 
-CYL = Manifold.cylinder((0.0, 1.0))
+CYL = Manifold.cylinder()
 
 
 # ----------------------------------------------------------------- dataset

@@ -22,7 +22,6 @@ def test_generated_points_live_on_the_cylinder():
     t = s.dataset.t
     assert np.all(np.abs(t[:, 0] ** 2 + t[:, 1] ** 2 - 1.0) < 1e-12)
     assert np.all((t[:, 2] >= 0.0) & (t[:, 2] <= 1.0))
-    assert s.beta_true == 2.0
 
 
 def test_true_g_is_nonnegative_square():
@@ -135,7 +134,7 @@ def test_campaign_error_when_everything_fails():
 def test_summary_excludes_failures():
     beta = np.array([2.1, np.nan, 1.9, 2.0])
     mse_g = np.array([0.2, np.nan, 0.3, 0.25])
-    s = _summarize(beta, mse_g, 2.0)
+    s = _summarize(beta, mse_g)
     assert s["n_used"] == 3
     assert s["n_failed"] == 1
     assert s["mean_beta"] == pytest.approx(2.0)
@@ -153,6 +152,17 @@ def test_config_validation():
         SimulationConfig(bandwidth=1.0, cv_grid=(1.0,))
     with pytest.raises(ValueError):
         SimulationConfig(modes=())
+
+
+@pytest.mark.parametrize("options,message", [
+    ({"bandwidth": -1.0}, r"bandwidth -1.0 must lie in \(0, "),
+    ({"bandwidth": 3.5}, r"bandwidth 3.5 must lie in \(0, "),
+    ({"cv_grid": (0.5, 4.0)}, r"bandwidth 4.0 must lie in \(0, "),
+    ({"cv_grid": ()}, "nonempty"),
+], ids=["h-negative", "h-too-wide", "grid-too-wide", "grid-empty"])
+def test_config_checks_bandwidth_and_grid_on_the_cylinder(options, message):
+    with pytest.raises(ValueError, match=message):
+        SimulationConfig(**options)
 
 
 # ------------------------------------------------------------------ export

@@ -33,7 +33,7 @@ from plmanifold.smoother import (
 from conftest import random_points, random_weights
 
 CIR = Manifold.circle()
-CYL = Manifold.cylinder((0.0, 1.0))
+CYL = Manifold.cylinder()
 
 
 def quartic_oracle(u):
@@ -336,7 +336,7 @@ def test_ecdf_requires_nonnegative_weights():
 
 def test_local_mad_enumerated():
     # deviations (1, 0, 1) with masses (0.2, 0.3, 0.5) have median 1
-    assert local_mad([0.2, 0.3, 0.5], [1.0, 2.0, 3.0], 1.0) == 1.0
+    assert local_mad([0.2, 0.3, 0.5], [1.0, 2.0, 3.0]) == MAD_CONSISTENCY
 
 
 def test_local_mad_degenerate_is_zero():
@@ -347,7 +347,7 @@ def test_local_mad_normal_consistency():
     rng = np.random.default_rng(99)
     v = rng.normal(size=100_000)
     w = np.full(v.size, 1.0 / v.size)
-    assert local_mad(w, v, 1.4826) == pytest.approx(1.0, abs=0.02)
+    assert local_mad(w, v) == pytest.approx(1.0, abs=0.02)
 
 
 # ------------------------------------------------------------ local M solve
@@ -531,10 +531,10 @@ def test_degenerate_window_falls_back_to_median_and_flags():
     sample = cylinder_coords([0.0, 0.01, 3.1], [0.5, 0.5, 0.5])
     values = np.array([2.0, 2.0, 9.0])
     score = ScoreFunction.huber()
-    est, flags = fit_smoother(CYL, 0.5, sample, values,
-                              sample[:1], score, return_flags=True)
-    assert est[0] == 2.0
-    assert flags[0] == 1
+    est, flags = smooth_columns(CYL, 0.5, sample, columns=values, score=score,
+                                queries=sample[:1])
+    assert est[0, 0] == 2.0
+    assert flags[0, 0] == 1
 
 
 def test_convergence_error_tagged_with_query_index(monkeypatch):
