@@ -116,9 +116,11 @@ def select_bandwidth(dataset: PLMDataset, grid=None, mode: str = "robust",
     works.
     """
     local_score, gm = mode_configs(mode, local_score, gm)
-    distances = pairwise_distances(dataset.manifold, dataset.t)
-    grid = (_grid_from_distances(dataset, distances) if grid is None
-            else check_grid(dataset.manifold, grid))
+    grid = None if grid is None else check_grid(dataset.manifold, grid)
+    # one candidate gains nothing from a shared matrix: its blocks stream
+    distances = (pairwise_distances(dataset.manifold, dataset.t)
+                 if grid is None or grid.size > 1 else None)
+    grid = _grid_from_distances(dataset, distances) if grid is None else grid
 
     diagnostics: list[GridPointDiagnostic] = []
     pilot_scale = None

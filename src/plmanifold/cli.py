@@ -23,7 +23,7 @@ from .bandwidth import check_grid, select_bandwidth
 from .errors import ConfigError, InsufficientDataError, PLMError
 from .inference import confidence_interval, estimate_covariance, wald_test
 from .manifold import CYLINDER_HEIGHTS, ON_MANIFOLD_TOL, Manifold
-from .plm import PLMDataset, fit
+from .plm import MODES, PLMDataset, fit
 from .robust_linear import GMConfig, WeightFunction
 from .simulation import (
     BETA_TRUE,
@@ -243,7 +243,7 @@ def _grid(bandwidth: float | None, grid_text: str | None) -> np.ndarray | None:
 
 
 def _modes(mode: str) -> tuple[str, ...]:
-    return ("robust", "classical") if mode == "both" else (mode,)
+    return MODES if mode == "both" else (mode,)
 
 
 def _fit_entry(fitted, level: float, null: tuple[float, ...] | None) -> dict:
@@ -380,8 +380,7 @@ def _run(runner, **options) -> None:
 
 
 _common = [
-    click.option("--mode", default="robust",
-                 type=click.Choice(["robust", "classical", "both"])),
+    click.option("--mode", default="robust", type=click.Choice([*MODES, "both"])),
     click.option("--score", "score_text", default="huber:1.345",
                  help="huber:C | bisquare:C | identity"),
     click.option("--w1", "w1_text", default="one", help="one | huber:Q95 | huber:C"),

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateScaleError, SingularDesignError
-from .smoother import MAD_CONSISTENCY, ScoreFunction
+from ._kernels import MAD_CONSISTENCY
+from .smoother import ScoreFunction
 
 # The reweighting stops once a step moves beta by less than GM_TOL relative
 # to max(1, |beta|), and raises ConvergenceError after GM_MAX_ITERATIONS steps.
@@ -138,9 +139,10 @@ def ols_estimate(r, eta) -> RegressionResult:
     """Least squares on the smoothed residuals (the classical Step 2)."""
     r, eta = _check_design(r, eta)
     n, p = eta.shape
-    if p > 0 and np.linalg.matrix_rank(eta) < p:
+    # lstsq's rank: singular values above max(n, p) eps sigma_max, as matrix_rank
+    beta, _, rank, _ = np.linalg.lstsq(eta, r, rcond=None)
+    if rank < p:
         raise SingularDesignError("design matrix is rank deficient")
-    beta, *_ = np.linalg.lstsq(eta, r, rcond=None)
     residuals = r - eta @ beta
     # an exact or half-degenerate fit records scale 0.0 as-is
     return RegressionResult(beta, residual_scale_or_zero(residuals), residuals, 0)

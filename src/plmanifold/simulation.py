@@ -26,7 +26,7 @@ import numpy as np
 from .bandwidth import check_grid, select_bandwidth
 from .errors import CampaignError, ConfigError, PLMError
 from .manifold import Manifold, cylinder_coords
-from .plm import PLMDataset, fit
+from .plm import MODES, PLMDataset, fit
 from .robust_linear import GMConfig
 from .smoother import ScoreFunction, check_bandwidth
 
@@ -56,7 +56,7 @@ class SimulationConfig:
             raise ConfigError("need at least one replication")
         if self.contamination not in CONTAMINATIONS:
             raise ConfigError(f"contamination must be one of {CONTAMINATIONS}")
-        if not self.modes or any(m not in ("classical", "robust") for m in self.modes):
+        if not self.modes or any(m not in MODES for m in self.modes):
             raise ConfigError("modes must be a nonempty subset of classical/robust")
         if self.bandwidth is not None and self.cv_grid is not None:
             raise ConfigError("give either a fixed bandwidth or a CV grid, not both")

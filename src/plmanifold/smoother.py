@@ -29,13 +29,6 @@ from .manifold import (
 
 HUBER_DEFAULT_C = 1.345
 BISQUARE_DEFAULT_C = 4.685
-MAD_CONSISTENCY = 1.4826
-# The local solve's stopping width: an Illinois bracket (Huber) or a
-# reweighting step (bisquare) of at most LOCAL_TOL plus four float spacings of
-# the estimate's offset from the weighted median; an Illinois row also stops
-# when its score sum is zero to rounding.  LOCAL_MAX_ITERATIONS bounds either.
-LOCAL_TOL = 1e-10
-LOCAL_MAX_ITERATIONS = 200
 
 
 def quartic_kernel(u):
@@ -207,29 +200,27 @@ def pelletier_weights(manifold: Manifold, h: float, t, sample) -> np.ndarray:
     return W[0] / totals[0]
 
 
-def _sorted_row(w, v):
-    # one engine row: weights and values in ascending (stable) value order
-    o = np.argsort(v, kind="stable")
-    return w[o][None], v[o][None]
+def _engine_row(w, v):
+    # the engine's window of one row: positive weights, values ascending
+    return _kernels.window_rows(w[None], v, np.argsort(v, kind="stable"))
 
 
 def weighted_median(weights, values) -> float:
     """Smallest value whose cumulative weight reaches 1/2."""
-    W, V = _sorted_row(*_check_weight_pair(weights, values))
+    W, V = _engine_row(*_check_weight_pair(weights, values))
     return float(_kernels.median_rows(W, V)[0])
 
 
 def local_mad(weights, values) -> float:
     """Weighted median absolute deviation from the weighted median, times
-    ``MAD_CONSISTENCY``.
+    ``_kernels.MAD_CONSISTENCY``.
 
     Returns 0.0 when the window is locally degenerate; callers decide how to
     react (the smoother falls back to the weighted median and flags the
     query point).
     """
-    W, V = _sorted_row(*_check_weight_pair(weights, values))
-    med = _kernels.median_rows(W, V)
-    return float(_kernels.mad_rows(W, V, med, MAD_CONSISTENCY)[0])
+    W, V = _engine_row(*_check_weight_pair(weights, values))
+    return float(_kernels.mad_rows(W, V, _kernels.median_rows(W, V))[0])
 
 
 def local_m_estimate(weights, values, score: ScoreFunction, scale: float) -> float:
@@ -238,26 +229,24 @@ def local_m_estimate(weights, values, score: ScoreFunction, scale: float) -> flo
     The identity score short-circuits to the weighted mean.  Huber is
     bracketed by [min v, max v] and solved by Illinois regula falsi on the
     offset from the weighted median, stopping when the bracket is within
-    ``LOCAL_TOL`` plus four float spacings of its ends or the score sum is
-    zero to rounding; bisquare iterates a reweighting fixed point started
-    from the weighted median until a step is that small.  Raises
+    ``_kernels.LOCAL_TOL`` plus four float spacings of its ends or the score
+    sum is zero to rounding; bisquare iterates a reweighting fixed point
+    started from the weighted median until a step is that small.  Raises
     ConvergenceError, carrying the last iterate, after
-    ``LOCAL_MAX_ITERATIONS``.
+    ``_kernels.LOCAL_MAX_ITERATIONS``.  Zero weights drop out, as in the engine.
     """
     w, v = _check_weight_pair(weights, values)
     if score.code == 0:
         return float(w @ v)
     if not scale > 0:
         raise ValueError("scale must be positive")
-    W, V = _sorted_row(w, v)
-    start = _kernels.median_rows(W, V)
-    est, flags = _kernels.solve_rows(W, V, start, np.array([float(scale)]), score.code,
-                                     score.c, LOCAL_TOL, LOCAL_MAX_ITERATIONS)
+    W, V = _engine_row(w, v)
+    est, flags = _kernels.solve_rows(W, V, _kernels.median_rows(W, V),
+                                     np.array([float(scale)]), score.code, score.c)
     if flags[0] == 2:
-        raise ConvergenceError(
-            f"local M-estimation did not converge in {LOCAL_MAX_ITERATIONS} iterations",
-            last_iterate=float(est[0]),
-        )
+        raise ConvergenceError("local M-estimation did not converge in "
+                               f"{_kernels.LOCAL_MAX_ITERATIONS} iterations",
+                               last_iterate=float(est[0]))
     return float(est[0])
 
 
@@ -303,9 +292,7 @@ def smooth_columns(manifold: Manifold, h: float, sample: np.ndarray,
             continue
         for j, order in enumerate(orders):
             estimates[s:e, j], flags[s:e, j] = _kernels.local_m_rows(
-                W, columns[:, j], order, score.code, score.c, MAD_CONSISTENCY,
-                LOCAL_TOL, LOCAL_MAX_ITERATIONS,
-            )
+                W, columns[:, j], order, score.code, score.c)
     stuck = np.flatnonzero((flags == 2).any(axis=1))
     if stuck.size:
         raise ConvergenceError(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from plmanifold import bandwidth
 from plmanifold.bandwidth import (
     CV_SCORE,
     check_grid,
@@ -68,6 +69,21 @@ def test_single_element_grid():
     h_star, diags = select_bandwidth(ds, [1.3], mode="robust")
     assert h_star == 1.3
     assert len(diags) == 1
+
+
+@pytest.mark.parametrize("mode", ["robust", "classical"])
+def test_a_one_candidate_grid_builds_no_distance_matrix(mode, monkeypatch):
+    """A grid of one bandwidth streams its kernel blocks from the coordinates
+    and scores exactly what the shared n x n matrix of a longer grid gives."""
+    ds, _ = random_cylinder_dataset(4, n=40, p=2)
+    shared = select_bandwidth(ds, [1.2, 1.8], mode=mode)[1][0].score
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("pairwise_distances called for a one-candidate grid")
+
+    monkeypatch.setattr(bandwidth, "pairwise_distances", no_matrix)
+    assert rcv_score(ds, 1.2, mode=mode) == shared
+    assert select_bandwidth(ds, [1.2], mode=mode)[1][0].score == shared
 
 
 def test_selected_h_is_argmin_of_diagnostics():

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from plmanifold import _kernels, bandwidth, plm, simulation, smoother
+from plmanifold import _kernels, bandwidth, plm, simulation
 from plmanifold.errors import ConvergenceError
 from plmanifold.manifold import Manifold, circle_coords, cylinder_coords, pairwise_distances
 from plmanifold.smoother import (
@@ -34,7 +34,7 @@ def random_problem(rng, nq=25, n=40):
 def test_numpy_backend_solves_the_score_equation(rng):
     for _ in range(30):
         W, v, order = random_problem(rng)
-        est, flags = _kernels.local_m_rows(W, v, order, 1, HUBER_C, MAD_C, 1e-10, 200)
+        est, flags = _kernels.local_m_rows(W, v, order, 1, HUBER_C)
         Wn = W / W.sum(axis=1, keepdims=True)
         for q in range(W.shape[0]):
             if flags[q] != 0:
@@ -52,36 +52,6 @@ def _row_mad(w, v):
     order2 = np.argsort(dev, kind="stable")
     cum2 = np.cumsum(w[order2])
     return 1.4826 * dev[order2][np.searchsorted(cum2, 0.5 - 1e-12)]
-
-
-# ------------------------------------------ any score, through the engine pieces
-
-def test_engine_pieces_solve_scores_outside_the_builtin_family(rng):
-    """`illinois_rows` solves any monotone psi and `reweight_rows` iterates any
-    weight; here tanh against brentq and the Cauchy weight 1 / (1 + u^2) to
-    its fixed point."""
-    W, v, _ = random_problem(rng)
-    W = W / W.sum(axis=1, keepdims=True)
-    scale = np.full(W.shape[0], 1.5)
-    est, done = _kernels.illinois_rows(W, v, scale, lambda u: np.tanh(u, out=u),
-                                       1e-12, 200)
-    assert np.all(done)
-    for q in range(W.shape[0]):
-        sup = v[W[q] > 0]
-        ref = brentq(lambda m: float(W[q] @ np.tanh((v - m) / 1.5)), sup.min(),
-                     sup.max(), xtol=1e-14)
-        assert est[q] == pytest.approx(ref, abs=1e-10)
-
-    def cauchy(u):
-        np.square(u, out=u)
-        u += 1.0
-        return np.reciprocal(u, out=u)
-
-    start = _kernels.median_rows(*_kernels.window_rows(W, v, np.argsort(v)))
-    est, settled = _kernels.reweight_rows(W, v, start, scale, cauchy, 1e-12, 500)
-    assert np.all(settled)
-    w = W / (1.0 + ((v - est[:, None]) / 1.5) ** 2)
-    assert np.max(np.abs(est - (w @ v) / w.sum(axis=1))) <= 1e-10
 
 
 # ------------------------------------------------ slow, sort-based oracle
@@ -152,11 +122,10 @@ FLAT_ZERO_ROW = (np.array([[1.0, 0.25, 0.25, 0.25, 1.0, 0.25]]),
 @example(FLAT_ZERO_ROW)
 def test_engine_matches_sort_based_oracle(problem):
     W, v = problem
-    est, flags = _kernels.local_m_rows(W, v, np.argsort(v), 1, HUBER_C, MAD_C,
-                                       1e-10, 200)
+    est, flags = _kernels.local_m_rows(W, v, np.argsort(v), 1, HUBER_C)
     Wn = W / W.sum(axis=1, keepdims=True)
     med = _kernels.median_rows(*_kernels.window_rows(Wn, v, np.argsort(v)))
-    mad = _kernels.mad_rows(Wn, v, med, MAD_C)
+    mad = _kernels.mad_rows(Wn, v, med)
     for q in range(W.shape[0]):
         assert med[q] == oracle_median(W[q], v)
         assert mad[q] == pytest.approx(oracle_mad(W[q], v), rel=1e-12, abs=0.0)
@@ -173,13 +142,33 @@ def test_engine_matches_sort_based_oracle(problem):
         assert abs(scalar - ref) <= tol or _huber_root_interval(Wn[q], v, mad[q], scalar)
 
 
+def test_a_one_row_call_is_an_engine_row():
+    """`local_m_estimate` at the `local_mad` scale is the engine's row, bit
+    for bit: both drop zero weights and solve the same window.  Dyadic
+    weights summing exactly to 1 make the engine's normalization exact, and
+    values on a 0.1 grid tie."""
+    rng = np.random.default_rng(23)
+    solved = 0
+    for _ in range(500):
+        n = int(rng.integers(1, 40))
+        w = rng.multinomial(64, rng.dirichlet(np.ones(n))) / 64.0
+        v = np.round(rng.normal(0.0, 2.0, n), 1)
+        order = np.argsort(v, kind="stable")
+        for score in (ScoreFunction.huber(HUBER_C), ScoreFunction.bisquare()):
+            est, flags = _kernels.local_m_rows(w[None], v, order, score.code, score.c)
+            if flags[0] != 0:
+                continue
+            assert local_m_estimate(w, v, score, local_mad(w, v)) == est[0]
+            solved += 1
+    assert solved > 500
+
+
 def test_single_point_and_zero_mad_rows():
     v = np.array([3.0, 3.0, 3.0, 8.0, -1.0])
     W = np.array([[0.0, 0.0, 0.0, 1.0, 0.0],    # one point in the window
                   [1.0, 1.0, 1.0, 0.5, 0.5],    # tied block holds the MAD at 0
                   [1.0, 0.0, 0.0, 1.0, 1.0]])
-    est, flags = _kernels.local_m_rows(W, v, np.argsort(v), 1, HUBER_C, MAD_C,
-                                       1e-10, 200)
+    est, flags = _kernels.local_m_rows(W, v, np.argsort(v), 1, HUBER_C)
     assert flags[0] == 1 and est[0] == 8.0
     assert flags[1] == 1 and est[1] == 3.0
     assert flags[2] == 0
@@ -190,7 +179,7 @@ def test_single_point_and_zero_mad_rows():
 def test_huber_columns_converge_in_25_iterations_on_a_large_sample(monkeypatch):
     """Illinois steps need 6-12 iterations per row here; bisection to 1e-10
     over the data range needs 36-39."""
-    monkeypatch.setattr(smoother, "LOCAL_MAX_ITERATIONS", 25)
+    monkeypatch.setattr(_kernels, "LOCAL_MAX_ITERATIONS", 25)
     sample = simulation.generate_sample(2000, "C1", simulation.replication_rng(1, 0))
     ds = sample.dataset
     est, flags = smooth_columns(ds.manifold, 0.8, ds.t,
@@ -200,14 +189,14 @@ def test_huber_columns_converge_in_25_iterations_on_a_large_sample(monkeypatch):
 
 
 def test_monotone_rows_that_run_out_of_iterations_raise(monkeypatch):
-    monkeypatch.setattr(smoother, "LOCAL_MAX_ITERATIONS", 1)
+    monkeypatch.setattr(_kernels, "LOCAL_MAX_ITERATIONS", 1)
     rng = np.random.default_rng(8)
     n = 30
     cyl = Manifold.cylinder()
     t = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
     v = rng.normal(size=n) + np.linspace(0, 5, n)
     W = raw_weight_matrix(cyl, 2.0, pairwise_distances(cyl, t))
-    _, flags = _kernels.local_m_rows(W, v, np.argsort(v), 1, HUBER_C, MAD_C, 1e-10, 1)
+    _, flags = _kernels.local_m_rows(W, v, np.argsort(v), 1, HUBER_C)
     stuck = np.flatnonzero(flags == 2).tolist()
     assert stuck
     with pytest.raises(ConvergenceError) as err:
@@ -245,11 +234,11 @@ def test_median_and_mad_never_land_on_a_pad(problem):
     W, v = problem
     Ww, Vw = _kernels.window_rows(W / W.sum(axis=1, keepdims=True), v, np.argsort(v))
     med = _kernels.median_rows(Ww, Vw)
-    mad = _kernels.mad_rows(Ww, Vw, med, MAD_C)
+    mad = _kernels.mad_rows(Ww, Vw, med)
     # a pad moved far above the row leaves both statistics where they were
     far = np.where(Ww > 0.0, Vw, 1e300)
     assert np.array_equal(_kernels.median_rows(Ww, far), med)
-    assert np.array_equal(_kernels.mad_rows(Ww, far, med, MAD_C), mad)
+    assert np.array_equal(_kernels.mad_rows(Ww, far, med), mad)
     for q in range(W.shape[0]):
         assert med[q] == oracle_median(W[q], v)
         assert mad[q] == pytest.approx(oracle_mad(W[q], v), rel=1e-12, abs=0.0)
@@ -267,8 +256,7 @@ def test_window_rows_ties_at_the_maximum_and_single_points():
     assert Ww.tolist() == [[1.0, 1.0, 2.0, 3.0, 0.0, 0.0],
                            [4.0, 0.0, 0.0, 0.0, 0.0, 0.0],
                            [1.0, 1.0, 1.0, 1.0, 1.0, 1.0]]
-    est, flags = _kernels.local_m_rows(W, v, np.argsort(v), 1, HUBER_C, MAD_C,
-                                       1e-10, 200)
+    est, flags = _kernels.local_m_rows(W, v, np.argsort(v), 1, HUBER_C)
     assert flags[1] == 1 and est[1] == 2.0
 
 
@@ -363,7 +351,7 @@ def test_local_m_rows_call_shape_is_pinned_for_the_benchmark_tracer(monkeypatch)
     params = list(inspect.signature(_kernels.local_m_rows).parameters)
     assert params[:4] == ["W", "v", "order", "code"]
     W, v, order = random_problem(np.random.default_rng(5))
-    result = _kernels.local_m_rows(W, v, order, 1, HUBER_C, MAD_C, 1e-10, 200)
+    result = _kernels.local_m_rows(W, v, order, 1, HUBER_C)
     assert isinstance(result, tuple) and len(result) == 2
     est, flags = result
     assert est.shape == flags.shape == (W.shape[0],)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from plmanifold import _kernels
+from plmanifold._kernels import MAD_CONSISTENCY
 from plmanifold.errors import ConvergenceError, EmptyWindowError
 from plmanifold.manifold import (
     BLOCK_CELLS,
@@ -14,11 +15,7 @@ from plmanifold.manifold import (
     pairwise_distances,
     row_blocks,
 )
-from plmanifold import smoother
 from plmanifold.smoother import (
-    LOCAL_MAX_ITERATIONS,
-    LOCAL_TOL,
-    MAD_CONSISTENCY,
     ScoreFunction,
     fit_smoother,
     local_m_estimate,
@@ -217,8 +214,7 @@ def test_streamed_smoothing_equals_dense_kernel_smoothing(manifold, h):
                 dense = (W @ columns) / W.sum(axis=1)[:, None]
             else:
                 dense = np.column_stack([_kernels.local_m_rows(
-                    W, v, np.argsort(v), score.code, score.c, MAD_CONSISTENCY,
-                    LOCAL_TOL, LOCAL_MAX_ITERATIONS)[0] for v in columns.T])
+                    W, v, np.argsort(v), score.code, score.c)[0] for v in columns.T])
             for given in (None, d):
                 est, _ = smooth_columns(manifold, h, sample, columns, score,
                                         queries=None if q is sample else q,
@@ -538,7 +534,7 @@ def test_degenerate_window_falls_back_to_median_and_flags():
 
 
 def test_convergence_error_tagged_with_query_index(monkeypatch):
-    monkeypatch.setattr(smoother, "LOCAL_MAX_ITERATIONS", 1)
+    monkeypatch.setattr(_kernels, "LOCAL_MAX_ITERATIONS", 1)
     rng = np.random.default_rng(8)
     n = 30
     sample = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
