@@ -24,12 +24,10 @@ from .manifold import (
     Manifold,
     circle_coords,
     cylinder_coords,
-    geodesic_distance,
     injectivity_radius,
     pairwise_distances,
-    volume_density,
 )
-from .plm import PLMDataset, PLMFit, fit, predict_g, predict_y
+from .plm import PLMDataset, PLMFit, fit, predict_g
 from .robust_linear import (
     GMConfig,
     RegressionResult,
@@ -43,7 +41,6 @@ from .simulation import (
     SimulationConfig,
     SimulationReport,
     boxplot_csv,
-    export_boxplot_data,
     generate_sample,
     replication_rng,
     run_campaign,
@@ -54,7 +51,6 @@ from .smoother import (
     fit_smoother,
     local_m_estimate,
     local_mad,
-    pelletier_weights,
     weighted_median,
 )
 from . import errors
@@ -73,15 +69,12 @@ __all__ = [
     "Manifold",
     "circle_coords",
     "cylinder_coords",
-    "geodesic_distance",
     "injectivity_radius",
     "pairwise_distances",
-    "volume_density",
     "PLMDataset",
     "PLMFit",
     "fit",
     "predict_g",
-    "predict_y",
     "GMConfig",
     "RegressionResult",
     "WeightFunction",
@@ -92,7 +85,6 @@ __all__ = [
     "SimulationConfig",
     "SimulationReport",
     "boxplot_csv",
-    "export_boxplot_data",
     "generate_sample",
     "replication_rng",
     "run_campaign",
@@ -101,7 +93,6 @@ __all__ = [
     "fit_smoother",
     "local_m_estimate",
     "local_mad",
-    "pelletier_weights",
     "weighted_median",
     "errors",
     "__version__",

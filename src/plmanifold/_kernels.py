@@ -3,12 +3,13 @@
 Given a raw kernel-weight matrix W (one row per query point, columns indexed
 like the shared value vector v; ``smoother.smooth_columns`` passes one row
 block of the weights at a time), each row is normalized and solved for the
-local M-estimate: weighted median, weighted MAD, then either Illinois regula
-falsi on the monotone score equation or a reweighting fixed point for a
-redescending score.  Each row is solved for its offset from the weighted
-median (`solve_rows`).  Both solves stop on ``LOCAL_TOL`` widened by four
-float spacings of the iterate (`_close`); the Illinois solve also stops once
-the score sum is zero to rounding.
+local M-estimate: weighted median, weighted MAD, then either bracketed
+Newton steps on the monotone score equation or a reweighting fixed point
+for a redescending score.  Each row is solved for its offset from the
+weighted median (`solve_rows`).  Every stop is free of the data's scale:
+the Newton solve stops when a step leaves the active set unchanged, when the
+score sum is zero, or when its bracket is ``LOCAL_TOL`` times the row's MAD
+wide; the reweighting stops on a step of at most that width.
 
 The kernel has compact support, so most of each row of W is zero.
 `window_rows` therefore gathers each row's positive weights, with their
@@ -16,17 +17,17 @@ values in ascending order, into a (rows, width) window; every later step
 works on that window only.  The cost is rows x window width x iterations,
 where width is the largest window of the block, not the n columns of W.
 
-The pieces (`window_rows`, `median_rows`, `mad_rows`, `illinois_rows`,
+The pieces (`window_rows`, `median_rows`, `mad_rows`, `newton_rows`,
 `reweight_rows`) work on weights as given, with per-row values V that
 broadcast against W; `local_m_rows` normalizes and composes them, and the
 scalar functions in `smoother` are one-row calls into the same pieces.
 
-Score codes: 1 huber (Illinois on `huber_psi`), 2 bisquare (reweighting by
-`bisquare_weight`), each with its constant c; the solvers call the formulas
-themselves.  The identity score is the kernel-weighted mean, which callers
-compute directly.  `huber_psi` and `bisquare_weight` are the package's only
-copies of those formulas; ``smoother.ScoreFunction`` calls them on a copy of
-its input.
+Score codes: 1 huber (Newton steps on `huber_psi`), 2 bisquare (reweighting
+by `bisquare_weight`), each with its constant c; the solvers call the
+formulas themselves.  The identity score is the kernel-weighted mean, which
+callers compute directly.  `huber_psi` and `bisquare_weight` are the
+package's only copies of those formulas; ``smoother.ScoreFunction`` calls
+them on a copy of its input.
 
 Flag conventions (per query row): 0 solved, 1 degenerate local MAD (estimate
 falls back to the weighted median), 2 iteration budget exhausted.
@@ -37,12 +38,12 @@ from __future__ import annotations
 import numpy as np
 
 MAD_CONSISTENCY = 1.4826
-# The local solve's stopping width (`_close`) and iteration bound.
+# The local solve's stopping width, in units of the row's MAD, and its
+# iteration bound.
 LOCAL_TOL = 1e-10
 LOCAL_MAX_ITERATIONS = 200
 
 _MEDIAN_EPS = 1e-12
-_EPS = np.finfo(float).eps
 
 _SCORE_BISQUARE = 2
 
@@ -94,66 +95,58 @@ def mad_rows(W, V, med):
     return MAD_CONSISTENCY * dsort[np.arange(W.shape[0]), k]
 
 
-def _close(a, b):
-    """|a - b| <= LOCAL_TOL, widened by four float spacings of the larger of
-    |a|, |b| so that a tolerance below the spacing near a large |a| can still
-    be met."""
-    return np.abs(a - b) <= LOCAL_TOL + 4.0 * _EPS * np.maximum(np.abs(a), np.abs(b))
+def newton_rows(W, V, scale, c):
+    """Newton steps on g(m) = sum_i W_i psi((V_i - m) / scale) = 0 with the
+    Huber psi of constant c, from m = 0: V holds offsets from each row's
+    weighted median.
 
-
-def illinois_rows(W, V, scale, c):
-    """Illinois regula falsi on g(m) = sum_i W_i psi((V_i - m) / scale) = 0 with
-    the Huber psi of constant c, bracketed by the row's support [min V, max V],
-    where g is nonincreasing.
-
-    Each step takes the secant point of the bracket and keeps the end whose
-    g has the other sign; when the same end is kept twice running, the g
-    stored there is halved (Dowell and Jarratt 1971).  A row stops when its
-    bracket has closed (`_close`), or when |g| at the new point is at most
-    width * eps * (g(lo0) - g(hi0)): for the monotone Huber psi that bounds
-    the rounding error of g anywhere in the bracket, so g is zero to rounding.
-    Returns the bracket end with the smaller true |g|, and whether the row
-    stopped within ``LOCAL_MAX_ITERATIONS`` steps.
+    g is nonincreasing and piecewise linear with slope -D / scale, where D is
+    the weight of the active set {i : |u_i| < c}, u_i = (V_i - m) / scale.
+    Its root lies in [-c scale, c scale] (at c scale the half of the weight at
+    or below the median scores -c) and in [min V, max V]; each evaluation
+    moves one end of that bracket to m.  A step m + scale g / D that leaves
+    the bracket, or an empty active set, takes the bracket's midpoint.  A
+    row stops when g is zero, when a Newton step left the active set
+    unchanged (no point can enter and leave it within a bracket no wider
+    than 2 c scale, so g was linear along the step and the step was exact),
+    or when the bracket is at most ``LOCAL_TOL`` * scale wide.  Returns the
+    estimates and whether each row stopped within ``LOCAL_MAX_ITERATIONS``
+    evaluations.
     """
     V = np.broadcast_to(V, W.shape)
     sup = W > 0.0
-    lo = np.where(sup, V, np.inf).min(axis=1)
-    hi = np.where(sup, V, -np.inf).max(axis=1)
+    lo = np.maximum(np.where(sup, V, np.inf).min(axis=1), -c * scale)
+    hi = np.minimum(np.where(sup, V, -np.inf).max(axis=1), c * scale)
+    m = np.zeros(lo.size)
+    done = np.zeros(lo.size, dtype=bool)
+    newton = np.zeros(lo.size, dtype=bool)  # m was reached by a Newton step
+    was_active = np.zeros(W.shape, dtype=bool)
     u = np.empty(W.shape)
-
-    def score(m):
+    for _ in range(LOCAL_MAX_ITERATIONS):
         np.subtract(V, m[:, None], out=u)
         np.divide(u, scale[:, None], out=u)
-        return np.einsum("ij,ij->i", W, huber_psi(u, c))
-
-    g_lo, g_hi = score(lo), score(hi)
-    floor = W.shape[1] * _EPS * (g_lo - g_hi)
-    f_lo, f_hi = g_lo.copy(), g_hi.copy()  # the secant's values, halved by Illinois
-    moved = np.zeros(lo.size, dtype=np.int8)  # end moved last step: +1 lo, -1 hi
-    done = _close(lo, hi) | (np.abs(g_lo) <= floor) | (np.abs(g_hi) <= floor)
-    for _ in range(LOCAL_MAX_ITERATIONS):
+        active = np.abs(u) < c
+        g = np.einsum("ij,ij->i", W, huber_psi(u, c))
+        lo = np.where(g > 0.0, m, lo)
+        hi = np.where(g < 0.0, m, hi)
+        done |= ((g == 0.0) | (newton & (active == was_active).all(axis=1))
+                 | (hi - lo <= LOCAL_TOL * scale))
         if np.all(done):
             break
-        # not done: g(lo) > floor >= 0 > -floor > g(hi), so the step is in [lo, hi]
-        live = ~done
-        x = np.clip(lo + (hi - lo) * (f_lo / np.where(live, f_lo - f_hi, 1.0)), lo, hi)
-        g = score(x)
-        up = live & (g > 0.0)
-        down = live & ~up
-        f_hi[up & (moved == 1)] *= 0.5  # hi kept twice running
-        f_lo[down & (moved == -1)] *= 0.5
-        lo[up], g_lo[up], f_lo[up] = x[up], g[up], g[up]
-        hi[down], g_hi[down], f_hi[down] = x[down], g[down], g[down]
-        moved[up], moved[down] = 1, -1
-        done |= live & (_close(lo, hi) | (np.abs(g) <= floor))
-    return np.where(np.abs(g_lo) <= np.abs(g_hi), lo, hi), done
+        D = np.einsum("ij,ij->i", W, active)
+        step = m + scale * g / np.where(D > 0.0, D, 1.0)
+        newton = (D > 0.0) & (lo < step) & (step < hi)
+        m = np.where(done, m, np.where(newton, step, 0.5 * (lo + hi)))
+        was_active = active
+    return m, done
 
 
 def reweight_rows(W, V, start, scale, c):
     """Fixed point m = sum w_i(m) V_i / sum w_i(m) with w_i = W_i
     bisquare_weight(u_i, c), u_i = (V_i - m) / scale, iterated from ``start``
-    for at most ``LOCAL_MAX_ITERATIONS`` steps.  A row whose weights all
-    vanish stops where it is.  Returns (estimates, converged)."""
+    for at most ``LOCAL_MAX_ITERATIONS`` steps, until a step is at most
+    ``LOCAL_TOL`` * scale.  A row whose weights all vanish stops where it is.
+    Returns (estimates, converged)."""
     V = np.broadcast_to(V, W.shape)
     m = start.copy()
     settled = np.zeros(m.size, dtype=bool)
@@ -169,7 +162,7 @@ def reweight_rows(W, V, start, scale, c):
         stuck |= ~ok & ~settled
         m_new = np.where(ok, np.einsum("ij,ij->i", tw, V) / np.where(ok, den, 1.0), m)
         live = ~settled & ~stuck
-        settled |= live & _close(m_new, m)
+        settled |= live & (np.abs(m_new - m) <= LOCAL_TOL * scale)
         m = np.where(live, m_new, m)
         if np.all(settled | stuck):
             break
@@ -199,15 +192,15 @@ def solve_rows(W, V, start, scale, code, c):
     Each row is solved for its offset from ``start`` (the weighted median):
     start is subtracted from V in place (V is overwritten) and added back
     once, so the iterates stay near zero and a large common offset costs one
-    rounding, not one per step.  Huber (code 1, monotone) takes Illinois
-    steps; bisquare (code 2, redescending) reweights from offset 0.  Returns
-    (estimates, flags) with flag 2 on rows that ran out of iterations.
+    rounding, not one per step.  Huber (code 1, monotone) takes Newton
+    steps and bisquare (code 2, redescending) reweights, both from offset 0.
+    Returns (estimates, flags) with flag 2 on rows that ran out of iterations.
     """
     V -= start[:, None]
     if code == _SCORE_BISQUARE:
         est, ok = reweight_rows(W, V, np.zeros_like(start), scale, c)
     else:
-        est, ok = illinois_rows(W, V, scale, c)
+        est, ok = newton_rows(W, V, scale, c)
     return est + start, np.where(ok, 0, 2).astype(np.int8)
 
 

@@ -9,10 +9,6 @@ class InvalidPointError(PLMError):
     """A coordinate vector violates the manifold's point invariants."""
 
 
-class DomainError(PLMError):
-    """An operation was evaluated outside its geometric domain."""
-
-
 class EmptyWindowError(PLMError):
     """No sample point received positive kernel weight at a query point.
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidPointError
+from .errors import InvalidPointError
 
 ON_MANIFOLD_TOL = 1e-9
 BLOCK_CELLS = 1 << 16  # matrix cells per block of `row_blocks`
@@ -176,13 +176,6 @@ def pairwise_distances(manifold: Manifold, points: np.ndarray) -> np.ndarray:
     return D
 
 
-def geodesic_distance(manifold: Manifold, p, q) -> float:
-    """Geodesic distance between two points (validates both)."""
-    a = validate_coords(manifold, p, name="p")
-    b = validate_coords(manifold, q, name="q")
-    return float(cross_distances(manifold, a, b)[0, 0])
-
-
 def volume_density_from_distance(manifold: Manifold, r):
     """Volume density as a function of geodesic separation.
 
@@ -197,19 +190,6 @@ def volume_density_from_distance(manifold: Manifold, r):
     pos = r > 0
     out[pos] = np.sin(r[pos]) / r[pos]
     return out
-
-
-def volume_density(manifold: Manifold, p, q) -> float:
-    """Volume density at q relative to p; requires d(p, q) < injectivity radius."""
-    a = validate_coords(manifold, p, name="p")
-    b = validate_coords(manifold, q, name="q")
-    r = float(cross_distances(manifold, a, b)[0, 0])
-    inj = injectivity_radius(manifold)
-    if r >= inj:
-        raise DomainError(
-            f"separation {r:.6g} is not inside the injectivity radius {inj:.6g}"
-        )
-    return float(volume_density_from_distance(manifold, np.asarray(r)))
 
 
 def circle_coords(angles) -> np.ndarray:

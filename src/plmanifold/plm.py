@@ -102,9 +102,6 @@ class PLMFit:
     def predict_g(self, t):
         return predict_g(self, t)
 
-    def predict_y(self, x, t):
-        return predict_y(self, x, t)
-
 
 def smooth_dataset(dataset: PLMDataset, h: float, score: ScoreFunction,
                    queries: np.ndarray | None = None, *, leave_one_out: bool = False,
@@ -220,15 +217,3 @@ def predict_g(fit_result: PLMFit, t):
     est, _, _ = smooth_dataset(ds, fit_result.bandwidth, fit_result.local_score, queries)
     g = est[:, 0] - est[:, 1:] @ fit_result.beta
     return float(g[0]) if single else g
-
-
-def predict_y(fit_result: PLMFit, x, t):
-    """Predicted response x' beta + g(t)."""
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    p = fit_result.dataset.p
-    single = x.ndim <= 1 and t.ndim == 1
-    xmat = x.reshape(-1, p) if p else np.zeros((np.atleast_2d(t).shape[0], 0))
-    g = predict_g(fit_result, t)
-    out = xmat @ fit_result.beta + np.atleast_1d(g)
-    return float(out[0]) if single else out

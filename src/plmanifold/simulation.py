@@ -199,24 +199,17 @@ def run_campaign(config: SimulationConfig, local_score: ScoreFunction | None = N
     return SimulationReport(config, results, failures)
 
 
-def export_boxplot_data(report: SimulationReport) -> list[tuple]:
-    """One (mode, contamination, replication, beta_hat) row per successful fit."""
-    rows = []
+def boxplot_csv(report: SimulationReport) -> str:
+    """CSV of one (mode, contamination, replication, beta_hat) row per
+    successful fit (fixed header, LF endings)."""
+    buf = io.StringIO()
+    buf.write(BOXPLOT_HEADER + "\n")
     cont = report.config.contamination
     for mode in report.config.modes:
         beta = report.results[mode].beta
         for r in range(report.config.replications):
             if np.isfinite(beta[r]):
-                rows.append((mode, cont, r, float(beta[r])))
-    return rows
-
-
-def boxplot_csv(report: SimulationReport) -> str:
-    """CSV serialization of the boxplot rows (fixed header, LF endings)."""
-    buf = io.StringIO()
-    buf.write(BOXPLOT_HEADER + "\n")
-    for mode, cont, rep, beta in export_boxplot_data(report):
-        buf.write(f"{mode},{cont},{rep},{beta!r}\n")
+                buf.write(f"{mode},{cont},{r},{float(beta[r])!r}\n")
     return buf.getvalue()
 
 

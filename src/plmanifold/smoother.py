@@ -4,7 +4,7 @@ The local fit at a query point composes three pieces: normalized quartic
 kernel weights built from geodesic distances and the volume density, one
 block of query rows at a time (`window_weights`, so no n x n array is made), a
 weighted median / weighted MAD pair giving the robust local scale, and a
-score equation solved by Illinois regula falsi (Huber) or reweighting
+score equation solved by bracketed Newton steps (Huber) or reweighting
 (bisquare), all in the batched engine of ``_kernels``.  With the identity
 score and no scale step the smoother reduces to the classical kernel-weighted
 mean.  The kernel and the three scores are the whole estimator family.
@@ -50,7 +50,7 @@ _SCORE_NAMES = ("identity", "huber", "bisquare")
 @dataclass(frozen=True)
 class ScoreFunction:
     """The score psi of the local and regression M-equations: identity
-    (code 0), Huber with constant c (code 1, monotone, solved by Illinois
+    (code 0), Huber with constant c (code 1, monotone, solved by Newton
     steps) or bisquare with constant c (code 2, redescending, solved by
     reweighting).  ``code`` is the dispatch of the batched engine.
     Derivatives at the kinks |u| = c take the outer-branch value 0.
@@ -187,19 +187,6 @@ def window_weights(manifold: Manifold, h: float, queries: np.ndarray, sample: np
         )
 
 
-def pelletier_weights(manifold: Manifold, h: float, t, sample) -> np.ndarray:
-    """Normalized kernel weights of the sample points relative to t.
-
-    Raises EmptyWindowError (carrying the nearest-neighbor distance) when no
-    sample point falls within bandwidth h of t.
-    """
-    h = check_bandwidth(manifold, h)
-    tq = validate_coords(manifold, t, name="query")
-    pts = validate_coords(manifold, sample, name="sample")
-    [(_, _, W, totals)] = window_weights(manifold, h, tq, pts)
-    return W[0] / totals[0]
-
-
 def _engine_row(w, v):
     # the engine's window of one row: positive weights, values ascending
     return _kernels.window_rows(w[None], v, np.argsort(v, kind="stable"))
@@ -226,14 +213,15 @@ def local_mad(weights, values) -> float:
 def local_m_estimate(weights, values, score: ScoreFunction, scale: float) -> float:
     """Solve sum_i w_i psi((v_i - m) / scale) = 0 for the local location m.
 
-    The identity score short-circuits to the weighted mean.  Huber is
-    bracketed by [min v, max v] and solved by Illinois regula falsi on the
-    offset from the weighted median, stopping when the bracket is within
-    ``_kernels.LOCAL_TOL`` plus four float spacings of its ends or the score
-    sum is zero to rounding; bisquare iterates a reweighting fixed point
-    started from the weighted median until a step is that small.  Raises
-    ConvergenceError, carrying the last iterate, after
-    ``_kernels.LOCAL_MAX_ITERATIONS``.  Zero weights drop out, as in the engine.
+    The identity score short-circuits to the weighted mean.  Huber takes
+    Newton steps from the weighted median, bracketed by both
+    [median - c scale, median + c scale] and [min v, max v], and stops when a
+    step leaves the set {|u| < c} unchanged (the step was exact), when the
+    score sum is zero, or when the bracket is ``_kernels.LOCAL_TOL`` * scale
+    wide; bisquare iterates a reweighting fixed point started from the
+    weighted median until a step is that small.  Raises ConvergenceError,
+    carrying the last iterate, after ``_kernels.LOCAL_MAX_ITERATIONS``.  Zero
+    weights drop out, as in the engine.
     """
     w, v = _check_weight_pair(weights, values)
     if score.code == 0:

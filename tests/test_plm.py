@@ -8,7 +8,7 @@ from plmanifold.errors import (
     SingularDesignError,
 )
 from plmanifold.manifold import Manifold, cylinder_coords
-from plmanifold.plm import CLASSICAL_GM, PLMDataset, fit, mode_configs, predict_g, predict_y
+from plmanifold.plm import CLASSICAL_GM, PLMDataset, fit, mode_configs, predict_g
 from plmanifold.robust_linear import GMConfig, WeightFunction
 from plmanifold.smoother import ScoreFunction
 from conftest import random_cylinder_dataset
@@ -175,13 +175,20 @@ def test_classical_regression_coefficient_equivariance():
     assert f1.beta == pytest.approx(f0.beta + b, abs=1e-8)
 
 
-def test_classical_fit_is_scale_equivariant():
+@pytest.mark.parametrize("mode,score", [("classical", None),
+                                        ("robust", ScoreFunction.huber()),
+                                        ("robust", ScoreFunction.bisquare())],
+                         ids=["classical", "huber", "bisquare"])
+def test_fit_is_scale_equivariant(mode, score):
     """Scaling y and x by c leaves beta alone and scales g_hat by c, far below
-    and above unit scale."""
+    and above unit scale: every stop of the local and regression solves is
+    relative to a scale that moves with the data."""
     ds, _ = random_cylinder_dataset(7, n=40, p=2)
-    f0 = fit(ds, 1.2, mode="classical")
+    gm = None if score is None else GMConfig(score=score)
+    f0 = fit(ds, 1.2, mode=mode, local_score=score, gm=gm)
     for c in (1e-12, 1e-9, 1e-6, 1e-3, 1e3, 1e6):
-        f1 = fit(PLMDataset(c * ds.y, c * ds.x, ds.t, ds.manifold), 1.2, mode="classical")
+        f1 = fit(PLMDataset(c * ds.y, c * ds.x, ds.t, ds.manifold), 1.2, mode=mode,
+                 local_score=score, gm=gm)
         assert np.max(np.abs(f1.beta - f0.beta)) <= 1e-12
         assert np.max(np.abs(f1.g_hat / c - f0.g_hat)) <= 1e-12
 
@@ -277,15 +284,6 @@ def test_fit_keeps_the_given_smoother_config_and_predicts_at_its_own_bandwidth()
         assert predict_g(f, probe) == pytest.approx(f.g_hat[:5], abs=1e-12)
 
 
-def test_predict_y_identities():
-    ds, _ = random_cylinder_dataset(15, n=30, p=2)
-    f = fit(ds, 1.2, mode="robust")
-    probe = cylinder_coords([2.0], [0.6])[0]
-    assert predict_y(f, np.zeros(2), probe) == pytest.approx(predict_g(f, probe), abs=1e-12)
-    recon = np.array([predict_y(f, ds.x[i], ds.t[i]) for i in range(5)])
-    assert ds.y[:5] - recon == pytest.approx(f.residuals[:5], abs=1e-12)
-
-
 def test_predict_y_exact_on_noiseless_linear_data():
     rng = np.random.default_rng(16)
     n = 25
@@ -294,7 +292,7 @@ def test_predict_y_exact_on_noiseless_linear_data():
     y = -2.0 * x[:, 0]
     ds = PLMDataset(y, x, t, CYL)
     f = fit(ds, 1.5, mode="robust")
-    preds = predict_y(f, x, ds.t)
+    preds = x @ f.beta + predict_g(f, ds.t)
     assert preds == pytest.approx(y, abs=1e-8)
 
 
@@ -316,7 +314,6 @@ def test_predict_methods_on_fit_object():
     f = fit(ds, 1.2, mode="classical")
     probe = cylinder_coords([1.0], [0.5])[0]
     assert f.predict_g(probe) == predict_g(f, probe)
-    assert f.predict_y(np.array([1.0]), probe) == predict_y(f, np.array([1.0]), probe)
 
 
 def test_fit_on_circle_and_sphere_manifolds():

@@ -7,7 +7,6 @@ from plmanifold.simulation import (
     SimulationConfig,
     _summarize,
     boxplot_csv,
-    export_boxplot_data,
     generate_sample,
     replication_rng,
     run_campaign,
@@ -172,10 +171,10 @@ def test_boxplot_rows_shape_and_reaggregation():
                               bandwidth=1.2, modes=("classical", "robust"),
                               master_seed=29)
     report = run_campaign(config)
-    rows = export_boxplot_data(report)
+    rows = [line.split(",") for line in boxplot_csv(report).splitlines()[1:]]
     assert len(rows) == 6
     for mode in config.modes:
-        sub = [r[3] for r in rows if r[0] == mode]
+        sub = [float(r[3]) for r in rows if r[0] == mode]
         assert np.mean(sub) == pytest.approx(
             report.results[mode].summary["mean_beta"], abs=1e-12)
 

@@ -17,10 +17,10 @@ from plmanifold.manifold import (
 )
 from plmanifold.smoother import (
     ScoreFunction,
+    check_bandwidth,
     fit_smoother,
     local_m_estimate,
     local_mad,
-    pelletier_weights,
     quartic_kernel,
     raw_weight_matrix,
     smooth_columns,
@@ -62,9 +62,15 @@ def test_quadratic_kernel_equals_the_masked_formula_bit_for_bit():
 
 # ----------------------------------------------------------------- weights
 
+def _weights(manifold, h, t, sample):
+    """Normalized kernel weights of the sample relative to the one point t."""
+    [(_, _, W, totals)] = window_weights(manifold, h, t[None, :], sample)
+    return W[0] / totals[0]
+
+
 def test_single_point_window_gets_unit_weight():
     t = circle_coords([0.0])[0]
-    w = pelletier_weights(CIR, 1.0, t, t[None, :])
+    w = _weights(CIR, 1.0, t, t[None, :])
     assert w.shape == (1,)
     assert w[0] == 1.0
 
@@ -76,7 +82,7 @@ def test_circle_example_weights_match_scalar_oracle():
     h = 2.0
     raw = np.array([quartic_oracle(0.0), quartic_oracle(math.pi / 4), quartic_oracle(math.pi / 2)])
     expected = raw / raw.sum()
-    w = pelletier_weights(CIR, h, t, sample)
+    w = _weights(CIR, h, t, sample)
     assert w == pytest.approx(expected, abs=1e-12)
     assert w[2] == 0.0
     assert abs(w.sum() - 1.0) < 1e-12
@@ -85,14 +91,14 @@ def test_circle_example_weights_match_scalar_oracle():
 def test_symmetric_pair_gets_equal_weights():
     sample = circle_coords([0.4, -0.4])
     t = circle_coords([0.0])[0]
-    w = pelletier_weights(CIR, 1.0, t, sample)
+    w = _weights(CIR, 1.0, t, sample)
     assert w[0] == pytest.approx(w[1], abs=1e-15)
 
 
 def test_weights_zero_at_or_beyond_bandwidth():
     sample = circle_coords([0.0, 0.5, 1.0])
     t = circle_coords([0.0])[0]
-    w = pelletier_weights(CIR, 0.5, t, sample)
+    w = _weights(CIR, 0.5, t, sample)
     assert w[1] == 0.0 and w[2] == 0.0
 
 
@@ -100,9 +106,9 @@ def test_permutation_of_sample_permutes_weights():
     rng = np.random.default_rng(2)
     sample = circle_coords(rng.uniform(0, 2 * np.pi, 20))
     t = circle_coords([1.0])[0]
-    w = pelletier_weights(CIR, 2.0, t, sample)
+    w = _weights(CIR, 2.0, t, sample)
     perm = rng.permutation(20)
-    wp = pelletier_weights(CIR, 2.0, t, sample[perm])
+    wp = _weights(CIR, 2.0, t, sample[perm])
     assert wp == pytest.approx(w[perm], abs=1e-15)
 
 
@@ -110,7 +116,7 @@ def test_weights_normalized_on_random_queries(rng):
     sample = cylinder_coords(rng.uniform(0, 2 * np.pi, 60), rng.uniform(0, 1, 60))
     for _ in range(100):
         t = cylinder_coords([rng.uniform(0, 2 * np.pi)], [rng.uniform(0, 1)])[0]
-        w = pelletier_weights(CYL, 1.0, t, sample)
+        w = _weights(CYL, 1.0, t, sample)
         assert abs(w.sum() - 1.0) < 1e-12
         assert np.all(w >= 0)
 
@@ -119,7 +125,7 @@ def test_empty_window_error_carries_nearest_distance():
     sample = circle_coords([2.0, 2.5])
     t = circle_coords([0.0])[0]
     with pytest.raises(EmptyWindowError) as err:
-        pelletier_weights(CIR, 0.5, t, sample)
+        _weights(CIR, 0.5, t, sample)
     assert err.value.nearest_distance == pytest.approx(2.0, abs=1e-12)
     assert err.value.indices == [0]
 
@@ -200,9 +206,9 @@ def test_blocked_window_weights_equal_the_dense_kernel(manifold, h):
 def test_streamed_smoothing_equals_dense_kernel_smoothing(manifold, h):
     """smooth_columns over more than three row blocks matches the same
     statistics of the full kernel matrix: the kernel-weighted mean to 1e-15,
-    and the Huber and bisquare solves to their tolerance (the Illinois
-    stopping floor scales with the widest window of the rows solved
-    together, which changes with the block)."""
+    and the Huber and bisquare solves to their tolerance (each block pads
+    its rows to its widest window, so the reductions change with the
+    block)."""
     rng = np.random.default_rng(41)
     sample, cases = _block_cases(manifold, rng)
     columns = rng.normal(size=(sample.shape[0], 2))
@@ -264,11 +270,10 @@ def test_empty_windows_in_two_blocks_raise_one_error(given):
 
 
 def test_bandwidth_range_enforced():
-    t = circle_coords([0.0])[0]
     with pytest.raises(ValueError, match="bandwidth"):
-        pelletier_weights(CIR, math.pi, t, t[None, :])
+        check_bandwidth(CIR, math.pi)
     with pytest.raises(ValueError, match="bandwidth"):
-        pelletier_weights(CIR, 0.0, t, t[None, :])
+        check_bandwidth(CIR, 0.0)
 
 
 # ---------------------------------------------------------- weighted median
@@ -404,6 +409,15 @@ def test_local_m_converges_far_from_zero():
     est = local_m_estimate(np.full(5, 0.2), 1e6 + np.arange(5.0), ScoreFunction.huber(),
                            scale=1.0)
     assert est == pytest.approx(1e6 + 2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-9, 1e-11, 1e6])
+def test_huber_local_m_is_free_of_the_data_scale(c):
+    """No stop of the solve is an absolute width, so a window scaled by c
+    solves to the same multiple of c however small c is."""
+    est = local_m_estimate(np.full(5, 0.2), c * np.array([0.0, 1.0, 2.0, 3.0, 10.0]),
+                           ScoreFunction.huber(1.0), scale=c)
+    assert est == 2.0 * c
 
 
 def test_bisquare_agrees_with_huber_on_clean_symmetric_data(rng):
