@@ -48,7 +48,6 @@ from .simulation import (
 )
 from .smoother import (
     ScoreFunction,
-    fit_smoother,
     local_m_estimate,
     local_mad,
     weighted_median,
@@ -90,7 +89,6 @@ __all__ = [
     "run_campaign",
     "sample_to_csv",
     "ScoreFunction",
-    "fit_smoother",
     "local_m_estimate",
     "local_mad",
     "weighted_median",

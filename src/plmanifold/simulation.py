@@ -17,18 +17,19 @@ execution order and worker count.
 
 from __future__ import annotations
 
+import functools
 import io
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bandwidth import check_grid, select_bandwidth
+from .bandwidth import check_choice, select_bandwidth
 from .errors import CampaignError, ConfigError, PLMError
 from .manifold import Manifold, cylinder_coords
 from .plm import MODES, PLMDataset, fit
 from .robust_linear import GMConfig
-from .smoother import ScoreFunction, check_bandwidth
+from .smoother import ScoreFunction
 
 CONTAMINATIONS = ("C0", "C1", "C2")
 BETA_TRUE = 2.0
@@ -58,12 +59,7 @@ class SimulationConfig:
             raise ConfigError(f"contamination must be one of {CONTAMINATIONS}")
         if not self.modes or any(m not in MODES for m in self.modes):
             raise ConfigError("modes must be a nonempty subset of classical/robust")
-        if self.bandwidth is not None and self.cv_grid is not None:
-            raise ConfigError("give either a fixed bandwidth or a CV grid, not both")
-        if self.bandwidth is not None:
-            check_bandwidth(_CYLINDER, self.bandwidth)
-        if self.cv_grid is not None:
-            check_grid(_CYLINDER, self.cv_grid)
+        check_choice(_CYLINDER, self.bandwidth, self.cv_grid)
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
 
@@ -112,7 +108,7 @@ class ModeResults:
     beta: np.ndarray
     mse_g: np.ndarray
     bandwidth: np.ndarray
-    summary: dict = field(default_factory=dict)
+    summary: dict
 
 
 @dataclass
@@ -140,57 +136,54 @@ def _summarize(beta: np.ndarray, mse_g: np.ndarray) -> dict:
     }
 
 
+def _replicate(config: SimulationConfig, local_score: ScoreFunction | None,
+               gm: GMConfig | None, rep: int) -> dict[str, tuple]:
+    """Replication ``rep``: draw its sample and, per mode, pick h (fixed or
+    by cross-validation) and fit.  Returns each mode's (beta, mse_g, h, error)
+    record, mse_g the in-sample error of g_hat; a failure is NaNs and its text."""
+    sample = generate_sample(config.n, config.contamination,
+                             replication_rng(config.master_seed, rep))
+    out = {}
+    for mode in config.modes:
+        try:
+            if config.bandwidth is not None:
+                h = float(config.bandwidth)
+            else:
+                h, _ = select_bandwidth(sample.dataset, config.cv_grid, mode=mode,
+                                        local_score=local_score, gm=gm)
+            fitted = fit(sample.dataset, h, mode=mode, local_score=local_score, gm=gm)
+            mse_g = float(np.mean((fitted.g_hat - sample.g_true) ** 2))
+            out[mode] = (float(fitted.beta[0]), mse_g, float(h), None)
+        except PLMError as err:
+            out[mode] = (np.nan, np.nan, np.nan, f"{type(err).__name__}: {err}")
+    return out
+
+
 def run_campaign(config: SimulationConfig, local_score: ScoreFunction | None = None,
                  gm: GMConfig | None = None) -> SimulationReport:
-    """Run the Monte Carlo study described by ``config``.
-
-    Per replication and mode: draw a sample, pick the bandwidth (fixed or by
-    cross-validation), fit, and record the coefficient and the in-sample
-    mean squared error of the fitted g.  Failed replications are logged and
-    excluded from the summaries; more than 10% failures in any mode raises
-    CampaignError.
+    """Run the Monte Carlo study described by ``config``: ``_replicate`` for
+    every replication, serially with one worker and on a thread pool with
+    more.  Failed replications are logged and excluded from the summaries;
+    more than 10% failures in any mode raises CampaignError.
     """
     reps = config.replications
-
-    def one(rep: int) -> dict:
-        rng = replication_rng(config.master_seed, rep)
-        sample = generate_sample(config.n, config.contamination, rng)
-        out = {}
-        for mode in config.modes:
-            try:
-                if config.bandwidth is not None:
-                    h = float(config.bandwidth)
-                else:
-                    h, _ = select_bandwidth(sample.dataset, config.cv_grid, mode=mode,
-                                            local_score=local_score, gm=gm)
-                fitted = fit(sample.dataset, h, mode=mode, local_score=local_score, gm=gm)
-                mse_g = float(np.mean((fitted.g_hat - sample.g_true) ** 2))
-                out[mode] = (float(fitted.beta[0]), mse_g, float(h), None)
-            except PLMError as err:
-                out[mode] = (np.nan, np.nan, np.nan, f"{type(err).__name__}: {err}")
-        return out
-
+    replicate = functools.partial(_replicate, config, local_score, gm)
     if config.workers == 1:
-        rows = [one(r) for r in range(reps)]
+        rows = [replicate(r) for r in range(reps)]
     else:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(one, range(reps)))
+            rows = list(pool.map(replicate, range(reps)))
 
     results: dict[str, ModeResults] = {}
     failures: list[dict] = []
     for mode in config.modes:
-        beta = np.array([rows[r][mode][0] for r in range(reps)])
-        mse_g = np.array([rows[r][mode][1] for r in range(reps)])
-        hs = np.array([rows[r][mode][2] for r in range(reps)])
-        for r in range(reps):
-            if rows[r][mode][3] is not None:
-                failures.append({"replication": r, "mode": mode,
-                                 "error": rows[r][mode][3]})
-        res = ModeResults(beta, mse_g, hs)
-        res.summary = _summarize(beta, mse_g)
-        results[mode] = res
+        beta, mse_g, hs, errors = zip(*(row[mode] for row in rows))
+        beta, mse_g = np.array(beta), np.array(mse_g)
+        results[mode] = ModeResults(beta, mse_g, np.array(hs), _summarize(beta, mse_g))
+        failures += [{"replication": r, "mode": mode, "error": error}
+                     for r, error in enumerate(errors) if error is not None]
 
-    worst = max(results[m].summary.get("n_failed", 0) for m in config.modes)
+    worst = max(results[m].summary["n_failed"] for m in config.modes)
     if worst > 0.10 * reps:
         raise CampaignError(
             f"{worst} of {reps} replications failed (>10%); "

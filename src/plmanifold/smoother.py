@@ -23,7 +23,6 @@ from .manifold import (
     cross_distances,
     injectivity_radius,
     row_blocks,
-    validate_coords,
     volume_density_from_distance,
 )
 
@@ -155,8 +154,9 @@ def window_weights(manifold: Manifold, h: float, queries: np.ndarray, sample: np
     coordinates otherwise, so no array larger than a block is made.
     ``leave_one_out`` zeroes each query's weight on itself; it raises
     ValueError unless ``queries is sample``.  After the last block, raises
-    EmptyWindowError listing every query index whose window is empty, with
-    the smallest bandwidth that would cover them all as
+    EmptyWindowError whose ``indices`` list every query index whose window
+    is empty (the message shows the first 10 and the count), with the
+    smallest bandwidth that would cover them all as
     ``nearest_distance``; no block is yielded once an empty window is found.
     """
     if leave_one_out and queries is not sample:
@@ -179,8 +179,9 @@ def window_weights(manifold: Manifold, h: float, queries: np.ndarray, sample: np
         elif not empty:
             yield s, e, W, totals
     if empty:
+        listed = ", ".join(map(str, empty[:10])) + (", ..." if len(empty) > 10 else "")
         raise EmptyWindowError(
-            f"empty kernel window at query indices {empty}; "
+            f"empty kernel window at {len(empty)} query indices [{listed}]; "
             f"the bandwidth must exceed {nearest:.6g}",
             nearest_distance=nearest,
             indices=empty,
@@ -247,9 +248,9 @@ def smooth_columns(manifold: Manifold, h: float, sample: np.ndarray,
     of kernel weights (`window_weights`) at a time.
 
     ``sample`` are validated training coordinates, ``columns`` an (n, k)
-    value matrix, ``score`` the local score (identity: the kernel-weighted
-    mean), ``queries`` validated query coordinates (defaults to the sample
-    itself).
+    value matrix with one row per sample point (else ValueError), ``score``
+    the local score (identity: the kernel-weighted mean), ``queries``
+    validated query coordinates (defaults to the sample itself).
     ``leave_one_out`` zeroes the diagonal weight, which requires the default
     queries.  ``distances``, the queries x sample geodesic matrix, lets a
     caller that smooths at several bandwidths share it; without it each
@@ -266,6 +267,9 @@ def smooth_columns(manifold: Manifold, h: float, sample: np.ndarray,
     columns = np.asarray(columns, dtype=float)
     if columns.ndim == 1:
         columns = columns[:, None]
+    if columns.shape[0] != sample.shape[0]:
+        raise ValueError(f"length mismatch: {sample.shape[0]} sample points vs "
+                         f"{columns.shape[0]} values")
     if queries is None:
         queries = sample
 
@@ -288,25 +292,3 @@ def smooth_columns(manifold: Manifold, h: float, sample: np.ndarray,
             indices=stuck.tolist(),
         )
     return estimates, flags
-
-
-def fit_smoother(manifold: Manifold, h: float, sample, values, queries,
-                 score: ScoreFunction):
-    """Robust local fit of one value column at bandwidth h at the given query
-    points.
-
-    With the identity ``score`` this is exactly the classical
-    kernel-weighted mean (no scale step).  Degenerate windows fall back to
-    the weighted median (``smooth_columns`` returns their flags); solver
-    non-convergence raises ConvergenceError tagged with the query indices.
-    """
-    sample = validate_coords(manifold, sample, name="sample")
-    queries = validate_coords(manifold, queries, name="query")
-    values = np.asarray(values, dtype=float).ravel()
-    if values.size != sample.shape[0]:
-        raise ValueError(
-            f"length mismatch: {sample.shape[0]} sample points vs {values.size} values"
-        )
-    est, _ = smooth_columns(manifold, h, sample, columns=values, score=score,
-                            queries=queries)
-    return est[:, 0]

@@ -127,6 +127,7 @@ def test_all_infeasible_grid_raises_with_reasons():
         select_bandwidth(ds, [0.005, 0.01], mode="robust")
     assert set(err.value.reasons) == {0.005, 0.01}
     assert all("EmptyWindowError" in reason for reason in err.value.reasons.values())
+    assert str(err.value).endswith(err.value.reasons[0.01])
 
 
 def test_grid_validation():
@@ -152,6 +153,14 @@ def test_default_grid_spans_distances_to_injectivity():
     assert np.all(np.diff(grid) > 0)
     assert grid[-1] == pytest.approx(0.9 * np.pi)
     assert 0 < grid[0] < 1.0
+
+
+def test_default_grid_on_coincident_points_raises():
+    rng = np.random.default_rng(12)
+    t = cylinder_coords(np.full(10, 1.0), np.full(10, 0.5))
+    ds = PLMDataset(rng.normal(size=10), rng.normal(size=(10, 1)), t, CYL)
+    with pytest.raises(ValueError, match="all manifold covariates coincide"):
+        default_grid(ds)
 
 
 def test_robust_cv_bounded_under_outlier_classical_diverges():

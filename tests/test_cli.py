@@ -55,6 +55,17 @@ def test_parse_mapping_rejects_unknown_bits():
         parse_mapping("response=y,manifold=sphere:angle_deg=a,height=b")
     with pytest.raises(ConfigError):
         parse_mapping("response=y,bogus=1,manifold=cylinder:angle_deg=a,height=b")
+    for text, token in [
+        ("response=y,linear=x1,manifold=cylinder:angle_deg", "manifold=cylinder:angle_deg"),
+        ("response=y,linear=x1,manifold=cylinder:angle_deg=a,height_raw=h,heigth=foo",
+         "heigth=foo"),
+        ("response=y,linear=x1,manifold=cylinder:angle_deg=a,height=h,height_raw=h",
+         "height_raw=h"),
+        ("response=y,linear=x1,manifold=cylinder:angle_deg=,height=h",
+         "manifold=cylinder:angle_deg="),
+    ]:
+        with pytest.raises(ConfigError, match=f"mapping token '{token}'"):
+            parse_mapping(text)
 
 
 def test_parse_score_and_w1():
@@ -128,6 +139,21 @@ def test_ingest_insufficient_rows(tmp_path):
     write_csv(path, [(1.0, 0.1, 0.0, 10.0), (2.0, 0.2, 10.0, 12.0)])
     with pytest.raises(InsufficientDataError):
         ingest_csv(path, parse_mapping(MAPPING))
+
+
+def test_ingest_empty_file_is_an_error(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("")
+    with pytest.raises(ConfigError, match="input file is empty"):
+        ingest_csv(path, parse_mapping(MAPPING))
+
+
+def test_ingest_constant_height_maps_to_the_middle(tmp_path):
+    path = tmp_path / "d.csv"
+    write_csv(path, [(1.0, 0.1, 0.0, 7.0), (2.0, 0.2, 45.0, 7.0),
+                     (3.0, 0.3, 90.0, 7.0), (4.0, 0.4, 135.0, 7.0)])
+    ds = ingest_csv(path, parse_mapping(MAPPING))
+    assert np.all(ds.t[:, 2] == 0.5)
 
 
 def test_ingest_unparseable_cell_is_an_error(tmp_path):
@@ -334,6 +360,18 @@ def test_cv_command_writes_diagnostics(tmp_path):
     assert report["robust"]["selected_h"] in (1.0, 1.6, 2.4)
     assert len(report["robust"]["grid"]) == 3
     assert all(entry["feasible"] for entry in report["robust"]["grid"])
+
+
+def test_cv_with_an_infeasible_grid_says_what_bandwidth_would_work(tmp_path, capsys):
+    data = tmp_path / "lin.csv"
+    out = tmp_path / "cv.json"
+    make_linear_csv(data, seed=9)
+    assert run_cli("cv", "--input", str(data), "--map", MAPPING, "--cv-grid", "0.01,0.02",
+                   "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert "error: InfeasibleGridError: no feasible bandwidth in the grid" in err
+    assert "must exceed" in err
+    assert not out.exists()
 
 
 # -------------------------------------------------------- simulate command
@@ -583,6 +621,18 @@ def test_fit_rejects_bandwidth_with_cv_grid_before_reading_input(tmp_path, capsy
     err = capsys.readouterr().err
     assert ("error: ConfigError: give either a fixed bandwidth or a CV grid, not both"
             in err)
+    assert "cannot read input file" not in err
+    assert not out.exists()
+
+
+def test_fit_without_a_linear_column_fails_before_reading_input(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = run_cli("fit", "--input", str(tmp_path / "missing.csv"), "--map",
+                   "response=y,manifold=cylinder:angle_deg=angle_deg,height_raw=height",
+                   "--bandwidth", "1.2", "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: ConfigError: " in err and "linear=COL" in err
     assert "cannot read input file" not in err
     assert not out.exists()
 

@@ -104,6 +104,22 @@ def test_covariance_weights_rows_at_the_cutoff_the_fit_resolved():
                                                 rel=1e-12)
 
 
+@pytest.mark.parametrize("score", [ScoreFunction.huber(), ScoreFunction.bisquare()],
+                         ids=["huber", "bisquare"])
+@pytest.mark.parametrize("c", [1.0, 1e3, 1e6, 1e9])
+def test_noise_free_robust_fit_has_zero_se_in_any_units(score, c):
+    # the regression step's exact-fit verdict is relative to the data, and
+    # the covariance takes it as given: se = 0 whatever the units of y
+    rng = np.random.default_rng(3)
+    n = 40
+    t = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
+    x = rng.normal(size=n)
+    fitted = fit(PLMDataset(2.0 * c * x, x, t, CYL), 1.5, local_score=score,
+                 gm=GMConfig(score=score))
+    assert fitted.scale == 0.0
+    assert np.all(estimate_covariance(fitted).se == 0.0)
+
+
 def test_singular_A_detected():
     rng = np.random.default_rng(1)
     col = rng.normal(size=20)

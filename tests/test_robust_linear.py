@@ -198,6 +198,17 @@ def test_gm_nonconvergence_reports_trajectory(monkeypatch):
     assert err.value.residual is not None
 
 
+def test_gm_every_weight_zero_raises_with_the_last_iterate():
+    # least squares through the origin leaves every residual near 10, about
+    # seven MADs out: past the bisquare cutoff, so no row keeps any weight
+    rng = np.random.default_rng(0)
+    r = 10.0 + rng.normal(size=40)
+    eta = np.where(np.arange(40) % 2 == 0, 1.0, -1.0)[:, None]
+    with pytest.raises(ConvergenceError, match="every observation received zero weight") as err:
+        gm_estimate(r, eta, GMConfig(score=ScoreFunction.bisquare()))
+    assert err.value.last_iterate is not None
+
+
 def test_gm_degenerate_scale_with_spread_responses():
     # more than half the residuals identical but the rest are not
     eta = np.ones((5, 1))

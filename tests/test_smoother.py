@@ -18,7 +18,6 @@ from plmanifold.manifold import (
 from plmanifold.smoother import (
     ScoreFunction,
     check_bandwidth,
-    fit_smoother,
     local_m_estimate,
     local_mad,
     quartic_kernel,
@@ -488,7 +487,7 @@ def test_identity_smoother_equals_direct_kernel_mean():
         values = rng.normal(size=n)
         queries = cylinder_coords(rng.uniform(0, 2 * np.pi, 7), rng.uniform(0, 1, 7))
         score = ScoreFunction.identity()
-        est = fit_smoother(CYL, 1.5, sample, values, queries, score)
+        est = smooth_columns(CYL, 1.5, sample, values, score, queries=queries)[0][:, 0]
         oracle = classical_nw_oracle(CYL, 1.5, sample, values, queries)
         assert est == pytest.approx(oracle, abs=1e-10)
 
@@ -500,7 +499,7 @@ def test_robust_smoother_with_identity_matches_classical_pointwise():
         sample = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
         values = rng.normal(size=n)
         score = ScoreFunction.identity()
-        est = fit_smoother(CYL, 1.2, sample, values, sample, score)
+        est = smooth_columns(CYL, 1.2, sample, values, score)[0][:, 0]
         oracle = classical_nw_oracle(CYL, 1.2, sample, values, sample)
         assert est == pytest.approx(oracle, abs=1e-10)
 
@@ -510,8 +509,8 @@ def test_smoother_shift_equivariance(rng):
     sample = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
     values = rng.normal(size=n)
     score = ScoreFunction.huber()
-    base = fit_smoother(CYL, 1.0, sample, values, sample, score)
-    shifted = fit_smoother(CYL, 1.0, sample, values + 11.25, sample, score)
+    base = smooth_columns(CYL, 1.0, sample, values, score)[0][:, 0]
+    shifted = smooth_columns(CYL, 1.0, sample, values + 11.25, score)[0][:, 0]
     assert shifted == pytest.approx(base + 11.25, abs=1e-9)
 
 
@@ -520,9 +519,9 @@ def test_smoother_scale_equivariance(rng):
     sample = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
     values = rng.normal(size=n)
     score = ScoreFunction.huber()
-    base = fit_smoother(CYL, 1.0, sample, values, sample, score)
+    base = smooth_columns(CYL, 1.0, sample, values, score)[0][:, 0]
     lam = 2.75
-    scaled = fit_smoother(CYL, 1.0, sample, lam * values, sample, score)
+    scaled = smooth_columns(CYL, 1.0, sample, lam * values, score)[0][:, 0]
     assert scaled == pytest.approx(lam * base, abs=1e-9)
 
 
@@ -531,7 +530,7 @@ def test_smoother_estimates_bounded_by_data(rng):
     sample = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
     values = rng.normal(size=n)
     score = ScoreFunction.huber()
-    est = fit_smoother(CYL, 0.8, sample, values, sample, score)
+    est = smooth_columns(CYL, 0.8, sample, values, score)[0][:, 0]
     assert np.all(est >= values.min() - 1e-12)
     assert np.all(est <= values.max() + 1e-12)
 
@@ -555,7 +554,7 @@ def test_convergence_error_tagged_with_query_index(monkeypatch):
     values = rng.normal(size=n) + np.linspace(0, 5, n)
     score = ScoreFunction.bisquare()
     with pytest.raises(ConvergenceError) as err:
-        fit_smoother(CYL, 2.0, sample, values, sample, score)
+        smooth_columns(CYL, 2.0, sample, values, score)
     assert err.value.indices
     with pytest.raises(ConvergenceError) as batched:
         smooth_columns(CYL, 2.0, sample, np.column_stack([values, values]), score)
@@ -566,7 +565,7 @@ def test_smoother_length_mismatch():
     sample = cylinder_coords([0.0, 1.0], [0.2, 0.8])
     score = ScoreFunction.huber()
     with pytest.raises(ValueError, match="length mismatch"):
-        fit_smoother(CYL, 1.0, sample, np.array([1.0]), sample, score)
+        smooth_columns(CYL, 1.0, sample, np.array([1.0]), score)
 
 
 def test_sphere_smoother_applies_volume_density_correction():
@@ -578,7 +577,7 @@ def test_sphere_smoother_applies_volume_density_correction():
     queries = sample[:5]
     h = 1.5
     score = ScoreFunction.identity()
-    est = fit_smoother(sph, h, sample, values, queries, score)
+    est = smooth_columns(sph, h, sample, values, score, queries=queries)[0][:, 0]
 
     # direct oracle: K(d/h) divided by sin(r)/r, then normalized
     d = cross_distances(sph, queries, sample)
