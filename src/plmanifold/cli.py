@@ -63,6 +63,19 @@ def _cylinder_column(params: dict, item: str, token: str) -> None:
     params[key] = column
 
 
+def _named_column(fields: dict, key: str, column: str, token: str) -> None:
+    """Record the response or a linear COL of ``token``."""
+    if not column:
+        raise ConfigError(f"mapping token {token!r}: {key}= needs a column name")
+    if key == "response" and "response" in fields or column in fields["linear"]:
+        raise ConfigError(f"mapping token {token!r}: name the response and each linear "
+                          "column once")
+    if key == "linear":
+        fields["linear"].append(column)
+    else:
+        fields["response"] = column
+
+
 def parse_mapping(text: str) -> ColumnMapping:
     """Parse the --map grammar; see the module docstring for the shape."""
     fields: dict = {"linear": []}
@@ -77,10 +90,8 @@ def parse_mapping(text: str) -> ColumnMapping:
             key = key.strip()
             if key in _TOP_KEYS:
                 current = key
-                if key == "response":
-                    fields["response"] = value.strip()
-                elif key == "linear":
-                    fields["linear"].append(value.strip())
+                if key != "manifold":
+                    _named_column(fields, key, value.strip(), token)
                 else:
                     kind, _, rest = value.partition(":")
                     if kind.strip() != "cylinder":
@@ -93,7 +104,7 @@ def parse_mapping(text: str) -> ColumnMapping:
         else:
             if current != "linear":
                 raise ConfigError(f"stray mapping token {token!r}")
-            fields["linear"].append(token)
+            _named_column(fields, "linear", token, token)
 
     if "response" not in fields:
         raise ConfigError("mapping must name a response column")

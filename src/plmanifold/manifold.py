@@ -155,6 +155,19 @@ def cross_distances(manifold: Manifold, a: np.ndarray, b: np.ndarray) -> np.ndar
     return np.sqrt(d, out=d)
 
 
+def coordinate_key(manifold: Manifold, points: np.ndarray):
+    """(key, period) of validated points: one coordinate whose difference
+    bounds the geodesic distance from below, and its period or None.  The
+    angle in [0, 2 pi], period 2 pi, on the circle and the cylinder; the
+    polar angle (the distance to the north pole, so the triangle inequality
+    bounds d) on the sphere; the first coordinate in Euclidean space."""
+    if manifold.kind == EUCLIDEAN:
+        return points[:, 0], None
+    if manifold.kind == SPHERE:
+        return np.arctan2(np.hypot(points[:, 0], points[:, 1]), points[:, 2]), None
+    return np.mod(np.arctan2(points[:, 1], points[:, 0]), 2.0 * np.pi), 2.0 * np.pi
+
+
 def row_blocks(rows: int, cols: int):
     """(start, stop) row ranges of a rows x cols matrix, each block at most
     ``BLOCK_CELLS`` cells (or one row)."""

@@ -19,7 +19,9 @@ import numpy as np
 from . import _kernels
 from .errors import ConvergenceError, EmptyWindowError
 from .manifold import (
+    BLOCK_CELLS,
     Manifold,
+    coordinate_key,
     cross_distances,
     injectivity_radius,
     row_blocks,
@@ -124,6 +126,10 @@ def _check_weight_pair(weights, values):
         raise ValueError(f"length mismatch: {w.size} weights vs {v.size} values")
     if w.size == 0:
         raise ValueError("need at least one observation")
+    for name, a in (("weight", w), ("value", v)):
+        bad = np.flatnonzero(~np.isfinite(a))
+        if bad.size:
+            raise ValueError(f"{name} {bad[0]} is not finite: {a[bad[0]]}")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
     if abs(w.sum() - 1.0) > 1e-8:
@@ -142,43 +148,82 @@ def raw_weight_matrix(manifold: Manifold, h: float, distances: np.ndarray) -> np
     return k
 
 
+def _key_blocks(manifold: Manifold, h: float, queries: np.ndarray, sample: np.ndarray):
+    """(rows, cols, own) per block of queries in ``coordinate_key`` order:
+    the block's query indices, the sample indices whose key lies within h
+    (and a rounding margin) of the block's keys, one run of the key-sorted
+    sample, wrapped on a periodic key, and each row's own position in cols
+    when the queries are the sample.  Each block takes as many rows as fit
+    with their candidates in ``BLOCK_CELLS`` cells (at least one)."""
+    ks, period = coordinate_key(manifold, sample)
+    kq = ks if queries is sample else coordinate_key(manifold, queries)[0]
+    so = np.argsort(ks)
+    qo = so if queries is sample else np.argsort(kq)
+    n, ks, kq = so.size, ks[so], kq[qo]
+    if period:  # three laps, so a band across the seam is one run
+        ks = np.concatenate([ks - period, ks, ks + period])
+    reach = h + 1e-9 * (1.0 + h + np.abs(ks).max())
+    lo = np.searchsorted(ks, kq - reach)
+    hi = np.searchsorted(ks, kq + reach, side="right")
+    a = 0
+    while a < qo.size:
+        first = max(1, min(n, hi[a] - lo[a]))  # no more rows than this bound fit
+        span = np.minimum(hi[a:a + 1 + BLOCK_CELLS // first] - lo[a], n)
+        b = a + max(1, int(np.count_nonzero(np.arange(1, span.size + 1) * span
+                                             <= BLOCK_CELLS)))
+        yield (qo[a:b], so[(lo[a] + np.arange(span[b - a - 1])) % n],
+               (np.arange(a, b) - lo[a]) % n)
+        a = b
+
+
 def window_weights(manifold: Manifold, h: float, queries: np.ndarray, sample: np.ndarray,
                    leave_one_out: bool = False, distances: np.ndarray | None = None):
     """Raw kernel weights of the query rows against the sample, one row block
     at a time.
 
-    Yields (start, stop, W, totals) for each block of ``row_blocks``: W holds
-    the weights of query rows start:stop against every sample point and
-    totals their row sums.  A block's distances are a slice of ``distances``
-    (the queries x sample matrix) when given and are computed from the
-    coordinates otherwise, so no array larger than a block is made.
+    Yields (rows, cols, W, totals) per block: W holds the weights of the
+    queries ``rows`` against the sample points ``cols``, zero off them, and
+    totals its row sums.  Blocks from the coordinates run through the
+    queries in ``coordinate_key`` order, with index arrays from `_key_blocks`;
+    with ``distances`` given (the queries x sample matrix, sliced, never
+    gathered) or when one block holds every cell, they are the ``row_blocks``
+    of the input order against every column, as slices.  No array larger
+    than a block is made.
     ``leave_one_out`` zeroes each query's weight on itself; it raises
     ValueError unless ``queries is sample``.  After the last block, raises
     EmptyWindowError whose ``indices`` list every query index whose window
-    is empty (the message shows the first 10 and the count), with the
-    smallest bandwidth that would cover them all as
-    ``nearest_distance``; no block is yielded once an empty window is found.
+    is empty, ascending (the message shows the first 10 and the count),
+    with the smallest bandwidth that would cover them all as
+    ``nearest_distance``, measured against the whole sample; no block is
+    yielded once an empty window is found.
     """
     if leave_one_out and queries is not sample:
         raise ValueError("leave_one_out needs the sample itself as the queries")
-    empty, nearest = [], 0.0
-    for s, e in row_blocks(queries.shape[0], sample.shape[0]):
-        d = (cross_distances(manifold, queries[s:e], sample) if distances is None
-             else distances[s:e])
+    nq, n = queries.shape[0], sample.shape[0]
+    if distances is None and nq * n > BLOCK_CELLS:
+        blocks = _key_blocks(manifold, h, queries, sample)
+    else:
+        blocks = ((slice(s, e), slice(None), np.arange(s, e)) for s, e in row_blocks(nq, n))
+    index, empty, nearest = np.arange(nq), [], 0.0
+    for rows, cols, own in blocks:
+        d = (cross_distances(manifold, queries[rows], sample[cols]) if distances is None
+             else distances[rows])
         W = raw_weight_matrix(manifold, h, d)
         if leave_one_out:
-            np.fill_diagonal(W[:, s:e], 0.0)
+            W[np.arange(W.shape[0]), own] = 0.0
         totals = W.sum(axis=1)
-        hollow = np.flatnonzero(totals <= 0.0)
-        if hollow.size:
-            near = d[hollow]  # a copy: a given matrix stays untouched
+        hollow = index[rows][totals <= 0.0]
+        if hollow.size:  # the nearest point may lie outside the block's cols
+            near = (cross_distances(manifold, queries[hollow], sample) if distances is None
+                    else distances[hollow])
             if leave_one_out:
-                near[np.arange(hollow.size), s + hollow] = np.inf
+                near[np.arange(hollow.size), hollow] = np.inf
             nearest = max(nearest, float(near.min(axis=1).max()))
-            empty.extend((s + hollow).tolist())
+            empty.extend(hollow.tolist())
         elif not empty:
-            yield s, e, W, totals
+            yield rows, cols, W, totals
     if empty:
+        empty.sort()
         listed = ", ".join(map(str, empty[:10])) + (", ..." if len(empty) > 10 else "")
         raise EmptyWindowError(
             f"empty kernel window at {len(empty)} query indices [{listed}]; "
@@ -276,15 +321,15 @@ def smooth_columns(manifold: Manifold, h: float, sample: np.ndarray,
     nq, k = queries.shape[0], columns.shape[1]
     estimates = np.empty((nq, k))
     flags = np.zeros((nq, k), dtype=np.int8)
-    orders = [np.argsort(columns[:, j]) for j in range(k)] if score.code else []
-    for s, e, W, totals in window_weights(manifold, h, queries, sample, leave_one_out,
-                                          distances):
+    ranks = np.argsort(np.argsort(columns, axis=0), axis=0) if score.code else None
+    for rows, cols, W, totals in window_weights(manifold, h, queries, sample,
+                                                leave_one_out, distances):
         if score.code == 0:
-            estimates[s:e] = (W @ columns) / totals[:, None]
+            estimates[rows] = (W @ columns[cols]) / totals[:, None]
             continue
-        for j, order in enumerate(orders):
-            estimates[s:e, j], flags[s:e, j] = _kernels.local_m_rows(
-                W, columns[:, j], order, score.code, score.c)
+        for j in range(k):  # the block's columns in the column's global value order
+            estimates[rows, j], flags[rows, j] = _kernels.local_m_rows(
+                W, columns[cols, j], np.argsort(ranks[cols, j]), score.code, score.c)
     stuck = np.flatnonzero((flags == 2).any(axis=1))
     if stuck.size:
         raise ConvergenceError(

@@ -63,6 +63,11 @@ def test_parse_mapping_rejects_unknown_bits():
          "height_raw=h"),
         ("response=y,linear=x1,manifold=cylinder:angle_deg=,height=h",
          "manifold=cylinder:angle_deg="),
+        ("response=y,response=z,linear=x1,manifold=cylinder:angle_deg=a,height=h",
+         "response=z"),
+        ("response=,linear=x1,manifold=cylinder:angle_deg=a,height=h", "response="),
+        ("response=y,linear=,manifold=cylinder:angle_deg=a,height=h", "linear="),
+        ("response=y,linear=x1,x1,manifold=cylinder:angle_deg=a,height=h", "x1"),
     ]:
         with pytest.raises(ConfigError, match=f"mapping token '{token}'"):
             parse_mapping(text)

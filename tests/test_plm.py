@@ -166,6 +166,45 @@ def test_fit_and_predict_never_build_an_n_by_n_distance_matrix(monkeypatch, mode
     assert max(r * c for r, c in weight_shapes) <= BLOCK_CELLS
 
 
+@pytest.mark.parametrize("mode", ["robust", "classical"])
+def test_fit_on_the_cylinder_computes_only_the_pruned_distances(monkeypatch, mode):
+    """At n = 2000 and h = 0.8 about 70% of the pairs lie beyond the
+    angular band of every row block, and no distance is computed for them."""
+    from plmanifold import manifold, smoother
+    from plmanifold.simulation import generate_sample, replication_rng
+
+    pairs = []
+
+    def recording(m, a, b):
+        pairs.append(a.shape[0] * b.shape[0])
+        return manifold.cross_distances(m, a, b)
+
+    monkeypatch.setattr(smoother, "cross_distances", recording)
+    ds = generate_sample(2000, "C1", replication_rng(10_000, 0)).dataset
+    f = fit(ds, 0.8, mode=mode)
+    assert np.all(np.isfinite(f.beta))
+    assert 0 < sum(pairs) < 0.4 * ds.n ** 2
+
+
+@pytest.mark.parametrize("mode", ["robust", "classical"])
+def test_predict_g_over_many_blocks_equals_the_given_matrix_path(mode):
+    """predict_g at 1500 queries (many key-sorted row blocks) returns ghat
+    in the queries' input order: the same values as the smoothing of a given
+    queries x sample distance matrix, whose blocks are in input order."""
+    from plmanifold.manifold import BLOCK_CELLS, cross_distances
+    from plmanifold.plm import smooth_dataset
+
+    ds, _ = random_cylinder_dataset(11, n=400, p=2)
+    f = fit(ds, 0.8, mode=mode)
+    rng = np.random.default_rng(12)
+    queries = cylinder_coords(rng.uniform(0, 2 * np.pi, 1500), rng.uniform(0, 1, 1500))
+    assert 1500 * ds.n > 4 * BLOCK_CELLS
+    est, _, _ = smooth_dataset(ds, 0.8, f.local_score, queries,
+                               distances=cross_distances(ds.manifold, queries, ds.t))
+    expected = est[:, 0] - est[:, 1:] @ f.beta
+    assert np.max(np.abs(predict_g(f, queries) - expected)) <= 1e-10
+
+
 def test_classical_regression_coefficient_equivariance():
     ds, _ = random_cylinder_dataset(8, n=40, p=2)
     b = np.array([2.0, -3.0])

@@ -134,9 +134,9 @@ def test_window_weights_leave_one_out_leaves_the_distances_alone():
     sample = cylinder_coords(rng.uniform(0, 2 * np.pi, 15), rng.uniform(0, 1, 15))
     d = pairwise_distances(CYL, sample)
     before = d.copy()
-    [(s, e, W, totals)] = window_weights(CYL, 1.5, sample, sample, leave_one_out=True,
-                                         distances=d)
-    assert (s, e) == (0, 15)
+    [(rows, cols, W, totals)] = window_weights(CYL, 1.5, sample, sample, leave_one_out=True,
+                                               distances=d)
+    assert (rows, cols) == (slice(0, 15), slice(None))
     assert np.all(np.diag(W) == 0.0)
     assert np.array_equal(totals, W.sum(axis=1))
     assert np.array_equal(d, before)
@@ -178,27 +178,137 @@ def _dense_kernel(manifold, h, d, loo):
     return W
 
 
+def _indices(index, size):
+    # a block's rows or cols as an index array; a slice on the dense path
+    return np.arange(size)[index]
+
+
+def _check_blocks(manifold, h, q, sample, loo, given, dense, atol=0.0):
+    """Every block of window_weights is the dense kernel on its rows x cols
+    (to ``atol``), the dense kernel is exactly zero off its cols, each block
+    holds at most BLOCK_CELLS cells (or one row), and the blocks cover every
+    query once.  Returns the blocks' (rows, cols) as index arrays."""
+    n, seen = sample.shape[0], []
+    for rows, cols, W, totals in window_weights(manifold, h, q, sample,
+                                                leave_one_out=loo, distances=given):
+        r, c = _indices(rows, q.shape[0]), _indices(cols, n)
+        assert W.shape == (r.size, c.size) and (W.size <= BLOCK_CELLS or r.size == 1)
+        assert np.unique(c).size == c.size
+        assert np.max(np.abs(W - dense[np.ix_(r, c)]), initial=0.0) <= atol
+        off = np.ones(n, dtype=bool)
+        off[c] = False
+        assert not np.any(dense[np.ix_(r, off)])
+        assert np.array_equal(totals, W.sum(axis=1))
+        seen.append((r, c))
+    assert np.array_equal(np.sort(np.concatenate([r for r, _ in seen])), np.arange(q.shape[0]))
+    return seen
+
+
 @pytest.mark.parametrize("manifold,h", MANIFOLD_BANDWIDTHS, ids=MANIFOLD_IDS)
 def test_blocked_window_weights_equal_the_dense_kernel(manifold, h):
     """Every block (queries apart from the sample or the sample itself,
     leave-one-out, distances given or built from the coordinates) is its rows
-    of the kernel of the full distance matrix, and the blocks tile the query
-    rows in order, each at most BLOCK_CELLS cells."""
+    of the kernel of the full distance matrix on its columns, zero elsewhere,
+    and the blocks cover the query rows once, each at most BLOCK_CELLS
+    cells.  A given matrix is sliced: its blocks tile the rows in input
+    order against every column."""
     sample, cases = _block_cases(manifold, np.random.default_rng(31))
     n = sample.shape[0]
     for q, loo, d in cases:
         dense = _dense_kernel(manifold, h, d, loo)
         before = d.copy()
-        for given in (None, d):
-            stop = 0
-            for s, e, W, totals in window_weights(manifold, h, q, sample,
-                                                  leave_one_out=loo, distances=given):
-                assert s == stop and W.shape == (e - s, n) and W.size <= BLOCK_CELLS
-                assert np.max(np.abs(W - dense[s:e])) <= 1e-15
-                assert np.array_equal(totals, W.sum(axis=1))
-                stop = e
-            assert stop == q.shape[0]
+        built = _check_blocks(manifold, h, q, sample, loo, None, dense, atol=1e-15)
+        assert len(built) > 1
+        given = _check_blocks(manifold, h, q, sample, loo, d, dense, atol=1e-15)
+        assert np.array_equal(np.concatenate([r for r, _ in given]), np.arange(q.shape[0]))
+        assert all(np.array_equal(c, np.arange(n)) for _, c in given)
         assert np.array_equal(d, before)
+
+
+def _seam_angles(rng, n):
+    # half the points within 0.5 of the 0/2 pi seam, on both sides
+    return np.concatenate([rng.uniform(-0.5, 0.5, n // 2), rng.uniform(0, 2 * np.pi, n - n // 2)])
+
+
+def _polar_points(rng, n):
+    # half the points within 0.3 of a pole, and the antipode of every point
+    polar = np.concatenate([rng.uniform(0, 0.3, n // 4), rng.uniform(np.pi - 0.3, np.pi, n // 4),
+                            rng.uniform(0, np.pi, n // 2 - 2 * (n // 4))])
+    azimuth = rng.uniform(0, 2 * np.pi, polar.size)
+    half = np.column_stack([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth),
+                            np.cos(polar)])
+    return np.concatenate([half, -half])
+
+
+SEAM_CASES = [
+    (CIR, 0.3, lambda rng, n: circle_coords(_seam_angles(rng, n))),
+    (CIR, 3.0, lambda rng, n: circle_coords(_seam_angles(rng, n))),
+    (CYL, 0.8, lambda rng, n: cylinder_coords(_seam_angles(rng, n), rng.uniform(0, 1, n))),
+    (Manifold.sphere(), 0.4, _polar_points),
+    (Manifold.sphere(), 3.0, _polar_points),
+    (Manifold.euclidean(2), 1.2, lambda rng, n: rng.normal(size=(n, 2))),
+]
+
+
+@pytest.mark.parametrize("manifold,h,points", SEAM_CASES,
+                         ids=["circle", "circle-wide", "cylinder", "sphere", "sphere-wide",
+                              "euclidean"])
+def test_pruned_windows_are_the_dense_kernel_bit_for_bit(manifold, h, points):
+    """Blocks across the circle's and cylinder's 0/2 pi seam, at both poles
+    and at antipodes of the sphere, with bands that cover the whole period,
+    and in the plane: each pruned W is the dense kernel on its columns bit
+    for bit, leave-one-out too, and the dense kernel is exactly zero off
+    them."""
+    rng = np.random.default_rng(5)
+    sample, queries = points(rng, 400), points(rng, 300)
+    for q, loo in ((sample, False), (sample, True), (queries, False)):
+        dense = _dense_kernel(manifold, h, cross_distances(manifold, q, sample), loo)
+        blocks = _check_blocks(manifold, h, q, sample, loo, None, dense)
+        if manifold.kind in ("circle", "cylinder") and h < 1.0:
+            key = np.mod(np.arctan2(sample[:, 1], sample[:, 0]), 2 * np.pi)
+            assert any(key[c].min() < 0.5 and key[c].max() > 2 * np.pi - 0.5
+                       for _, c in blocks)
+
+
+def test_a_row_with_more_candidates_than_a_block_holds_is_a_block_alone(monkeypatch):
+    from plmanifold import smoother
+
+    monkeypatch.setattr(smoother, "BLOCK_CELLS", 64)
+    rng = np.random.default_rng(9)
+    sample, queries = circle_coords(rng.uniform(0, 2 * np.pi, 100)), circle_coords([0.0, 3.0])
+    dense = _dense_kernel(CIR, 3.0, cross_distances(CIR, queries, sample), False)
+    blocks = _check_blocks(CIR, 3.0, queries, sample, False, None, dense)
+    assert [r.size for r, _ in blocks] == [1, 1] and all(c.size > 64 for _, c in blocks)
+
+
+def test_leave_one_out_across_the_seam_drops_only_the_own_point():
+    """On the circle with every point within 0.3 of the seam, the blocks
+    near it take candidates from both sides; the leave-one-out kernel mean
+    equals the dense one, whose diagonal is zeroed."""
+    rng = np.random.default_rng(8)
+    sample = circle_coords(rng.uniform(-0.3, 0.3, 500))
+    values = rng.normal(size=500)
+    W = _dense_kernel(CIR, 0.2, pairwise_distances(CIR, sample), True)
+    est = smooth_columns(CIR, 0.2, sample, values, ScoreFunction.identity(),
+                         leave_one_out=True)[0][:, 0]
+    assert np.max(np.abs(est - (W @ values) / W.sum(axis=1))) <= 1e-14
+
+
+def test_empty_window_beyond_the_band_reports_the_nearest_point_of_the_sample():
+    """A lonely point at angle 3.0, 2.0 from a cluster on [0, 1]: its band
+    (within 0.3 of its angle) holds only itself, so the leave-one-out
+    nearest point lies outside every candidate of its block; a foreign query
+    at angle 4.0 has the lonely point, 1.0 away, outside its band."""
+    sample = circle_coords(np.append(np.linspace(0.0, 1.0, 299), 3.0))
+    with pytest.raises(EmptyWindowError) as err:
+        list(window_weights(CIR, 0.3, sample, sample, leave_one_out=True))
+    assert err.value.indices == [299]
+    assert err.value.nearest_distance == pytest.approx(2.0, abs=1e-12)
+    queries = circle_coords(np.append(np.linspace(0.0, 1.0, 299), 4.0))
+    with pytest.raises(EmptyWindowError) as err:
+        list(window_weights(CIR, 0.3, queries, sample))
+    assert err.value.indices == [299]
+    assert err.value.nearest_distance == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("manifold,h", MANIFOLD_BANDWIDTHS, ids=MANIFOLD_IDS)
@@ -244,27 +354,42 @@ def test_leave_one_out_empty_window_reports_the_nearest_other_point(given):
 
 
 @pytest.mark.parametrize("given", [False, True], ids=["coords", "distances"])
-def test_empty_windows_in_two_blocks_raise_one_error(given):
-    """Point 5 (angle 2.0, 1.5 from the cluster) and point 600 (angle -2.0,
-    2.0 from it) lie in different row blocks; one error names both, with the
-    bandwidth that would cover them all, and no block after the first empty
-    window reaches the caller."""
-    angles = np.linspace(0.0, 0.5, 700)
-    angles[5], angles[600] = 2.0, -2.0
+def test_empty_windows_in_two_blocks_raise_one_error(monkeypatch, given):
+    """Point 5 (angle 5.0, 1.5 from the cluster on [3.0, 3.5]) and point 600
+    (angle 1.0, 2.0 from it) lie in different row blocks, one of them the
+    first: point 5 in input order, point 600 in angle order.  One error
+    names both in input order, with the bandwidth that would cover them
+    all, and no block after the first empty window reaches the caller."""
+    from plmanifold import smoother
+
+    angles = np.linspace(3.0, 3.5, 700)
+    angles[5], angles[600] = 5.0, 1.0
     sample = circle_coords(angles)
-    blocks = list(row_blocks(700, 700))
-    assert [i for i, (s, e) in enumerate(blocks) if s <= 5 < e or s <= 600 < e] == [0, 6]
-    d = pairwise_distances(CIR, sample) if given else None
+    blocks = []
+    if given:
+        d = pairwise_distances(CIR, sample)
+        blocks = [np.arange(s, e) for s, e in row_blocks(700, 700)]
+    else:
+        d, key_blocks = None, smoother._key_blocks
+
+        def recording(*args):
+            for block in key_blocks(*args):
+                blocks.append(block[0])
+                yield block
+
+        monkeypatch.setattr(smoother, "_key_blocks", recording)
     with pytest.raises(EmptyWindowError) as err:
         smooth_columns(CIR, 0.3, sample, angles, ScoreFunction.huber(), leave_one_out=True,
                        distances=d)
     assert err.value.indices == [5, 600]
     assert err.value.nearest_distance == pytest.approx(2.0, abs=1e-12)
+    hit = [i for i, rows in enumerate(blocks) if np.isin([5, 600], rows).any()]
+    assert len(hit) == 2 and hit[0] == 0
     seen = []
     with pytest.raises(EmptyWindowError):
-        for s, _, _, _ in window_weights(CIR, 0.3, sample, sample, leave_one_out=True,
-                                         distances=d):
-            seen.append(s)
+        for rows, _, _, _ in window_weights(CIR, 0.3, sample, sample, leave_one_out=True,
+                                            distances=d):
+            seen.append(rows)
     assert seen == []
 
 
@@ -324,6 +449,21 @@ def test_ecdf_requires_normalized_weights():
     for stat in (weighted_median, local_mad):
         with pytest.raises(ValueError, match="sum to 1"):
             stat([0.5, 0.2], [1.0, 2.0])
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: weighted_median([NAN, 1.0], [1.0, 2.0]), "weight 0 is not finite"),
+    (lambda: weighted_median([0.5, 0.5], [1.0, NAN]), "value 1 is not finite"),
+    (lambda: local_mad([0.5, 0.5], [INF, 1.0]), "value 0 is not finite"),
+    (lambda: local_m_estimate([0.5, 0.5], [1.0, NAN], ScoreFunction.huber(), 1.0),
+     "value 1 is not finite"),
+], ids=["median-weight", "median-value", "mad-value", "m-estimate-value"])
+def test_one_row_statistics_reject_non_finite_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_ecdf_requires_nonnegative_weights():
