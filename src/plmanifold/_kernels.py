@@ -89,10 +89,8 @@ def mad_rows(W, V, med):
     """Per row, ``MAD_CONSISTENCY`` times the weighted median of |V - med|."""
     dev = np.abs(np.broadcast_to(V, W.shape) - med[:, None])
     dorder = np.argsort(dev, axis=1)
-    dsort = np.take_along_axis(dev, dorder, axis=1)
-    cum = np.cumsum(np.take_along_axis(W, dorder, axis=1), axis=1)
-    k = np.argmax(cum >= 0.5 - _MEDIAN_EPS, axis=1)
-    return MAD_CONSISTENCY * dsort[np.arange(W.shape[0]), k]
+    return MAD_CONSISTENCY * median_rows(np.take_along_axis(W, dorder, axis=1),
+                                         np.take_along_axis(dev, dorder, axis=1))
 
 
 def newton_rows(W, V, scale, c):
@@ -141,14 +139,15 @@ def newton_rows(W, V, scale, c):
     return m, done
 
 
-def reweight_rows(W, V, start, scale, c):
+def reweight_rows(W, V, scale, c):
     """Fixed point m = sum w_i(m) V_i / sum w_i(m) with w_i = W_i
-    bisquare_weight(u_i, c), u_i = (V_i - m) / scale, iterated from ``start``
-    for at most ``LOCAL_MAX_ITERATIONS`` steps, until a step is at most
-    ``LOCAL_TOL`` * scale.  A row whose weights all vanish stops where it is.
-    Returns (estimates, converged)."""
+    bisquare_weight(u_i, c), u_i = (V_i - m) / scale, iterated from m = 0 (V
+    holds offsets from each row's weighted median) for at most
+    ``LOCAL_MAX_ITERATIONS`` steps, until a step is at most ``LOCAL_TOL`` *
+    scale.  A row whose weights all vanish stops where it is.  Returns
+    (estimates, converged)."""
     V = np.broadcast_to(V, W.shape)
-    m = start.copy()
+    m = np.zeros(W.shape[0])
     settled = np.zeros(m.size, dtype=bool)
     stuck = np.zeros(m.size, dtype=bool)
     u = np.empty(W.shape)
@@ -198,7 +197,7 @@ def solve_rows(W, V, start, scale, code, c):
     """
     V -= start[:, None]
     if code == _SCORE_BISQUARE:
-        est, ok = reweight_rows(W, V, np.zeros_like(start), scale, c)
+        est, ok = reweight_rows(W, V, scale, c)
     else:
         est, ok = newton_rows(W, V, scale, c)
     return est + start, np.where(ok, 0, 2).astype(np.int8)

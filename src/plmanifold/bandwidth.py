@@ -21,7 +21,7 @@ from .errors import (
     InfeasibleGridError,
     SingularDesignError,
 )
-from .manifold import Manifold, injectivity_radius, pairwise_distances
+from .manifold import BLOCK_CELLS, Manifold, injectivity_radius, pairwise_distances
 from .plm import PLMDataset, mode_configs, smooth_dataset
 from .robust_linear import GMConfig, gm_estimate, residual_scale_or_zero
 from .smoother import ScoreFunction, check_bandwidth
@@ -123,17 +123,20 @@ def select_bandwidth(dataset: PLMDataset, grid=None, mode: str = "robust",
     bandwidth; a per-candidate scale would make the criterion nearly
     scale-free and blind to oversmoothing.  Ties break toward the smallest
     bandwidth.  ``grid=None`` uses the ``default_grid`` candidates; a given
-    grid goes through ``check_grid``.  Returns (h_star, diagnostics); raises
-    InfeasibleGridError when nothing on the grid works, its message ending
-    in the largest candidate's reason and ``reasons`` holding every
-    candidate's.
+    grid goes through ``check_grid``.  A sample that is one block
+    (n^2 <= ``BLOCK_CELLS``) shares one distance matrix across the grid; a
+    larger one streams every candidate's blocks.  Returns (h_star,
+    diagnostics); raises InfeasibleGridError when nothing on the grid works,
+    its message ending in the largest candidate's reason and ``reasons``
+    holding every candidate's.
     """
     local_score, gm = mode_configs(mode, local_score, gm)
-    grid = None if grid is None else check_grid(dataset.manifold, grid)
-    # one candidate gains nothing from a shared matrix: its blocks stream
+    one_block = dataset.n ** 2 <= BLOCK_CELLS
     distances = (pairwise_distances(dataset.manifold, dataset.t)
-                 if grid is None or grid.size > 1 else None)
-    grid = _grid_from_distances(dataset, distances) if grid is None else grid
+                 if grid is None or one_block else None)
+    grid = (_grid_from_distances(dataset, distances) if grid is None
+            else check_grid(dataset.manifold, grid))
+    distances = distances if one_block else None  # free the default grid's matrix
 
     diagnostics: list[GridPointDiagnostic] = []
     pilot_scale = None

@@ -50,36 +50,34 @@ class ColumnMapping:
     height_raw: bool = False
 
 
-def _cylinder_column(params: dict, item: str, token: str) -> None:
+def _cylinder_column(roles: dict, item: str, token: str) -> None:
     """Record the KEY=COL ``item`` of the cylinder part of ``token``."""
     key, _, column = item.partition("=")
     key, column = key.strip(), column.strip()
     if not column or key not in _CYLINDER_KEYS:
         raise ConfigError(f"mapping token {token!r}: the cylinder takes "
                           "angle_deg=COL, height=COL or height_raw=COL")
-    if key != "angle_deg" and ("height" in params or "height_raw" in params):
-        raise ConfigError(f"mapping token {token!r}: name the height column once, "
-                          "by height=COL or height_raw=COL")
-    params[key] = column
+    _assign(roles, key, column, token)
 
 
-def _named_column(fields: dict, key: str, column: str, token: str) -> None:
-    """Record the response or a linear COL of ``token``."""
+def _assign(roles: dict, key: str, column: str, token: str) -> None:
+    """Record in ``roles`` (column -> key) that ``token`` gives ``column`` the
+    role ``key``.  Each role but linear is named once (height and
+    height_raw are one role), and each column plays one role."""
     if not column:
         raise ConfigError(f"mapping token {token!r}: {key}= needs a column name")
-    if key == "response" and "response" in fields or column in fields["linear"]:
-        raise ConfigError(f"mapping token {token!r}: name the response and each linear "
-                          "column once")
-    if key == "linear":
-        fields["linear"].append(column)
-    else:
-        fields["response"] = column
+    role = key.removesuffix("_raw")
+    if role != "linear" and role in {k.removesuffix("_raw") for k in roles.values()}:
+        raise ConfigError(f"mapping token {token!r}: name the {role} column once")
+    if column in roles:
+        raise ConfigError(f"mapping token {token!r}: column {column!r} already plays "
+                          f"{roles[column]}; each column plays one role")
+    roles[column] = key
 
 
 def parse_mapping(text: str) -> ColumnMapping:
     """Parse the --map grammar; see the module docstring for the shape."""
-    fields: dict = {"linear": []}
-    manifold_params: dict = {}
+    roles: dict = {}  # column -> its key, in mapping order
     current = None
     for token in text.split(","):
         token = token.strip()
@@ -91,33 +89,33 @@ def parse_mapping(text: str) -> ColumnMapping:
             if key in _TOP_KEYS:
                 current = key
                 if key != "manifold":
-                    _named_column(fields, key, value.strip(), token)
+                    _assign(roles, key, value.strip(), token)
                 else:
                     kind, _, rest = value.partition(":")
                     if kind.strip() != "cylinder":
                         raise ConfigError(f"unsupported manifold kind {kind.strip()!r}")
-                    _cylinder_column(manifold_params, rest, token)
+                    _cylinder_column(roles, rest, token)
             elif current == "manifold":
-                _cylinder_column(manifold_params, token, token)
+                _cylinder_column(roles, token, token)
             else:
                 raise ConfigError(f"unknown mapping key {key!r}")
         else:
             if current != "linear":
                 raise ConfigError(f"stray mapping token {token!r}")
-            _named_column(fields, "linear", token, token)
+            _assign(roles, "linear", token, token)
 
-    if "response" not in fields:
+    named = {key: column for column, key in roles.items()}  # one column a key, but linear
+    if "response" not in named:
         raise ConfigError("mapping must name a response column")
-    if not manifold_params:
-        raise ConfigError("mapping must include a manifold specification")
-    raw = "height_raw" in manifold_params
-    height = manifold_params.get("height_raw" if raw else "height")
-    angle = manifold_params.get("angle_deg")
+    raw = "height_raw" in named
+    height = named.get("height_raw" if raw else "height")
+    angle = named.get("angle_deg")
     if angle is None or height is None:
         raise ConfigError(
             "cylinder mapping needs angle_deg=COL and height=COL (or height_raw=COL)"
         )
-    return ColumnMapping(fields["response"], fields["linear"], angle, height, raw)
+    linear = [column for column, key in roles.items() if key == "linear"]
+    return ColumnMapping(named["response"], linear, angle, height, raw)
 
 
 def _constant(option: str, text: str, arg: str) -> float:

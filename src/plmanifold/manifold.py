@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InvalidPointError
 
 ON_MANIFOLD_TOL = 1e-9
-BLOCK_CELLS = 1 << 16  # matrix cells per block of `row_blocks`
+BLOCK_CELLS = 1 << 16  # matrix cells per block of a smoothing call
 
 EUCLIDEAN = "euclidean"
 CIRCLE = "circle"
@@ -168,24 +168,18 @@ def coordinate_key(manifold: Manifold, points: np.ndarray):
     return np.mod(np.arctan2(points[:, 1], points[:, 0]), 2.0 * np.pi), 2.0 * np.pi
 
 
-def row_blocks(rows: int, cols: int):
-    """(start, stop) row ranges of a rows x cols matrix, each block at most
-    ``BLOCK_CELLS`` cells (or one row)."""
-    step = max(1, BLOCK_CELLS // max(cols, 1))
-    for s in range(0, rows, step):
-        yield s, min(rows, s + step)
-
-
 def pairwise_distances(manifold: Manifold, points: np.ndarray) -> np.ndarray:
     """Symmetric geodesic distance matrix of one validated coordinate batch,
-    filled in ``row_blocks`` so that ``cross_distances``' temporaries stay
-    block-sized.  Every ``cross_distances`` form is exactly symmetric in its
-    arguments, so the matrix is too."""
+    filled in blocks of whole rows, at most ``BLOCK_CELLS`` cells each (or
+    one row), so that ``cross_distances``' temporaries stay block-sized.
+    Every ``cross_distances`` form is exactly symmetric in its arguments,
+    so the matrix is too."""
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     D = np.empty((n, n))
-    for s, e in row_blocks(n, n):
-        D[s:e] = cross_distances(manifold, points[s:e], points)
+    step = max(1, BLOCK_CELLS // max(n, 1))
+    for s in range(0, n, step):
+        D[s:s + step] = cross_distances(manifold, points[s:s + step], points)
     return D
 
 

@@ -114,7 +114,8 @@ def smooth_dataset(dataset: PLMDataset, h: float, score: ScoreFunction,
     every estimate.  Returns (estimates, residuals, flags) with column 0 the
     response.  Residuals are the offsets less their smoothed values, at the
     sample points; with ``queries`` they are None.  ``leave_one_out`` and
-    ``distances`` are those of ``smooth_columns``.
+    ``distances``, the one block's queries x sample matrix, are those of
+    ``smooth_columns``.
     """
     columns = np.column_stack([dataset.y, dataset.x])
     centre = np.median(columns, axis=0)

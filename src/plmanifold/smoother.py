@@ -24,7 +24,6 @@ from .manifold import (
     coordinate_key,
     cross_distances,
     injectivity_radius,
-    row_blocks,
     volume_density_from_distance,
 )
 
@@ -183,12 +182,14 @@ def window_weights(manifold: Manifold, h: float, queries: np.ndarray, sample: np
 
     Yields (rows, cols, W, totals) per block: W holds the weights of the
     queries ``rows`` against the sample points ``cols``, zero off them, and
-    totals its row sums.  Blocks from the coordinates run through the
-    queries in ``coordinate_key`` order, with index arrays from `_key_blocks`;
-    with ``distances`` given (the queries x sample matrix, sliced, never
-    gathered) or when one block holds every cell, they are the ``row_blocks``
-    of the input order against every column, as slices.  No array larger
-    than a block is made.
+    totals its row sums.  A block is one of two kinds.  When every cell fits
+    in one block (queries x sample <= ``BLOCK_CELLS``), the one block is
+    every query against every sample point, as slices, its distances
+    ``distances`` (the one block's queries x sample matrix) or built from
+    the coordinates; no query yields no block.  A larger call runs through
+    the queries in ``coordinate_key`` order, with index arrays from
+    `_key_blocks`; a given matrix larger than one block raises ValueError.
+    No array larger than a block is made.
     ``leave_one_out`` zeroes each query's weight on itself; it raises
     ValueError unless ``queries is sample``.  After the last block, raises
     EmptyWindowError whose ``indices`` list every query index whose window
@@ -200,10 +201,13 @@ def window_weights(manifold: Manifold, h: float, queries: np.ndarray, sample: np
     if leave_one_out and queries is not sample:
         raise ValueError("leave_one_out needs the sample itself as the queries")
     nq, n = queries.shape[0], sample.shape[0]
-    if distances is None and nq * n > BLOCK_CELLS:
+    if nq * n <= BLOCK_CELLS:
+        blocks = [(slice(None), slice(None), np.arange(nq))] if nq else []
+    elif distances is None:
         blocks = _key_blocks(manifold, h, queries, sample)
     else:
-        blocks = ((slice(s, e), slice(None), np.arange(s, e)) for s, e in row_blocks(nq, n))
+        raise ValueError(f"a given distance matrix must be one block: {nq} x {n} "
+                         f"cells exceed BLOCK_CELLS = {BLOCK_CELLS}")
     index, empty, nearest = np.arange(nq), [], 0.0
     for rows, cols, own in blocks:
         d = (cross_distances(manifold, queries[rows], sample[cols]) if distances is None
@@ -297,9 +301,10 @@ def smooth_columns(manifold: Manifold, h: float, sample: np.ndarray,
     the local score (identity: the kernel-weighted mean), ``queries``
     validated query coordinates (defaults to the sample itself).
     ``leave_one_out`` zeroes the diagonal weight, which requires the default
-    queries.  ``distances``, the queries x sample geodesic matrix, lets a
-    caller that smooths at several bandwidths share it; without it each
-    block's distances are built from the coordinates.
+    queries.  ``distances``, the one block's queries x sample matrix (see
+    `window_weights`), lets a caller that smooths a small sample at several
+    bandwidths share it; without it each block's distances are built from
+    the coordinates.
     Returns (estimates, flags), both of shape (n_queries, k); flag 1 marks a
     degenerate local MAD (weighted-median fallback).
 
@@ -321,15 +326,14 @@ def smooth_columns(manifold: Manifold, h: float, sample: np.ndarray,
     nq, k = queries.shape[0], columns.shape[1]
     estimates = np.empty((nq, k))
     flags = np.zeros((nq, k), dtype=np.int8)
-    ranks = np.argsort(np.argsort(columns, axis=0), axis=0) if score.code else None
     for rows, cols, W, totals in window_weights(manifold, h, queries, sample,
                                                 leave_one_out, distances):
         if score.code == 0:
             estimates[rows] = (W @ columns[cols]) / totals[:, None]
             continue
-        for j in range(k):  # the block's columns in the column's global value order
+        for j, v in enumerate(columns[cols].T):
             estimates[rows, j], flags[rows, j] = _kernels.local_m_rows(
-                W, columns[cols, j], np.argsort(ranks[cols, j]), score.code, score.c)
+                W, v, np.argsort(v, kind="stable"), score.code, score.c)
     stuck = np.flatnonzero((flags == 2).any(axis=1))
     if stuck.size:
         raise ConvergenceError(

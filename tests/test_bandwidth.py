@@ -73,17 +73,75 @@ def test_single_element_grid():
 
 @pytest.mark.parametrize("mode", ["robust", "classical"])
 def test_a_one_candidate_grid_builds_no_distance_matrix(mode, monkeypatch):
-    """A grid of one bandwidth streams its kernel blocks from the coordinates
-    and scores exactly what the shared n x n matrix of a longer grid gives."""
-    ds, _ = random_cylinder_dataset(4, n=40, p=2)
-    shared = select_bandwidth(ds, [1.2, 1.8], mode=mode)[1][0].score
+    """At n = 600, more than one block, a grid of one bandwidth streams its
+    kernel blocks from the coordinates and scores what the shared n x n
+    matrix of the one-block path gives, to 1e-12 relative (the pruned
+    blocks sum their windows in another order)."""
+    from plmanifold import smoother
+
+    ds, _ = random_cylinder_dataset(4, n=600, p=2)
+    with monkeypatch.context() as m:  # the one-block path, with its shared matrix
+        m.setattr(bandwidth, "BLOCK_CELLS", ds.n ** 2)
+        m.setattr(smoother, "BLOCK_CELLS", ds.n ** 2)
+        shared = select_bandwidth(ds, [0.8, 1.8], mode=mode)[1][0].score
 
     def no_matrix(*args, **kwargs):
         raise AssertionError("pairwise_distances called for a one-candidate grid")
 
     monkeypatch.setattr(bandwidth, "pairwise_distances", no_matrix)
-    assert rcv_score(ds, 1.2, mode=mode) == shared
-    assert select_bandwidth(ds, [1.2], mode=mode)[1][0].score == shared
+    assert rcv_score(ds, 0.8, mode=mode) == pytest.approx(shared, rel=1e-12)
+    assert select_bandwidth(ds, [0.8], mode=mode)[1][0].score == rcv_score(ds, 0.8, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["robust", "classical"])
+def test_a_sweep_larger_than_one_block_builds_no_n_by_n_array(mode, monkeypatch):
+    """At n = 600 an explicit grid computes only block-sized distances, and
+    the default grid builds its one n x n matrix for the 10th percentile,
+    then streams the sweep as well."""
+    from plmanifold import manifold, smoother
+    from plmanifold.manifold import BLOCK_CELLS
+
+    shapes, pairwise = [], manifold.pairwise_distances
+
+    def recording_pairwise(m, points):
+        shapes.append((points.shape[0], points.shape[0]))
+        return pairwise(m, points)
+
+    def recording(m, a, b):
+        shapes.append((a.shape[0], b.shape[0]))
+        return manifold.cross_distances(m, a, b)
+
+    monkeypatch.setattr(bandwidth, "pairwise_distances", recording_pairwise)
+    monkeypatch.setattr(smoother, "cross_distances", recording)
+    ds, _ = random_cylinder_dataset(5, n=600, p=1)
+    h, diagnostics = select_bandwidth(ds, [0.4, 0.8, 1.8], mode=mode)
+    assert all(d.feasible for d in diagnostics)
+    assert shapes and max(r * c for r, c in shapes) <= BLOCK_CELLS < ds.n ** 2
+    shapes.clear()
+    select_bandwidth(ds, mode=mode)
+    assert shapes[0] == (ds.n, ds.n)
+    assert max(r * c for r, c in shapes[1:]) <= BLOCK_CELLS
+
+
+@pytest.mark.parametrize("mode", ["robust", "classical"])
+def test_one_block_sample_shares_its_matrix_with_a_one_candidate_grid(mode, monkeypatch):
+    """At n <= 256 every grid, one candidate too, builds one distance matrix
+    and shares it, so a one-candidate grid scores what a longer grid gives,
+    bit for bit."""
+    calls, pairwise = [], bandwidth.pairwise_distances
+
+    def counting(m, points):
+        calls.append(points.shape[0])
+        return pairwise(m, points)
+
+    monkeypatch.setattr(bandwidth, "pairwise_distances", counting)
+    for n in (40, 256):
+        ds, _ = random_cylinder_dataset(4, n=n, p=2)
+        shared = select_bandwidth(ds, [1.2, 1.8], mode=mode)[1][0].score
+        assert rcv_score(ds, 1.2, mode=mode) == shared
+        assert select_bandwidth(ds, [1.2], mode=mode)[1][0].score == shared
+        assert calls == [n] * 3
+        calls.clear()
 
 
 def test_selected_h_is_argmin_of_diagnostics():

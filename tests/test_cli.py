@@ -68,6 +68,12 @@ def test_parse_mapping_rejects_unknown_bits():
         ("response=,linear=x1,manifold=cylinder:angle_deg=a,height=h", "response="),
         ("response=y,linear=,manifold=cylinder:angle_deg=a,height=h", "linear="),
         ("response=y,linear=x1,x1,manifold=cylinder:angle_deg=a,height=h", "x1"),
+        ("response=y,linear=x1,manifold=cylinder:angle_deg=a,angle_deg=b,height=h",
+         "angle_deg=b"),
+        ("response=y,linear=y,manifold=cylinder:angle_deg=a,height=h", "linear=y"),
+        ("response=y,linear=a,manifold=cylinder:angle_deg=a,height=h",
+         "manifold=cylinder:angle_deg=a"),
+        ("response=y,linear=x1,manifold=cylinder:angle_deg=a,height=a", "height=a"),
     ]:
         with pytest.raises(ConfigError, match=f"mapping token '{token}'"):
             parse_mapping(text)

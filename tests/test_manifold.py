@@ -15,7 +15,6 @@ from plmanifold.manifold import (
     cylinder_coords,
     injectivity_radius,
     pairwise_distances,
-    row_blocks,
     validate_coords,
     volume_density_from_distance,
 )
@@ -79,17 +78,25 @@ def test_distance_axioms_on_random_pairs(manifold):
 
 @pytest.mark.parametrize("manifold", [CYL, SPH, CIR, EUC3],
                          ids=["cylinder", "sphere", "circle", "euclidean"])
-def test_blocked_pairwise_distances_equal_the_full_matrix(manifold):
-    # more than three row blocks, each of whole rows; the blocked matrix
-    # carries the same bits as a direct evaluation and is exactly symmetric
+def test_blocked_pairwise_distances_equal_the_full_matrix(manifold, monkeypatch):
+    # more than three row blocks, each of whole rows, in order; the blocked
+    # matrix carries the same bits as a direct evaluation and is exactly
+    # symmetric
+    from plmanifold import manifold as module
+
     n = math.isqrt(6 * BLOCK_CELLS) + 3
-    blocks = list(row_blocks(n, n))
-    assert len(blocks) > 3
-    assert all((e - s) * n <= BLOCK_CELLS for s, e in blocks)
-    assert [s for s, _ in blocks[1:]] == [e for _, e in blocks[:-1]]
-    assert blocks[0][0] == 0 and blocks[-1][1] == n
     pts = random_points(manifold, np.random.default_rng(13), n)
+    calls = []
+
+    def recording(m, a, b):
+        calls.append((a, b))
+        return cross_distances(m, a, b)
+
+    monkeypatch.setattr(module, "cross_distances", recording)
     D = pairwise_distances(manifold, pts)
+    assert len(calls) > 3 and all(b is pts for _, b in calls)
+    assert all(a.shape[0] * n <= BLOCK_CELLS for a, _ in calls)
+    assert np.array_equal(np.concatenate([a for a, _ in calls]), pts)
     assert np.array_equal(D, cross_distances(manifold, pts, pts))
     assert np.array_equal(D, D.T)
 

@@ -187,10 +187,12 @@ def test_fit_on_the_cylinder_computes_only_the_pruned_distances(monkeypatch, mod
 
 
 @pytest.mark.parametrize("mode", ["robust", "classical"])
-def test_predict_g_over_many_blocks_equals_the_given_matrix_path(mode):
+def test_predict_g_over_many_blocks_equals_the_given_matrix_path(mode, monkeypatch):
     """predict_g at 1500 queries (many key-sorted row blocks) returns ghat
     in the queries' input order: the same values as the smoothing of a given
-    queries x sample distance matrix, whose blocks are in input order."""
+    queries x sample distance matrix as the one block (in input order), its
+    path taken by raising ``BLOCK_CELLS`` to the whole matrix."""
+    from plmanifold import smoother
     from plmanifold.manifold import BLOCK_CELLS, cross_distances
     from plmanifold.plm import smooth_dataset
 
@@ -199,10 +201,21 @@ def test_predict_g_over_many_blocks_equals_the_given_matrix_path(mode):
     rng = np.random.default_rng(12)
     queries = cylinder_coords(rng.uniform(0, 2 * np.pi, 1500), rng.uniform(0, 1, 1500))
     assert 1500 * ds.n > 4 * BLOCK_CELLS
+    g = predict_g(f, queries)
+    monkeypatch.setattr(smoother, "BLOCK_CELLS", 1500 * ds.n)
     est, _, _ = smooth_dataset(ds, 0.8, f.local_score, queries,
                                distances=cross_distances(ds.manifold, queries, ds.t))
     expected = est[:, 0] - est[:, 1:] @ f.beta
-    assert np.max(np.abs(predict_g(f, queries) - expected)) <= 1e-10
+    assert np.max(np.abs(g - expected)) <= 1e-10
+
+
+@pytest.mark.parametrize("mode", ["robust", "classical"])
+def test_predict_g_on_an_empty_batch_is_empty(mode):
+    # no query, no block: the robust engine never sees a zero-row window
+    ds, _ = random_cylinder_dataset(11, n=60, p=1)
+    f = fit(ds, 1.2, mode=mode)
+    g = predict_g(f, np.zeros((0, 3)))
+    assert g.shape == (0,)
 
 
 def test_classical_regression_coefficient_equivariance():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from plmanifold import _kernels
+from plmanifold import _kernels, smoother
 from plmanifold._kernels import MAD_CONSISTENCY
 from plmanifold.errors import ConvergenceError, EmptyWindowError
 from plmanifold.manifold import (
@@ -13,7 +13,6 @@ from plmanifold.manifold import (
     cross_distances,
     cylinder_coords,
     pairwise_distances,
-    row_blocks,
 )
 from plmanifold.smoother import (
     ScoreFunction,
@@ -136,7 +135,7 @@ def test_window_weights_leave_one_out_leaves_the_distances_alone():
     before = d.copy()
     [(rows, cols, W, totals)] = window_weights(CYL, 1.5, sample, sample, leave_one_out=True,
                                                distances=d)
-    assert (rows, cols) == (slice(0, 15), slice(None))
+    assert (rows, cols) == (slice(None), slice(None))
     assert np.all(np.diag(W) == 0.0)
     assert np.array_equal(totals, W.sum(axis=1))
     assert np.array_equal(d, before)
@@ -162,7 +161,7 @@ def _block_cases(manifold, rng):
     full distance matrix."""
     n = math.isqrt(6 * BLOCK_CELLS) + 5
     nq = 3 * BLOCK_CELLS // n + 7
-    assert len(list(row_blocks(n, n))) > 3 and len(list(row_blocks(nq, n))) > 3
+    assert nq * n > 3 * BLOCK_CELLS
     sample = random_points(manifold, rng, n)
     queries = random_points(manifold, rng, nq)
     d_self = cross_distances(manifold, sample, sample)
@@ -179,7 +178,7 @@ def _dense_kernel(manifold, h, d, loo):
 
 
 def _indices(index, size):
-    # a block's rows or cols as an index array; a slice on the dense path
+    # a block's rows or cols as an index array; a slice in the one block
     return np.arange(size)[index]
 
 
@@ -192,7 +191,8 @@ def _check_blocks(manifold, h, q, sample, loo, given, dense, atol=0.0):
     for rows, cols, W, totals in window_weights(manifold, h, q, sample,
                                                 leave_one_out=loo, distances=given):
         r, c = _indices(rows, q.shape[0]), _indices(cols, n)
-        assert W.shape == (r.size, c.size) and (W.size <= BLOCK_CELLS or r.size == 1)
+        assert W.shape == (r.size, c.size)
+        assert W.size <= smoother.BLOCK_CELLS or r.size == 1
         assert np.unique(c).size == c.size
         assert np.max(np.abs(W - dense[np.ix_(r, c)]), initial=0.0) <= atol
         off = np.ones(n, dtype=bool)
@@ -205,24 +205,41 @@ def _check_blocks(manifold, h, q, sample, loo, given, dense, atol=0.0):
 
 
 @pytest.mark.parametrize("manifold,h", MANIFOLD_BANDWIDTHS, ids=MANIFOLD_IDS)
-def test_blocked_window_weights_equal_the_dense_kernel(manifold, h):
-    """Every block (queries apart from the sample or the sample itself,
-    leave-one-out, distances given or built from the coordinates) is its rows
-    of the kernel of the full distance matrix on its columns, zero elsewhere,
-    and the blocks cover the query rows once, each at most BLOCK_CELLS
-    cells.  A given matrix is sliced: its blocks tile the rows in input
-    order against every column."""
+def test_blocked_window_weights_equal_the_dense_kernel(manifold, h, monkeypatch):
+    """Every block built from the coordinates (queries apart from the sample
+    or the sample itself, leave-one-out) is its rows of the kernel of the
+    full distance matrix on its columns, zero elsewhere, and the blocks
+    cover the query rows once, each at most BLOCK_CELLS cells.  When one
+    block holds every cell, a given matrix is sliced, never gathered or
+    written: the one block is every query against every column, the dense
+    kernel bit for bit."""
     sample, cases = _block_cases(manifold, np.random.default_rng(31))
     n = sample.shape[0]
-    for q, loo, d in cases:
-        dense = _dense_kernel(manifold, h, d, loo)
-        before = d.copy()
-        built = _check_blocks(manifold, h, q, sample, loo, None, dense, atol=1e-15)
+    dense = [_dense_kernel(manifold, h, d, loo) for _, loo, d in cases]
+    for (q, loo, _), W in zip(cases, dense):
+        built = _check_blocks(manifold, h, q, sample, loo, None, W, atol=1e-15)
         assert len(built) > 1
-        given = _check_blocks(manifold, h, q, sample, loo, d, dense, atol=1e-15)
-        assert np.array_equal(np.concatenate([r for r, _ in given]), np.arange(q.shape[0]))
-        assert all(np.array_equal(c, np.arange(n)) for _, c in given)
+    monkeypatch.setattr(smoother, "BLOCK_CELLS", n * n)
+    for (q, loo, d), W in zip(cases, dense):
+        before = d.copy()
+        [(rows, cols, W_one, totals)] = window_weights(manifold, h, q, sample,
+                                                       leave_one_out=loo, distances=d)
+        assert (rows, cols) == (slice(None), slice(None))
+        assert np.array_equal(W_one, W) and np.array_equal(totals, W.sum(axis=1))
         assert np.array_equal(d, before)
+
+
+def test_a_given_matrix_larger_than_one_block_raises():
+    """A given distance matrix is the one block's; past BLOCK_CELLS cells the
+    call raises before it yields, naming the limit."""
+    sample, cases = _block_cases(CIR, np.random.default_rng(32))
+    for q, loo, d in cases:
+        with pytest.raises(ValueError, match="BLOCK_CELLS"):
+            next(window_weights(CIR, 0.3, q, sample, leave_one_out=loo, distances=d))
+        with pytest.raises(ValueError, match="BLOCK_CELLS"):
+            smooth_columns(CIR, 0.3, sample, sample[:, 0], ScoreFunction.identity(),
+                           queries=None if q is sample else q, leave_one_out=loo,
+                           distances=d)
 
 
 def _seam_angles(rng, n):
@@ -312,12 +329,12 @@ def test_empty_window_beyond_the_band_reports_the_nearest_point_of_the_sample():
 
 
 @pytest.mark.parametrize("manifold,h", MANIFOLD_BANDWIDTHS, ids=MANIFOLD_IDS)
-def test_streamed_smoothing_equals_dense_kernel_smoothing(manifold, h):
-    """smooth_columns over more than three row blocks matches the same
-    statistics of the full kernel matrix: the kernel-weighted mean to 1e-15,
-    and the Huber and bisquare solves to their tolerance (each block pads
-    its rows to its widest window, so the reductions change with the
-    block)."""
+def test_streamed_smoothing_equals_dense_kernel_smoothing(manifold, h, monkeypatch):
+    """smooth_columns over more than three row blocks, and over the one
+    block of a given distance matrix, matches the same statistics of the
+    full kernel matrix: the kernel-weighted mean to 1e-15, and the Huber and
+    bisquare solves to their tolerance (each block pads its rows to its
+    widest window, so the reductions change with the block)."""
     rng = np.random.default_rng(41)
     sample, cases = _block_cases(manifold, rng)
     columns = rng.normal(size=(sample.shape[0], 2))
@@ -331,10 +348,30 @@ def test_streamed_smoothing_equals_dense_kernel_smoothing(manifold, h):
                 dense = np.column_stack([_kernels.local_m_rows(
                     W, v, np.argsort(v), score.code, score.c)[0] for v in columns.T])
             for given in (None, d):
-                est, _ = smooth_columns(manifold, h, sample, columns, score,
-                                        queries=None if q is sample else q,
-                                        leave_one_out=loo, distances=given)
+                with monkeypatch.context() as m:
+                    if given is not None:
+                        m.setattr(smoother, "BLOCK_CELLS", d.size)
+                    est, _ = smooth_columns(manifold, h, sample, columns, score,
+                                            queries=None if q is sample else q,
+                                            leave_one_out=loo, distances=given)
                 assert np.max(np.abs(est - dense)) <= atol
+
+
+def test_tied_values_give_the_same_estimates_in_one_block_and_pruned(monkeypatch):
+    """Values rounded to 0.1 tie heavily; each block sorts its own values
+    (stably), so the pruned blocks and the one block order ties apart, and
+    the Huber and bisquare estimates still agree to 1e-12."""
+    rng = np.random.default_rng(43)
+    sample = cylinder_coords(rng.uniform(0, 2 * np.pi, 600), rng.uniform(0, 1, 600))
+    columns = np.round(rng.normal(size=(600, 2)), 1)
+    assert np.unique(columns[:, 0]).size < 80
+    for score in (ScoreFunction.huber(), ScoreFunction.bisquare()):
+        for loo in (False, True):
+            pruned = smooth_columns(CYL, 0.8, sample, columns, score, leave_one_out=loo)[0]
+            with monkeypatch.context() as m:
+                m.setattr(smoother, "BLOCK_CELLS", 600 * 600)
+                one = smooth_columns(CYL, 0.8, sample, columns, score, leave_one_out=loo)[0]
+            assert np.max(np.abs(pruned - one)) <= 1e-12
 
 
 @pytest.mark.parametrize("given", [False, True], ids=["coords", "distances"])
@@ -356,35 +393,37 @@ def test_leave_one_out_empty_window_reports_the_nearest_other_point(given):
 @pytest.mark.parametrize("given", [False, True], ids=["coords", "distances"])
 def test_empty_windows_in_two_blocks_raise_one_error(monkeypatch, given):
     """Point 5 (angle 5.0, 1.5 from the cluster on [3.0, 3.5]) and point 600
-    (angle 1.0, 2.0 from it) lie in different row blocks, one of them the
-    first: point 5 in input order, point 600 in angle order.  One error
-    names both in input order, with the bandwidth that would cover them
-    all, and no block after the first empty window reaches the caller."""
-    from plmanifold import smoother
-
+    (angle 1.0, 2.0 from it) lie in different key-sorted row blocks, point
+    600's the first.  One error names both in input order, with the
+    bandwidth that would cover them all, and no block after the first empty
+    window reaches the caller.  A given distance matrix, the one block where
+    BLOCK_CELLS holds every cell, raises the same error and yields no
+    block."""
     angles = np.linspace(3.0, 3.5, 700)
     angles[5], angles[600] = 5.0, 1.0
     sample = circle_coords(angles)
-    blocks = []
-    if given:
-        d = pairwise_distances(CIR, sample)
-        blocks = [np.arange(s, e) for s, e in row_blocks(700, 700)]
-    else:
-        d, key_blocks = None, smoother._key_blocks
+    blocks, key_blocks = [], smoother._key_blocks
 
-        def recording(*args):
-            for block in key_blocks(*args):
-                blocks.append(block[0])
-                yield block
+    def recording(*args):
+        for block in key_blocks(*args):
+            blocks.append(block[0])
+            yield block
 
-        monkeypatch.setattr(smoother, "_key_blocks", recording)
-    with pytest.raises(EmptyWindowError) as err:
-        smooth_columns(CIR, 0.3, sample, angles, ScoreFunction.huber(), leave_one_out=True,
-                       distances=d)
-    assert err.value.indices == [5, 600]
-    assert err.value.nearest_distance == pytest.approx(2.0, abs=1e-12)
+    monkeypatch.setattr(smoother, "_key_blocks", recording)
+    errors = []
+    for d in (None, pairwise_distances(CIR, sample)) if given else (None,):
+        if d is not None:  # the given matrix as the one block
+            monkeypatch.setattr(smoother, "BLOCK_CELLS", d.size)
+        with pytest.raises(EmptyWindowError) as err:
+            smooth_columns(CIR, 0.3, sample, angles, ScoreFunction.huber(),
+                           leave_one_out=True, distances=d)
+        errors.append(err.value)
     hit = [i for i, rows in enumerate(blocks) if np.isin([5, 600], rows).any()]
     assert len(hit) == 2 and hit[0] == 0
+    for error in errors:
+        assert error.indices == [5, 600]
+        assert error.nearest_distance == pytest.approx(2.0, abs=1e-12)
+        assert str(error) == str(errors[0])
     seen = []
     with pytest.raises(EmptyWindowError):
         for rows, _, _, _ in window_weights(CIR, 0.3, sample, sample, leave_one_out=True,
