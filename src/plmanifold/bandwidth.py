@@ -21,7 +21,8 @@ from .errors import (
     InfeasibleGridError,
     SingularDesignError,
 )
-from .manifold import BLOCK_CELLS, Manifold, injectivity_radius, pairwise_distances
+from .manifold import (BLOCK_CELLS, Manifold, injectivity_radius, pair_distance_blocks,
+                       pairwise_distances)
 from .plm import PLMDataset, mode_configs, smooth_dataset
 from .robust_linear import GMConfig, gm_estimate, residual_scale_or_zero
 from .smoother import ScoreFunction, check_bandwidth
@@ -29,6 +30,7 @@ from .smoother import ScoreFunction, check_bandwidth
 _FAILURE_KINDS = (EmptyWindowError, ConvergenceError, DegenerateScaleError,
                   SingularDesignError)
 _GRID_SIZE = 8
+_QUANTILE_BINS = 4096  # the default grid's histogram of pairwise distances
 CV_SCORE = ScoreFunction.huber()  # the robust criterion's bounded score
 
 
@@ -61,21 +63,36 @@ def check_choice(manifold: Manifold, bandwidth: float | None, grid) -> np.ndarra
 
 
 def default_grid(dataset: PLMDataset) -> np.ndarray:
-    """Eight log-spaced candidates from the 10th percentile of pairwise
-    distances up to 0.9 x ``injectivity_radius`` (0.9 x the largest pairwise
-    distance on unbounded domains)."""
-    d = pairwise_distances(dataset.manifold, dataset.t)
-    return _grid_from_distances(dataset, d)
+    """Eight log-spaced candidates from the 10th percentile of the positive
+    pairwise distances (``np.quantile``'s bit for bit, from two passes over
+    ``pair_distance_blocks``: no n x n array) up to 0.9 x ``injectivity_radius``
+    (0.9 x the largest pairwise distance on unbounded domains)."""
+    m, t = dataset.manifold, dataset.t
+    # d <= pi/2 x chord on every kind; the bound only sizes the bins (larger d is clipped)
+    bound = np.pi * float(np.linalg.norm(t - t[0], axis=1).max())
+    scale = _QUANTILE_BINS / bound if bound > 0 else 0.0
 
+    def bins(d):  # monotone in d, so a lower bin holds only smaller distances
+        return np.minimum(d * scale, _QUANTILE_BINS - 1).astype(np.intp)
 
-def _grid_from_distances(dataset: PLMDataset, d: np.ndarray) -> np.ndarray:
-    off = d[np.triu_indices(dataset.n, k=1)]
-    off = off[off > 0]
-    if off.size == 0:
+    counts = sum(np.bincount(bins(d), minlength=_QUANTILE_BINS)
+                 for d in pair_distance_blocks(m, t))
+    pairs = int(counts.sum())
+    if pairs == 0:
         raise ValueError("all manifold covariates coincide; no usable grid")
-    lo = float(np.quantile(off, 0.10))
-    inj = injectivity_radius(dataset.manifold)
-    hi = 0.9 * (inj if np.isfinite(inj) else float(off.max()))
+    index = (pairs - 1) * 0.10  # np.quantile's linear virtual index
+    k = int(index)
+    cumulative = np.cumsum(counts)
+    # the bins of ranks k and k + 1 (any bin between is empty) and the top one (largest d)
+    wanted = [*np.searchsorted(cumulative, [k, k + 1], side="right"), np.flatnonzero(counts)[-1]]
+    kept = np.sort(np.concatenate([d[np.isin(bins(d), wanted)]
+                                   for d in pair_distance_blocks(m, t)]))
+    below = cumulative[wanted[0]] - counts[wanted[0]]
+    a, b = kept[k - below], kept[min(k + 1, pairs - 1) - below]
+    step, frac = b - a, index - k  # np.quantile's interpolation, in numpy's order of operations
+    lo = float(b - step * (1 - frac) if frac >= 0.5 else a + step * frac)
+    inj = injectivity_radius(m)
+    hi = 0.9 * (inj if np.isfinite(inj) else float(kept[-1]))
     if lo >= hi:
         lo = hi / 4.0
     return np.geomspace(lo, hi, _GRID_SIZE)
@@ -125,18 +142,15 @@ def select_bandwidth(dataset: PLMDataset, grid=None, mode: str = "robust",
     bandwidth.  ``grid=None`` uses the ``default_grid`` candidates; a given
     grid goes through ``check_grid``.  A sample that is one block
     (n^2 <= ``BLOCK_CELLS``) shares one distance matrix across the grid; a
-    larger one streams every candidate's blocks.  Returns (h_star,
+    larger one streams its blocks, the default grid's too.  Returns (h_star,
     diagnostics); raises InfeasibleGridError when nothing on the grid works,
     its message ending in the largest candidate's reason and ``reasons``
     holding every candidate's.
     """
     local_score, gm = mode_configs(mode, local_score, gm)
-    one_block = dataset.n ** 2 <= BLOCK_CELLS
+    grid = default_grid(dataset) if grid is None else check_grid(dataset.manifold, grid)
     distances = (pairwise_distances(dataset.manifold, dataset.t)
-                 if grid is None or one_block else None)
-    grid = (_grid_from_distances(dataset, distances) if grid is None
-            else check_grid(dataset.manifold, grid))
-    distances = distances if one_block else None  # free the default grid's matrix
+                 if dataset.n ** 2 <= BLOCK_CELLS else None)
 
     diagnostics: list[GridPointDiagnostic] = []
     pilot_scale = None

@@ -169,18 +169,21 @@ def coordinate_key(manifold: Manifold, points: np.ndarray):
 
 
 def pairwise_distances(manifold: Manifold, points: np.ndarray) -> np.ndarray:
-    """Symmetric geodesic distance matrix of one validated coordinate batch,
-    filled in blocks of whole rows, at most ``BLOCK_CELLS`` cells each (or
-    one row), so that ``cross_distances``' temporaries stay block-sized.
-    Every ``cross_distances`` form is exactly symmetric in its arguments,
-    so the matrix is too."""
-    points = np.asarray(points, dtype=float)
+    """Symmetric n x n geodesic distance matrix of one validated coordinate
+    batch (``pair_distance_blocks`` streams its pairs).  Every
+    ``cross_distances`` form is exactly symmetric, so the matrix is too."""
+    return cross_distances(manifold, points, points)
+
+
+def pair_distance_blocks(manifold: Manifold, points: np.ndarray):
+    """The positive geodesic distances of the pairs i < j of validated points,
+    per block of whole rows: ``cross_distances`` of rows s:s+step against the
+    points from s on, at most ``BLOCK_CELLS`` cells (or one row), bit for bit."""
     n = points.shape[0]
-    D = np.empty((n, n))
     step = max(1, BLOCK_CELLS // max(n, 1))
     for s in range(0, n, step):
-        D[s:s + step] = cross_distances(manifold, points[s:s + step], points)
-    return D
+        d = cross_distances(manifold, points[s:s + step], points[s:])
+        yield d[(np.arange(n - s) > np.arange(d.shape[0])[:, None]) & (d > 0)]
 
 
 def volume_density_from_distance(manifold: Manifold, r):

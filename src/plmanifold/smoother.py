@@ -33,10 +33,9 @@ BISQUARE_DEFAULT_C = 4.685
 
 def quartic_kernel(u):
     """The smoothing kernel K(u) = 0.9375 (1 - u^2)^2 on |u| < 1, 0 elsewhere,
-    in a new array.  Works in place on one copy of u: block-sized
-    temporaries cost page faults, not just arithmetic."""
-    t = np.array(u, dtype=float)
-    t *= t
+    in a new array.  Works in place on u squared, leaving u as it is:
+    block-sized temporaries cost page faults, not just arithmetic."""
+    t = np.asarray(np.square(u, dtype=float))  # asarray: a scalar u squares to a scalar
     np.subtract(1.0, t, out=t)
     np.maximum(t, 0.0, out=t)
     k = 0.9375 * t

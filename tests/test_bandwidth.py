@@ -14,7 +14,7 @@ from plmanifold.manifold import Manifold, cross_distances, cylinder_coords
 from plmanifold.plm import PLMDataset
 from plmanifold.simulation import generate_sample, replication_rng
 from plmanifold.smoother import ScoreFunction
-from conftest import random_cylinder_dataset
+from conftest import random_cylinder_dataset, random_points
 
 CYL = Manifold.cylinder()
 
@@ -95,32 +95,30 @@ def test_a_one_candidate_grid_builds_no_distance_matrix(mode, monkeypatch):
 
 @pytest.mark.parametrize("mode", ["robust", "classical"])
 def test_a_sweep_larger_than_one_block_builds_no_n_by_n_array(mode, monkeypatch):
-    """At n = 600 an explicit grid computes only block-sized distances, and
-    the default grid builds its one n x n matrix for the 10th percentile,
-    then streams the sweep as well."""
+    """At n = 600 a sweep computes only block-sized distances, over an
+    explicit grid and over the default grid, whose 10th percentile streams
+    the pair distances as well; no distance matrix is built."""
     from plmanifold import manifold, smoother
     from plmanifold.manifold import BLOCK_CELLS
 
-    shapes, pairwise = [], manifold.pairwise_distances
-
-    def recording_pairwise(m, points):
-        shapes.append((points.shape[0], points.shape[0]))
-        return pairwise(m, points)
+    shapes, cross = [], manifold.cross_distances
 
     def recording(m, a, b):
         shapes.append((a.shape[0], b.shape[0]))
-        return manifold.cross_distances(m, a, b)
+        return cross(m, a, b)
 
-    monkeypatch.setattr(bandwidth, "pairwise_distances", recording_pairwise)
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("pairwise_distances called")
+
+    monkeypatch.setattr(bandwidth, "pairwise_distances", no_matrix)
+    monkeypatch.setattr(manifold, "cross_distances", recording)
     monkeypatch.setattr(smoother, "cross_distances", recording)
     ds, _ = random_cylinder_dataset(5, n=600, p=1)
-    h, diagnostics = select_bandwidth(ds, [0.4, 0.8, 1.8], mode=mode)
-    assert all(d.feasible for d in diagnostics)
-    assert shapes and max(r * c for r, c in shapes) <= BLOCK_CELLS < ds.n ** 2
-    shapes.clear()
-    select_bandwidth(ds, mode=mode)
-    assert shapes[0] == (ds.n, ds.n)
-    assert max(r * c for r, c in shapes[1:]) <= BLOCK_CELLS
+    for grid in ([0.4, 0.8, 1.8], None):
+        shapes.clear()
+        h, diagnostics = select_bandwidth(ds, grid, mode=mode)
+        assert all(d.feasible for d in diagnostics)
+        assert shapes and max(r * c for r, c in shapes) <= BLOCK_CELLS < ds.n ** 2
 
 
 @pytest.mark.parametrize("mode", ["robust", "classical"])
@@ -215,10 +213,49 @@ def test_default_grid_spans_distances_to_injectivity():
 
 def test_default_grid_on_coincident_points_raises():
     rng = np.random.default_rng(12)
-    t = cylinder_coords(np.full(10, 1.0), np.full(10, 0.5))
-    ds = PLMDataset(rng.normal(size=10), rng.normal(size=(10, 1)), t, CYL)
-    with pytest.raises(ValueError, match="all manifold covariates coincide"):
-        default_grid(ds)
+    for manifold, t in ((CYL, cylinder_coords(np.full(10, 1.0), np.full(10, 0.5))),
+                        (Manifold.euclidean(2), np.full((10, 2), 3.0))):
+        ds = PLMDataset(rng.normal(size=10), rng.normal(size=(10, 1)), t, manifold)
+        with pytest.raises(ValueError, match="all manifold covariates coincide"):
+            default_grid(ds)
+
+
+def _reference_grid(ds):
+    """The default grid from the full distance matrix and np.quantile."""
+    d = cross_distances(ds.manifold, ds.t, ds.t)
+    off = d[np.triu_indices(ds.n, k=1)]
+    off = off[off > 0]
+    lo = np.quantile(off, 0.10)
+    hi = 0.9 * (off.max() if ds.manifold.kind == "euclidean" else np.pi)
+    return np.geomspace(lo if lo < hi else hi / 4.0, hi, 8)
+
+
+def _grid_case(manifold, n, seed, ties=False, scale=1.0):
+    rng = np.random.default_rng(seed)
+    t = random_points(manifold, rng, n) * scale
+    if ties:  # a third of the points on one point
+        t[rng.choice(n, n // 3, replace=False)] = t[0]
+    return PLMDataset(rng.normal(size=n), np.zeros((n, 0)), t, manifold)
+
+
+_KINDS = [CYL, Manifold.sphere(), Manifold.circle(), Manifold.euclidean(3)]
+_KIND_IDS = ["cylinder", "sphere", "circle", "euclidean"]
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+@pytest.mark.parametrize("n", [2, 3, 4, 257, 600])  # 2: one pair; 4: an interpolation at 0.5
+@pytest.mark.parametrize("manifold", _KINDS, ids=_KIND_IDS)
+def test_streamed_default_grid_equals_the_full_quantile_bit_for_bit(manifold, n, ties):
+    ds = _grid_case(manifold, n, 31 + n, ties)
+    assert np.array_equal(default_grid(ds), _reference_grid(ds))
+
+
+@pytest.mark.parametrize("manifold, n, scale", [(CYL, 2000, 1.0), (_KINDS[3], 600, 1e-6),
+                                                (_KINDS[3], 600, 1e6)],
+                         ids=["cylinder-2000", "euclidean-1e-6", "euclidean-1e6"])
+def test_streamed_default_grid_is_exact_at_any_size_and_scale(manifold, n, scale):
+    ds = _grid_case(manifold, n, 7, scale=scale)
+    assert np.array_equal(default_grid(ds), _reference_grid(ds))
 
 
 def test_robust_cv_bounded_under_outlier_classical_diverges():

@@ -14,6 +14,7 @@ from plmanifold.manifold import (
     cross_distances,
     cylinder_coords,
     injectivity_radius,
+    pair_distance_blocks,
     pairwise_distances,
     validate_coords,
     volume_density_from_distance,
@@ -79,13 +80,15 @@ def test_distance_axioms_on_random_pairs(manifold):
 @pytest.mark.parametrize("manifold", [CYL, SPH, CIR, EUC3],
                          ids=["cylinder", "sphere", "circle", "euclidean"])
 def test_blocked_pairwise_distances_equal_the_full_matrix(manifold, monkeypatch):
-    # more than three row blocks, each of whole rows, in order; the blocked
-    # matrix carries the same bits as a direct evaluation and is exactly
-    # symmetric
+    # more than three blocks of whole rows, in order, each of at most
+    # BLOCK_CELLS cells against the points from its first row on; together
+    # they yield every positive pair i < j once, with the full matrix's bits;
+    # pairwise_distances is that matrix and exactly symmetric
     from plmanifold import manifold as module
 
     n = math.isqrt(6 * BLOCK_CELLS) + 3
     pts = random_points(manifold, np.random.default_rng(13), n)
+    pts[5] = pts[2]  # a zero distance, which no block yields
     calls = []
 
     def recording(m, a, b):
@@ -93,12 +96,17 @@ def test_blocked_pairwise_distances_equal_the_full_matrix(manifold, monkeypatch)
         return cross_distances(m, a, b)
 
     monkeypatch.setattr(module, "cross_distances", recording)
-    D = pairwise_distances(manifold, pts)
-    assert len(calls) > 3 and all(b is pts for _, b in calls)
-    assert all(a.shape[0] * n <= BLOCK_CELLS for a, _ in calls)
+    blocks = list(pair_distance_blocks(manifold, pts))
+    assert len(calls) == len(blocks) > 3
+    assert all(a.shape[0] * b.shape[0] <= BLOCK_CELLS for a, b in calls)
     assert np.array_equal(np.concatenate([a for a, _ in calls]), pts)
-    assert np.array_equal(D, cross_distances(manifold, pts, pts))
-    assert np.array_equal(D, D.T)
+    starts = np.cumsum([0] + [a.shape[0] for a, _ in calls[:-1]])
+    assert all(np.array_equal(b, pts[s:]) for s, (_, b) in zip(starts, calls))
+    D = cross_distances(manifold, pts, pts)
+    upper = D[np.triu_indices(n, k=1)]
+    assert np.array_equal(np.concatenate(blocks), upper[upper > 0]) and D[2, 5] == 0.0
+    P = pairwise_distances(manifold, pts)
+    assert np.array_equal(P, D) and np.array_equal(P, P.T)
 
 
 @pytest.mark.parametrize("manifold", [CIR, CYL], ids=["circle", "cylinder"])

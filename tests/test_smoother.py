@@ -53,8 +53,10 @@ def test_quadratic_kernel_equals_the_masked_formula_bit_for_bit():
     inside = np.abs(u) < 1.0
     t = 1.0 - u[inside] ** 2
     ref[inside] = 0.9375 * t * t
+    before = u.copy()
     got = quartic_kernel(u)
     assert np.array_equal(got, ref)
+    assert np.array_equal(u, before)
     assert not np.any(np.signbit(got))
 
 
