@@ -4,12 +4,13 @@ Given a raw kernel-weight matrix W (one row per query point, columns indexed
 like the shared value vector v; ``smoother.smooth_columns`` passes one row
 block of the weights at a time), each row is normalized and solved for the
 local M-estimate: weighted median, weighted MAD, then either bracketed
-Newton steps on the monotone score equation or a reweighting fixed point
-for a redescending score.  Each row is solved for its offset from the
-weighted median (`solve_rows`).  Every stop is free of the data's scale:
-the Newton solve stops when a step leaves the active set unchanged, when the
+Newton steps on the monotone score equation or, for a redescending score,
+reweighting steps until a row's active set {|u| < c} repeats and Newton
+steps from there.  Each row is solved for its offset from the weighted
+median (`solve_rows`).  Every stop is free of the data's scale: the
+monotone solve stops when a step leaves the active set unchanged, when the
 score sum is zero, or when its bracket is ``LOCAL_TOL`` times the row's MAD
-wide; the reweighting stops on a step of at most that width.
+wide; the redescending solve stops on a step of at most that width.
 
 The kernel has compact support, so most of each row of W is zero.
 `window_rows` therefore gathers each row's positive weights, with their
@@ -23,11 +24,12 @@ broadcast against W; `local_m_rows` normalizes and composes them, and the
 scalar functions in `smoother` are one-row calls into the same pieces.
 
 Score codes: 1 huber (Newton steps on `huber_psi`), 2 bisquare (reweighting
-by `bisquare_weight`), each with its constant c; the solvers call the
-formulas themselves.  The identity score is the kernel-weighted mean, which
-callers compute directly.  `huber_psi` and `bisquare_weight` are the
-package's only copies of those formulas; ``smoother.ScoreFunction`` calls
-them on a copy of its input.
+and Newton steps on `bisquare_q` and `bisquare_slope`), each with its
+constant c; the solvers call the formulas themselves.  The identity score is
+the kernel-weighted mean, which callers compute directly.  `huber_psi`,
+`bisquare_q`, `bisquare_weight` and `bisquare_slope` are the package's only
+copies of those formulas; ``smoother.ScoreFunction`` calls them on a copy of
+its input.
 
 Flag conventions (per query row): 0 solved, 1 degenerate local MAD (estimate
 falls back to the weighted median), 2 iteration budget exhausted.
@@ -88,7 +90,7 @@ def median_rows(W, V):
 def mad_rows(W, V, med):
     """Per row, ``MAD_CONSISTENCY`` times the weighted median of |V - med|."""
     dev = np.abs(np.broadcast_to(V, W.shape) - med[:, None])
-    dorder = np.argsort(dev, axis=1)
+    dorder = np.argsort(dev, axis=1, kind="stable")
     return MAD_CONSISTENCY * median_rows(np.take_along_axis(W, dorder, axis=1),
                                          np.take_along_axis(dev, dorder, axis=1))
 
@@ -140,31 +142,56 @@ def newton_rows(W, V, scale, c):
 
 
 def reweight_rows(W, V, scale, c):
-    """Fixed point m = sum w_i(m) V_i / sum w_i(m) with w_i = W_i
-    bisquare_weight(u_i, c), u_i = (V_i - m) / scale, iterated from m = 0 (V
-    holds offsets from each row's weighted median) for at most
-    ``LOCAL_MAX_ITERATIONS`` steps, until a step is at most ``LOCAL_TOL`` *
-    scale.  A row whose weights all vanish stops where it is.  Returns
-    (estimates, converged)."""
+    """Solve g(m) = sum_i W_i psi(u_i) = 0, u_i = (V_i - m) / scale, for the
+    bisquare psi of constant c, from m = 0: V holds offsets from each row's
+    weighted median.
+
+    With q_i = `bisquare_q` (1 - (u_i / c)^2 on the active set {|u_i| < c}, 0
+    off it), psi(u) = q^2 u, so both kinds of step share the numerator
+    scale sum W_i q_i^2 u_i.  A reweighting step divides it by sum W_i q_i^2:
+    it moves m to the mean of V under the weights W_i q_i^2.  A Newton step
+    divides it by the slope sum W_i psi'(u_i), which `bisquare_slope` forms
+    from the sums of W_i q_i^2 and W_i q_i.  A row reweights until its active
+    set is that of its previous iterate and its slope is positive, and then
+    takes Newton steps while both hold.  A Newton step that lands where
+    every weight vanishes is replaced by the reweighting step from where it
+    started.  A row stops on a step of at most ``LOCAL_TOL`` * scale, within
+    ``LOCAL_MAX_ITERATIONS`` evaluations; a row whose weights vanish after a
+    reweighting step stops where it is, unconverged.  Returns (estimates,
+    converged)."""
     V = np.broadcast_to(V, W.shape)
     m = np.zeros(W.shape[0])
     settled = np.zeros(m.size, dtype=bool)
     stuck = np.zeros(m.size, dtype=bool)
+    newton = np.zeros(m.size, dtype=bool)  # m was reached by a Newton step
+    fallback = m  # the reweighting step from the previous iterate
     u = np.empty(W.shape)
+    q = np.empty(W.shape)
+    active = np.empty(W.shape, dtype=bool)
+    was_active = np.zeros(W.shape, dtype=bool)  # at the previous iterate
     for _ in range(LOCAL_MAX_ITERATIONS):
         np.subtract(V, m[:, None], out=u)
         u /= scale[:, None]
-        tw = bisquare_weight(u, c)
-        tw *= W
-        den = tw.sum(axis=1)
+        bisquare_q(u, c, out=q)
+        np.greater(q, 0.0, out=active)
+        wq = np.einsum("ij,ij->i", W, q)
+        q *= q
+        q *= W
+        den = q.sum(axis=1)
+        num = scale * np.einsum("ij,ij->i", q, u)
         ok = den > 0.0
-        stuck |= ~ok & ~settled
-        m_new = np.where(ok, np.einsum("ij,ij->i", tw, V) / np.where(ok, den, 1.0), m)
-        live = ~settled & ~stuck
-        settled |= live & (np.abs(m_new - m) <= LOCAL_TOL * scale)
-        m = np.where(live, m_new, m)
+        back = ~ok & newton & ~settled
+        stuck |= ~ok & ~back & ~settled
+        slope = bisquare_slope(den, wq)
+        newton = ok & (slope > 0.0) & ~(active != was_active).any(axis=1)
+        reweight = num / np.where(ok, den, 1.0)
+        step = np.where(newton, num / np.where(newton, slope, 1.0), reweight)
+        live = ok & ~settled
+        settled |= live & (np.abs(step) <= LOCAL_TOL * scale)
+        m, fallback = np.where(live, m + step, np.where(back, fallback, m)), m + reweight
         if np.all(settled | stuck):
             break
+        active, was_active = was_active, active
     return m, settled
 
 
@@ -173,16 +200,25 @@ def huber_psi(u, c):
     return np.clip(u, -c, c, out=u)
 
 
+def bisquare_q(u, c, out):
+    """q = 1 - (u/c)^2 inside |u| < c and 0 outside, written to ``out``
+    (which may be u).  The bisquare weight psi(u) / u is q^2."""
+    np.divide(u, c, out=out)
+    np.square(out, out=out)
+    np.subtract(1.0, out, out=out)
+    return np.maximum(out, 0.0, out=out)
+
+
 def bisquare_weight(u, c):
     """Bisquare weight psi(u) / u = (1 - (u/c)^2)^2 inside |u| < c and 0
     outside, computed in place."""
-    outside = np.abs(u) >= c
-    u /= c
-    np.square(u, out=u)
-    np.subtract(1.0, u, out=u)
-    np.square(u, out=u)
-    u[outside] = 0.0
-    return u
+    return np.square(bisquare_q(u, c, out=u), out=u)
+
+
+def bisquare_slope(q2, q):
+    """Bisquare psi'(u) = 5 q^2 - 4 q from q^2 and q (`bisquare_q`).  It is
+    linear in the pair, so the sums of W q^2 and W q give sum W psi'."""
+    return 5.0 * q2 - 4.0 * q
 
 
 def solve_rows(W, V, start, scale, code, c):
@@ -191,8 +227,9 @@ def solve_rows(W, V, start, scale, code, c):
     Each row is solved for its offset from ``start`` (the weighted median):
     start is subtracted from V in place (V is overwritten) and added back
     once, so the iterates stay near zero and a large common offset costs one
-    rounding, not one per step.  Huber (code 1, monotone) takes Newton
-    steps and bisquare (code 2, redescending) reweights, both from offset 0.
+    rounding, not one per step.  Huber (code 1, monotone) takes bracketed
+    Newton steps (`newton_rows`) and bisquare (code 2, redescending)
+    reweights, then takes Newton steps (`reweight_rows`), both from offset 0.
     Returns (estimates, flags) with flag 2 on rows that ran out of iterations.
     """
     V -= start[:, None]

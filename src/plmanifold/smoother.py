@@ -4,8 +4,9 @@ The local fit at a query point composes three pieces: normalized quartic
 kernel weights built from geodesic distances and the volume density, one
 block of query rows at a time (`window_weights`, so no n x n array is made), a
 weighted median / weighted MAD pair giving the robust local scale, and a
-score equation solved by bracketed Newton steps (Huber) or reweighting
-(bisquare), all in the batched engine of ``_kernels``.  With the identity
+score equation solved by bracketed Newton steps (Huber) or by reweighting
+until the set {|u| < c} repeats and Newton steps from there (bisquare), all
+in the batched engine of ``_kernels``.  With the identity
 score and no scale step the smoother reduces to the classical kernel-weighted
 mean.  The kernel and the three scores are the whole estimator family.
 """
@@ -51,7 +52,8 @@ class ScoreFunction:
     """The score psi of the local and regression M-equations: identity
     (code 0), Huber with constant c (code 1, monotone, solved by Newton
     steps) or bisquare with constant c (code 2, redescending, solved by
-    reweighting).  ``code`` is the dispatch of the batched engine.
+    reweighting and then Newton steps).  ``code`` is the dispatch of the
+    batched engine.
     Derivatives at the kinks |u| = c take the outer-branch value 0.
     """
 
@@ -88,8 +90,8 @@ class ScoreFunction:
         if self.code == 1:
             return (np.abs(u) < self.c).astype(float)
         if self.code == 2:
-            z2 = (u / self.c) ** 2
-            return np.where(np.abs(u) < self.c, (1.0 - z2) * (1.0 - 5.0 * z2), 0.0)
+            q = _kernels.bisquare_q(u, self.c, out=np.empty_like(u))
+            return _kernels.bisquare_slope(q * q, q)
         return np.ones_like(u)
 
     def weight(self, u):
@@ -267,10 +269,12 @@ def local_m_estimate(weights, values, score: ScoreFunction, scale: float) -> flo
     [median - c scale, median + c scale] and [min v, max v], and stops when a
     step leaves the set {|u| < c} unchanged (the step was exact), when the
     score sum is zero, or when the bracket is ``_kernels.LOCAL_TOL`` * scale
-    wide; bisquare iterates a reweighting fixed point started from the
-    weighted median until a step is that small.  Raises ConvergenceError,
-    carrying the last iterate, after ``_kernels.LOCAL_MAX_ITERATIONS``.  Zero
-    weights drop out, as in the engine.
+    wide.  Bisquare reweights from the weighted median until the set
+    {|u| < c} repeats, takes Newton steps while it keeps repeating and the
+    slope sum w_i psi'(u_i) is positive, and stops on a step of at most
+    ``_kernels.LOCAL_TOL`` * scale.  Raises ConvergenceError, carrying the
+    last iterate, after ``_kernels.LOCAL_MAX_ITERATIONS``.  Zero weights drop
+    out, as in the engine.
     """
     w, v = _check_weight_pair(weights, values)
     if score.code == 0:

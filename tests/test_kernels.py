@@ -346,6 +346,123 @@ def test_bisquare_rows_solve_their_score_equation(name, manifold, t, h, leave_on
     assert solved > columns.size // 2
 
 
+# --------------------------------------- the bisquare root, among several
+
+BISQUARE_C = 4.685
+
+
+def _bisquare_score(w, v, scale, m):
+    # sum_i w_i psi((v_i - m) / scale) at each m of an array
+    u = (v[None, :] - np.asarray(m, dtype=float).reshape(-1, 1)) / scale
+    return (u * np.maximum(1.0 - (u / BISQUARE_C) ** 2, 0.0) ** 2) @ w
+
+
+def _bisquare_roots(w, v, scale):
+    """Every sign change of the score on a dense grid over the window,
+    refined by brentq."""
+    grid = np.linspace(v.min(), v.max(), 8001)
+    g = _bisquare_score(w, v, scale, grid)
+    return np.array([brentq(lambda m: _bisquare_score(w, v, scale, m)[0], grid[i], grid[i + 1],
+                            xtol=1e-14 * scale)
+                     for i in np.flatnonzero(g[:-1] * g[1:] < 0.0)])
+
+
+def _plain_reweighting(w, v, scale):
+    """m <- sum w_i q_i^2 v_i / sum w_i q_i^2, q_i = 1 - ((v_i - m) / (c scale))^2
+    inside the window, from the weighted median, until a step is 1e-12 scales."""
+    m = oracle_median(w, v)
+    for _ in range(100_000):
+        tw = w * np.maximum(1.0 - ((v - m) / (BISQUARE_C * scale)) ** 2, 0.0) ** 2
+        step = float(tw @ v / tw.sum()) - m
+        m += step
+        if abs(step) <= 1e-12 * scale:
+            return m
+    raise AssertionError("the plain reweighting did not converge")
+
+
+def _cluster_window(rng):
+    """Two clusters, sometimes with a third cluster beside them or points
+    spread across the gap, plus up to 7 far outliers."""
+    gap = rng.uniform(2.0, 14.0)
+    parts = [rng.normal(0.0, rng.uniform(0.1, 1.5), rng.integers(3, 40)),
+             rng.normal(gap, rng.uniform(0.1, 1.5), rng.integers(3, 40))]
+    kind = rng.integers(3)
+    if kind == 1:
+        parts.append(rng.normal(-rng.uniform(2.0, 10.0), rng.uniform(0.1, 1.0),
+                                rng.integers(2, 20)))
+    elif kind == 2:
+        parts.append(rng.uniform(0.0, gap, rng.integers(2, 30)))
+    far = rng.integers(0, 8)
+    parts.append(rng.choice([-1.0, 1.0], far) * rng.uniform(20.0, 60.0, far))
+    v = np.concatenate(parts)
+    return rng.uniform(0.05, 1.0, v.size) ** rng.uniform(0.5, 3.0), v
+
+
+def test_bisquare_reaches_the_plain_reweighting_root_on_multi_root_windows():
+    """Newton steps must not leave the basin that reweighting from the
+    weighted median stays in: on windows whose score equation has several
+    roots, the engine returns the root the plain reweighting reaches.  The
+    windows are the rows of one engine call, each on its own columns."""
+    rng = np.random.default_rng(71)
+    windows = [_cluster_window(rng) for _ in range(150)]
+    sizes = [v.size for _, v in windows]
+    v = np.concatenate([v for _, v in windows])
+    W = np.zeros((len(windows), v.size))
+    for q, ((w, _), a) in enumerate(zip(windows, np.cumsum([0] + sizes[:-1]))):
+        W[q, a:a + w.size] = w
+    est, flags = _kernels.local_m_rows(W, v, np.argsort(v, kind="stable"), 2, BISQUARE_C)
+    several = rival = 0
+    for q, (w, vq) in enumerate(windows):
+        w = w / w.sum()
+        scale = oracle_mad(w, vq)
+        roots = _bisquare_roots(w, vq, scale)
+        ref = _plain_reweighting(w, vq, scale)
+        root = roots[np.argmin(np.abs(roots - ref))]
+        assert abs(root - ref) <= 1e-6 * scale
+        assert flags[q] == 0
+        assert abs(est[q] - root) <= 1e-9 * scale
+        several += roots.size >= 2
+        # another root within c scales of the start: the basins compete
+        med = oracle_median(w, vq)
+        rival += np.any((roots != root) & (np.abs(roots - med) < BISQUARE_C * scale))
+    assert several > 100 and rival > 10
+
+
+def test_a_bisquare_newton_step_that_empties_the_weights_falls_back(monkeypatch):
+    """Here a Newton step lands farther than c scales from every value: the
+    row takes the reweighting step from where the Newton step started and
+    still stops at the plain reweighting's root."""
+    w = np.array([0.178, 0.286, 0.004, 0.113])
+    v = np.array([1.406, -2.071, -1.42, 1.999])
+    evaluated = []
+    original = _kernels.bisquare_q
+
+    def recording(u, c, out):
+        evaluated.append(u.copy())
+        return original(u, c, out)
+
+    monkeypatch.setattr(_kernels, "bisquare_q", recording)
+    est, flags = _kernels.local_m_rows(w[None], v, np.argsort(v, kind="stable"), 2, BISQUARE_C)
+    assert any(np.all(np.abs(u[0]) >= BISQUARE_C) for u in evaluated)
+    w = w / w.sum()
+    scale = oracle_mad(w, v)
+    assert flags[0] == 0
+    assert abs(est[0] - _plain_reweighting(w, v, scale)) <= 1e-9 * scale
+
+
+def test_bisquare_columns_converge_in_8_iterations_on_cli_fits_sample(monkeypatch):
+    """Newton steps once a row's active set repeats: every leave-one-out
+    window of cli-fit's robust sweep (n = 600, C2, the bisquare, y and x at
+    each candidate bandwidth) stops within 8 evaluations.  Reweighting alone
+    needed up to 63 in a block."""
+    monkeypatch.setattr(_kernels, "LOCAL_MAX_ITERATIONS", 8)
+    ds = simulation.generate_sample(600, "C2", simulation.replication_rng(30_000, 0)).dataset
+    for h in (0.4, 0.6, 0.8, 1.2, 1.8):
+        est, _, flags = plm.smooth_dataset(ds, h, ScoreFunction.bisquare(), leave_one_out=True)
+        assert not np.any(flags == 2)
+        assert np.all(np.isfinite(est))
+
+
 # ------------------------------------------- the call shape the tracer reads
 
 def test_local_m_rows_call_shape_is_pinned_for_the_benchmark_tracer(monkeypatch):
