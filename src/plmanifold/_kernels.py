@@ -5,8 +5,8 @@ like the shared value vector v; ``smoother.smooth_columns`` passes one row
 block of the weights at a time), each row is normalized and solved for the
 local M-estimate: weighted median, weighted MAD, then either bracketed
 Newton steps on the monotone score equation or, for a redescending score,
-reweighting steps until a row's active set {|u| < c} repeats and Newton
-steps from there.  Each row is solved for its offset from the weighted
+a Newton step whenever the row's slope sum is positive and a reweighting
+step otherwise.  Each row is solved for its offset from the weighted
 median (`solve_rows`).  Every stop is free of the data's scale: the
 monotone solve stops when a step leaves the active set unchanged, when the
 score sum is zero, or when its bracket is ``LOCAL_TOL`` times the row's MAD
@@ -19,8 +19,8 @@ works on that window only.  The cost is rows x window width x iterations,
 where width is the largest window of the block, not the n columns of W.
 
 The pieces (`window_rows`, `median_rows`, `mad_rows`, `newton_rows`,
-`reweight_rows`) work on weights as given, with per-row values V that
-broadcast against W; `local_m_rows` normalizes and composes them, and the
+`reweight_rows`) work on weights as given, with per-row values V sorted
+as in a window; `local_m_rows` normalizes and composes them, and the
 scalar functions in `smoother` are one-row calls into the same pieces.
 
 Score codes: 1 huber (Newton steps on `huber_psi`), 2 bisquare (reweighting
@@ -97,8 +97,8 @@ def mad_rows(W, V, med):
 
 def newton_rows(W, V, scale, c):
     """Newton steps on g(m) = sum_i W_i psi((V_i - m) / scale) = 0 with the
-    Huber psi of constant c, from m = 0: V holds offsets from each row's
-    weighted median.
+    Huber psi of constant c, from m = 0: V is a `window_rows` window of
+    offsets from each row's weighted median, each row ascending.
 
     g is nonincreasing and piecewise linear with slope -D / scale, where D is
     the weight of the active set {i : |u_i| < c}, u_i = (V_i - m) / scale.
@@ -113,10 +113,8 @@ def newton_rows(W, V, scale, c):
     estimates and whether each row stopped within ``LOCAL_MAX_ITERATIONS``
     evaluations.
     """
-    V = np.broadcast_to(V, W.shape)
-    sup = W > 0.0
-    lo = np.maximum(np.where(sup, V, np.inf).min(axis=1), -c * scale)
-    hi = np.minimum(np.where(sup, V, -np.inf).max(axis=1), c * scale)
+    lo = np.maximum(V[:, 0], -c * scale)
+    hi = np.minimum(V[:, -1], c * scale)
     m = np.zeros(lo.size)
     done = np.zeros(lo.size, dtype=bool)
     newton = np.zeros(lo.size, dtype=bool)  # m was reached by a Newton step
@@ -151,10 +149,10 @@ def reweight_rows(W, V, scale, c):
     scale sum W_i q_i^2 u_i.  A reweighting step divides it by sum W_i q_i^2:
     it moves m to the mean of V under the weights W_i q_i^2.  A Newton step
     divides it by the slope sum W_i psi'(u_i), which `bisquare_slope` forms
-    from the sums of W_i q_i^2 and W_i q_i.  A row reweights until its active
-    set is that of its previous iterate and its slope is positive, and then
-    takes Newton steps while both hold.  A Newton step that lands where
-    every weight vanishes is replaced by the reweighting step from where it
+    from the sums of W_i q_i^2 and W_i q_i.  A row takes the Newton step
+    whenever its slope sum is positive, from the first iterate on, and the
+    reweighting step otherwise.  A Newton step that lands where every
+    weight vanishes is replaced by the reweighting step from where it
     started.  A row stops on a step of at most ``LOCAL_TOL`` * scale, within
     ``LOCAL_MAX_ITERATIONS`` evaluations; a row whose weights vanish after a
     reweighting step stops where it is, unconverged.  Returns (estimates,
@@ -167,13 +165,10 @@ def reweight_rows(W, V, scale, c):
     fallback = m  # the reweighting step from the previous iterate
     u = np.empty(W.shape)
     q = np.empty(W.shape)
-    active = np.empty(W.shape, dtype=bool)
-    was_active = np.zeros(W.shape, dtype=bool)  # at the previous iterate
     for _ in range(LOCAL_MAX_ITERATIONS):
         np.subtract(V, m[:, None], out=u)
         u /= scale[:, None]
         bisquare_q(u, c, out=q)
-        np.greater(q, 0.0, out=active)
         wq = np.einsum("ij,ij->i", W, q)
         q *= q
         q *= W
@@ -183,7 +178,7 @@ def reweight_rows(W, V, scale, c):
         back = ~ok & newton & ~settled
         stuck |= ~ok & ~back & ~settled
         slope = bisquare_slope(den, wq)
-        newton = ok & (slope > 0.0) & ~(active != was_active).any(axis=1)
+        newton = ok & (slope > 0.0)
         reweight = num / np.where(ok, den, 1.0)
         step = np.where(newton, num / np.where(newton, slope, 1.0), reweight)
         live = ok & ~settled
@@ -191,7 +186,6 @@ def reweight_rows(W, V, scale, c):
         m, fallback = np.where(live, m + step, np.where(back, fallback, m)), m + reweight
         if np.all(settled | stuck):
             break
-        active, was_active = was_active, active
     return m, settled
 
 
@@ -228,8 +222,8 @@ def solve_rows(W, V, start, scale, code, c):
     start is subtracted from V in place (V is overwritten) and added back
     once, so the iterates stay near zero and a large common offset costs one
     rounding, not one per step.  Huber (code 1, monotone) takes bracketed
-    Newton steps (`newton_rows`) and bisquare (code 2, redescending)
-    reweights, then takes Newton steps (`reweight_rows`), both from offset 0.
+    Newton steps (`newton_rows`) and bisquare (code 2, redescending) Newton
+    or reweighting steps by the sign of the slope sum (`reweight_rows`).
     Returns (estimates, flags) with flag 2 on rows that ran out of iterations.
     """
     V -= start[:, None]

@@ -4,9 +4,9 @@ The local fit at a query point composes three pieces: normalized quartic
 kernel weights built from geodesic distances and the volume density, one
 block of query rows at a time (`window_weights`, so no n x n array is made), a
 weighted median / weighted MAD pair giving the robust local scale, and a
-score equation solved by bracketed Newton steps (Huber) or by reweighting
-until the set {|u| < c} repeats and Newton steps from there (bisquare), all
-in the batched engine of ``_kernels``.  With the identity
+score equation solved by bracketed Newton steps (Huber) or by Newton
+steps whenever the slope sum is positive and reweighting steps otherwise
+(bisquare), all in the batched engine of ``_kernels``.  With the identity
 score and no scale step the smoother reduces to the classical kernel-weighted
 mean.  The kernel and the three scores are the whole estimator family.
 """
@@ -52,8 +52,8 @@ class ScoreFunction:
     """The score psi of the local and regression M-equations: identity
     (code 0), Huber with constant c (code 1, monotone, solved by Newton
     steps) or bisquare with constant c (code 2, redescending, solved by
-    reweighting and then Newton steps).  ``code`` is the dispatch of the
-    batched engine.
+    Newton steps where the slope sum is positive, else reweighting).
+    ``code`` is the dispatch of the batched engine.
     Derivatives at the kinks |u| = c take the outer-branch value 0.
     """
 
@@ -218,12 +218,15 @@ def window_weights(manifold: Manifold, h: float, queries: np.ndarray, sample: np
             W[np.arange(W.shape[0]), own] = 0.0
         totals = W.sum(axis=1)
         hollow = index[rows][totals <= 0.0]
-        if hollow.size:  # the nearest point may lie outside the block's cols
-            near = (cross_distances(manifold, queries[hollow], sample) if distances is None
-                    else distances[hollow])
-            if leave_one_out:
-                near[np.arange(hollow.size), hollow] = np.inf
-            nearest = max(nearest, float(near.min(axis=1).max()))
+        if hollow.size:  # the nearest point may lie outside cols; a block's worth at a time
+            chunk = max(1, BLOCK_CELLS // n)
+            for a in range(0, hollow.size, chunk):
+                part = hollow[a:a + chunk]
+                near = (cross_distances(manifold, queries[part], sample) if distances is None
+                        else distances[part])
+                if leave_one_out:
+                    near[np.arange(part.size), part] = np.inf
+                nearest = max(nearest, float(near.min(axis=1).max()))
             empty.extend(hollow.tolist())
         elif not empty:
             yield rows, cols, W, totals
@@ -269,10 +272,10 @@ def local_m_estimate(weights, values, score: ScoreFunction, scale: float) -> flo
     [median - c scale, median + c scale] and [min v, max v], and stops when a
     step leaves the set {|u| < c} unchanged (the step was exact), when the
     score sum is zero, or when the bracket is ``_kernels.LOCAL_TOL`` * scale
-    wide.  Bisquare reweights from the weighted median until the set
-    {|u| < c} repeats, takes Newton steps while it keeps repeating and the
-    slope sum w_i psi'(u_i) is positive, and stops on a step of at most
-    ``_kernels.LOCAL_TOL`` * scale.  Raises ConvergenceError, carrying the
+    wide.  Bisquare starts at the weighted median, takes a Newton step
+    whenever the slope sum w_i psi'(u_i) is positive and a reweighting step
+    otherwise, and stops on a step of at most ``_kernels.LOCAL_TOL`` *
+    scale.  Raises ConvergenceError, carrying the
     last iterate, after ``_kernels.LOCAL_MAX_ITERATIONS``.  Zero weights drop
     out, as in the engine.
     """

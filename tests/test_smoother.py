@@ -434,6 +434,36 @@ def test_empty_windows_in_two_blocks_raise_one_error(monkeypatch, given):
     assert seen == []
 
 
+def test_the_empty_window_diagnosis_measures_a_block_at_a_time(monkeypatch):
+    """At h = 1e-5 every leave-one-out window of 2000 cylinder points is
+    empty.  Each point's nearest other point is then sought in the whole
+    sample, a block's worth of rows at a time: no distance call exceeds
+    BLOCK_CELLS cells.  The error names every point, with the largest
+    nearest-neighbour distance, here against a brute force over the
+    angles and heights."""
+    rng = np.random.default_rng(53)
+    angles, heights = rng.uniform(0, 2 * np.pi, 2000), rng.uniform(0, 1, 2000)
+    sample = cylinder_coords(angles, heights)
+    cells = []
+
+    def recording(manifold, a, b):
+        cells.append(a.shape[0] * b.shape[0])
+        return cross_distances(manifold, a, b)
+
+    monkeypatch.setattr(smoother, "cross_distances", recording)
+    with pytest.raises(EmptyWindowError) as err:
+        list(window_weights(CYL, 1e-5, sample, sample, leave_one_out=True))
+    assert max(cells) <= BLOCK_CELLS
+    assert err.value.indices == list(range(2000))
+    nearest = np.empty(2000)
+    for i in range(2000):
+        arc = np.abs(angles - angles[i])
+        d = np.hypot(np.minimum(arc, 2 * np.pi - arc), heights - heights[i])
+        d[i] = np.inf
+        nearest[i] = d.min()
+    assert err.value.nearest_distance == pytest.approx(nearest.max(), rel=1e-12)
+
+
 def test_bandwidth_range_enforced():
     with pytest.raises(ValueError, match="bandwidth"):
         check_bandwidth(CIR, math.pi)
