@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import lerp
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -89,8 +90,7 @@ def default_grid(dataset: PLMDataset) -> np.ndarray:
                                    for d in pair_distance_blocks(m, t)]))
     below = cumulative[wanted[0]] - counts[wanted[0]]
     a, b = kept[k - below], kept[min(k + 1, pairs - 1) - below]
-    step, frac = b - a, index - k  # np.quantile's interpolation, in numpy's order of operations
-    lo = float(b - step * (1 - frac) if frac >= 0.5 else a + step * frac)
+    lo = float(lerp(a, b, index - k))
     inj = injectivity_radius(m)
     hi = 0.9 * (inj if np.isfinite(inj) else float(kept[-1]))
     if lo >= hi:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import quantile
 from .errors import InsufficientDataError, SingularDesignError
 from .manifold import Manifold, validate_coords
 from .robust_linear import (
@@ -118,7 +119,7 @@ def smooth_dataset(dataset: PLMDataset, h: float, score: ScoreFunction,
     ``smooth_columns``.
     """
     columns = np.column_stack([dataset.y, dataset.x])
-    centre = np.median(columns, axis=0)
+    centre = quantile(columns, axis=0)  # np.median's bits
     offsets = columns - centre
     est, flags = smooth_columns(dataset.manifold, h, dataset.t, columns=offsets,
                                 score=score, queries=queries,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateScaleError, SingularDesignError
-from ._kernels import MAD_CONSISTENCY
+from ._kernels import MAD_CONSISTENCY, quantile
 from .smoother import ScoreFunction
 
 # The reweighting stops once a step moves beta by less than GM_TOL relative
@@ -63,7 +63,7 @@ class WeightFunction:
         if self.name == "one":
             return None
         if isinstance(self.cutoff, str):
-            return float(np.quantile(np.asarray(norms, dtype=float), 0.95))
+            return float(quantile(norms, 0.95))
         return float(self.cutoff)
 
     def weights(self, norms, cutoff: float | None = None) -> np.ndarray:
@@ -97,12 +97,16 @@ class RegressionResult:
 
 
 def residual_scale(residuals) -> float:
-    """1.4826 times the median absolute deviation from the median."""
+    """1.4826 times the median absolute deviation from the median.  Raises
+    ValueError naming the first residual that is not finite."""
     res = np.asarray(residuals, dtype=float).ravel()
     if res.size < 2:
         raise ValueError("need at least two residuals")
-    med = np.median(res)
-    s = MAD_CONSISTENCY * float(np.median(np.abs(res - med)))
+    bad = np.flatnonzero(~np.isfinite(res))
+    if bad.size:
+        raise ValueError(f"residual {bad[0]} is not finite: {res[bad[0]]}")
+    dev = res - quantile(res)
+    s = MAD_CONSISTENCY * float(quantile(np.abs(dev, out=dev)))
     if s <= 0.0:
         raise DegenerateScaleError(
             "residual MAD is zero: more than half the residuals coincide"

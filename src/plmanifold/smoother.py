@@ -9,10 +9,18 @@ steps whenever the slope sum is positive and reweighting steps otherwise
 (bisquare), all in the batched engine of ``_kernels``.  With the identity
 score and no scale step the smoother reduces to the classical kernel-weighted
 mean.  The kernel and the three scores are the whole estimator family.
+
+Each block's distances, weights and engine windows are block-sized arrays
+that live for one block.  On glibc, importing this module raises malloc's
+mmap and trim thresholds (`_keep_freed_memory`), so those arrays come from
+the heap and the pages the blocks free stay in the process for the next
+block instead of being returned and faulted back in.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +39,47 @@ from .manifold import (
 HUBER_DEFAULT_C = 1.345
 BISQUARE_DEFAULT_C = 4.685
 
+# glibc serves a request of M_MMAP_THRESHOLD bytes or more by a mmap of its
+# own, which free unmaps, and returns the free top of its heap to the kernel
+# once that exceeds M_TRIM_THRESHOLD (by default both start at 128 KiB and
+# rise with the largest chunk freed); either way the next row block faults
+# the same pages back in, about 10,000 minor faults in a robust fit at
+# n = 2000.  A block's arrays hold at most BLOCK_CELLS float64 cells (512 KiB)
+# each, so a mmap threshold of 32 blocks keeps every one of them on the heap,
+# and a trim threshold of 128 blocks lies above one smoothing call's working
+# set: the process keeps up to 64 MiB of freed heap top for the next block.
+_MMAP_THRESHOLD = 32 * 8 * BLOCK_CELLS  # 16 MiB
+_TRIM_THRESHOLD = 128 * 8 * BLOCK_CELLS  # 64 MiB
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, <malloc.h>
+
+
+def _keep_freed_memory() -> bool:
+    """Set glibc's mmap and trim thresholds for the process; True if set.
+    Anywhere else (no glibc, no ``mallopt``) it does nothing."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return False
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+                & mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
+
+
+_keep_freed_memory()
+
 
 def quartic_kernel(u):
     """The smoothing kernel K(u) = 0.9375 (1 - u^2)^2 on |u| < 1, 0 elsewhere,
-    in a new array.  Works in place on u squared, leaving u as it is:
+    in a new array, leaving u as it is."""
+    # asarray: a scalar u squares to a scalar
+    return _quartic_of_square(np.asarray(np.square(u, dtype=float)))
+
+
+def _quartic_of_square(t):
+    """`quartic_kernel` of u from t = u^2, in a new array; t is overwritten:
     block-sized temporaries cost page faults, not just arithmetic."""
-    t = np.asarray(np.square(u, dtype=float))  # asarray: a scalar u squares to a scalar
     np.subtract(1.0, t, out=t)
     np.maximum(t, 0.0, out=t)
     k = 0.9375 * t
@@ -140,7 +183,8 @@ def _check_weight_pair(weights, values):
 def raw_weight_matrix(manifold: Manifold, h: float, distances: np.ndarray) -> np.ndarray:
     """Unnormalized kernel weights K(d/h) / volume density, elementwise, in a
     new array."""
-    k = quartic_kernel(distances / h)
+    u = distances / h
+    k = _quartic_of_square(np.square(u, out=u))
     if manifold.kind == "sphere":
         pos = k > 0
         theta = volume_density_from_distance(manifold, distances[pos])

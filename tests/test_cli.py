@@ -469,6 +469,35 @@ def test_click_bad_mapping_exits_2(tmp_path):
     assert result.exit_code == 2
 
 
+def test_a_cv_campaign_and_a_q95_fit_leave_numpy_ma_unimported(tmp_path):
+    """np.median and np.quantile import numpy.ma (10-17 ms) for their NaN
+    check; the package's order statistics do not."""
+    data = tmp_path / "s.csv"
+    sample_to_csv(generate_sample(60, "C1", replication_rng(4, 0)), data)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pm.__file__)))
+    code = ("import sys\n"
+            "from plmanifold import simulation\n"
+            "from plmanifold.cli import main\n"
+            "report = simulation.run_campaign(simulation.SimulationConfig(\n"
+            "    n=60, replications=2, contamination='C1', modes=('robust', 'classical'),\n"
+            "    master_seed=5))\n"
+            "assert not report.failures, report.failures\n"
+            "print('numpy.ma imported:', 'numpy.ma' in sys.modules)\n"
+            "try:\n"
+            "    main(['fit', '--input', sys.argv[1], '--map', sys.argv[2], '--mode', 'both',\n"
+            "          '--w1', 'huber:q95', '--cv-grid', '0.8,1.2', '--null', '2',\n"
+            "          '--out', sys.argv[3]], standalone_mode=False)\n"
+            "except SystemExit as exit:\n"
+            "    assert not exit.code, exit.code\n"
+            "print('numpy.ma imported:', 'numpy.ma' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code, str(data), MAPPING_RAW,
+                          str(tmp_path / "fit.json")],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    assert [line for line in out.splitlines() if line.startswith("numpy.ma")] == [
+        "numpy.ma imported: False"] * 2
+    assert json.loads((tmp_path / "fit.json").read_text())
+
+
 NOT_A_NUMBER = "'abc' is not a number"
 BAD_CONSTANT = "constant must be finite and > 0, got"
 

@@ -218,12 +218,53 @@ def test_monotone_rows_that_run_out_of_iterations_raise(monkeypatch):
 
 # ------------------------------------------------------ per-row value windows
 
+def _window_by_index_arithmetic(W, v, order):
+    """`window_rows` as flat cell indices: each positive cell's row and
+    column, its slot in the window from the row's running count, and the
+    pads from each row's last positive column."""
+    Ws = np.take(W, order, axis=1)
+    vs = v[order]
+    n = Ws.shape[1]
+    cells = np.flatnonzero(Ws > 0.0)
+    rows = cells // n
+    cols = cells - rows * n
+    counts = np.bincount(rows, minlength=W.shape[0])
+    ends = np.cumsum(counts)
+    width = counts.max()
+    slots = rows * width + np.arange(cells.size) - (ends - counts)[rows]
+    Ww = np.zeros((W.shape[0], width))
+    Ww.ravel()[slots] = Ws.ravel()[cells]
+    Vw = np.repeat(vs[cols[ends - 1]], width).reshape(W.shape[0], width)
+    Vw.ravel()[slots] = vs[cols]
+    return Ww, Vw
+
+
+_V8 = np.array([0.5, -2.0, 3.0, 1.0, -0.0, 7.0, 0.0, 2.5])
+# a row with one positive weight; zero cells interleaved with positive ones;
+# the widest row first, then last
+ONE_POSITIVE = (np.array([[0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0],
+                          [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]]), _V8)
+INTERLEAVED_ZEROS = (np.array([[1.0, 0.0, 0.25, 0.0, 3.0, 0.0, 1.0, 0.0],
+                               [0.0, 3.0, 0.0, 0.25, 0.0, 1.0, 0.0, 1.0]]), _V8)
+WIDEST_FIRST = (np.array([[1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0],
+                          [0.0, 1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0],
+                          [0.0, 0.0, 3.0, 0.0, 0.0, 1.0, 1.0, 0.0]]), _V8)
+WIDEST_LAST = (WIDEST_FIRST[0][::-1].copy(), _V8)
+
+
 @settings(max_examples=150, deadline=None)
 @given(windows())
+@example(ONE_POSITIVE)
+@example(INTERLEAVED_ZEROS)
+@example(WIDEST_FIRST)
+@example(WIDEST_LAST)
 def test_window_rows_gathers_each_rows_support_in_value_order(problem):
     W, v = problem
     order = np.argsort(v)
     Ww, Vw = _kernels.window_rows(W, v, order)
+    Ww0, Vw0 = _window_by_index_arithmetic(W, v, order)
+    assert Ww.tobytes() == Ww0.tobytes() and Vw.tobytes() == Vw0.tobytes()
+    assert Ww.shape == Ww0.shape and Vw.shape == Vw0.shape
     counts = np.count_nonzero(W > 0.0, axis=1)
     assert Ww.shape == Vw.shape == (W.shape[0], counts.max())
     assert np.all(np.diff(Vw, axis=1) >= 0.0)  # every row sorted, pads included
@@ -265,6 +306,31 @@ def test_window_rows_ties_at_the_maximum_and_single_points():
                            [1.0, 1.0, 1.0, 1.0, 1.0, 1.0]]
     est, flags = _kernels.local_m_rows(W, v, np.argsort(v), 1, HUBER_C)
     assert flags[1] == 1 and est[1] == 2.0
+
+
+def _order_statistic_samples():
+    rng = np.random.default_rng(24)
+    samples = {"n=1": np.array([-0.0]), "n=2": np.array([3.0, -1.5])}
+    for n in (7, 10, 101, 200):
+        samples[f"n={n}"] = rng.normal(size=n)
+        samples[f"n={n}, ties"] = rng.integers(-2, 3, size=n).astype(float)
+    samples["signed zeros"] = np.array([0.0, -0.0, -0.0, 0.0, -0.0, 1.0])
+    return samples
+
+
+ORDER_STATISTIC_SAMPLES = _order_statistic_samples()
+
+
+@pytest.mark.parametrize("name", list(ORDER_STATISTIC_SAMPLES))
+def test_quantile_is_numpys_median_and_quantile_bit_for_bit(name):
+    x = ORDER_STATISTIC_SAMPLES[name]
+    assert _kernels.quantile(x).tobytes() == np.median(x).tobytes()
+    assert _kernels.quantile(x, 0.95).tobytes() == np.quantile(x, 0.95).tobytes()
+    columns = np.column_stack([x, -x, np.repeat(x[:1], x.size)])
+    assert (_kernels.quantile(columns, axis=0).tobytes()
+            == np.median(columns, axis=0).tobytes())
+    assert (_kernels.quantile(columns, 0.95, axis=0).tobytes()
+            == np.quantile(columns, 0.95, axis=0).tobytes())
 
 
 # ----------------------------------- the oracle on windows from every manifold

@@ -48,6 +48,19 @@ def test_residual_scale_needs_two_points():
         residual_scale([1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_residual_scale_names_the_first_residual_that_is_not_finite(bad):
+    with pytest.raises(ValueError, match=f"residual 2 is not finite: {bad}"):
+        residual_scale([0.5, -1.0, bad, 2.0, bad])
+
+
+def test_residual_scale_is_the_numpy_median_mad_bit_for_bit():
+    res = np.random.default_rng(8).standard_t(3, size=201)
+    for r in (res, res[:200]):
+        want = 1.4826 * float(np.median(np.abs(r - np.median(r))))
+        assert residual_scale(r) == want
+
+
 # ----------------------------------------------------------------------- OLS
 
 def test_ols_exact_linear_data():
