@@ -163,7 +163,9 @@ def run_campaign(config: SimulationConfig, local_score: ScoreFunction | None = N
                  gm: GMConfig | None = None) -> SimulationReport:
     """Run the Monte Carlo study described by ``config``: ``_replicate`` for
     every replication, serially with one worker and on a thread pool with
-    more.  Failed replications are logged and excluded from the summaries;
+    more; the replication threads share the smoother's one helper pool
+    (`smoother.smooth_columns`).  Failed replications are logged and
+    excluded from the summaries;
     more than 10% failures in any mode raises CampaignError.
     """
     reps = config.replications

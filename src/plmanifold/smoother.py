@@ -15,12 +15,20 @@ that live for one block.  On glibc, importing this module raises malloc's
 mmap and trim thresholds (`_keep_freed_memory`), so those arrays come from
 the heap and the pages the blocks free stay in the process for the next
 block instead of being returned and faulted back in.
+
+A `smooth_columns` call of more than one block runs on every usable CPU
+(the process's affinity, the one control): the caller and helpers from one
+thread pool take whole blocks and write their own rows, so the result is
+the serial one bit for bit, and memory is a block working set per thread.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
+import threading
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +76,22 @@ def _keep_freed_memory() -> bool:
 
 
 _keep_freed_memory()
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # macOS
+
+
+@functools.cache  # two first calls at once may make two pools; the unkept one is freed
+def _helper_pool() -> futures.ThreadPoolExecutor:
+    """The process's one pool of smoothing helpers, usable CPUs - 1 threads."""
+    return futures.ThreadPoolExecutor(_usable_cpus() - 1, thread_name_prefix="plmanifold")
+
+
+if hasattr(os, "register_at_fork"):  # a pool inherited over fork has no threads
+    os.register_at_fork(after_in_child=_helper_pool.cache_clear)
 
 
 def quartic_kernel(u):
@@ -180,15 +204,18 @@ def _check_weight_pair(weights, values):
     return w, v
 
 
-def raw_weight_matrix(manifold: Manifold, h: float, distances: np.ndarray) -> np.ndarray:
+def raw_weight_matrix(manifold: Manifold, h: float, distances: np.ndarray,
+                      overwrite: bool = False) -> np.ndarray:
     """Unnormalized kernel weights K(d/h) / volume density, elementwise, in a
-    new array."""
-    u = distances / h
+    new array.  ``overwrite`` lets the kernel reuse the cells of ``distances``
+    (for a caller that drops them), except on the sphere, whose density reads them."""
+    sphere = manifold.kind == "sphere"
+    u = distances / h if sphere or not overwrite else np.divide(distances, h, out=distances)
     k = _quartic_of_square(np.square(u, out=u))
-    if manifold.kind == "sphere":
+    if sphere:  # extract and place: a 2-D mask index is slower
         pos = k > 0
-        theta = volume_density_from_distance(manifold, distances[pos])
-        k[pos] = k[pos] / theta
+        theta = volume_density_from_distance(manifold, np.extract(pos, distances))
+        np.place(k, pos, np.extract(pos, k) / theta)
     return k
 
 
@@ -220,6 +247,56 @@ def _key_blocks(manifold: Manifold, h: float, queries: np.ndarray, sample: np.nd
         a = b
 
 
+def _block_plan(manifold, h, queries, sample, leave_one_out, distances):
+    """The (rows, cols, own) blocks of a call, as `window_weights` describes."""
+    if leave_one_out and queries is not sample:
+        raise ValueError("leave_one_out needs the sample itself as the queries")
+    nq, n = queries.shape[0], sample.shape[0]
+    if nq * n <= BLOCK_CELLS:
+        return iter([(slice(None), slice(None), np.arange(nq))] if nq else [])
+    if distances is None:
+        return _key_blocks(manifold, h, queries, sample)
+    raise ValueError(f"a given distance matrix must be one block: {nq} x {n} "
+                     f"cells exceed BLOCK_CELLS = {BLOCK_CELLS}")
+
+
+def _block_weights(manifold, h, queries, sample, leave_one_out, distances, block):
+    """One block of `window_weights`: (W, totals, hollow, nearest), hollow the
+    block's query indices whose window is empty and nearest the largest
+    distance from one of them to the whole sample (0.0 if none)."""
+    rows, cols, own = block
+    if distances is None:  # fresh distances, dropped here: the kernel reuses them
+        W = raw_weight_matrix(manifold, h, cross_distances(manifold, queries[rows],
+                                                           sample[cols]), overwrite=True)
+    else:
+        W = raw_weight_matrix(manifold, h, distances[rows])
+    if leave_one_out:
+        W[np.arange(W.shape[0]), own] = 0.0
+    totals = W.sum(axis=1)
+    hollow, nearest = np.flatnonzero(totals <= 0.0), 0.0
+    if hollow.size:  # the nearest point may lie outside cols
+        hollow = np.arange(queries.shape[0])[rows][hollow]
+        chunk = max(1, BLOCK_CELLS // sample.shape[0])
+        for a in range(0, hollow.size, chunk):
+            part = hollow[a:a + chunk]
+            near = (cross_distances(manifold, queries[part], sample) if distances is None
+                    else distances[part])
+            if leave_one_out:
+                near[np.arange(part.size), part] = np.inf
+            nearest = max(nearest, float(near.min(axis=1).max()))
+    return W, totals, hollow, nearest
+
+
+def _empty_window_error(empty):
+    """The error for the (hollow, nearest) of each block with an empty window."""
+    indices = sorted(i for hollow, _ in empty for i in hollow.tolist())
+    nearest = max(near for _, near in empty)
+    listed = ", ".join(map(str, indices[:10])) + (", ..." if len(indices) > 10 else "")
+    return EmptyWindowError(f"empty kernel window at {len(indices)} query indices [{listed}]; "
+                            f"the bandwidth must exceed {nearest:.6g}",
+                            nearest_distance=nearest, indices=indices)
+
+
 def window_weights(manifold: Manifold, h: float, queries: np.ndarray, sample: np.ndarray,
                    leave_one_out: bool = False, distances: np.ndarray | None = None):
     """Raw kernel weights of the query rows against the sample, one row block
@@ -243,46 +320,16 @@ def window_weights(manifold: Manifold, h: float, queries: np.ndarray, sample: np
     ``nearest_distance``, measured against the whole sample; no block is
     yielded once an empty window is found.
     """
-    if leave_one_out and queries is not sample:
-        raise ValueError("leave_one_out needs the sample itself as the queries")
-    nq, n = queries.shape[0], sample.shape[0]
-    if nq * n <= BLOCK_CELLS:
-        blocks = [(slice(None), slice(None), np.arange(nq))] if nq else []
-    elif distances is None:
-        blocks = _key_blocks(manifold, h, queries, sample)
-    else:
-        raise ValueError(f"a given distance matrix must be one block: {nq} x {n} "
-                         f"cells exceed BLOCK_CELLS = {BLOCK_CELLS}")
-    index, empty, nearest = np.arange(nq), [], 0.0
-    for rows, cols, own in blocks:
-        d = (cross_distances(manifold, queries[rows], sample[cols]) if distances is None
-             else distances[rows])
-        W = raw_weight_matrix(manifold, h, d)
-        if leave_one_out:
-            W[np.arange(W.shape[0]), own] = 0.0
-        totals = W.sum(axis=1)
-        hollow = index[rows][totals <= 0.0]
-        if hollow.size:  # the nearest point may lie outside cols; a block's worth at a time
-            chunk = max(1, BLOCK_CELLS // n)
-            for a in range(0, hollow.size, chunk):
-                part = hollow[a:a + chunk]
-                near = (cross_distances(manifold, queries[part], sample) if distances is None
-                        else distances[part])
-                if leave_one_out:
-                    near[np.arange(part.size), part] = np.inf
-                nearest = max(nearest, float(near.min(axis=1).max()))
-            empty.extend(hollow.tolist())
+    empty = []
+    for block in _block_plan(manifold, h, queries, sample, leave_one_out, distances):
+        W, totals, hollow, nearest = _block_weights(manifold, h, queries, sample,
+                                                    leave_one_out, distances, block)
+        if hollow.size:
+            empty.append((hollow, nearest))
         elif not empty:
-            yield rows, cols, W, totals
+            yield block[0], block[1], W, totals
     if empty:
-        empty.sort()
-        listed = ", ".join(map(str, empty[:10])) + (", ..." if len(empty) > 10 else "")
-        raise EmptyWindowError(
-            f"empty kernel window at {len(empty)} query indices [{listed}]; "
-            f"the bandwidth must exceed {nearest:.6g}",
-            nearest_distance=nearest,
-            indices=empty,
-        )
+        raise _empty_window_error(empty)
 
 
 def _engine_row(w, v):
@@ -344,7 +391,8 @@ def smooth_columns(manifold: Manifold, h: float, sample: np.ndarray,
                    leave_one_out: bool = False,
                    distances: np.ndarray | None = None):
     """Smooth several value columns at bandwidth h at once, one row block
-    of kernel weights (`window_weights`) at a time.
+    of kernel weights (the blocks of `window_weights`) at a time, the blocks
+    spread over the calling thread and the helper pool (module docstring).
 
     ``sample`` are validated training coordinates, ``columns`` an (n, k)
     value matrix with one row per sample point (else ValueError), ``score``
@@ -376,14 +424,52 @@ def smooth_columns(manifold: Manifold, h: float, sample: np.ndarray,
     nq, k = queries.shape[0], columns.shape[1]
     estimates = np.empty((nq, k))
     flags = np.zeros((nq, k), dtype=np.int8)
-    for rows, cols, W, totals in window_weights(manifold, h, queries, sample,
-                                                leave_one_out, distances):
-        if score.code == 0:
-            estimates[rows] = (W @ columns[cols]) / totals[:, None]
-            continue
-        for j, v in enumerate(columns[cols].T):
-            estimates[rows, j], flags[rows, j] = _kernels.local_m_rows(
-                W, v, np.argsort(v, kind="stable"), score.code, score.c)
+    plan = _block_plan(manifold, h, queries, sample, leave_one_out, distances)
+    ahead, spare = next(plan, None), _usable_cpus() - 1
+    lock, helpers, empty = threading.Lock(), [], []
+
+    def run():
+        """Solve blocks until the plan is empty; while blocks remain after the
+        one taken and a CPU is spare, one more helper starts."""
+        nonlocal ahead, spare
+        while True:
+            with lock:
+                block = ahead
+                ahead = None if block is None else next(plan, None)
+                if ahead is not None and spare > 0:
+                    spare -= 1
+                    helpers.append(_helper_pool().submit(run))
+            if block is None:
+                return
+            rows, cols, _ = block
+            try:
+                W, totals, hollow, nearest = _block_weights(manifold, h, queries, sample,
+                                                            leave_one_out, distances, block)
+                if hollow.size:
+                    empty.append((hollow, nearest))
+                elif empty:
+                    continue
+                elif score.code == 0:
+                    estimates[rows] = (W @ columns[cols]) / totals[:, None]
+                else:
+                    for j, v in enumerate(columns[cols].T):
+                        estimates[rows, j], flags[rows, j] = _kernels.local_m_rows(
+                            W, v, np.argsort(v, kind="stable"), score.code, score.c)
+            except BaseException:
+                with lock:  # no thread takes another block
+                    ahead = None
+                raise
+
+    try:
+        run()
+    finally:  # a helper that has not started never will; the others are waited for
+        started = [helper for helper in helpers if not helper.cancel()]
+        futures.wait(started)
+        del run  # run refers to itself: without this the call's arrays wait for the gc
+    for helper in started:
+        helper.result()  # raises the helper's error
+    if empty:
+        raise _empty_window_error(empty)
     stuck = np.flatnonzero((flags == 2).any(axis=1))
     if stuck.size:
         raise ConvergenceError(

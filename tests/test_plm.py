@@ -151,9 +151,9 @@ def test_fit_and_predict_never_build_an_n_by_n_distance_matrix(monkeypatch, mode
     weight_shapes = []
     raw_weight_matrix = smoother.raw_weight_matrix
 
-    def recording_weights(m, h, d):
+    def recording_weights(m, h, d, **kwargs):
         weight_shapes.append(d.shape)
-        return raw_weight_matrix(m, h, d)
+        return raw_weight_matrix(m, h, d, **kwargs)
 
     monkeypatch.setattr(smoother, "raw_weight_matrix", recording_weights)
     ds, _ = random_cylinder_dataset(3, n=400, p=1)

@@ -1,7 +1,10 @@
 import ctypes
 import math
+import multiprocessing
 import os
 import resource
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from plmanifold.manifold import (
     cross_distances,
     cylinder_coords,
     pairwise_distances,
+    volume_density_from_distance,
 )
 from plmanifold.smoother import (
     ScoreFunction,
@@ -803,6 +807,17 @@ def test_sphere_smoother_applies_volume_density_correction():
     # the correction must actually matter at this bandwidth
     uncorrected = (K @ values) / K.sum(axis=1)
     assert np.max(np.abs(oracle - uncorrected)) > 1e-4
+    # the weights gather and scatter the positive cells by np.extract and
+    # np.place: the 2-D mask formulation's bits, on a block of a fit-large
+    # size, and the sphere's distances are read, never overwritten
+    d = cross_distances(sph, sample[:5], random_points(sph, rng, 2000))
+    k = quartic_kernel(d / 0.3)
+    pos = k > 0
+    k[pos] = k[pos] / volume_density_from_distance(sph, d[pos])
+    before = d.copy()
+    for overwrite in (False, True):
+        assert np.array_equal(raw_weight_matrix(sph, 0.3, d, overwrite), k)
+        assert np.array_equal(d, before)
 
 
 # ------------------------------------------------------- reweighting weight
@@ -863,3 +878,244 @@ def test_a_repeated_large_fit_faults_no_block_back_in():
         plm.fit(ds, 0.8, mode=mode)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults < 500, f"{mode} fit took {faults} minor faults"
+
+
+# ------------------------------------------------------- blocks on threads
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """Three usable CPUs and a fresh helper pool, so a streamed call runs its
+    blocks on helper threads on any machine; the pool is shut down after."""
+    monkeypatch.setattr(smoother, "_usable_cpus", lambda: 3)
+    smoother._helper_pool.cache_clear()
+    yield
+    if smoother._helper_pool.cache_info().currsize:
+        smoother._helper_pool().shutdown()
+    smoother._helper_pool.cache_clear()
+
+
+def _first_two_blocks_on_two_threads(monkeypatch):
+    """Hold the calling thread in its first block of a call until a helper
+    has taken a block, so the first two blocks run on different threads.
+    Returns the log of (thread, block rows) per block, in the order the
+    blocks start; clear it between calls."""
+    weigh, caller, started, log = smoother._block_weights, threading.current_thread(), \
+        threading.Condition(), []
+
+    def gated(*args):
+        with started:
+            log.append((threading.current_thread(), np.arange(args[2].shape[0])[args[-1][0]]))
+            started.notify_all()
+            if len(log) == 1 and log[0][0] is caller:
+                assert started.wait_for(lambda: len(log) > 1, 30), "no helper took a block"
+        return weigh(*args)
+
+    monkeypatch.setattr(smoother, "_block_weights", gated)
+    return log
+
+
+def _serial_smooth(manifold, h, sample, columns, score, queries, loo):
+    """smooth_columns composed from window_weights and the engine, one block
+    after another in this thread."""
+    q = sample if queries is None else queries
+    est = np.empty((q.shape[0], columns.shape[1]))
+    flags = np.zeros(est.shape, dtype=np.int8)
+    for rows, cols, W, totals in window_weights(manifold, h, q, sample, leave_one_out=loo):
+        if score.code == 0:
+            est[rows] = (W @ columns[cols]) / totals[:, None]
+            continue
+        for j, v in enumerate(columns[cols].T):
+            est[rows, j], flags[rows, j] = _kernels.local_m_rows(
+                W, v, np.argsort(v, kind="stable"), score.code, score.c)
+    return est, flags
+
+
+@pytest.mark.parametrize("manifold,h,n", [(CYL, 0.8, 2000), (Manifold.sphere(), 0.3, 1500)],
+                         ids=["cylinder", "sphere"])
+@pytest.mark.parametrize("score", BUILTIN_SCORES, ids=SCORE_IDS)
+def test_blocks_on_threads_equal_the_serial_blocks_bit_for_bit(manifold, h, n, score,
+                                                               helpers, monkeypatch):
+    """A streamed call whose blocks run on the calling thread and helpers
+    returns the estimates and flags of the blocks run one after another in
+    the test, bit for bit: the sample against itself, leave-one-out, and
+    queries apart from the sample."""
+    rng = np.random.default_rng(61)
+    sample, queries = random_points(manifold, rng, n), random_points(manifold, rng, 700)
+    columns = rng.normal(size=(n, 2))
+    columns[:, 1] += 3.0 * sample[:, 0]
+    log = _first_two_blocks_on_two_threads(monkeypatch)
+    for q, loo in ((None, False), (None, True), (queries, False)):
+        log.clear()
+        est, flags = smooth_columns(manifold, h, sample, columns, score, queries=q,
+                                    leave_one_out=loo)
+        assert len({thread for thread, _ in log}) > 1
+        want_est, want_flags = _serial_smooth(manifold, h, sample, columns, score, q, loo)
+        assert np.array_equal(est, want_est)
+        assert np.array_equal(flags, want_flags)
+
+
+def test_empty_windows_in_blocks_on_two_threads_raise_the_serial_error(helpers, monkeypatch):
+    """Point 0 (angle 0.2, 0.8 from the nearest other) lies in the first
+    key-sorted block and point 301 (angle 2.6, 0.6 from it) in the second,
+    run by different threads.  The error names both, with the bandwidth
+    that would cover them, and its message is the serial generator's."""
+    angles = np.concatenate([[0.2], np.linspace(1.0, 2.0, 300), [2.6],
+                             np.linspace(3.2, 4.2, 398)])
+    sample = circle_coords(angles)
+    with pytest.raises(EmptyWindowError) as serial:
+        list(window_weights(CIR, 0.3, sample, sample, leave_one_out=True))
+    log = _first_two_blocks_on_two_threads(monkeypatch)
+    with pytest.raises(EmptyWindowError) as threaded:
+        smooth_columns(CIR, 0.3, sample, angles, ScoreFunction.huber(), leave_one_out=True)
+    caller, first = log[0]
+    assert first[0] == 0 and 301 not in first
+    assert all(thread is not caller for thread, rows in log if 301 in rows)
+    assert threaded.value.indices == serial.value.indices == [0, 301]
+    assert threaded.value.nearest_distance == serial.value.nearest_distance
+    assert threaded.value.nearest_distance == pytest.approx(0.8, abs=1e-12)
+    assert str(threaded.value) == str(serial.value)
+
+
+def test_unconverged_rows_on_two_threads_raise_the_serial_error(helpers, monkeypatch):
+    """With one iteration allowed, rows of the blocks run by the caller and
+    by a helper run out: one ConvergenceError lists the rows the serial
+    blocks flag, with the serial message."""
+    monkeypatch.setattr(_kernels, "LOCAL_MAX_ITERATIONS", 1)
+    rng = np.random.default_rng(62)
+    sample = random_points(CYL, rng, 600)
+    values = rng.normal(size=(600, 2)) + np.linspace(0, 5, 600)[:, None]
+    _, flags = _serial_smooth(CYL, 0.8, sample, values, ScoreFunction.bisquare(), None, False)
+    stuck = np.flatnonzero((flags == 2).any(axis=1)).tolist()
+    log = _first_two_blocks_on_two_threads(monkeypatch)
+    with pytest.raises(ConvergenceError) as err:
+        smooth_columns(CYL, 0.8, sample, values, ScoreFunction.bisquare())
+    assert err.value.indices == stuck
+    assert str(err.value) == f"local smoothing did not converge at query indices {stuck}"
+    by_thread = {}
+    for thread, rows in log:
+        by_thread.setdefault(thread, []).extend(rows)
+    assert len(by_thread) > 1
+    assert all(np.isin(stuck, rows).any() for rows in by_thread.values())
+
+
+@pytest.mark.parametrize("failing", ["helper", "caller"])
+def test_an_engine_error_on_one_thread_reaches_the_caller_after_every_thread_stops(
+        failing, helpers, monkeypatch):
+    """A solve that raises on one block, in a helper or in the caller: the
+    caller gets that error once no block is being solved on any thread, and
+    the next call succeeds."""
+    rng = np.random.default_rng(63)
+    sample, values = random_points(CYL, rng, 1200), rng.normal(size=1200)
+    solve, caller, lock, running = _kernels.local_m_rows, threading.current_thread(), \
+        threading.Lock(), [0]
+
+    def failing_once(*args):
+        with lock:
+            running[0] += 1
+        try:
+            if (threading.current_thread() is caller) == (failing == "caller") \
+                    and not failed.is_set():
+                failed.set()
+                raise FloatingPointError("engine failed")
+            return solve(*args)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    failed = threading.Event()
+    _first_two_blocks_on_two_threads(monkeypatch)
+    monkeypatch.setattr(_kernels, "local_m_rows", failing_once)
+    with pytest.raises(FloatingPointError, match="engine failed"):
+        smooth_columns(CYL, 0.8, sample, values, ScoreFunction.huber())
+    assert failed.is_set() and running[0] == 0
+    est, _ = smooth_columns(CYL, 0.8, sample, values, ScoreFunction.huber())
+    want, _ = _serial_smooth(CYL, 0.8, sample, values[:, None], ScoreFunction.huber(),
+                             None, False)
+    assert np.array_equal(est, want)
+
+
+def test_callers_on_more_threads_than_cpus_share_the_helpers(helpers):
+    """Six threads smooth at once through the shared pool with a shortened
+    switch interval; a lost update to a call's plan would skip or repeat a
+    block.  Every call returns the serial estimates, within a time bound."""
+    rng = np.random.default_rng(65)
+    sample, columns = random_points(CYL, rng, 1200), rng.normal(size=(1200, 2))
+    want = [_serial_smooth(CYL, 0.8, sample, columns, score, None, False)[0]
+            for score in BUILTIN_SCORES]
+    got = [None] * 6
+
+    def call(i):
+        got[i] = smooth_columns(CYL, 0.8, sample, columns, BUILTIN_SCORES[i % 3])[0]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(np.array_equal(got[i], want[i % 3]) for i in range(6))
+
+
+def test_one_usable_cpu_starts_no_helper(monkeypatch):
+    """Under an affinity of one CPU a streamed call runs in the caller
+    alone: no pool is made and no thread starts.  Without an affinity call
+    the CPU count is used."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    smoother._helper_pool.cache_clear()
+    assert smoother._usable_cpus() == 1
+    rng = np.random.default_rng(64)
+    sample, values = random_points(CYL, rng, 1200), rng.normal(size=1200)
+    threads = set(threading.enumerate())
+    for score in (ScoreFunction.identity(), ScoreFunction.huber()):
+        smooth_columns(CYL, 0.8, sample, values, score)
+    assert set(threading.enumerate()) <= threads
+    assert smoother._helper_pool.cache_info().currsize == 0
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert smoother._usable_cpus() == 5
+
+
+def _fit_in_child(ds, out):
+    out.put(plm.fit(ds, 0.8).beta.tolist())
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="fork after numpy and threads is supported on Linux only")
+def test_a_forked_child_makes_its_own_helpers(helpers):
+    """A child forked after the parent ran a streamed fit inherits a pool
+    whose threads did not survive the fork; it makes its own and returns
+    the parent's coefficients."""
+    ds = simulation.generate_sample(600, "C1", simulation.replication_rng(7, 0)).dataset
+    beta = plm.fit(ds, 0.8).beta.tolist()
+    assert smoother._helper_pool.cache_info().currsize == 1
+    fork = multiprocessing.get_context("fork")
+    out = fork.Queue()
+    child = fork.Process(target=_fit_in_child, args=(ds, out))
+    child.start()
+    try:
+        got = out.get(timeout=60)
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+    assert got == beta
+
+
+def test_a_streamed_campaign_on_two_workers_equals_one_worker(helpers):
+    """At n = 300 every smoothing call streams its blocks; two replication
+    threads share the one helper pool and reproduce one worker's
+    coefficients, bandwidths and errors bit for bit."""
+    runs = [simulation.run_campaign(simulation.SimulationConfig(
+        n=300, replications=4, contamination="C1", bandwidth=0.8, master_seed=5,
+        workers=workers)) for workers in (1, 2)]
+    for mode in runs[0].config.modes:
+        for attr in ("beta", "mse_g", "bandwidth"):
+            assert np.array_equal(getattr(runs[0].results[mode], attr),
+                                  getattr(runs[1].results[mode], attr))
+    assert runs[0].failures == runs[1].failures
