@@ -68,7 +68,13 @@ def default_grid(dataset: PLMDataset) -> np.ndarray:
     pairwise distances (``np.quantile``'s bit for bit, from two passes over
     ``pair_distance_blocks``: no n x n array) up to 0.9 x ``injectivity_radius``
     (0.9 x the largest pairwise distance on unbounded domains)."""
-    m, t = dataset.manifold, dataset.t
+    return _grid(dataset, lambda: pair_distance_blocks(dataset.manifold, dataset.t))
+
+
+def _grid(dataset: PLMDataset, pair_blocks) -> np.ndarray:
+    """``default_grid`` from ``pair_blocks()``, called twice: each call yields
+    the positive distances of the pairs i < j in blocks."""
+    t = dataset.t
     # d <= pi/2 x chord on every kind; the bound only sizes the bins (larger d is clipped)
     bound = np.pi * float(np.linalg.norm(t - t[0], axis=1).max())
     scale = _QUANTILE_BINS / bound if bound > 0 else 0.0
@@ -76,8 +82,7 @@ def default_grid(dataset: PLMDataset) -> np.ndarray:
     def bins(d):  # monotone in d, so a lower bin holds only smaller distances
         return np.minimum(d * scale, _QUANTILE_BINS - 1).astype(np.intp)
 
-    counts = sum(np.bincount(bins(d), minlength=_QUANTILE_BINS)
-                 for d in pair_distance_blocks(m, t))
+    counts = sum(np.bincount(bins(d), minlength=_QUANTILE_BINS) for d in pair_blocks())
     pairs = int(counts.sum())
     if pairs == 0:
         raise ValueError("all manifold covariates coincide; no usable grid")
@@ -86,12 +91,11 @@ def default_grid(dataset: PLMDataset) -> np.ndarray:
     cumulative = np.cumsum(counts)
     # the bins of ranks k and k + 1 (any bin between is empty) and the top one (largest d)
     wanted = [*np.searchsorted(cumulative, [k, k + 1], side="right"), np.flatnonzero(counts)[-1]]
-    kept = np.sort(np.concatenate([d[np.isin(bins(d), wanted)]
-                                   for d in pair_distance_blocks(m, t)]))
+    kept = np.sort(np.concatenate([d[np.isin(bins(d), wanted)] for d in pair_blocks()]))
     below = cumulative[wanted[0]] - counts[wanted[0]]
     a, b = kept[k - below], kept[min(k + 1, pairs - 1) - below]
     lo = float(lerp(a, b, index - k))
-    inj = injectivity_radius(m)
+    inj = injectivity_radius(dataset.manifold)
     hi = 0.9 * (inj if np.isfinite(inj) else float(kept[-1]))
     if lo >= hi:
         lo = hi / 4.0
@@ -141,16 +145,22 @@ def select_bandwidth(dataset: PLMDataset, grid=None, mode: str = "robust",
     scale-free and blind to oversmoothing.  Ties break toward the smallest
     bandwidth.  ``grid=None`` uses the ``default_grid`` candidates; a given
     grid goes through ``check_grid``.  A sample that is one block
-    (n^2 <= ``BLOCK_CELLS``) shares one distance matrix across the grid; a
-    larger one streams its blocks, the default grid's too.  Returns (h_star,
-    diagnostics); raises InfeasibleGridError when nothing on the grid works,
-    its message ending in the largest candidate's reason and ``reasons``
-    holding every candidate's.
+    (n^2 <= ``BLOCK_CELLS``) shares one distance matrix across the grid and
+    the default grid; a larger one streams its blocks, the default grid's
+    too.  Returns (h_star, diagnostics); raises InfeasibleGridError when
+    nothing on the grid works, its message ending in the largest
+    candidate's reason and ``reasons`` holding every candidate's.
     """
     local_score, gm = mode_configs(mode, local_score, gm)
-    grid = default_grid(dataset) if grid is None else check_grid(dataset.manifold, grid)
+    grid = None if grid is None else check_grid(dataset.manifold, grid)
     distances = (pairwise_distances(dataset.manifold, dataset.t)
                  if dataset.n ** 2 <= BLOCK_CELLS else None)
+    if grid is None and distances is None:
+        grid = default_grid(dataset)
+    elif grid is None:  # the matrix's pairs i < j: pair_distance_blocks' one block, bit for bit
+        i = np.arange(dataset.n)
+        pairs = distances[(i > i[:, None]) & (distances > 0)]
+        grid = _grid(dataset, lambda: [pairs])
 
     diagnostics: list[GridPointDiagnostic] = []
     pilot_scale = None

@@ -7,6 +7,7 @@ form s^2 A^{-1} Sigma A^{-1} / n with
     Sigma = [(1/n) sum_i psi(e_i/s)^2] (1/n) sum_i w1(||eta_i||)^2 eta_i eta_i'
 
 estimated by plugging in fitted residuals and smoothed covariate residuals.
+A is ``robust_linear.slope_sum`` / n, the matrix of the regression's Newton steps.
 With the identity score and unit weights this collapses to the classical
 least-squares covariance.
 
@@ -24,6 +25,7 @@ import numpy as np
 
 from .errors import DegenerateTestError, SingularMatrixError
 from .plm import PLMFit
+from .robust_linear import slope_sum
 
 _COND_LIMIT = 1e12
 
@@ -103,7 +105,7 @@ def estimate_covariance(fit: PLMFit) -> AsymptoticCovariance:
 
     norms = np.linalg.norm(eta, axis=1)
     w = w1.weights(norms, fit.regression.w1_cutoff)
-    A = _sym((eta * (score.psi_prime(u) * w)[:, None]).T @ eta / n)
+    A = _sym(slope_sum(eta, u, score, w) / n)
     M = _sym((eta * (w ** 2)[:, None]).T @ eta / n)
     Sigma = float(np.mean(score.psi(u) ** 2)) * M
 

@@ -4,11 +4,11 @@ Solves the weighted score equation
 
     sum_i psi((r_i - eta_i' beta) / s_n) w1(||eta_i||) eta_i = 0
 
-by iteratively reweighted least squares.  The scale s_n is the residual MAD,
-re-estimated at every reweighting step (a scale frozen at the least-squares
-start inherits that start's vulnerability to outliers).  With the identity
-score and w1 = 1 the solution is ordinary least squares, returned without
-reweighting.
+by Newton steps (Huber, while a guard holds) or iteratively reweighted least
+squares.  The scale s_n is the residual MAD, re-estimated after every step
+(a scale frozen at the least-squares start inherits that start's
+vulnerability to outliers).  With the identity score and w1 = 1 the
+solution is ordinary least squares, returned without reweighting.
 """
 
 from __future__ import annotations
@@ -63,7 +63,10 @@ class WeightFunction:
         if self.name == "one":
             return None
         if isinstance(self.cutoff, str):
-            return float(quantile(norms, 0.95))
+            q95 = float(quantile(norms, 0.95))
+            if q95 <= 0.0:  # eta = 0 on more than 95% of the rows
+                raise DegenerateScaleError("the 0.95 quantile of the design-row norms is zero")
+            return q95
         return float(self.cutoff)
 
     def weights(self, norms, cutoff: float | None = None) -> np.ndarray:
@@ -78,7 +81,7 @@ class WeightFunction:
 class GMConfig:
     """Configuration of the regression M-step: the score and the design
     weight.  The start is least squares and the scale is the residual MAD,
-    re-estimated at every reweighting step.
+    re-estimated after every step.
     """
 
     score: ScoreFunction = field(default_factory=ScoreFunction.huber)
@@ -152,14 +155,48 @@ def ols_estimate(r, eta) -> RegressionResult:
     return RegressionResult(beta, residual_scale_or_zero(residuals), residuals, 0)
 
 
+def slope_sum(eta, u, score: ScoreFunction, w) -> np.ndarray:
+    """sum_i w_i psi'(u_i) eta_i eta_i': the Newton steps' H, and n times the sandwich's A."""
+    return (eta * (score.psi_prime(u) * w)[:, None]).T @ eta
+
+
+def _newton(r, eta, wd, score, beta, res, s, exact_tol):
+    """Newton steps from (beta, res, s) while H is positive definite and each
+    step is shorter than the last: (beta, scale, residuals), or None where
+    that guard fails, and the steps taken.  The scale lags beta, so the steps
+    shrink linearly: the solve stops one step after a step below GM_TOL."""
+    last, close = np.inf, False
+    for it in range(1, GM_MAX_ITERATIONS + 1):
+        u = res / s
+        H = slope_sum(eta, u, score, wd)
+        lam = np.linalg.eigvalsh(H)  # ascending
+        if not lam[0] > 1e-16 * lam[-1]:  # not positive definite to rounding (or NaN)
+            return None, it - 1
+        step = s * np.linalg.solve(H, eta.T @ (wd * score.psi(u)))
+        size = float(np.linalg.norm(step))
+        if not size < last:
+            return None, it - 1
+        beta, last = beta + step, size
+        res = r - eta @ beta
+        if np.max(np.abs(res)) <= exact_tol:
+            return (beta, 0.0, res), it
+        s = residual_scale_or_zero(res)
+        if s == 0.0:
+            return None, it
+        if close:
+            return (beta, s, res), it
+        close = size / max(1.0, np.linalg.norm(beta)) < GM_TOL
+    return None, GM_MAX_ITERATIONS
+
+
 def gm_estimate(r, eta, config: GMConfig | None = None) -> RegressionResult:
-    """Solve the weighted regression score equation by reweighted least squares.
+    """Solve the weighted regression score equation from least squares.
 
     The identity score with w1 = 1 returns the least-squares start itself.
     An exact linear fit is returned immediately with zero residuals, since it
     solves the score equation exactly.  The MAD scale shrinks with the
     residuals across iterations, so a contaminated least-squares start does
-    not poison the influence bound.
+    not poison the influence bound.  ``iterations`` counts every step.
     """
     config = config or GMConfig()
     r, eta = _check_design(r, eta)
@@ -177,6 +214,11 @@ def gm_estimate(r, eta, config: GMConfig | None = None) -> RegressionResult:
         return RegressionResult(beta, 0.0, res, 0, cutoff)
     s = residual_scale(res)
 
+    solved, taken = (_newton(r, eta, wd, config.score, beta, res, s, exact_tol)
+                     if config.score.code == 1 else (None, 0))
+    if solved is not None:
+        return RegressionResult(*solved, taken, cutoff)
+
     last_step = np.inf
     for it in range(1, GM_MAX_ITERATIONS + 1):
         w = wd * config.score.weight(res / s)
@@ -190,14 +232,13 @@ def gm_estimate(r, eta, config: GMConfig | None = None) -> RegressionResult:
         beta = beta_new
         res = r - eta @ beta
         if np.max(np.abs(res)) <= exact_tol:
-            return RegressionResult(beta, 0.0, res, it, cutoff)
+            return RegressionResult(beta, 0.0, res, taken + it, cutoff)
         s = residual_scale(res)
         if last_step < GM_TOL:
-            return RegressionResult(beta, s, res, it, cutoff)
+            return RegressionResult(beta, s, res, taken + it, cutoff)
     raise ConvergenceError(
         f"reweighting did not converge in {GM_MAX_ITERATIONS} iterations "
         f"(last relative step {last_step:.3e})",
         last_iterate=beta,
         residual=last_step,
     )
-

@@ -250,6 +250,37 @@ def test_streamed_default_grid_equals_the_full_quantile_bit_for_bit(manifold, n,
     assert np.array_equal(default_grid(ds), _reference_grid(ds))
 
 
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+@pytest.mark.parametrize("n", [2, 3, 4, 200, 256])
+@pytest.mark.parametrize("manifold", _KINDS, ids=_KIND_IDS)
+def test_one_block_sweep_scores_the_default_grid_bit_for_bit(manifold, n, ties):
+    """With no grid, a one-block sample takes the default grid's pairs from
+    its shared matrix: the candidates are default_grid's, bit for bit."""
+    ds = _grid_case(manifold, n, 31 + n, ties)
+    try:
+        scored = [d.h for d in select_bandwidth(ds, mode="classical")[1]]
+    except InfeasibleGridError as err:
+        scored = list(err.reasons)
+    assert np.array_equal(scored, default_grid(ds))
+
+
+def test_a_one_block_sweep_computes_the_pair_distances_once(monkeypatch):
+    """The default grid's percentile and every candidate read one matrix."""
+    from plmanifold import manifold, smoother
+
+    shapes, cross = [], manifold.cross_distances
+
+    def recording(m, a, b):
+        shapes.append((a.shape[0], b.shape[0]))
+        return cross(m, a, b)
+
+    monkeypatch.setattr(manifold, "cross_distances", recording)
+    monkeypatch.setattr(smoother, "cross_distances", recording)
+    ds = generate_sample(200, "C1", replication_rng(6, 0)).dataset
+    select_bandwidth(ds)
+    assert shapes == [(200, 200)]
+
+
 @pytest.mark.parametrize("manifold, n, scale", [(CYL, 2000, 1.0), (_KINDS[3], 600, 1e-6),
                                                 (_KINDS[3], 600, 1e6)],
                          ids=["cylinder-2000", "euclidean-1e-6", "euclidean-1e6"])

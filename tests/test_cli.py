@@ -327,6 +327,27 @@ def test_exit_code_3_on_numerical_errors(tmp_path):
                    "--bandwidth", "0.001", "--out", str(out)) == 3
 
 
+@pytest.mark.parametrize("bandwidth", [None, "0.8"])
+def test_q95_weights_of_a_rare_binary_covariate_are_a_numerical_error(tmp_path, capsys,
+                                                                       bandwidth):
+    """8 ones in 200 rows: eta = 0 on more than 95% of them, so the q95
+    design-weight cutoff is 0; every CV candidate and the fit fail with
+    DegenerateScaleError and the run exits 3, not 2."""
+    rng = np.random.default_rng(5)
+    n = 200
+    x = np.zeros(n)
+    x[rng.choice(n, 8, replace=False)] = 1.0
+    angle, height = rng.uniform(0, 360.0, n), rng.uniform(0, 1, n)
+    y = 2.0 * x + np.cos(np.radians(angle)) + rng.normal(size=n)
+    data = tmp_path / "rare.csv"
+    write_csv(data, zip(y, x, angle, height))
+    choice = ["--bandwidth", bandwidth] if bandwidth else []
+    assert run_cli("fit", "--input", str(data), "--map", MAPPING, "--mode", "robust",
+                   "--w1", "huber:q95", *choice, "--out", str(tmp_path / "r.json")) == 3
+    assert "DegenerateScaleError: the 0.95 quantile of the design-row norms is zero" in (
+        capsys.readouterr().err)
+
+
 def test_fit_both_modes_with_injected_outliers(tmp_path):
     # outlier-sensitivity workflow: inject two gross outliers, fit both modes
     rng = np.random.default_rng(31)

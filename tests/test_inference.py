@@ -120,6 +120,27 @@ def test_noise_free_robust_fit_has_zero_se_in_any_units(score, c):
     assert np.all(estimate_covariance(fitted).se == 0.0)
 
 
+@pytest.mark.parametrize("gm", [GMConfig(), GMConfig(score=ScoreFunction.bisquare(),
+                                                   w1=WeightFunction.huber("q95"))],
+                         ids=["huber", "bisquare-q95"])
+def test_A_is_the_slope_sum_of_the_fit_over_n(gm):
+    """A_hat = (1/n) sum_i w1(||eta_i||) psi'(e_i / s) eta_i eta_i', row by row."""
+    ds, _ = random_cylinder_dataset(8, n=120, p=2)
+    f = fit(ds, 1.2, gm=gm)
+    eta = ds.x - f.phi_hat
+    c = gm.score.c
+    A = np.zeros((2, 2))
+    for e, row in zip(f.residuals / f.scale, eta):
+        if gm.score.code == 1:
+            slope = float(abs(e) < c)
+        else:
+            slope = (1 - (e / c) ** 2) * (1 - 5 * (e / c) ** 2) if abs(e) < c else 0.0
+        norm = np.linalg.norm(row)
+        w = 1.0 if gm.w1.name == "one" else min(1.0, f.regression.w1_cutoff / norm)
+        A += w * slope * np.outer(row, row)
+    assert np.allclose(estimate_covariance(f).A_hat, A / ds.n, rtol=1e-12, atol=0.0)
+
+
 def test_singular_A_detected():
     rng = np.random.default_rng(1)
     col = rng.normal(size=20)

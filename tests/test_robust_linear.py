@@ -288,3 +288,79 @@ def test_classical_config_returns_least_squares_exactly():
     r = eta @ np.array([1.0, -2.0, 0.5]) + rng.standard_t(2, size=60)
     res = gm_estimate(r, eta, CLASSICAL_GM)
     assert np.array_equal(res.beta, ols_estimate(r, eta).beta)
+
+
+# ------------------------------------------------------- Huber Newton steps
+
+
+def reweighting(r, eta, config, tol=robust_linear.GM_TOL, max_iterations=100):
+    """Plain reweighted least squares from the least-squares start, with the
+    MAD scale re-estimated after every step: at the default tolerance the
+    loop gm_estimate falls back to, operation for operation."""
+    beta = ols_estimate(r, eta).beta
+    res = r - eta @ beta
+    norms = np.linalg.norm(eta, axis=1)
+    wd = config.w1.weights(norms, config.w1.resolve_cutoff(norms))
+    s = residual_scale(res)
+    for it in range(1, max_iterations + 1):
+        sw = np.sqrt(wd * config.score.weight(res / s))
+        beta_new, *_ = np.linalg.lstsq(eta * sw[:, None], r * sw, rcond=None)
+        step = np.linalg.norm(beta_new - beta) / max(1.0, np.linalg.norm(beta_new))
+        beta = beta_new
+        res = r - eta @ beta
+        s = residual_scale(res)
+        if step < tol:
+            return beta, s, it
+    raise AssertionError("the plain reweighting did not converge")
+
+
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("w1", [WeightFunction.one(), WeightFunction.huber("q95")])
+def test_huber_newton_steps_reach_the_plain_reweighting_root(p, w1):
+    rng = np.random.default_rng(40 + p)
+    eta = rng.normal(size=(200, p))
+    eta[:5] *= 10.0  # leverage rows, which q95 downweights
+    r = eta @ np.linspace(1.0, -2.0, p) + rng.standard_t(2, size=200)
+    config = GMConfig(w1=w1)
+    beta, scale, _ = reweighting(r, eta, config, tol=1e-14, max_iterations=1000)
+    res = gm_estimate(r, eta, config)
+    assert np.linalg.norm(res.beta - beta) <= 1e-8 * np.linalg.norm(beta)
+    assert res.scale == pytest.approx(scale, rel=1e-8)
+    assert res.iterations < reweighting(r, eta, config)[2]
+
+
+def test_huber_newton_falls_back_to_reweighting_bit_for_bit():
+    """On this Cauchy problem plain Newton steps (the slope sum stays
+    positive definite) run out of GM_MAX_ITERATIONS; the guard stops them
+    when a step grows, and the solve is the reweighting's."""
+    rng = np.random.default_rng(1)
+    eta = rng.normal(size=(50, 1))
+    r = 2.0 * eta[:, 0] + rng.standard_cauchy(50)
+    config = GMConfig()
+    start = ols_estimate(r, eta)
+    beta, res = start.beta, start.residuals
+    s = residual_scale(res)
+    for _ in range(robust_linear.GM_MAX_ITERATIONS):  # unguarded Newton steps
+        u = res / s
+        H = (eta * (np.abs(u) < config.score.c)[:, None]).T @ eta
+        step = s * np.linalg.solve(H, eta.T @ np.clip(u, -config.score.c, config.score.c))
+        beta = beta + step
+        res = r - eta @ beta
+        s = residual_scale(res)
+        if np.linalg.norm(step) / max(1.0, np.linalg.norm(beta)) < robust_linear.GM_TOL:
+            pytest.fail("the unguarded Newton steps converged")
+    beta, scale, steps = reweighting(r, eta, config)
+    res = gm_estimate(r, eta, config)
+    assert np.array_equal(res.beta, beta) and res.scale == scale
+    # the guard stopped the Newton steps early, and they count
+    assert steps < res.iterations < steps + robust_linear.GM_MAX_ITERATIONS
+
+
+def test_q95_cutoff_of_zero_is_a_degenerate_scale():
+    """More than 95% of the design rows at eta = 0: no q95 cutoff."""
+    rng = np.random.default_rng(3)
+    eta = np.zeros((200, 1))
+    eta[:8, 0] = 1.0
+    r = eta[:, 0] + rng.normal(size=200)
+    with pytest.raises(DegenerateScaleError, match="0.95 quantile of the design-row norms"):
+        gm_estimate(r, eta, GMConfig(w1=WeightFunction.huber("q95")))
