@@ -166,7 +166,8 @@ def newton_rows(W, V, scale, c):
     u = np.empty(W.shape)
     for _ in range(LOCAL_MAX_ITERATIONS):
         np.subtract(V, m[:, None], out=u)
-        np.divide(u, scale[:, None], out=u)
+        with np.errstate(over="ignore"):  # a tiny MAD: u = +-inf, which psi clips to +-c
+            np.divide(u, scale[:, None], out=u)
         active = np.abs(u) < c
         g = np.einsum("ij,ij->i", W, huber_psi(u, c))
         lo = np.where(g > 0.0, m, lo)
@@ -211,7 +212,11 @@ def reweight_rows(W, V, scale, c):
     q = np.empty(W.shape)
     for _ in range(LOCAL_MAX_ITERATIONS):
         np.subtract(V, m[:, None], out=u)
-        u /= scale[:, None]
+        try:
+            with np.errstate(over="raise"):
+                u /= scale[:, None]
+        except FloatingPointError:  # a tiny MAD: u = +-inf, and q u = 0 inf; clipped
+            np.clip(u, -c, c, out=u)  # to +-c, u keeps every q and q u, finite
         bisquare_q(u, c, out=q)
         wq = np.einsum("ij,ij->i", W, q)
         q *= q

@@ -22,11 +22,10 @@ from .errors import (
     InfeasibleGridError,
     SingularDesignError,
 )
-from .manifold import (BLOCK_CELLS, Manifold, injectivity_radius, pair_distance_blocks,
-                       pairwise_distances)
+from .manifold import Manifold, injectivity_radius, pair_distance_blocks
 from .plm import PLMDataset, mode_configs, smooth_dataset
 from .robust_linear import GMConfig, gm_estimate, residual_scale_or_zero
-from .smoother import ScoreFunction, check_bandwidth
+from .smoother import ScoreFunction, check_bandwidth, only_entry
 
 _FAILURE_KINDS = (EmptyWindowError, ConvergenceError, DegenerateScaleError,
                   SingularDesignError)
@@ -68,12 +67,6 @@ def default_grid(dataset: PLMDataset) -> np.ndarray:
     pairwise distances (``np.quantile``'s bit for bit, from two passes over
     ``pair_distance_blocks``: no n x n array) up to 0.9 x ``injectivity_radius``
     (0.9 x the largest pairwise distance on unbounded domains)."""
-    return _grid(dataset, lambda: pair_distance_blocks(dataset.manifold, dataset.t))
-
-
-def _grid(dataset: PLMDataset, pair_blocks) -> np.ndarray:
-    """``default_grid`` from ``pair_blocks()``, called twice: each call yields
-    the positive distances of the pairs i < j in blocks."""
     t = dataset.t
     # d <= pi/2 x chord on every kind; the bound only sizes the bins (larger d is clipped)
     bound = np.pi * float(np.linalg.norm(t - t[0], axis=1).max())
@@ -82,7 +75,8 @@ def _grid(dataset: PLMDataset, pair_blocks) -> np.ndarray:
     def bins(d):  # monotone in d, so a lower bin holds only smaller distances
         return np.minimum(d * scale, _QUANTILE_BINS - 1).astype(np.intp)
 
-    counts = sum(np.bincount(bins(d), minlength=_QUANTILE_BINS) for d in pair_blocks())
+    counts = sum(np.bincount(bins(d), minlength=_QUANTILE_BINS)
+                 for d in pair_distance_blocks(dataset.manifold, t))
     pairs = int(counts.sum())
     if pairs == 0:
         raise ValueError("all manifold covariates coincide; no usable grid")
@@ -91,7 +85,8 @@ def _grid(dataset: PLMDataset, pair_blocks) -> np.ndarray:
     cumulative = np.cumsum(counts)
     # the bins of ranks k and k + 1 (any bin between is empty) and the top one (largest d)
     wanted = [*np.searchsorted(cumulative, [k, k + 1], side="right"), np.flatnonzero(counts)[-1]]
-    kept = np.sort(np.concatenate([d[np.isin(bins(d), wanted)] for d in pair_blocks()]))
+    kept = np.sort(np.concatenate([d[np.isin(bins(d), wanted)]
+                                   for d in pair_distance_blocks(dataset.manifold, t)]))
     below = cumulative[wanted[0]] - counts[wanted[0]]
     a, b = kept[k - below], kept[min(k + 1, pairs - 1) - below]
     lo = float(lerp(a, b, index - k))
@@ -100,15 +95,6 @@ def _grid(dataset: PLMDataset, pair_blocks) -> np.ndarray:
     if lo >= hi:
         lo = hi / 4.0
     return np.geomspace(lo, hi, _GRID_SIZE)
-
-
-def _loo_prediction_residuals(dataset: PLMDataset, h: float, local_score: ScoreFunction,
-                              gm: GMConfig, distances: np.ndarray) -> np.ndarray:
-    _, resid, _ = smooth_dataset(dataset, h, local_score, leave_one_out=True,
-                                 distances=distances)
-    if dataset.p == 0:
-        return resid[:, 0]
-    return gm_estimate(resid[:, 0], resid[:, 1:], gm).residuals
 
 
 def _criterion(residuals: np.ndarray, mode: str, scale: float) -> float:
@@ -144,29 +130,23 @@ def select_bandwidth(dataset: PLMDataset, grid=None, mode: str = "robust",
     bandwidth; a per-candidate scale would make the criterion nearly
     scale-free and blind to oversmoothing.  Ties break toward the smallest
     bandwidth.  ``grid=None`` uses the ``default_grid`` candidates; a given
-    grid goes through ``check_grid``.  A sample that is one block
-    (n^2 <= ``BLOCK_CELLS``) shares one distance matrix across the grid and
-    the default grid; a larger one streams its blocks, the default grid's
-    too.  Returns (h_star, diagnostics); raises InfeasibleGridError when
+    grid goes through ``check_grid``.  The whole grid is one leave-one-out
+    ``smooth_dataset`` call, whose block plan decides what the candidates
+    share.  Returns (h_star, diagnostics); raises InfeasibleGridError when
     nothing on the grid works, its message ending in the largest
     candidate's reason and ``reasons`` holding every candidate's.
     """
     local_score, gm = mode_configs(mode, local_score, gm)
-    grid = None if grid is None else check_grid(dataset.manifold, grid)
-    distances = (pairwise_distances(dataset.manifold, dataset.t)
-                 if dataset.n ** 2 <= BLOCK_CELLS else None)
-    if grid is None and distances is None:
-        grid = default_grid(dataset)
-    elif grid is None:  # the matrix's pairs i < j: pair_distance_blocks' one block, bit for bit
-        i = np.arange(dataset.n)
-        pairs = distances[(i > i[:, None]) & (distances > 0)]
-        grid = _grid(dataset, lambda: [pairs])
+    grid = default_grid(dataset) if grid is None else check_grid(dataset.manifold, grid)
+    entries = smooth_dataset(dataset, grid, local_score, leave_one_out=True)
 
     diagnostics: list[GridPointDiagnostic] = []
     pilot_scale = None
-    for h in grid:
+    for h, entry in zip(grid, entries):
         try:
-            res = _loo_prediction_residuals(dataset, float(h), local_score, gm, distances)
+            _, resid, _ = only_entry([entry])
+            res = resid[:, 0] if dataset.p == 0 else gm_estimate(
+                resid[:, 0], resid[:, 1:], gm).residuals
             if pilot_scale is None:
                 pilot_scale = residual_scale_or_zero(res)
             diagnostics.append(GridPointDiagnostic(

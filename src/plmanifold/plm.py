@@ -22,7 +22,7 @@ from .robust_linear import (
     gm_estimate,
     residual_scale_or_zero,
 )
-from .smoother import ScoreFunction, check_bandwidth, smooth_columns
+from .smoother import ScoreFunction, check_bandwidth, only_entry, smooth_columns
 
 MODES = ("robust", "classical")
 
@@ -104,28 +104,29 @@ class PLMFit:
         return predict_g(self, t)
 
 
-def smooth_dataset(dataset: PLMDataset, h: float, score: ScoreFunction,
-                   queries: np.ndarray | None = None, *, leave_one_out: bool = False,
-                   distances: np.ndarray | None = None):
+def smooth_dataset(dataset: PLMDataset, bandwidths, score: ScoreFunction,
+                   queries: np.ndarray | None = None, *, leave_one_out: bool = False) -> list:
     """Smooth the response and every covariate column over the manifold at
-    bandwidth h with the local ``score``.
+    each of the ``bandwidths`` with the local ``score``, in one
+    ``smooth_columns`` call.
 
     Each column is smoothed as its offsets from the column median, so a large
     common offset in y or x costs one exact subtraction, not a rounding of
-    every estimate.  Returns (estimates, residuals, flags) with column 0 the
-    response.  Residuals are the offsets less their smoothed values, at the
-    sample points; with ``queries`` they are None.  ``leave_one_out`` and
-    ``distances``, the one block's queries x sample matrix, are those of
+    every estimate.  Returns one entry per bandwidth: (estimates, residuals,
+    flags) with column 0 the response, or the error ``smooth_columns``
+    gives for that bandwidth (`only_entry` raises a one-bandwidth call's).
+    Residuals are the offsets less their smoothed values, at the sample
+    points; with ``queries`` they are None.  ``leave_one_out`` is that of
     ``smooth_columns``.
     """
     columns = np.column_stack([dataset.y, dataset.x])
     centre = quantile(columns, axis=0)  # np.median's bits
     offsets = columns - centre
-    est, flags = smooth_columns(dataset.manifold, h, dataset.t, columns=offsets,
-                                score=score, queries=queries,
-                                leave_one_out=leave_one_out, distances=distances)
-    residuals = None if queries is not None else offsets - est
-    return est + centre, residuals, flags
+    entries = smooth_columns(dataset.manifold, bandwidths, dataset.t, columns=offsets,
+                             score=score, queries=queries, leave_one_out=leave_one_out)
+    return [entry if isinstance(entry, Exception) else
+            (entry[0] + centre, None if queries is not None else offsets - entry[0], entry[1])
+            for entry in entries]
 
 
 def mode_configs(mode: str, local_score: ScoreFunction | None = None,
@@ -157,7 +158,7 @@ def fit(dataset: PLMDataset, bandwidth: float, mode: str = "robust",
     local_score, gm = mode_configs(mode, local_score, gm)
     h = check_bandwidth(dataset.manifold, bandwidth)
 
-    est, resid, fl = smooth_dataset(dataset, h, local_score)
+    est, resid, fl = only_entry(smooth_dataset(dataset, [h], local_score))
     phi0 = est[:, 0]
     phi = est[:, 1:]
 
@@ -216,6 +217,7 @@ def predict_g(fit_result: PLMFit, t):
     coords = np.asarray(t, dtype=float)
     single = coords.ndim == 1
     queries = validate_coords(ds.manifold, coords, name="query")
-    est, _, _ = smooth_dataset(ds, fit_result.bandwidth, fit_result.local_score, queries)
+    est, _, _ = only_entry(smooth_dataset(ds, [fit_result.bandwidth], fit_result.local_score,
+                                          queries))
     g = est[:, 0] - est[:, 1:] @ fit_result.beta
     return float(g[0]) if single else g

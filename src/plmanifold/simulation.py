@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandwidth import check_choice, select_bandwidth
+from .bandwidth import check_choice, default_grid, select_bandwidth
 from .errors import CampaignError, ConfigError, PLMError
 from .manifold import Manifold, cylinder_coords
 from .plm import MODES, PLMDataset, fit
@@ -143,13 +143,16 @@ def _replicate(config: SimulationConfig, local_score: ScoreFunction | None,
     record, mse_g the in-sample error of g_hat; a failure is NaNs and its text."""
     sample = generate_sample(config.n, config.contamination,
                              replication_rng(config.master_seed, rep))
+    grid = config.cv_grid
+    if grid is None and config.bandwidth is None:  # one default grid for every mode
+        grid = default_grid(sample.dataset)
     out = {}
     for mode in config.modes:
         try:
             if config.bandwidth is not None:
                 h = float(config.bandwidth)
             else:
-                h, _ = select_bandwidth(sample.dataset, config.cv_grid, mode=mode,
+                h, _ = select_bandwidth(sample.dataset, grid, mode=mode,
                                         local_score=local_score, gm=gm)
             fitted = fit(sample.dataset, h, mode=mode, local_score=local_score, gm=gm)
             mse_g = float(np.mean((fitted.g_hat - sample.g_true) ** 2))

@@ -16,10 +16,12 @@ mmap and trim thresholds (`_keep_freed_memory`), so those arrays come from
 the heap and the pages the blocks free stay in the process for the next
 block instead of being returned and faulted back in.
 
-A `smooth_columns` call of more than one block runs on every usable CPU
-(the process's affinity, the one control): the caller and helpers from one
-thread pool take whole blocks and write their own rows, so the result is
-the serial one bit for bit, and memory is a block working set per thread.
+One `smooth_columns` call smooths a whole CV grid, and its block plan
+(`_block_plan`) alone decides what the bandwidths share.  A call of more
+than one block runs on every usable CPU (the process's affinity, the one
+control): the caller and helpers from one thread pool take whole blocks
+and write their own rows, so the result is the serial one bit for bit,
+and memory is a block working set per thread.
 """
 
 from __future__ import annotations
@@ -247,29 +249,31 @@ def _key_blocks(manifold: Manifold, h: float, queries: np.ndarray, sample: np.nd
         a = b
 
 
-def _block_plan(manifold, h, queries, sample, leave_one_out, distances):
-    """The (rows, cols, own) blocks of a call, as `window_weights` describes."""
+def _block_plan(manifold, hs, queries, sample, leave_one_out):
+    """(blocks, distances) of a call at the bandwidths ``hs``: blocks yields
+    (i, rows, cols, own), a block of hs[i] as in `window_weights`; distances
+    is the one block's queries x sample matrix, which every bandwidth weighs,
+    or None when each block builds its own."""
     if leave_one_out and queries is not sample:
         raise ValueError("leave_one_out needs the sample itself as the queries")
     nq, n = queries.shape[0], sample.shape[0]
-    if nq * n <= BLOCK_CELLS:
-        return iter([(slice(None), slice(None), np.arange(nq))] if nq else [])
-    if distances is None:
-        return _key_blocks(manifold, h, queries, sample)
-    raise ValueError(f"a given distance matrix must be one block: {nq} x {n} "
-                     f"cells exceed BLOCK_CELLS = {BLOCK_CELLS}")
+    if nq * n > BLOCK_CELLS:
+        return ((i, *block) for i, h in enumerate(hs)
+                for block in _key_blocks(manifold, h, queries, sample)), None
+    whole = [(i, slice(None), slice(None), np.arange(nq)) for i in range(len(hs) if nq else 0)]
+    return iter(whole), cross_distances(manifold, queries, sample)
 
 
-def _block_weights(manifold, h, queries, sample, leave_one_out, distances, block):
+def _block_weights(manifold, hs, queries, sample, leave_one_out, distances, block):
     """One block of `window_weights`: (W, totals, hollow, nearest), hollow the
     block's query indices whose window is empty and nearest the largest
     distance from one of them to the whole sample (0.0 if none)."""
-    rows, cols, own = block
+    i, rows, cols, own = block
     if distances is None:  # fresh distances, dropped here: the kernel reuses them
-        W = raw_weight_matrix(manifold, h, cross_distances(manifold, queries[rows],
-                                                           sample[cols]), overwrite=True)
-    else:
-        W = raw_weight_matrix(manifold, h, distances[rows])
+        W = raw_weight_matrix(manifold, hs[i], cross_distances(manifold, queries[rows],
+                                                               sample[cols]), overwrite=True)
+    else:  # the one block's, which the last bandwidth drops
+        W = raw_weight_matrix(manifold, hs[i], distances, overwrite=i == len(hs) - 1)
     if leave_one_out:
         W[np.arange(W.shape[0]), own] = 0.0
     totals = W.sum(axis=1)
@@ -279,8 +283,7 @@ def _block_weights(manifold, h, queries, sample, leave_one_out, distances, block
         chunk = max(1, BLOCK_CELLS // sample.shape[0])
         for a in range(0, hollow.size, chunk):
             part = hollow[a:a + chunk]
-            near = (cross_distances(manifold, queries[part], sample) if distances is None
-                    else distances[part])
+            near = cross_distances(manifold, queries[part], sample)
             if leave_one_out:
                 near[np.arange(part.size), part] = np.inf
             nearest = max(nearest, float(near.min(axis=1).max()))
@@ -298,7 +301,7 @@ def _empty_window_error(empty):
 
 
 def window_weights(manifold: Manifold, h: float, queries: np.ndarray, sample: np.ndarray,
-                   leave_one_out: bool = False, distances: np.ndarray | None = None):
+                   leave_one_out: bool = False):
     """Raw kernel weights of the query rows against the sample, one row block
     at a time.
 
@@ -306,12 +309,10 @@ def window_weights(manifold: Manifold, h: float, queries: np.ndarray, sample: np
     queries ``rows`` against the sample points ``cols``, zero off them, and
     totals its row sums.  A block is one of two kinds.  When every cell fits
     in one block (queries x sample <= ``BLOCK_CELLS``), the one block is
-    every query against every sample point, as slices, its distances
-    ``distances`` (the one block's queries x sample matrix) or built from
-    the coordinates; no query yields no block.  A larger call runs through
-    the queries in ``coordinate_key`` order, with index arrays from
-    `_key_blocks`; a given matrix larger than one block raises ValueError.
-    No array larger than a block is made.
+    every query against every sample point, as slices; no query yields no
+    block.  A larger call runs through the queries in ``coordinate_key``
+    order, with index arrays from `_key_blocks`.  No array larger than a
+    block is made.
     ``leave_one_out`` zeroes each query's weight on itself; it raises
     ValueError unless ``queries is sample``.  After the last block, raises
     EmptyWindowError whose ``indices`` list every query index whose window
@@ -321,13 +322,14 @@ def window_weights(manifold: Manifold, h: float, queries: np.ndarray, sample: np
     yielded once an empty window is found.
     """
     empty = []
-    for block in _block_plan(manifold, h, queries, sample, leave_one_out, distances):
-        W, totals, hollow, nearest = _block_weights(manifold, h, queries, sample,
+    plan, distances = _block_plan(manifold, [h], queries, sample, leave_one_out)
+    for block in plan:
+        W, totals, hollow, nearest = _block_weights(manifold, [h], queries, sample,
                                                     leave_one_out, distances, block)
         if hollow.size:
             empty.append((hollow, nearest))
         elif not empty:
-            yield block[0], block[1], W, totals
+            yield block[1], block[2], W, totals
     if empty:
         raise _empty_window_error(empty)
 
@@ -385,13 +387,15 @@ def local_m_estimate(weights, values, score: ScoreFunction, scale: float) -> flo
     return float(est[0])
 
 
-def smooth_columns(manifold: Manifold, h: float, sample: np.ndarray,
+def smooth_columns(manifold: Manifold, bandwidths, sample: np.ndarray,
                    columns: np.ndarray, score: ScoreFunction,
                    queries: np.ndarray | None = None,
-                   leave_one_out: bool = False,
-                   distances: np.ndarray | None = None):
-    """Smooth several value columns at bandwidth h at once, one row block
-    of kernel weights (the blocks of `window_weights`) at a time, the blocks
+                   leave_one_out: bool = False) -> list:
+    """Smooth several value columns at each of the ``bandwidths`` (a CV
+    sweep's grid, or one h), one row block of kernel weights (the blocks of
+    `window_weights`) at a time.  A call whose cells fit in one block
+    weighs that block's distances, built once, at every bandwidth, in the
+    calling thread; a larger call chains each bandwidth's key-sorted blocks,
     spread over the calling thread and the helper pool (module docstring).
 
     ``sample`` are validated training coordinates, ``columns`` an (n, k)
@@ -399,19 +403,15 @@ def smooth_columns(manifold: Manifold, h: float, sample: np.ndarray,
     the local score (identity: the kernel-weighted mean), ``queries``
     validated query coordinates (defaults to the sample itself).
     ``leave_one_out`` zeroes the diagonal weight, which requires the default
-    queries.  ``distances``, the one block's queries x sample matrix (see
-    `window_weights`), lets a caller that smooths a small sample at several
-    bandwidths share it; without it each block's distances are built from
-    the coordinates.
-    Returns (estimates, flags), both of shape (n_queries, k); flag 1 marks a
-    degenerate local MAD (weighted-median fallback).
-
-    Raises EmptyWindowError listing every query index whose window is empty
-    together with the smallest bandwidth that would cover them all, and
+    queries.  Returns one entry per bandwidth: (estimates, flags), both of
+    shape (n_queries, k), flag 1 marking a degenerate local MAD
+    (weighted-median fallback), or, unraised (`only_entry` raises it), the
+    EmptyWindowError listing every query index whose window is empty with
+    the smallest bandwidth that would cover them all, else the
     ConvergenceError listing every query index where a local solve ran out
     of iterations.
     """
-    h = check_bandwidth(manifold, h)
+    hs = [check_bandwidth(manifold, h) for h in bandwidths]
     columns = np.asarray(columns, dtype=float)
     if columns.ndim == 1:
         columns = columns[:, None]
@@ -421,12 +421,14 @@ def smooth_columns(manifold: Manifold, h: float, sample: np.ndarray,
     if queries is None:
         queries = sample
 
-    nq, k = queries.shape[0], columns.shape[1]
-    estimates = np.empty((nq, k))
-    flags = np.zeros((nq, k), dtype=np.int8)
-    plan = _block_plan(manifold, h, queries, sample, leave_one_out, distances)
-    ahead, spare = next(plan, None), _usable_cpus() - 1
-    lock, helpers, empty = threading.Lock(), [], []
+    shape = (queries.shape[0], columns.shape[1])
+    estimates = [np.empty(shape) for _ in hs]
+    flags = [np.zeros(shape, dtype=np.int8) for _ in hs]
+    empty = [[] for _ in hs]
+    plan, distances = _block_plan(manifold, hs, queries, sample, leave_one_out)
+    # the one block's shared distances stay in the caller: the last bandwidth reuses them
+    ahead, spare = next(plan, None), _usable_cpus() - 1 if distances is None else 0
+    lock, helpers = threading.Lock(), []
 
     def run():
         """Solve blocks until the plan is empty; while blocks remain after the
@@ -441,19 +443,19 @@ def smooth_columns(manifold: Manifold, h: float, sample: np.ndarray,
                     helpers.append(_helper_pool().submit(run))
             if block is None:
                 return
-            rows, cols, _ = block
+            i, rows, cols, _ = block
             try:
-                W, totals, hollow, nearest = _block_weights(manifold, h, queries, sample,
+                W, totals, hollow, nearest = _block_weights(manifold, hs, queries, sample,
                                                             leave_one_out, distances, block)
                 if hollow.size:
-                    empty.append((hollow, nearest))
-                elif empty:
+                    empty[i].append((hollow, nearest))
+                elif empty[i]:
                     continue
                 elif score.code == 0:
-                    estimates[rows] = (W @ columns[cols]) / totals[:, None]
+                    estimates[i][rows] = (W @ columns[cols]) / totals[:, None]
                 else:
                     for j, v in enumerate(columns[cols].T):
-                        estimates[rows, j], flags[rows, j] = _kernels.local_m_rows(
+                        estimates[i][rows, j], flags[i][rows, j] = _kernels.local_m_rows(
                             W, v, np.argsort(v, kind="stable"), score.code, score.c)
             except BaseException:
                 with lock:  # no thread takes another block
@@ -468,12 +470,19 @@ def smooth_columns(manifold: Manifold, h: float, sample: np.ndarray,
         del run  # run refers to itself: without this the call's arrays wait for the gc
     for helper in started:
         helper.result()  # raises the helper's error
-    if empty:
-        raise _empty_window_error(empty)
-    stuck = np.flatnonzero((flags == 2).any(axis=1))
-    if stuck.size:
-        raise ConvergenceError(
-            f"local smoothing did not converge at query indices {stuck.tolist()}",
-            indices=stuck.tolist(),
-        )
-    return estimates, flags
+    entries = []
+    for est, flag, hollow in zip(estimates, flags, empty):
+        stuck = np.flatnonzero((flag == 2).any(axis=1)).tolist()
+        entries.append(_empty_window_error(hollow) if hollow
+                       else ConvergenceError("local smoothing did not converge at query "
+                                             f"indices {stuck}", indices=stuck) if stuck
+                       else (est, flag))
+    return entries
+
+
+def only_entry(entries):
+    """The entry of a one-bandwidth smoothing call, whose error is raised."""
+    [entry] = entries
+    if isinstance(entry, Exception):
+        raise entry
+    return entry

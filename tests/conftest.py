@@ -3,6 +3,7 @@ import pytest
 
 from plmanifold.manifold import Manifold, circle_coords, cylinder_coords
 from plmanifold.plm import PLMDataset
+from plmanifold.smoother import only_entry, smooth_columns
 
 
 def random_cylinder_dataset(seed, n=40, p=2, noise=0.3, beta=None):
@@ -39,3 +40,9 @@ def random_weights(rng, n):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def smooth_at(manifold, h, sample, columns, score, **kwargs):
+    """`smooth_columns` at the one bandwidth h: its (estimates, flags), or
+    its error raised."""
+    return only_entry(smooth_columns(manifold, [h], sample, columns, score, **kwargs))

@@ -28,8 +28,8 @@ from plmanifold.simulation import (
     replication_rng,
     run_campaign,
 )
-from plmanifold.smoother import ScoreFunction, local_m_estimate, smooth_columns
-from conftest import random_cylinder_dataset, random_weights
+from plmanifold.smoother import ScoreFunction, local_m_estimate
+from conftest import random_cylinder_dataset, random_weights, smooth_at
 
 MASTER_SEED = 2025
 REPLICATIONS = 100
@@ -210,11 +210,11 @@ def test_criterion_4_equivariance_suite():
     values = rng.normal(size=n)
     score = ScoreFunction.huber()
 
-    base = smooth_columns(cyl, 1.0, sample, values, score)[0][:, 0]
+    base = smooth_at(cyl, 1.0, sample, values, score)[0][:, 0]
     shift_err = float(np.max(np.abs(
-        smooth_columns(cyl, 1.0, sample, values + 4.2, score)[0][:, 0] - base - 4.2)))
+        smooth_at(cyl, 1.0, sample, values + 4.2, score)[0][:, 0] - base - 4.2)))
     scale_err = float(np.max(np.abs(
-        smooth_columns(cyl, 1.0, sample, 2.5 * values, score)[0][:, 0] - 2.5 * base)))
+        smooth_at(cyl, 1.0, sample, 2.5 * values, score)[0][:, 0] - 2.5 * base)))
 
     ds, _ = random_cylinder_dataset(45, n=45, p=2)
     fit_shift_err = 0.0

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from plmanifold import bandwidth
 from plmanifold.bandwidth import (
     CV_SCORE,
     check_grid,
@@ -71,25 +70,37 @@ def test_single_element_grid():
     assert len(diags) == 1
 
 
+def _record_distances(monkeypatch):
+    """The (rows, columns) of every cross_distances call, in call order."""
+    from plmanifold import manifold, smoother
+
+    shapes, cross = [], manifold.cross_distances
+
+    def recording(m, a, b):
+        shapes.append((a.shape[0], b.shape[0]))
+        return cross(m, a, b)
+
+    monkeypatch.setattr(manifold, "cross_distances", recording)
+    monkeypatch.setattr(smoother, "cross_distances", recording)
+    return shapes
+
+
 @pytest.mark.parametrize("mode", ["robust", "classical"])
 def test_a_one_candidate_grid_builds_no_distance_matrix(mode, monkeypatch):
     """At n = 600, more than one block, a grid of one bandwidth streams its
-    kernel blocks from the coordinates and scores what the shared n x n
-    matrix of the one-block path gives, to 1e-12 relative (the pruned
+    kernel blocks from the coordinates and scores what the one block of
+    every point against every point gives, to 1e-12 relative (the pruned
     blocks sum their windows in another order)."""
     from plmanifold import smoother
+    from plmanifold.manifold import BLOCK_CELLS
 
     ds, _ = random_cylinder_dataset(4, n=600, p=2)
-    with monkeypatch.context() as m:  # the one-block path, with its shared matrix
-        m.setattr(bandwidth, "BLOCK_CELLS", ds.n ** 2)
+    with monkeypatch.context() as m:  # the one block
         m.setattr(smoother, "BLOCK_CELLS", ds.n ** 2)
-        shared = select_bandwidth(ds, [0.8, 1.8], mode=mode)[1][0].score
-
-    def no_matrix(*args, **kwargs):
-        raise AssertionError("pairwise_distances called for a one-candidate grid")
-
-    monkeypatch.setattr(bandwidth, "pairwise_distances", no_matrix)
-    assert rcv_score(ds, 0.8, mode=mode) == pytest.approx(shared, rel=1e-12)
+        one_block = select_bandwidth(ds, [0.8, 1.8], mode=mode)[1][0].score
+    shapes = _record_distances(monkeypatch)
+    assert rcv_score(ds, 0.8, mode=mode) == pytest.approx(one_block, rel=1e-12)
+    assert shapes and max(r * c for r, c in shapes) <= BLOCK_CELLS
     assert select_bandwidth(ds, [0.8], mode=mode)[1][0].score == rcv_score(ds, 0.8, mode=mode)
 
 
@@ -98,21 +109,9 @@ def test_a_sweep_larger_than_one_block_builds_no_n_by_n_array(mode, monkeypatch)
     """At n = 600 a sweep computes only block-sized distances, over an
     explicit grid and over the default grid, whose 10th percentile streams
     the pair distances as well; no distance matrix is built."""
-    from plmanifold import manifold, smoother
     from plmanifold.manifold import BLOCK_CELLS
 
-    shapes, cross = [], manifold.cross_distances
-
-    def recording(m, a, b):
-        shapes.append((a.shape[0], b.shape[0]))
-        return cross(m, a, b)
-
-    def no_matrix(*args, **kwargs):
-        raise AssertionError("pairwise_distances called")
-
-    monkeypatch.setattr(bandwidth, "pairwise_distances", no_matrix)
-    monkeypatch.setattr(manifold, "cross_distances", recording)
-    monkeypatch.setattr(smoother, "cross_distances", recording)
+    shapes = _record_distances(monkeypatch)
     ds, _ = random_cylinder_dataset(5, n=600, p=1)
     for grid in ([0.4, 0.8, 1.8], None):
         shapes.clear()
@@ -123,23 +122,17 @@ def test_a_sweep_larger_than_one_block_builds_no_n_by_n_array(mode, monkeypatch)
 
 @pytest.mark.parametrize("mode", ["robust", "classical"])
 def test_one_block_sample_shares_its_matrix_with_a_one_candidate_grid(mode, monkeypatch):
-    """At n <= 256 every grid, one candidate too, builds one distance matrix
-    and shares it, so a one-candidate grid scores what a longer grid gives,
-    bit for bit."""
-    calls, pairwise = [], bandwidth.pairwise_distances
-
-    def counting(m, points):
-        calls.append(points.shape[0])
-        return pairwise(m, points)
-
-    monkeypatch.setattr(bandwidth, "pairwise_distances", counting)
+    """At n <= 256 a sweep is one block: its one smoothing call builds one
+    distance matrix for every candidate, so a one-candidate grid scores
+    what a longer grid gives, bit for bit."""
+    shapes = _record_distances(monkeypatch)
     for n in (40, 256):
         ds, _ = random_cylinder_dataset(4, n=n, p=2)
         shared = select_bandwidth(ds, [1.2, 1.8], mode=mode)[1][0].score
         assert rcv_score(ds, 1.2, mode=mode) == shared
         assert select_bandwidth(ds, [1.2], mode=mode)[1][0].score == shared
-        assert calls == [n] * 3
-        calls.clear()
+        assert shapes == [(n, n)] * 3
+        shapes.clear()
 
 
 def test_selected_h_is_argmin_of_diagnostics():
@@ -254,8 +247,8 @@ def test_streamed_default_grid_equals_the_full_quantile_bit_for_bit(manifold, n,
 @pytest.mark.parametrize("n", [2, 3, 4, 200, 256])
 @pytest.mark.parametrize("manifold", _KINDS, ids=_KIND_IDS)
 def test_one_block_sweep_scores_the_default_grid_bit_for_bit(manifold, n, ties):
-    """With no grid, a one-block sample takes the default grid's pairs from
-    its shared matrix: the candidates are default_grid's, bit for bit."""
+    """With no grid, a one-block sample scores default_grid's candidates,
+    bit for bit."""
     ds = _grid_case(manifold, n, 31 + n, ties)
     try:
         scored = [d.h for d in select_bandwidth(ds, mode="classical")[1]]
@@ -265,19 +258,12 @@ def test_one_block_sweep_scores_the_default_grid_bit_for_bit(manifold, n, ties):
 
 
 def test_a_one_block_sweep_computes_the_pair_distances_once(monkeypatch):
-    """The default grid's percentile and every candidate read one matrix."""
-    from plmanifold import manifold, smoother
-
-    shapes, cross = [], manifold.cross_distances
-
-    def recording(m, a, b):
-        shapes.append((a.shape[0], b.shape[0]))
-        return cross(m, a, b)
-
-    monkeypatch.setattr(manifold, "cross_distances", recording)
-    monkeypatch.setattr(smoother, "cross_distances", recording)
+    """Every candidate of an explicit grid reads the one block's distances:
+    one cross_distances call for the whole sweep."""
     ds = generate_sample(200, "C1", replication_rng(6, 0)).dataset
-    select_bandwidth(ds)
+    grid = default_grid(ds)
+    shapes = _record_distances(monkeypatch)
+    select_bandwidth(ds, grid)
     assert shapes == [(200, 200)]
 
 

@@ -13,10 +13,12 @@ from plmanifold.smoother import (
     ScoreFunction,
     local_m_estimate,
     local_mad,
+    only_entry,
     raw_weight_matrix,
     smooth_columns,
     weighted_median,
 )
+from conftest import smooth_at
 
 HUBER_C = 1.345
 MAD_C = 1.4826
@@ -67,14 +69,16 @@ def oracle_mad(w, v):
 
 
 def oracle_huber(w, v, scale):
-    """Root of the Huber score equation by brentq on the support bracket."""
+    """Root of the Huber score equation by brentq on the support bracket;
+    psi(u) = clip(v - m, -c scale, c scale) / scale, which does not overflow
+    at a tiny scale."""
     sup = v[w > 0]
     lo, hi = sup.min(), sup.max()
     if hi <= lo:
         return lo
 
     def score(m):
-        return float(w @ np.clip((v - m) / scale, -HUBER_C, HUBER_C))
+        return float(w @ (np.clip(v - m, -HUBER_C * scale, HUBER_C * scale) / scale))
 
     return brentq(score, lo, hi, xtol=1e-13, rtol=1e-15)
 
@@ -120,12 +124,17 @@ FLAT_ZERO_ROW = (np.array([[1.0, 0.25, 0.25, 0.25, 1.0, 0.25]]),
 # relative to the scale needs hundreds of steps.
 TINY_MAD_ROW = (np.array([[0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.25, 1.0]]),
                 np.array([-1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 4.3e-281]))
+# A local MAD of 3.3e-308, the smallest normal float times 1.48: the value 6
+# lies 1.8e308 scales out, and its u = 6 / MAD overflows to inf.
+OVERFLOW_ROW = (np.array([[0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0]]),
+                np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 6.0, 2.2250738585072014e-308]))
 
 
 @settings(max_examples=150, deadline=None)
 @given(windows())
 @example(FLAT_ZERO_ROW)
 @example(TINY_MAD_ROW)
+@example(OVERFLOW_ROW)
 def test_engine_matches_sort_based_oracle(problem):
     W, v = problem
     est, flags = _kernels.local_m_rows(W, v, np.argsort(v), 1, HUBER_C)
@@ -146,6 +155,22 @@ def test_engine_matches_sort_based_oracle(problem):
         assert abs(est[q] - ref) <= tol or _huber_root_interval(Wn[q], v, mad[q], est[q])
         scalar = local_m_estimate(Wn[q], v, ScoreFunction.huber(HUBER_C), scale=mad[q])
         assert abs(scalar - ref) <= tol or _huber_root_interval(Wn[q], v, mad[q], scalar)
+
+
+@pytest.mark.parametrize("code,c", [(1, HUBER_C), (2, 4.685)], ids=["huber", "bisquare"])
+def test_a_value_whose_u_overflows_weighs_what_any_value_beyond_c_weighs(code, c):
+    """In OVERFLOW_ROW the value 6 has u = inf at every iterate, where the
+    bisquare's q u would be 0 inf = nan; moved to 1e-300 (u about 3e7, still
+    beyond c, finite) it changes neither the median nor the MAD, and the
+    solve returns the same bits, flag 0, with no floating-point warning."""
+    W, v = OVERFLOW_ROW
+    finite = v.copy()
+    finite[6] = 1e-300
+    est, flags = _kernels.local_m_rows(W, v, np.argsort(v), code, c)
+    want, want_flags = _kernels.local_m_rows(W, finite, np.argsort(finite), code, c)
+    assert flags[0] == want_flags[0] == 0
+    assert est.tobytes() == want.tobytes()
+    assert 0.0 <= est[0] <= 1e-307
 
 
 def test_a_one_row_call_is_an_engine_row():
@@ -189,7 +214,7 @@ def test_huber_columns_converge_in_6_iterations_on_a_large_sample(monkeypatch):
     monkeypatch.setattr(_kernels, "LOCAL_MAX_ITERATIONS", 6)
     sample = simulation.generate_sample(2000, "C1", simulation.replication_rng(1, 0))
     ds = sample.dataset
-    est, flags = smooth_columns(ds.manifold, 0.8, ds.t,
+    est, flags = smooth_at(ds.manifold, 0.8, ds.t,
                                 np.column_stack([ds.y, ds.x]), ScoreFunction.huber(HUBER_C))
     assert not np.any(flags == 2)
     assert np.all(np.isfinite(est))
@@ -207,7 +232,7 @@ def test_monotone_rows_that_run_out_of_iterations_raise(monkeypatch):
     stuck = np.flatnonzero(flags == 2).tolist()
     assert stuck
     with pytest.raises(ConvergenceError) as err:
-        smooth_columns(cyl, 2.0, t, v, ScoreFunction.huber(HUBER_C))
+        smooth_at(cyl, 2.0, t, v, ScoreFunction.huber(HUBER_C))
     assert err.value.indices == stuck
 
     w = W[stuck[0]] / W[stuck[0]].sum()
@@ -372,7 +397,7 @@ def _oracle_weights(manifold, t, h, leave_one_out):
 def test_huber_smoothing_matches_oracle_on_every_manifold(name, manifold, t, h,
                                                           leave_one_out):
     columns = _columns(t.shape[0])
-    est, flags = smooth_columns(manifold, h, t, columns, ScoreFunction.huber(HUBER_C),
+    est, flags = smooth_at(manifold, h, t, columns, ScoreFunction.huber(HUBER_C),
                                 leave_one_out=leave_one_out)
     W = _oracle_weights(manifold, t, h, leave_one_out)
     for j in range(columns.shape[1]):
@@ -395,7 +420,7 @@ def test_huber_smoothing_matches_oracle_on_every_manifold(name, manifold, t, h,
 def test_bisquare_rows_solve_their_score_equation(name, manifold, t, h, leave_one_out):
     columns = _columns(t.shape[0])
     score = ScoreFunction.bisquare()
-    est, flags = smooth_columns(manifold, h, t, columns, score, leave_one_out=leave_one_out)
+    est, flags = smooth_at(manifold, h, t, columns, score, leave_one_out=leave_one_out)
     W = _oracle_weights(manifold, t, h, leave_one_out)
     solved = 0
     for j in range(columns.shape[1]):
@@ -577,8 +602,8 @@ def test_bisquare_columns_converge_in_6_iterations_on_cli_fits_samples(monkeypat
         ds = simulation.generate_sample(600, "C2", simulation.replication_rng(seed, 0)).dataset
         for h in (0.4, 0.6, 0.8, 1.2, 1.8):
             for loo in (True, False):
-                est, _, flags = plm.smooth_dataset(ds, h, ScoreFunction.bisquare(),
-                                                   leave_one_out=loo)
+                est, _, flags = only_entry(plm.smooth_dataset(
+                    ds, [h], ScoreFunction.bisquare(), leave_one_out=loo))
                 assert not np.any(flags == 2)
                 assert np.all(np.isfinite(est))
 

@@ -133,13 +133,13 @@ def test_fit_and_predict_never_build_an_n_by_n_distance_matrix(monkeypatch, mode
     """Distances and kernel weights come from the coordinates one row block
     at a time."""
     import plmanifold
-    from plmanifold import bandwidth, manifold, smoother
+    from plmanifold import manifold, smoother
     from plmanifold.manifold import BLOCK_CELLS
 
     def refuse(*args, **kwargs):
         raise AssertionError("pairwise_distances called")
 
-    for module in (plmanifold, bandwidth, manifold):
+    for module in (plmanifold, manifold):
         monkeypatch.setattr(module, "pairwise_distances", refuse)
     shapes = []
 
@@ -189,12 +189,11 @@ def test_fit_on_the_cylinder_computes_only_the_pruned_distances(monkeypatch, mod
 @pytest.mark.parametrize("mode", ["robust", "classical"])
 def test_predict_g_over_many_blocks_equals_the_given_matrix_path(mode, monkeypatch):
     """predict_g at 1500 queries (many key-sorted row blocks) returns ghat
-    in the queries' input order: the same values as the smoothing of a given
-    queries x sample distance matrix as the one block (in input order), its
-    path taken by raising ``BLOCK_CELLS`` to the whole matrix."""
+    in the queries' input order: the same values as the one block of every
+    query against every sample point (in input order), taken by raising
+    ``BLOCK_CELLS`` alone to the whole matrix."""
     from plmanifold import smoother
-    from plmanifold.manifold import BLOCK_CELLS, cross_distances
-    from plmanifold.plm import smooth_dataset
+    from plmanifold.manifold import BLOCK_CELLS
 
     ds, _ = random_cylinder_dataset(11, n=400, p=2)
     f = fit(ds, 0.8, mode=mode)
@@ -202,10 +201,16 @@ def test_predict_g_over_many_blocks_equals_the_given_matrix_path(mode, monkeypat
     queries = cylinder_coords(rng.uniform(0, 2 * np.pi, 1500), rng.uniform(0, 1, 1500))
     assert 1500 * ds.n > 4 * BLOCK_CELLS
     g = predict_g(f, queries)
+    blocks, block_weights = [], smoother._block_weights
+
+    def recording(*args):
+        blocks.append(args[-1])
+        return block_weights(*args)
+
+    monkeypatch.setattr(smoother, "_block_weights", recording)
     monkeypatch.setattr(smoother, "BLOCK_CELLS", 1500 * ds.n)
-    est, _, _ = smooth_dataset(ds, 0.8, f.local_score, queries,
-                               distances=cross_distances(ds.manifold, queries, ds.t))
-    expected = est[:, 0] - est[:, 1:] @ f.beta
+    expected = predict_g(f, queries)
+    assert len(blocks) == 1 and blocks[0][1] == slice(None)
     assert np.max(np.abs(g - expected)) <= 1e-10
 
 

@@ -122,6 +122,26 @@ def test_campaign_cv_policy_runs():
     assert np.all(np.isin(report.results["robust"].bandwidth, (0.9, 1.4, 2.0)))
 
 
+def test_a_default_grid_campaign_computes_one_grid_per_sample(monkeypatch):
+    """With neither a fixed h nor a grid, each replication computes its
+    sample's default grid once, for both modes, and each mode picks the h
+    that select_bandwidth picks with no grid."""
+    from plmanifold import bandwidth, simulation
+    from plmanifold.bandwidth import select_bandwidth
+
+    config = SimulationConfig(n=60, replications=2, contamination="C1", master_seed=21)
+    grids, default_grid = [], simulation.default_grid
+    with monkeypatch.context() as m:
+        m.setattr(simulation, "default_grid", lambda ds: grids.append(ds.n) or default_grid(ds))
+        m.setattr(bandwidth, "default_grid", None)  # select_bandwidth builds no grid itself
+        report = run_campaign(config)
+    assert grids == [60, 60] and not report.failures
+    for r in range(2):
+        ds = generate_sample(60, "C1", replication_rng(21, r)).dataset
+        for mode in config.modes:
+            assert report.results[mode].bandwidth[r] == select_bandwidth(ds, mode=mode)[0]
+
+
 def test_campaign_error_when_everything_fails():
     config = SimulationConfig(n=60, replications=3, contamination="C0",
                               bandwidth=0.001, modes=("classical",),

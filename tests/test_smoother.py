@@ -32,7 +32,7 @@ from plmanifold.smoother import (
     weighted_median,
     window_weights,
 )
-from conftest import random_points, random_weights
+from conftest import random_points, random_weights, smooth_at
 
 CIR = Manifold.circle()
 CYL = Manifold.cylinder()
@@ -138,25 +138,24 @@ def test_empty_window_error_carries_nearest_distance():
 
 
 def test_window_weights_leave_one_out_leaves_the_distances_alone():
+    """Leave-one-out zeroes each query's own weight and nothing else: off the
+    diagonal its weights are those of the call without it."""
     rng = np.random.default_rng(12)
     sample = cylinder_coords(rng.uniform(0, 2 * np.pi, 15), rng.uniform(0, 1, 15))
-    d = pairwise_distances(CYL, sample)
-    before = d.copy()
-    [(rows, cols, W, totals)] = window_weights(CYL, 1.5, sample, sample, leave_one_out=True,
-                                               distances=d)
+    [(rows, cols, W, totals)] = window_weights(CYL, 1.5, sample, sample, leave_one_out=True)
     assert (rows, cols) == (slice(None), slice(None))
     assert np.all(np.diag(W) == 0.0)
     assert np.array_equal(totals, W.sum(axis=1))
-    assert np.array_equal(d, before)
-    [(_, _, W_all, _)] = window_weights(CYL, 1.5, sample, sample, distances=d)
+    [(_, _, W_all, _)] = window_weights(CYL, 1.5, sample, sample)
     assert np.all(np.diag(W_all) == 0.9375)
+    off = ~np.eye(15, dtype=bool)
+    assert np.array_equal(W[off], W_all[off])
     # the diagonal is a sample point's own weight only when the queries are the sample
     foreign = cylinder_coords(rng.uniform(0, 2 * np.pi, 10), rng.uniform(0, 1, 10))
     with pytest.raises(ValueError, match="leave_one_out"):
         next(window_weights(CYL, 1.5, foreign, sample, leave_one_out=True))
     with pytest.raises(ValueError, match="leave_one_out"):
-        next(window_weights(CYL, 1.5, sample.copy(), sample, leave_one_out=True,
-                            distances=d))
+        next(window_weights(CYL, 1.5, sample.copy(), sample, leave_one_out=True))
 
 
 MANIFOLD_BANDWIDTHS = [(CYL, 0.8), (Manifold.sphere(), 0.8), (CIR, 0.3),
@@ -191,14 +190,13 @@ def _indices(index, size):
     return np.arange(size)[index]
 
 
-def _check_blocks(manifold, h, q, sample, loo, given, dense, atol=0.0):
+def _check_blocks(manifold, h, q, sample, loo, dense, atol=0.0):
     """Every block of window_weights is the dense kernel on its rows x cols
     (to ``atol``), the dense kernel is exactly zero off its cols, each block
     holds at most BLOCK_CELLS cells (or one row), and the blocks cover every
     query once.  Returns the blocks' (rows, cols) as index arrays."""
     n, seen = sample.shape[0], []
-    for rows, cols, W, totals in window_weights(manifold, h, q, sample,
-                                                leave_one_out=loo, distances=given):
+    for rows, cols, W, totals in window_weights(manifold, h, q, sample, leave_one_out=loo):
         r, c = _indices(rows, q.shape[0]), _indices(cols, n)
         assert W.shape == (r.size, c.size)
         assert W.size <= smoother.BLOCK_CELLS or r.size == 1
@@ -219,36 +217,20 @@ def test_blocked_window_weights_equal_the_dense_kernel(manifold, h, monkeypatch)
     or the sample itself, leave-one-out) is its rows of the kernel of the
     full distance matrix on its columns, zero elsewhere, and the blocks
     cover the query rows once, each at most BLOCK_CELLS cells.  When one
-    block holds every cell, a given matrix is sliced, never gathered or
-    written: the one block is every query against every column, the dense
-    kernel bit for bit."""
+    block holds every cell, it is every query against every column, as
+    slices, the dense kernel bit for bit."""
     sample, cases = _block_cases(manifold, np.random.default_rng(31))
     n = sample.shape[0]
     dense = [_dense_kernel(manifold, h, d, loo) for _, loo, d in cases]
     for (q, loo, _), W in zip(cases, dense):
-        built = _check_blocks(manifold, h, q, sample, loo, None, W, atol=1e-15)
+        built = _check_blocks(manifold, h, q, sample, loo, W, atol=1e-15)
         assert len(built) > 1
     monkeypatch.setattr(smoother, "BLOCK_CELLS", n * n)
-    for (q, loo, d), W in zip(cases, dense):
-        before = d.copy()
+    for (q, loo, _), W in zip(cases, dense):
         [(rows, cols, W_one, totals)] = window_weights(manifold, h, q, sample,
-                                                       leave_one_out=loo, distances=d)
+                                                       leave_one_out=loo)
         assert (rows, cols) == (slice(None), slice(None))
         assert np.array_equal(W_one, W) and np.array_equal(totals, W.sum(axis=1))
-        assert np.array_equal(d, before)
-
-
-def test_a_given_matrix_larger_than_one_block_raises():
-    """A given distance matrix is the one block's; past BLOCK_CELLS cells the
-    call raises before it yields, naming the limit."""
-    sample, cases = _block_cases(CIR, np.random.default_rng(32))
-    for q, loo, d in cases:
-        with pytest.raises(ValueError, match="BLOCK_CELLS"):
-            next(window_weights(CIR, 0.3, q, sample, leave_one_out=loo, distances=d))
-        with pytest.raises(ValueError, match="BLOCK_CELLS"):
-            smooth_columns(CIR, 0.3, sample, sample[:, 0], ScoreFunction.identity(),
-                           queries=None if q is sample else q, leave_one_out=loo,
-                           distances=d)
 
 
 def _seam_angles(rng, n):
@@ -289,7 +271,7 @@ def test_pruned_windows_are_the_dense_kernel_bit_for_bit(manifold, h, points):
     sample, queries = points(rng, 400), points(rng, 300)
     for q, loo in ((sample, False), (sample, True), (queries, False)):
         dense = _dense_kernel(manifold, h, cross_distances(manifold, q, sample), loo)
-        blocks = _check_blocks(manifold, h, q, sample, loo, None, dense)
+        blocks = _check_blocks(manifold, h, q, sample, loo, dense)
         if manifold.kind in ("circle", "cylinder") and h < 1.0:
             key = np.mod(np.arctan2(sample[:, 1], sample[:, 0]), 2 * np.pi)
             assert any(key[c].min() < 0.5 and key[c].max() > 2 * np.pi - 0.5
@@ -303,7 +285,7 @@ def test_a_row_with_more_candidates_than_a_block_holds_is_a_block_alone(monkeypa
     rng = np.random.default_rng(9)
     sample, queries = circle_coords(rng.uniform(0, 2 * np.pi, 100)), circle_coords([0.0, 3.0])
     dense = _dense_kernel(CIR, 3.0, cross_distances(CIR, queries, sample), False)
-    blocks = _check_blocks(CIR, 3.0, queries, sample, False, None, dense)
+    blocks = _check_blocks(CIR, 3.0, queries, sample, False, dense)
     assert [r.size for r, _ in blocks] == [1, 1] and all(c.size > 64 for _, c in blocks)
 
 
@@ -315,7 +297,7 @@ def test_leave_one_out_across_the_seam_drops_only_the_own_point():
     sample = circle_coords(rng.uniform(-0.3, 0.3, 500))
     values = rng.normal(size=500)
     W = _dense_kernel(CIR, 0.2, pairwise_distances(CIR, sample), True)
-    est = smooth_columns(CIR, 0.2, sample, values, ScoreFunction.identity(),
+    est = smooth_at(CIR, 0.2, sample, values, ScoreFunction.identity(),
                          leave_one_out=True)[0][:, 0]
     assert np.max(np.abs(est - (W @ values) / W.sum(axis=1))) <= 1e-14
 
@@ -339,8 +321,8 @@ def test_empty_window_beyond_the_band_reports_the_nearest_point_of_the_sample():
 
 @pytest.mark.parametrize("manifold,h", MANIFOLD_BANDWIDTHS, ids=MANIFOLD_IDS)
 def test_streamed_smoothing_equals_dense_kernel_smoothing(manifold, h, monkeypatch):
-    """smooth_columns over more than three row blocks, and over the one
-    block of a given distance matrix, matches the same statistics of the
+    """smooth_columns over more than three row blocks, and over one block
+    where ``BLOCK_CELLS`` holds every cell, matches the same statistics of the
     full kernel matrix: the kernel-weighted mean to 1e-15, and the Huber and
     bisquare solves to their tolerance (each block pads its rows to its
     widest window, so the reductions change with the block)."""
@@ -356,13 +338,12 @@ def test_streamed_smoothing_equals_dense_kernel_smoothing(manifold, h, monkeypat
             else:
                 dense = np.column_stack([_kernels.local_m_rows(
                     W, v, np.argsort(v), score.code, score.c)[0] for v in columns.T])
-            for given in (None, d):
+            for one_block in (False, True):
                 with monkeypatch.context() as m:
-                    if given is not None:
+                    if one_block:
                         m.setattr(smoother, "BLOCK_CELLS", d.size)
-                    est, _ = smooth_columns(manifold, h, sample, columns, score,
-                                            queries=None if q is sample else q,
-                                            leave_one_out=loo, distances=given)
+                    est, _ = smooth_at(manifold, h, sample, columns, score,
+                                       queries=None if q is sample else q, leave_one_out=loo)
                 assert np.max(np.abs(est - dense)) <= atol
 
 
@@ -376,38 +357,30 @@ def test_tied_values_give_the_same_estimates_in_one_block_and_pruned(monkeypatch
     assert np.unique(columns[:, 0]).size < 80
     for score in (ScoreFunction.huber(), ScoreFunction.bisquare()):
         for loo in (False, True):
-            pruned = smooth_columns(CYL, 0.8, sample, columns, score, leave_one_out=loo)[0]
+            pruned = smooth_at(CYL, 0.8, sample, columns, score, leave_one_out=loo)[0]
             with monkeypatch.context() as m:
                 m.setattr(smoother, "BLOCK_CELLS", 600 * 600)
-                one = smooth_columns(CYL, 0.8, sample, columns, score, leave_one_out=loo)[0]
+                one = smooth_at(CYL, 0.8, sample, columns, score, leave_one_out=loo)[0]
             assert np.max(np.abs(pruned - one)) <= 1e-12
 
 
-@pytest.mark.parametrize("given", [False, True], ids=["coords", "distances"])
-def test_leave_one_out_empty_window_reports_the_nearest_other_point(given):
+def test_leave_one_out_empty_window_reports_the_nearest_other_point():
     # points 0 and 1 are 0.5 apart and 2 is 1.2 from 0 and 1.7 from 1: at
     # h = 0.3 every leave-one-out window is empty, and 2 needs h > 1.2
     sample = circle_coords([0.0, 0.5, -1.2])
-    d = pairwise_distances(CIR, sample)
-    before = d.copy()
-    blocks = window_weights(CIR, 0.3, sample, sample, leave_one_out=True,
-                            distances=d if given else None)
     with pytest.raises(EmptyWindowError) as err:
-        list(blocks)
+        list(window_weights(CIR, 0.3, sample, sample, leave_one_out=True))
     assert err.value.indices == [0, 1, 2]
     assert err.value.nearest_distance == pytest.approx(1.2, abs=1e-12)
-    assert np.array_equal(d, before)
 
 
-@pytest.mark.parametrize("given", [False, True], ids=["coords", "distances"])
-def test_empty_windows_in_two_blocks_raise_one_error(monkeypatch, given):
+def test_empty_windows_in_two_blocks_raise_one_error(monkeypatch):
     """Point 5 (angle 5.0, 1.5 from the cluster on [3.0, 3.5]) and point 600
     (angle 1.0, 2.0 from it) lie in different key-sorted row blocks, point
     600's the first.  One error names both in input order, with the
     bandwidth that would cover them all, and no block after the first empty
-    window reaches the caller.  A given distance matrix, the one block where
-    BLOCK_CELLS holds every cell, raises the same error and yields no
-    block."""
+    window reaches the caller.  The one block, where BLOCK_CELLS holds every
+    cell, raises the same error and yields no block."""
     angles = np.linspace(3.0, 3.5, 700)
     angles[5], angles[600] = 5.0, 1.0
     sample = circle_coords(angles)
@@ -420,12 +393,11 @@ def test_empty_windows_in_two_blocks_raise_one_error(monkeypatch, given):
 
     monkeypatch.setattr(smoother, "_key_blocks", recording)
     errors = []
-    for d in (None, pairwise_distances(CIR, sample)) if given else (None,):
-        if d is not None:  # the given matrix as the one block
-            monkeypatch.setattr(smoother, "BLOCK_CELLS", d.size)
+    for one_block in (False, True):
+        if one_block:
+            monkeypatch.setattr(smoother, "BLOCK_CELLS", sample.shape[0] ** 2)
         with pytest.raises(EmptyWindowError) as err:
-            smooth_columns(CIR, 0.3, sample, angles, ScoreFunction.huber(),
-                           leave_one_out=True, distances=d)
+            smooth_at(CIR, 0.3, sample, angles, ScoreFunction.huber(), leave_one_out=True)
         errors.append(err.value)
     hit = [i for i, rows in enumerate(blocks) if np.isin([5, 600], rows).any()]
     assert len(hit) == 2 and hit[0] == 0
@@ -435,8 +407,7 @@ def test_empty_windows_in_two_blocks_raise_one_error(monkeypatch, given):
         assert str(error) == str(errors[0])
     seen = []
     with pytest.raises(EmptyWindowError):
-        for rows, _, _, _ in window_weights(CIR, 0.3, sample, sample, leave_one_out=True,
-                                            distances=d):
+        for rows, _, _, _ in window_weights(CIR, 0.3, sample, sample, leave_one_out=True):
             seen.append(rows)
     assert seen == []
 
@@ -705,7 +676,7 @@ def test_identity_smoother_equals_direct_kernel_mean():
         values = rng.normal(size=n)
         queries = cylinder_coords(rng.uniform(0, 2 * np.pi, 7), rng.uniform(0, 1, 7))
         score = ScoreFunction.identity()
-        est = smooth_columns(CYL, 1.5, sample, values, score, queries=queries)[0][:, 0]
+        est = smooth_at(CYL, 1.5, sample, values, score, queries=queries)[0][:, 0]
         oracle = classical_nw_oracle(CYL, 1.5, sample, values, queries)
         assert est == pytest.approx(oracle, abs=1e-10)
 
@@ -717,7 +688,7 @@ def test_robust_smoother_with_identity_matches_classical_pointwise():
         sample = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
         values = rng.normal(size=n)
         score = ScoreFunction.identity()
-        est = smooth_columns(CYL, 1.2, sample, values, score)[0][:, 0]
+        est = smooth_at(CYL, 1.2, sample, values, score)[0][:, 0]
         oracle = classical_nw_oracle(CYL, 1.2, sample, values, sample)
         assert est == pytest.approx(oracle, abs=1e-10)
 
@@ -727,8 +698,8 @@ def test_smoother_shift_equivariance(rng):
     sample = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
     values = rng.normal(size=n)
     score = ScoreFunction.huber()
-    base = smooth_columns(CYL, 1.0, sample, values, score)[0][:, 0]
-    shifted = smooth_columns(CYL, 1.0, sample, values + 11.25, score)[0][:, 0]
+    base = smooth_at(CYL, 1.0, sample, values, score)[0][:, 0]
+    shifted = smooth_at(CYL, 1.0, sample, values + 11.25, score)[0][:, 0]
     assert shifted == pytest.approx(base + 11.25, abs=1e-9)
 
 
@@ -737,9 +708,9 @@ def test_smoother_scale_equivariance(rng):
     sample = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
     values = rng.normal(size=n)
     score = ScoreFunction.huber()
-    base = smooth_columns(CYL, 1.0, sample, values, score)[0][:, 0]
+    base = smooth_at(CYL, 1.0, sample, values, score)[0][:, 0]
     lam = 2.75
-    scaled = smooth_columns(CYL, 1.0, sample, lam * values, score)[0][:, 0]
+    scaled = smooth_at(CYL, 1.0, sample, lam * values, score)[0][:, 0]
     assert scaled == pytest.approx(lam * base, abs=1e-9)
 
 
@@ -748,7 +719,7 @@ def test_smoother_estimates_bounded_by_data(rng):
     sample = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
     values = rng.normal(size=n)
     score = ScoreFunction.huber()
-    est = smooth_columns(CYL, 0.8, sample, values, score)[0][:, 0]
+    est = smooth_at(CYL, 0.8, sample, values, score)[0][:, 0]
     assert np.all(est >= values.min() - 1e-12)
     assert np.all(est <= values.max() + 1e-12)
 
@@ -758,7 +729,7 @@ def test_degenerate_window_falls_back_to_median_and_flags():
     sample = cylinder_coords([0.0, 0.01, 3.1], [0.5, 0.5, 0.5])
     values = np.array([2.0, 2.0, 9.0])
     score = ScoreFunction.huber()
-    est, flags = smooth_columns(CYL, 0.5, sample, columns=values, score=score,
+    est, flags = smooth_at(CYL, 0.5, sample, columns=values, score=score,
                                 queries=sample[:1])
     assert est[0, 0] == 2.0
     assert flags[0, 0] == 1
@@ -772,10 +743,10 @@ def test_convergence_error_tagged_with_query_index(monkeypatch):
     values = rng.normal(size=n) + np.linspace(0, 5, n)
     score = ScoreFunction.bisquare()
     with pytest.raises(ConvergenceError) as err:
-        smooth_columns(CYL, 2.0, sample, values, score)
+        smooth_at(CYL, 2.0, sample, values, score)
     assert err.value.indices
     with pytest.raises(ConvergenceError) as batched:
-        smooth_columns(CYL, 2.0, sample, np.column_stack([values, values]), score)
+        smooth_at(CYL, 2.0, sample, np.column_stack([values, values]), score)
     assert batched.value.indices == err.value.indices
 
 
@@ -783,7 +754,7 @@ def test_smoother_length_mismatch():
     sample = cylinder_coords([0.0, 1.0], [0.2, 0.8])
     score = ScoreFunction.huber()
     with pytest.raises(ValueError, match="length mismatch"):
-        smooth_columns(CYL, 1.0, sample, np.array([1.0]), score)
+        smooth_at(CYL, 1.0, sample, np.array([1.0]), score)
 
 
 def test_sphere_smoother_applies_volume_density_correction():
@@ -795,7 +766,7 @@ def test_sphere_smoother_applies_volume_density_correction():
     queries = sample[:5]
     h = 1.5
     score = ScoreFunction.identity()
-    est = smooth_columns(sph, h, sample, values, score, queries=queries)[0][:, 0]
+    est = smooth_at(sph, h, sample, values, score, queries=queries)[0][:, 0]
 
     # direct oracle: K(d/h) divided by sin(r)/r, then normalized
     d = cross_distances(sph, queries, sample)
@@ -904,7 +875,7 @@ def _first_two_blocks_on_two_threads(monkeypatch):
 
     def gated(*args):
         with started:
-            log.append((threading.current_thread(), np.arange(args[2].shape[0])[args[-1][0]]))
+            log.append((threading.current_thread(), np.arange(args[2].shape[0])[args[-1][1]]))
             started.notify_all()
             if len(log) == 1 and log[0][0] is caller:
                 assert started.wait_for(lambda: len(log) > 1, 30), "no helper took a block"
@@ -946,7 +917,7 @@ def test_blocks_on_threads_equal_the_serial_blocks_bit_for_bit(manifold, h, n, s
     log = _first_two_blocks_on_two_threads(monkeypatch)
     for q, loo in ((None, False), (None, True), (queries, False)):
         log.clear()
-        est, flags = smooth_columns(manifold, h, sample, columns, score, queries=q,
+        est, flags = smooth_at(manifold, h, sample, columns, score, queries=q,
                                     leave_one_out=loo)
         assert len({thread for thread, _ in log}) > 1
         want_est, want_flags = _serial_smooth(manifold, h, sample, columns, score, q, loo)
@@ -966,7 +937,7 @@ def test_empty_windows_in_blocks_on_two_threads_raise_the_serial_error(helpers, 
         list(window_weights(CIR, 0.3, sample, sample, leave_one_out=True))
     log = _first_two_blocks_on_two_threads(monkeypatch)
     with pytest.raises(EmptyWindowError) as threaded:
-        smooth_columns(CIR, 0.3, sample, angles, ScoreFunction.huber(), leave_one_out=True)
+        smooth_at(CIR, 0.3, sample, angles, ScoreFunction.huber(), leave_one_out=True)
     caller, first = log[0]
     assert first[0] == 0 and 301 not in first
     assert all(thread is not caller for thread, rows in log if 301 in rows)
@@ -988,7 +959,7 @@ def test_unconverged_rows_on_two_threads_raise_the_serial_error(helpers, monkeyp
     stuck = np.flatnonzero((flags == 2).any(axis=1)).tolist()
     log = _first_two_blocks_on_two_threads(monkeypatch)
     with pytest.raises(ConvergenceError) as err:
-        smooth_columns(CYL, 0.8, sample, values, ScoreFunction.bisquare())
+        smooth_at(CYL, 0.8, sample, values, ScoreFunction.bisquare())
     assert err.value.indices == stuck
     assert str(err.value) == f"local smoothing did not converge at query indices {stuck}"
     by_thread = {}
@@ -1026,9 +997,9 @@ def test_an_engine_error_on_one_thread_reaches_the_caller_after_every_thread_sto
     _first_two_blocks_on_two_threads(monkeypatch)
     monkeypatch.setattr(_kernels, "local_m_rows", failing_once)
     with pytest.raises(FloatingPointError, match="engine failed"):
-        smooth_columns(CYL, 0.8, sample, values, ScoreFunction.huber())
+        smooth_at(CYL, 0.8, sample, values, ScoreFunction.huber())
     assert failed.is_set() and running[0] == 0
-    est, _ = smooth_columns(CYL, 0.8, sample, values, ScoreFunction.huber())
+    est, _ = smooth_at(CYL, 0.8, sample, values, ScoreFunction.huber())
     want, _ = _serial_smooth(CYL, 0.8, sample, values[:, None], ScoreFunction.huber(),
                              None, False)
     assert np.array_equal(est, want)
@@ -1045,7 +1016,7 @@ def test_callers_on_more_threads_than_cpus_share_the_helpers(helpers):
     got = [None] * 6
 
     def call(i):
-        got[i] = smooth_columns(CYL, 0.8, sample, columns, BUILTIN_SCORES[i % 3])[0]
+        got[i] = smooth_at(CYL, 0.8, sample, columns, BUILTIN_SCORES[i % 3])[0]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -1072,12 +1043,60 @@ def test_one_usable_cpu_starts_no_helper(monkeypatch):
     sample, values = random_points(CYL, rng, 1200), rng.normal(size=1200)
     threads = set(threading.enumerate())
     for score in (ScoreFunction.identity(), ScoreFunction.huber()):
-        smooth_columns(CYL, 0.8, sample, values, score)
+        smooth_at(CYL, 0.8, sample, values, score)
     assert set(threading.enumerate()) <= threads
     assert smoother._helper_pool.cache_info().currsize == 0
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 5)
     assert smoother._usable_cpus() == 5
+
+
+@pytest.mark.parametrize("n", [150, 700], ids=["one-block", "streamed"])
+def test_each_bandwidth_of_one_call_gets_its_own_entry(n, helpers, monkeypatch):
+    """One bisquare call at h = 0.5, 1.1 and 1.3 with 3 evaluations allowed:
+    the query at angle 3.0, 1.0 from the sample on [0, 2], has an empty
+    window at 0.5, and rows run out of iterations at 1.1 only.  Each error is
+    its candidate's entry alone, with the type, text and indices of that
+    candidate's one-bandwidth call, and the other entries are their
+    one-bandwidth calls bit for bit.  At n = 150 the one block's distances
+    serve every bandwidth in the calling thread; at n = 700 the bandwidths'
+    key-sorted blocks run on the caller and a helper."""
+    monkeypatch.setattr(_kernels, "LOCAL_MAX_ITERATIONS", 3)
+    rng = np.random.default_rng(11)
+    sample = circle_coords(rng.uniform(0, 2.0, n))
+    values = rng.normal(size=(n, 2)) + np.linspace(0, 5, n)[:, None]
+    queries = circle_coords(np.append(rng.uniform(0, 2.0, n - 1), 3.0))
+    hs, score = [0.5, 1.1, 1.3], ScoreFunction.bisquare()
+    alone = [smooth_columns(CIR, [h], sample, values, score, queries=queries)[0] for h in hs]
+    assert [type(entry) for entry in alone] == [EmptyWindowError, ConvergenceError, tuple]
+    if n == 700:
+        log = _first_two_blocks_on_two_threads(monkeypatch)
+    else:
+        log, distances, block_weights = [], smoother.cross_distances, smoother._block_weights
+
+        def recording(manifold, a, b):
+            log.append((threading.current_thread(), a.shape[0] * b.shape[0]))
+            return distances(manifold, a, b)
+
+        def weighing(*args):
+            log.append((threading.current_thread(), "block"))
+            return block_weights(*args)
+
+        monkeypatch.setattr(smoother, "cross_distances", recording)
+        monkeypatch.setattr(smoother, "_block_weights", weighing)
+    entries = smooth_columns(CIR, hs, sample, values, score, queries=queries)
+    if n == 700:
+        assert len({thread for thread, _ in log}) > 1
+    else:  # the one block's distances, each bandwidth's block (the first measures its
+        # empty window's row against the sample), all in the calling thread
+        caller = threading.current_thread()
+        assert log == [(caller, n * n), (caller, "block"), (caller, n), (caller, "block"),
+                       (caller, "block")]
+    for entry, want in zip(entries[:2], alone):
+        assert type(entry) is type(want) and str(entry) == str(want)
+        assert entry.indices == want.indices
+    assert entries[0].nearest_distance == alone[0].nearest_distance
+    assert all(np.array_equal(got, expected) for got, expected in zip(entries[2], alone[2]))
 
 
 def _fit_in_child(ds, out):
