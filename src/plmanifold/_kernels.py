@@ -283,14 +283,15 @@ def solve_rows(W, V, start, scale, code, c):
     return est + start, np.where(ok, 0, 2).astype(np.int8)
 
 
-def local_m_rows(W, v, order, code, c):
+def local_m_rows(W, v, order, code, c, totals=None):
     """Batched local M solve with the weighted MAD as scale: (estimates, flags)
     per row.  ``order`` sorts v ascending; ``code`` is 1 (huber) or 2
-    (bisquare) with constant ``c``."""
+    (bisquare) with constant ``c``; ``totals``, W's row sums if the caller
+    has them (one pass over W less per call), else summed here."""
     W = np.asarray(W, dtype=float)
     v = np.asarray(v, dtype=float)
     Ww, Vw = window_rows(W, v, order)
-    Ww /= W.sum(axis=1, keepdims=True)
+    Ww /= (W.sum(axis=1) if totals is None else totals)[:, None]
     med = median_rows(Ww, Vw)
     mad = mad_rows(Ww, Vw, med)
 

@@ -4,6 +4,10 @@ Points are stored in ambient coordinates: circle points as (cos a, sin a),
 sphere points as unit vectors in R^3, cylinder points as (cos a, sin a, s)
 with s the height coordinate.  Coordinates are validated, never silently
 projected; projection of raw data happens only in the CLI ingestion layer.
+Distances are computed from a `chart` of each batch (the angle, the height
+or the ambient coordinates, one contiguous row each), as squared geodesic
+distances (`squared_distances`, which the kernel reads) or their square
+roots (`cross_distances`).
 """
 
 from __future__ import annotations
@@ -116,56 +120,77 @@ def validate_coords(manifold: Manifold, points, name: str = "point") -> np.ndarr
     return arr
 
 
-def _circle_arc(a, b):
-    # a, b: (na, 2), (nb, 2) unit vectors; (na, nb) arc lengths in [0, pi] from
-    # one angle per point, exactly symmetric in a and b; in place, since every
-    # block-sized temporary costs page faults
-    d = np.arctan2(a[:, 1], a[:, 0])[:, None] - np.arctan2(b[:, 1], b[:, 0])
-    np.abs(d, out=d)
-    return np.minimum(d, 2.0 * np.pi - d, out=d)
+def chart(manifold: Manifold, points: np.ndarray) -> np.ndarray:
+    """(m, n) coordinates of validated points that distances are computed
+    from, one contiguous row each: the angle in [-pi, pi] on the circle, the
+    angle and the height on the cylinder, the ambient coordinates elsewhere."""
+    if manifold.kind in (CIRCLE, CYLINDER):
+        angle = np.arctan2(points[:, 1], points[:, 0])
+        return angle[None] if manifold.kind == CIRCLE else np.stack([angle, points[:, 2]])
+    return np.ascontiguousarray(points.T, dtype=float)
+
+
+def _differences(a, b):
+    # (na, nb) a_i - b_j as the matrix product [a, -1] [1, b]^T: both terms are
+    # exact and their one sum is rounded once, so any BLAS gives the
+    # subtraction's bits, several times faster than a broadcast subtraction
+    left, right = np.full((a.size, 2), -1.0), np.ones((2, b.size))
+    left[:, 0], right[1] = a, b
+    return left @ right
+
+
+def squared_distances(manifold: Manifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared geodesic distances between two `chart` batches, (m, na) x (m, nb)
+    -> (na, nb), in a new array: the sum of squared coordinate differences,
+    an angle's difference taken as the arc min(|da|, 2 pi - |da|), with no
+    square root; on the sphere the square of the ``arctan2(cross, dot)``
+    arc.  Each cell comes from its own pair alone, so a block's bits are the
+    full matrix's; in place, since block-sized temporaries cost page faults."""
+    if manifold.kind == SPHERE:  # elementwise: BLAS sums of inexact products vary by shape
+        dot = a[0][:, None] * b[0] + a[1][:, None] * b[1] + a[2][:, None] * b[2]
+        cx = a[1][:, None] * b[2] - a[2][:, None] * b[1]
+        cy = a[2][:, None] * b[0] - a[0][:, None] * b[2]
+        cz = a[0][:, None] * b[1] - a[1][:, None] * b[0]
+        d = np.arctan2(np.sqrt(cx * cx + cy * cy + cz * cz), dot)
+        return np.multiply(d, d, out=d)
+    d = _differences(a[0], b[0])
+    # an angle difference within pi (a key-pruned block off the seam) is its own arc
+    if manifold.kind != EUCLIDEAN and d.size and max(a[0].max() - b[0].min(),
+                                                     b[0].max() - a[0].min()) > np.pi:
+        np.abs(d, out=d)
+        np.minimum(d, 2.0 * np.pi - d, out=d)
+    d *= d
+    for ak, bk in zip(a[1:], b[1:]):
+        dk = _differences(ak, bk)
+        dk *= dk
+        d += dk
+    return d
 
 
 def cross_distances(manifold: Manifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Geodesic distance matrix between two validated coordinate batches.
 
-    Shapes (na, ambient) x (nb, ambient) -> (na, nb).  Assumes coordinates
-    were already validated.
+    Shapes (na, ambient) x (nb, ambient) -> (na, nb): the square root of
+    `squared_distances`, so on the circle and the sphere the arc's own bits
+    (in binary floating point sqrt(x * x) is x unless x * x underflows, below
+    1.5e-154).  Assumes coordinates were already validated.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if manifold.kind == EUCLIDEAN:
-        return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
-    if manifold.kind == CIRCLE:
-        return _circle_arc(a, b)
-    if manifold.kind == SPHERE:
-        # elementwise, not BLAS: a block's bits must not depend on its shape
-        dot = (a[:, None, 0] * b[None, :, 0] + a[:, None, 1] * b[None, :, 1]
-               + a[:, None, 2] * b[None, :, 2])
-        cx = a[:, None, 1] * b[None, :, 2] - a[:, None, 2] * b[None, :, 1]
-        cy = a[:, None, 2] * b[None, :, 0] - a[:, None, 0] * b[None, :, 2]
-        cz = a[:, None, 0] * b[None, :, 1] - a[:, None, 1] * b[None, :, 0]
-        cross = np.sqrt(cx * cx + cy * cy + cz * cz)
-        return np.arctan2(cross, dot)
-    # sqrt(arc^2 + dh^2) in place: np.hypot costs more than the rest together
-    d = _circle_arc(a, b)
-    d *= d
-    dh = a[:, None, 2] - b[None, :, 2]
-    dh *= dh
-    d += dh
+    d = squared_distances(manifold, chart(manifold, np.asarray(a, dtype=float)),
+                          chart(manifold, np.asarray(b, dtype=float)))
     return np.sqrt(d, out=d)
 
 
-def coordinate_key(manifold: Manifold, points: np.ndarray):
-    """(key, period) of validated points: one coordinate whose difference
+def coordinate_key(manifold: Manifold, coords: np.ndarray):
+    """(key, period) of a `chart` batch: one coordinate whose difference
     bounds the geodesic distance from below, and its period or None.  The
     angle in [0, 2 pi], period 2 pi, on the circle and the cylinder; the
     polar angle (the distance to the north pole, so the triangle inequality
     bounds d) on the sphere; the first coordinate in Euclidean space."""
     if manifold.kind == EUCLIDEAN:
-        return points[:, 0], None
+        return coords[0], None
     if manifold.kind == SPHERE:
-        return np.arctan2(np.hypot(points[:, 0], points[:, 1]), points[:, 2]), None
-    return np.mod(np.arctan2(points[:, 1], points[:, 0]), 2.0 * np.pi), 2.0 * np.pi
+        return np.arctan2(np.hypot(coords[0], coords[1]), coords[2]), None
+    return np.mod(coords[0], 2.0 * np.pi), 2.0 * np.pi
 
 
 def pairwise_distances(manifold: Manifold, points: np.ndarray) -> np.ndarray:

@@ -1,33 +1,37 @@
 """Kernel-weighted local statistics and robust local M-smoothers.
 
 The local fit at a query point composes three pieces: normalized quartic
-kernel weights built from geodesic distances and the volume density, one
-block of query rows at a time (`window_weights`, so no n x n array is made), a
-weighted median / weighted MAD pair giving the robust local scale, and a
-score equation solved by bracketed Newton steps (Huber) or by Newton
-steps whenever the slope sum is positive and reweighting steps otherwise
-(bisquare), all in the batched engine of ``_kernels``.  With the identity
+kernel weights built from squared geodesic distances (the kernel depends on
+d through d^2 only) and the volume density, one block of query rows at a
+time (`window_weights`, so no n x n array is made), a weighted median /
+weighted MAD pair giving the robust local scale, and a score equation
+solved by bracketed Newton steps (Huber) or by Newton steps whenever the
+slope sum is positive and reweighting steps otherwise (bisquare), all in
+the batched engine of ``_kernels``.  With the identity
 score and no scale step the smoother reduces to the classical kernel-weighted
 mean.  The kernel and the three scores are the whole estimator family.
 
-Each block's distances, weights and engine windows are block-sized arrays
-that live for one block.  On glibc, importing this module raises malloc's
-mmap and trim thresholds (`_keep_freed_memory`), so those arrays come from
-the heap and the pages the blocks free stay in the process for the next
-block instead of being returned and faulted back in.
+Each block's squared distances, weights and engine windows are block-sized
+arrays that live for one block.  On glibc, importing this module raises
+malloc's mmap and trim thresholds (`_keep_freed_memory`), so those arrays
+come from the heap and the pages the blocks free stay in the process for
+the next block instead of being returned and faulted back in.
 
 One `smooth_columns` call smooths a whole CV grid, and its block plan
-(`_block_plan`) alone decides what the bandwidths share.  A call of more
-than one block runs on every usable CPU (the process's affinity, the one
-control): the caller and helpers from one thread pool take whole blocks
-and write their own rows, so the result is the serial one bit for bit,
-and memory is a block working set per thread.
+(`_block_plan`) alone decides what the bandwidths share: the charts of the
+queries and the sample (`manifold.chart`, one ``arctan2`` per point per
+call), and either the one block's squared distances or the key order of
+the pruned blocks.  A call of more than one block runs on every usable CPU
+(the process's affinity, the one control): the caller and helpers from one
+thread pool take whole blocks and write their own rows, so the result is
+the serial one bit for bit, and memory is a block working set per thread.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import os
 import threading
 from concurrent import futures
@@ -40,9 +44,10 @@ from .errors import ConvergenceError, EmptyWindowError
 from .manifold import (
     BLOCK_CELLS,
     Manifold,
+    chart,
     coordinate_key,
-    cross_distances,
     injectivity_radius,
+    squared_distances,
     volume_density_from_distance,
 )
 
@@ -206,74 +211,98 @@ def _check_weight_pair(weights, values):
     return w, v
 
 
-def raw_weight_matrix(manifold: Manifold, h: float, distances: np.ndarray,
+def _squared_bandwidth(h: float) -> float:
+    """The least double t whose rounded square root reaches h, h * h or a step
+    below: a pair's d^2 lies below t exactly when its distance, the square
+    root of d^2 as ``cross_distances`` rounds it, lies below h."""
+    t = h * h
+    while math.sqrt(t) < h:  # only if h * h underflows
+        t = math.nextafter(t, math.inf)
+    while math.sqrt(below := math.nextafter(t, 0.0)) >= h:
+        t = below
+    return t
+
+
+def raw_weight_matrix(manifold: Manifold, h: float, squared: np.ndarray,
                       overwrite: bool = False) -> np.ndarray:
     """Unnormalized kernel weights K(d/h) / volume density, elementwise, in a
-    new array.  ``overwrite`` lets the kernel reuse the cells of ``distances``
-    (for a caller that drops them), except on the sphere, whose density reads them."""
+    new array, from the squared distances d^2 (`squared_distances`):
+    0.9375 (1 - d^2/h^2)^2 with no square root, h^2 taken as
+    `_squared_bandwidth`, so a pair weighs exactly 0 at and beyond d = h.
+    ``overwrite`` lets the kernel reuse the cells of ``squared`` (for a
+    caller that drops them), except on the sphere, whose density reads
+    them."""
     sphere = manifold.kind == "sphere"
-    u = distances / h if sphere or not overwrite else np.divide(distances, h, out=distances)
-    k = _quartic_of_square(np.square(u, out=u))
+    t = np.divide(squared, _squared_bandwidth(h),
+                  out=None if sphere or not overwrite else squared)
+    k = _quartic_of_square(t)
     if sphere:  # extract and place: a 2-D mask index is slower
         pos = k > 0
-        theta = volume_density_from_distance(manifold, np.extract(pos, distances))
+        theta = volume_density_from_distance(manifold, np.sqrt(np.extract(pos, squared)))
         np.place(k, pos, np.extract(pos, k) / theta)
     return k
 
 
-def _key_blocks(manifold: Manifold, h: float, queries: np.ndarray, sample: np.ndarray):
-    """(rows, cols, own) per block of queries in ``coordinate_key`` order:
-    the block's query indices, the sample indices whose key lies within h
-    (and a rounding margin) of the block's keys, one run of the key-sorted
-    sample, wrapped on a periodic key, and each row's own position in cols
-    when the queries are the sample.  Each block takes as many rows as fit
-    with their candidates in ``BLOCK_CELLS`` cells (at least one)."""
-    ks, period = coordinate_key(manifold, sample)
-    kq = ks if queries is sample else coordinate_key(manifold, queries)[0]
+def _key_blocks(manifold: Manifold, hs, qc: np.ndarray, sc: np.ndarray):
+    """(i, rows, cols, own) per block of queries in ``coordinate_key`` order,
+    bandwidth after bandwidth, from one key sort of the charts qc and sc
+    (the same array when the queries are the sample): hs[i], the block's
+    query indices, the sample indices whose key lies within hs[i] (and a
+    rounding margin) of the block's keys, one run of the key-sorted sample,
+    wrapped on a periodic key, and each row's own position in cols when the
+    queries are the sample.  Each block takes as many rows as fit with their
+    candidates in ``BLOCK_CELLS`` cells (at least one)."""
+    ks, period = coordinate_key(manifold, sc)
+    kq = ks if qc is sc else coordinate_key(manifold, qc)[0]
     so = np.argsort(ks)
-    qo = so if queries is sample else np.argsort(kq)
+    qo = so if qc is sc else np.argsort(kq)
     n, ks, kq = so.size, ks[so], kq[qo]
     if period:  # three laps, so a band across the seam is one run
         ks = np.concatenate([ks - period, ks, ks + period])
-    reach = h + 1e-9 * (1.0 + h + np.abs(ks).max())
-    lo = np.searchsorted(ks, kq - reach)
-    hi = np.searchsorted(ks, kq + reach, side="right")
-    a = 0
-    while a < qo.size:
-        first = max(1, min(n, hi[a] - lo[a]))  # no more rows than this bound fit
-        span = np.minimum(hi[a:a + 1 + BLOCK_CELLS // first] - lo[a], n)
-        b = a + max(1, int(np.count_nonzero(np.arange(1, span.size + 1) * span
-                                             <= BLOCK_CELLS)))
-        yield (qo[a:b], so[(lo[a] + np.arange(span[b - a - 1])) % n],
-               (np.arange(a, b) - lo[a]) % n)
-        a = b
+    for i, h in enumerate(hs):
+        reach = h + 1e-9 * (1.0 + h + np.abs(ks).max())
+        lo = np.searchsorted(ks, kq - reach)
+        hi = np.searchsorted(ks, kq + reach, side="right")
+        a = 0
+        while a < qo.size:
+            first = max(1, min(n, hi[a] - lo[a]))  # no more rows than this bound fit
+            span = np.minimum(hi[a:a + 1 + BLOCK_CELLS // first] - lo[a], n)
+            b = a + max(1, int(np.count_nonzero(np.arange(1, span.size + 1) * span
+                                                 <= BLOCK_CELLS)))
+            yield (i, qo[a:b], so[(lo[a] + np.arange(span[b - a - 1])) % n],
+                   (np.arange(a, b) - lo[a]) % n)
+            a = b
 
 
 def _block_plan(manifold, hs, queries, sample, leave_one_out):
-    """(blocks, distances) of a call at the bandwidths ``hs``: blocks yields
-    (i, rows, cols, own), a block of hs[i] as in `window_weights`; distances
-    is the one block's queries x sample matrix, which every bandwidth weighs,
-    or None when each block builds its own."""
+    """(blocks, share) of a call at the bandwidths ``hs``: blocks yields
+    (i, rows, cols, own), a block of hs[i] as in `window_weights`; share is
+    (qc, sc, squared), the queries' and the sample's `chart`, each taken
+    once per call (one array when the queries are the sample), and the one
+    block's squared distances, which every bandwidth weighs, or None when
+    each block builds its own."""
     if leave_one_out and queries is not sample:
         raise ValueError("leave_one_out needs the sample itself as the queries")
+    qc = chart(manifold, queries)
+    sc = qc if queries is sample else chart(manifold, sample)
     nq, n = queries.shape[0], sample.shape[0]
     if nq * n > BLOCK_CELLS:
-        return ((i, *block) for i, h in enumerate(hs)
-                for block in _key_blocks(manifold, h, queries, sample)), None
+        return _key_blocks(manifold, hs, qc, sc), (qc, sc, None)
     whole = [(i, slice(None), slice(None), np.arange(nq)) for i in range(len(hs) if nq else 0)]
-    return iter(whole), cross_distances(manifold, queries, sample)
+    return iter(whole), (qc, sc, squared_distances(manifold, qc, sc))
 
 
-def _block_weights(manifold, hs, queries, sample, leave_one_out, distances, block):
+def _block_weights(manifold, hs, queries, sample, leave_one_out, share, block):
     """One block of `window_weights`: (W, totals, hollow, nearest), hollow the
     block's query indices whose window is empty and nearest the largest
     distance from one of them to the whole sample (0.0 if none)."""
     i, rows, cols, own = block
-    if distances is None:  # fresh distances, dropped here: the kernel reuses them
-        W = raw_weight_matrix(manifold, hs[i], cross_distances(manifold, queries[rows],
-                                                               sample[cols]), overwrite=True)
+    qc, sc, squared = share
+    if squared is None:  # fresh squared distances, dropped here: the kernel reuses them
+        W = raw_weight_matrix(manifold, hs[i], squared_distances(manifold, qc[:, rows],
+                                                                 sc[:, cols]), overwrite=True)
     else:  # the one block's, which the last bandwidth drops
-        W = raw_weight_matrix(manifold, hs[i], distances, overwrite=i == len(hs) - 1)
+        W = raw_weight_matrix(manifold, hs[i], squared, overwrite=i == len(hs) - 1)
     if leave_one_out:
         W[np.arange(W.shape[0]), own] = 0.0
     totals = W.sum(axis=1)
@@ -283,10 +312,11 @@ def _block_weights(manifold, hs, queries, sample, leave_one_out, distances, bloc
         chunk = max(1, BLOCK_CELLS // sample.shape[0])
         for a in range(0, hollow.size, chunk):
             part = hollow[a:a + chunk]
-            near = cross_distances(manifold, queries[part], sample)
+            near = squared_distances(manifold, qc[:, part], sc)
             if leave_one_out:
                 near[np.arange(part.size), part] = np.inf
-            nearest = max(nearest, float(near.min(axis=1).max()))
+            # the square root of the least d^2 is the distance the kernel compares with h
+            nearest = max(nearest, math.sqrt(near.min(axis=1).max()))
     return W, totals, hollow, nearest
 
 
@@ -322,10 +352,10 @@ def window_weights(manifold: Manifold, h: float, queries: np.ndarray, sample: np
     yielded once an empty window is found.
     """
     empty = []
-    plan, distances = _block_plan(manifold, [h], queries, sample, leave_one_out)
+    plan, share = _block_plan(manifold, [h], queries, sample, leave_one_out)
     for block in plan:
         W, totals, hollow, nearest = _block_weights(manifold, [h], queries, sample,
-                                                    leave_one_out, distances, block)
+                                                    leave_one_out, share, block)
         if hollow.size:
             empty.append((hollow, nearest))
         elif not empty:
@@ -394,9 +424,10 @@ def smooth_columns(manifold: Manifold, bandwidths, sample: np.ndarray,
     """Smooth several value columns at each of the ``bandwidths`` (a CV
     sweep's grid, or one h), one row block of kernel weights (the blocks of
     `window_weights`) at a time.  A call whose cells fit in one block
-    weighs that block's distances, built once, at every bandwidth, in the
-    calling thread; a larger call chains each bandwidth's key-sorted blocks,
-    spread over the calling thread and the helper pool (module docstring).
+    weighs that block's squared distances, built once, at every bandwidth,
+    in the calling thread; a larger call chains each bandwidth's key-sorted
+    blocks, spread over the calling thread and the helper pool (module
+    docstring).
 
     ``sample`` are validated training coordinates, ``columns`` an (n, k)
     value matrix with one row per sample point (else ValueError), ``score``
@@ -425,9 +456,9 @@ def smooth_columns(manifold: Manifold, bandwidths, sample: np.ndarray,
     estimates = [np.empty(shape) for _ in hs]
     flags = [np.zeros(shape, dtype=np.int8) for _ in hs]
     empty = [[] for _ in hs]
-    plan, distances = _block_plan(manifold, hs, queries, sample, leave_one_out)
-    # the one block's shared distances stay in the caller: the last bandwidth reuses them
-    ahead, spare = next(plan, None), _usable_cpus() - 1 if distances is None else 0
+    plan, share = _block_plan(manifold, hs, queries, sample, leave_one_out)
+    # the one block's squared distances stay in the caller: the last bandwidth reuses them
+    ahead, spare = next(plan, None), _usable_cpus() - 1 if share[2] is None else 0
     lock, helpers = threading.Lock(), []
 
     def run():
@@ -446,7 +477,7 @@ def smooth_columns(manifold: Manifold, bandwidths, sample: np.ndarray,
             i, rows, cols, _ = block
             try:
                 W, totals, hollow, nearest = _block_weights(manifold, hs, queries, sample,
-                                                            leave_one_out, distances, block)
+                                                            leave_one_out, share, block)
                 if hollow.size:
                     empty[i].append((hollow, nearest))
                 elif empty[i]:
@@ -456,7 +487,7 @@ def smooth_columns(manifold: Manifold, bandwidths, sample: np.ndarray,
                 else:
                     for j, v in enumerate(columns[cols].T):
                         estimates[i][rows, j], flags[i][rows, j] = _kernels.local_m_rows(
-                            W, v, np.argsort(v, kind="stable"), score.code, score.c)
+                            W, v, np.argsort(v, kind="stable"), score.code, score.c, totals)
             except BaseException:
                 with lock:  # no thread takes another block
                     ahead = None

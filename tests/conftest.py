@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from plmanifold.manifold import Manifold, circle_coords, cylinder_coords
+from plmanifold.manifold import Manifold, chart, circle_coords, cylinder_coords, squared_distances
 from plmanifold.plm import PLMDataset
 from plmanifold.smoother import only_entry, smooth_columns
 
@@ -30,6 +30,12 @@ def random_points(manifold, rng, n):
         v = rng.normal(size=(n, 3))
         return v / np.linalg.norm(v, axis=1, keepdims=True)
     return rng.normal(size=(n, manifold.ambient_dim))
+
+
+def squared_cross(manifold, a, b):
+    """The squared geodesic distances of two coordinate batches, as the
+    kernel reads them: `squared_distances` of their charts."""
+    return squared_distances(manifold, chart(manifold, a), chart(manifold, b))
 
 
 def random_weights(rng, n):

@@ -71,17 +71,23 @@ def test_single_element_grid():
 
 
 def _record_distances(monkeypatch):
-    """The (rows, columns) of every cross_distances call, in call order."""
+    """The (rows, columns) of every distance block, in call order: the
+    default grid's cross_distances calls and the smoother's
+    squared_distances calls (on charts, one column per point)."""
     from plmanifold import manifold, smoother
 
-    shapes, cross = [], manifold.cross_distances
+    shapes, cross, squared = [], manifold.cross_distances, smoother.squared_distances
 
     def recording(m, a, b):
         shapes.append((a.shape[0], b.shape[0]))
         return cross(m, a, b)
 
+    def recording_squared(m, a, b):
+        shapes.append((a.shape[1], b.shape[1]))
+        return squared(m, a, b)
+
     monkeypatch.setattr(manifold, "cross_distances", recording)
-    monkeypatch.setattr(smoother, "cross_distances", recording)
+    monkeypatch.setattr(smoother, "squared_distances", recording_squared)
     return shapes
 
 
@@ -118,6 +124,37 @@ def test_a_sweep_larger_than_one_block_builds_no_n_by_n_array(mode, monkeypatch)
         h, diagnostics = select_bandwidth(ds, grid, mode=mode)
         assert all(d.feasible for d in diagnostics)
         assert shapes and max(r * c for r, c in shapes) <= BLOCK_CELLS < ds.n ** 2
+
+
+@pytest.mark.parametrize("mode", ["robust", "classical"])
+def test_a_streamed_sweep_charts_the_sample_once(mode, monkeypatch):
+    """A five-candidate sweep at n = 600, more than one block per candidate,
+    takes the sample's chart (one arctan2 per point) and its key order once
+    for the whole call, not once per block or candidate."""
+    from plmanifold import smoother
+
+    calls, blocks = [], []
+    chart, key, weigh = smoother.chart, smoother.coordinate_key, smoother._block_weights
+
+    def charting(m, points):
+        calls.append(("chart", points.shape[0]))
+        return chart(m, points)
+
+    def keying(m, coords):
+        calls.append(("key", coords.shape[1]))
+        return key(m, coords)
+
+    def weighing(*args):
+        blocks.append(args[-1][0])
+        return weigh(*args)
+
+    monkeypatch.setattr(smoother, "chart", charting)
+    monkeypatch.setattr(smoother, "coordinate_key", keying)
+    monkeypatch.setattr(smoother, "_block_weights", weighing)
+    ds, _ = random_cylinder_dataset(6, n=600, p=1)
+    select_bandwidth(ds, [0.4, 0.6, 0.8, 1.2, 1.8], mode=mode)
+    assert calls == [("chart", 600), ("key", 600)]
+    assert sorted(set(blocks)) == list(range(5)) and len(blocks) > 10
 
 
 @pytest.mark.parametrize("mode", ["robust", "classical"])
@@ -258,8 +295,8 @@ def test_one_block_sweep_scores_the_default_grid_bit_for_bit(manifold, n, ties):
 
 
 def test_a_one_block_sweep_computes_the_pair_distances_once(monkeypatch):
-    """Every candidate of an explicit grid reads the one block's distances:
-    one cross_distances call for the whole sweep."""
+    """Every candidate of an explicit grid reads the one block's squared
+    distances: one squared_distances call for the whole sweep."""
     ds = generate_sample(200, "C1", replication_rng(6, 0)).dataset
     grid = default_grid(ds)
     shapes = _record_distances(monkeypatch)

@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 
 from plmanifold import _kernels, bandwidth, plm, simulation
 from plmanifold.errors import ConvergenceError
-from plmanifold.manifold import Manifold, circle_coords, cylinder_coords, pairwise_distances
+from plmanifold.manifold import Manifold, circle_coords, cylinder_coords
 from plmanifold.smoother import (
     ScoreFunction,
     local_m_estimate,
@@ -18,7 +18,7 @@ from plmanifold.smoother import (
     smooth_columns,
     weighted_median,
 )
-from conftest import smooth_at
+from conftest import smooth_at, squared_cross
 
 HUBER_C = 1.345
 MAD_C = 1.4826
@@ -31,6 +31,16 @@ def random_problem(rng, nq=25, n=40):
     v = rng.normal(0.0, 2.0, n)
     order = np.argsort(v)
     return W, v, order
+
+
+def test_local_m_rows_given_the_row_totals_is_bit_identical(rng):
+    """The caller's row totals (a block's W.sum(axis=1)) normalize the rows
+    as the engine's own sums do, bit for bit."""
+    for code, c in ((1, HUBER_C), (2, BISQUARE_C)):
+        W, v, order = random_problem(rng)
+        got = _kernels.local_m_rows(W, v, order, code, c, W.sum(axis=1))
+        want = _kernels.local_m_rows(W, v, order, code, c)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_numpy_backend_solves_the_score_equation(rng):
@@ -227,7 +237,7 @@ def test_monotone_rows_that_run_out_of_iterations_raise(monkeypatch):
     cyl = Manifold.cylinder()
     t = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
     v = rng.normal(size=n) + np.linspace(0, 5, n)
-    W = raw_weight_matrix(cyl, 2.0, pairwise_distances(cyl, t))
+    W = raw_weight_matrix(cyl, 2.0, squared_cross(cyl, t, t))
     _, flags = _kernels.local_m_rows(W, v, np.argsort(v), 1, HUBER_C)
     stuck = np.flatnonzero(flags == 2).tolist()
     assert stuck
@@ -385,7 +395,7 @@ def _columns(n):
 
 
 def _oracle_weights(manifold, t, h, leave_one_out):
-    W = raw_weight_matrix(manifold, h, pairwise_distances(manifold, t))
+    W = raw_weight_matrix(manifold, h, squared_cross(manifold, t, t))
     if leave_one_out:
         np.fill_diagonal(W, 0.0)
     return W

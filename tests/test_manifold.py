@@ -10,12 +10,15 @@ from plmanifold.manifold import (
     BLOCK_CELLS,
     CYLINDER_HEIGHTS,
     Manifold,
+    chart,
     circle_coords,
+    coordinate_key,
     cross_distances,
     cylinder_coords,
     injectivity_radius,
     pair_distance_blocks,
     pairwise_distances,
+    squared_distances,
     validate_coords,
     volume_density_from_distance,
 )
@@ -129,6 +132,43 @@ def test_arcs_stay_accurate_at_the_seam_and_at_1e_9(manifold):
     assert np.max(np.abs(d.diagonal() - expected)) <= 8 * np.finfo(float).eps
     assert np.array_equal(d, cross_distances(manifold, b, a).T)
     assert d.diagonal()[:2] == pytest.approx([2e-3, 2e-3], abs=1e-15)
+
+
+def _broadcast_squared(manifold, a, b):
+    """Squared geodesic distances by plain broadcasting over the charts."""
+    if manifold.kind == "sphere":
+        cross = np.linalg.norm(np.cross(a[:, None], b[None]), axis=-1)
+        return np.arctan2(cross, (a[:, None] * b[None]).sum(axis=-1)) ** 2
+    ca, cb = chart(manifold, a), chart(manifold, b)
+    diff = ca[:, :, None] - cb[:, None, :]
+    if manifold.kind != "euclidean":
+        arc = np.abs(diff[0])
+        diff[0] = np.minimum(arc, 2 * np.pi - arc)
+    out = diff[0] ** 2
+    for k in range(1, diff.shape[0]):
+        out += diff[k] ** 2
+    return out
+
+
+@pytest.mark.parametrize("manifold", [CYL, SPH, CIR, EUC3],
+                         ids=["cylinder", "sphere", "circle", "euclidean"])
+def test_squared_distances_are_the_broadcast_formula_bit_for_bit(manifold):
+    """Each block of squared distances is the plain broadcast formula's, bit
+    for bit: on blocks whose angles lie within pi of each other (a
+    key-pruned block off the seam), on blocks across the +-pi seam and on
+    the whole sample.  cross_distances is its square root."""
+    rng = np.random.default_rng(17)
+    pts = random_points(manifold, rng, 400)
+    c = chart(manifold, pts)
+    key = coordinate_key(manifold, c)[0]
+    near = [np.flatnonzero(np.abs(key - k) < 0.6) for k in (1.0, np.pi, 5.5)]
+    for rows, cols in [(near[0][:30], near[0]), (near[1][:30], near[1]), (near[2][:9], near[2]),
+                       (np.arange(50), np.arange(400))]:
+        got = squared_distances(manifold, c[:, rows], c[:, cols])
+        assert np.array_equal(got, _broadcast_squared(manifold, pts[rows], pts[cols]))
+    d = cross_distances(manifold, pts, pts)
+    squared = squared_distances(manifold, c, c)
+    assert np.array_equal(d, np.sqrt(squared))
 
 
 def test_cylinder_distance_matches_arc_height_formula():

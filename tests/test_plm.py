@@ -130,8 +130,8 @@ def test_covariate_offset_of_1e8_and_back_gives_the_same_beta(score):
 
 @pytest.mark.parametrize("mode", ["robust", "classical"])
 def test_fit_and_predict_never_build_an_n_by_n_distance_matrix(monkeypatch, mode):
-    """Distances and kernel weights come from the coordinates one row block
-    at a time."""
+    """Squared distances and kernel weights come from the coordinates' charts
+    one row block at a time."""
     import plmanifold
     from plmanifold import manifold, smoother
     from plmanifold.manifold import BLOCK_CELLS
@@ -143,11 +143,11 @@ def test_fit_and_predict_never_build_an_n_by_n_distance_matrix(monkeypatch, mode
         monkeypatch.setattr(module, "pairwise_distances", refuse)
     shapes = []
 
-    def recording(m, a, b):
-        shapes.append((a.shape[0], b.shape[0]))
-        return manifold.cross_distances(m, a, b)
+    def recording(m, a, b):  # charts: one column per point
+        shapes.append((a.shape[1], b.shape[1]))
+        return manifold.squared_distances(m, a, b)
 
-    monkeypatch.setattr(smoother, "cross_distances", recording)
+    monkeypatch.setattr(smoother, "squared_distances", recording)
     weight_shapes = []
     raw_weight_matrix = smoother.raw_weight_matrix
 
@@ -175,11 +175,11 @@ def test_fit_on_the_cylinder_computes_only_the_pruned_distances(monkeypatch, mod
 
     pairs = []
 
-    def recording(m, a, b):
-        pairs.append(a.shape[0] * b.shape[0])
-        return manifold.cross_distances(m, a, b)
+    def recording(m, a, b):  # charts: one column per point
+        pairs.append(a.shape[1] * b.shape[1])
+        return manifold.squared_distances(m, a, b)
 
-    monkeypatch.setattr(smoother, "cross_distances", recording)
+    monkeypatch.setattr(smoother, "squared_distances", recording)
     ds = generate_sample(2000, "C1", replication_rng(10_000, 0)).dataset
     f = fit(ds, 0.8, mode=mode)
     assert np.all(np.isfinite(f.beta))

@@ -5,9 +5,12 @@ import os
 import resource
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plmanifold import _kernels, plm, simulation, smoother
 from plmanifold._kernels import MAD_CONSISTENCY
@@ -18,7 +21,7 @@ from plmanifold.manifold import (
     circle_coords,
     cross_distances,
     cylinder_coords,
-    pairwise_distances,
+    squared_distances,
     volume_density_from_distance,
 )
 from plmanifold.smoother import (
@@ -32,7 +35,7 @@ from plmanifold.smoother import (
     weighted_median,
     window_weights,
 )
-from conftest import random_points, random_weights, smooth_at
+from conftest import random_points, random_weights, smooth_at, squared_cross
 
 CIR = Manifold.circle()
 CYL = Manifold.cylinder()
@@ -65,6 +68,108 @@ def test_quadratic_kernel_equals_the_masked_formula_bit_for_bit():
     assert np.array_equal(got, ref)
     assert np.array_equal(u, before)
     assert not np.any(np.signbit(got))
+
+
+# ---------------------------------------------- weights from squared distances
+
+FLAT = [CIR, CYL, Manifold.euclidean(2)]
+FLAT_IDS = ["circle", "cylinder", "plane"]
+ULP = float(np.spacing(0.9375))
+
+
+def _exact_kernel(squared, h):
+    """0.9375 (1 - d^2/h^2)^2 on d^2 < h^2, in rational arithmetic, rounded once."""
+    t = Fraction(squared) / Fraction(h) ** 2
+    return float(Fraction(15, 16) * (1 - t) ** 2) if t < 1 else 0.0
+
+
+@pytest.mark.parametrize("manifold", FLAT + [Manifold.sphere()], ids=FLAT_IDS + ["sphere"])
+def test_a_pair_at_exactly_the_bandwidth_weighs_zero(manifold):
+    """At h equal to a pair's distance, as cross_distances rounds it, the
+    pair weighs exactly 0, and one step of h above it more than 0.  On the
+    cylinder and in the plane h * h often exceeds the pair's own d^2 there,
+    so d^2 divided by h * h (or times its reciprocal) would weigh the pair
+    about 1e-32."""
+    rng = np.random.default_rng(71)
+    a, b = random_points(manifold, rng, 40), random_points(manifold, rng, 40)
+    squared, d = squared_cross(manifold, a, b), cross_distances(manifold, a, b)
+    above = 0
+    for i, j in enumerate(rng.permutation(40)):
+        h = float(d[i, j])
+        above += h * h > squared[i, j]
+        assert raw_weight_matrix(manifold, h, squared)[i, j] == 0.0
+        assert raw_weight_matrix(manifold, math.nextafter(h, math.inf), squared)[i, j] > 0.0
+    assert above > 0 or manifold.kind in ("circle", "sphere")
+
+
+@pytest.mark.parametrize("manifold,n,h", [(CIR, 300, 0.3), (CYL, 200, 0.01), (CYL, 300, 0.01)],
+                         ids=["circle-streamed", "cylinder-one-block", "cylinder-streamed"])
+def test_the_reported_nearest_distance_opens_every_window(manifold, n, h):
+    """Leave-one-out windows that are empty at h are all non-empty at
+    EmptyWindowError.nearest_distance x (1 + 1e-12), in the one block and
+    in key-sorted blocks: the bound is the distance the kernel compares."""
+    rng = np.random.default_rng(73)
+    if manifold.kind == "circle":  # a lonely point 2.0 from a cluster on [0, 1]
+        sample = circle_coords(np.append(np.linspace(0.0, 1.0, n - 1), 3.0))
+    else:
+        sample = random_points(manifold, rng, n)
+    with pytest.raises(EmptyWindowError) as err:
+        list(window_weights(manifold, h, sample, sample, leave_one_out=True))
+    assert err.value.indices
+    wide = err.value.nearest_distance * (1 + 1e-12)
+    totals = np.concatenate([t for *_, t in window_weights(manifold, wide, sample, sample,
+                                                             leave_one_out=True)])
+    assert totals.size == n and np.all(totals > 0)
+
+
+@st.composite
+def flat_cases(draw):
+    """(manifold, queries, sample, h) on the circle, the cylinder or the
+    plane: angles across the 0/2 pi seam, near the +-pi jump of arctan2 and
+    anywhere; the sample is sometimes the queries (d = 0); h anywhere in
+    (0, pi), within 1e-6 of pi, or one of the pairs' distances."""
+    manifold = draw(st.sampled_from(FLAT))
+    angle = st.one_of(st.floats(-0.5, 0.5), st.floats(np.pi - 0.5, np.pi + 0.5),
+                      st.floats(0.0, 2 * np.pi))
+
+    def points(n):
+        if manifold.kind == "euclidean":
+            return np.array(draw(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+                                          min_size=n, max_size=n)))
+        angles = draw(st.lists(angle, min_size=n, max_size=n))
+        if manifold.kind == "circle":
+            return circle_coords(angles)
+        return cylinder_coords(angles, draw(st.lists(st.floats(0.0, 1.0), min_size=n,
+                                                     max_size=n)))
+
+    queries = points(draw(st.integers(1, 8)))
+    sample = queries if draw(st.booleans()) else points(draw(st.integers(1, 8)))
+    d = cross_distances(manifold, queries, sample).ravel()
+    pair = float(d[draw(st.integers(0, d.size - 1))])
+    h = draw(st.one_of(st.floats(1e-3, np.pi, exclude_max=True),
+                       st.floats(np.pi - 1e-6, np.pi, exclude_max=True),
+                       st.just(pair) if 1e-3 <= pair < np.pi else st.nothing()))
+    return manifold, queries, sample, h
+
+
+@settings(max_examples=300, deadline=None)
+@given(flat_cases())
+def test_weights_from_squared_distances_are_the_kernel_of_the_distance(case):
+    """The weights from d^2 are 0 exactly where the distance reaches h and
+    positive below it (the support of quartic_kernel(d / h)), exactly
+    0.9375 at d = 0, within 3 units in the last place of 0.9375 of the exact
+    kernel of their own d^2, and within 7 of quartic_kernel(d / h), which
+    rounds up to 4 units from the exact kernel through its square root,
+    division and square."""
+    manifold, queries, sample, h = case
+    squared = squared_cross(manifold, queries, sample)
+    d = cross_distances(manifold, queries, sample)
+    W = raw_weight_matrix(manifold, h, squared)
+    assert np.array_equal(W > 0, d < h) and not np.any(W[d >= h])
+    assert np.all(W[d == 0] == 0.9375)
+    exact = np.vectorize(_exact_kernel)(squared, h)
+    assert np.max(np.abs(W - exact)) <= 3 * ULP
+    assert np.max(np.abs(W - quartic_kernel(d / h))) <= 7 * ULP
 
 
 # ----------------------------------------------------------------- weights
@@ -166,20 +271,20 @@ MANIFOLD_IDS = ["cylinder", "sphere", "circle", "euclidean"]
 def _block_cases(manifold, rng):
     """(sample, cases) for one sample of more than three row blocks: the
     sample against itself, leave-one-out, and foreign queries, each with its
-    full distance matrix."""
+    full squared distance matrix."""
     n = math.isqrt(6 * BLOCK_CELLS) + 5
     nq = 3 * BLOCK_CELLS // n + 7
     assert nq * n > 3 * BLOCK_CELLS
     sample = random_points(manifold, rng, n)
     queries = random_points(manifold, rng, nq)
-    d_self = cross_distances(manifold, sample, sample)
-    d_cross = cross_distances(manifold, queries, sample)
+    d_self = squared_cross(manifold, sample, sample)
+    d_cross = squared_cross(manifold, queries, sample)
     return sample, [(sample, False, d_self), (sample, True, d_self),
                     (queries, False, d_cross)]
 
 
-def _dense_kernel(manifold, h, d, loo):
-    W = raw_weight_matrix(manifold, h, d)
+def _dense_kernel(manifold, h, squared, loo):
+    W = raw_weight_matrix(manifold, h, squared)
     if loo:
         np.fill_diagonal(W, 0.0)
     return W
@@ -270,7 +375,7 @@ def test_pruned_windows_are_the_dense_kernel_bit_for_bit(manifold, h, points):
     rng = np.random.default_rng(5)
     sample, queries = points(rng, 400), points(rng, 300)
     for q, loo in ((sample, False), (sample, True), (queries, False)):
-        dense = _dense_kernel(manifold, h, cross_distances(manifold, q, sample), loo)
+        dense = _dense_kernel(manifold, h, squared_cross(manifold, q, sample), loo)
         blocks = _check_blocks(manifold, h, q, sample, loo, dense)
         if manifold.kind in ("circle", "cylinder") and h < 1.0:
             key = np.mod(np.arctan2(sample[:, 1], sample[:, 0]), 2 * np.pi)
@@ -284,7 +389,7 @@ def test_a_row_with_more_candidates_than_a_block_holds_is_a_block_alone(monkeypa
     monkeypatch.setattr(smoother, "BLOCK_CELLS", 64)
     rng = np.random.default_rng(9)
     sample, queries = circle_coords(rng.uniform(0, 2 * np.pi, 100)), circle_coords([0.0, 3.0])
-    dense = _dense_kernel(CIR, 3.0, cross_distances(CIR, queries, sample), False)
+    dense = _dense_kernel(CIR, 3.0, squared_cross(CIR, queries, sample), False)
     blocks = _check_blocks(CIR, 3.0, queries, sample, False, dense)
     assert [r.size for r, _ in blocks] == [1, 1] and all(c.size > 64 for _, c in blocks)
 
@@ -296,7 +401,7 @@ def test_leave_one_out_across_the_seam_drops_only_the_own_point():
     rng = np.random.default_rng(8)
     sample = circle_coords(rng.uniform(-0.3, 0.3, 500))
     values = rng.normal(size=500)
-    W = _dense_kernel(CIR, 0.2, pairwise_distances(CIR, sample), True)
+    W = _dense_kernel(CIR, 0.2, squared_cross(CIR, sample, sample), True)
     est = smooth_at(CIR, 0.2, sample, values, ScoreFunction.identity(),
                          leave_one_out=True)[0][:, 0]
     assert np.max(np.abs(est - (W @ values) / W.sum(axis=1))) <= 1e-14
@@ -388,7 +493,7 @@ def test_empty_windows_in_two_blocks_raise_one_error(monkeypatch):
 
     def recording(*args):
         for block in key_blocks(*args):
-            blocks.append(block[0])
+            blocks.append(block[1])
             yield block
 
     monkeypatch.setattr(smoother, "_key_blocks", recording)
@@ -424,11 +529,11 @@ def test_the_empty_window_diagnosis_measures_a_block_at_a_time(monkeypatch):
     sample = cylinder_coords(angles, heights)
     cells = []
 
-    def recording(manifold, a, b):
-        cells.append(a.shape[0] * b.shape[0])
-        return cross_distances(manifold, a, b)
+    def recording(manifold, a, b):  # charts: one column per point
+        cells.append(a.shape[1] * b.shape[1])
+        return squared_distances(manifold, a, b)
 
-    monkeypatch.setattr(smoother, "cross_distances", recording)
+    monkeypatch.setattr(smoother, "squared_distances", recording)
     with pytest.raises(EmptyWindowError) as err:
         list(window_weights(CYL, 1e-5, sample, sample, leave_one_out=True))
     assert max(cells) <= BLOCK_CELLS
@@ -780,15 +885,16 @@ def test_sphere_smoother_applies_volume_density_correction():
     assert np.max(np.abs(oracle - uncorrected)) > 1e-4
     # the weights gather and scatter the positive cells by np.extract and
     # np.place: the 2-D mask formulation's bits, on a block of a fit-large
-    # size, and the sphere's distances are read, never overwritten
-    d = cross_distances(sph, sample[:5], random_points(sph, rng, 2000))
-    k = quartic_kernel(d / 0.3)
+    # size, and the sphere's squared distances are read, never overwritten
+    d2 = squared_cross(sph, sample[:5], random_points(sph, rng, 2000))
+    s = np.maximum(1.0 - d2 / smoother._squared_bandwidth(0.3), 0.0)
+    k = 0.9375 * s * s
     pos = k > 0
-    k[pos] = k[pos] / volume_density_from_distance(sph, d[pos])
-    before = d.copy()
+    k[pos] = k[pos] / volume_density_from_distance(sph, np.sqrt(d2[pos]))
+    before = d2.copy()
     for overwrite in (False, True):
-        assert np.array_equal(raw_weight_matrix(sph, 0.3, d, overwrite), k)
-        assert np.array_equal(d, before)
+        assert np.array_equal(raw_weight_matrix(sph, 0.3, d2, overwrite), k)
+        assert np.array_equal(d2, before)
 
 
 # ------------------------------------------------------- reweighting weight
@@ -1072,17 +1178,17 @@ def test_each_bandwidth_of_one_call_gets_its_own_entry(n, helpers, monkeypatch):
     if n == 700:
         log = _first_two_blocks_on_two_threads(monkeypatch)
     else:
-        log, distances, block_weights = [], smoother.cross_distances, smoother._block_weights
+        log, distances, block_weights = [], smoother.squared_distances, smoother._block_weights
 
-        def recording(manifold, a, b):
-            log.append((threading.current_thread(), a.shape[0] * b.shape[0]))
+        def recording(manifold, a, b):  # charts: one column per point
+            log.append((threading.current_thread(), a.shape[1] * b.shape[1]))
             return distances(manifold, a, b)
 
         def weighing(*args):
             log.append((threading.current_thread(), "block"))
             return block_weights(*args)
 
-        monkeypatch.setattr(smoother, "cross_distances", recording)
+        monkeypatch.setattr(smoother, "squared_distances", recording)
         monkeypatch.setattr(smoother, "_block_weights", weighing)
     entries = smooth_columns(CIR, hs, sample, values, score, queries=queries)
     if n == 700:
