@@ -372,9 +372,13 @@ def _run_simulate(contamination, n, replications, workers, export_data, seed,
 
 
 def _run(runner, **options) -> None:
-    """Call a command's runner and exit 0, 2 (configuration) or 3 (numerical)."""
+    """Call a command's runner and exit 0, 2 (configuration) or 3 (numerical);
+    an output path in a missing directory is a configuration error at once."""
     code = 0
     try:
+        for path in (options["out"], options.get("export_data")):
+            if path and not Path(path).absolute().parent.is_dir():
+                raise ConfigError(f"cannot write {path!r}: its directory does not exist")
         runner(**options)
     except (ValueError, PLMError) as err:
         code = 2 if isinstance(err, ValueError) else 3  # ConfigError is one too

@@ -6,8 +6,8 @@ with s the height coordinate.  Coordinates are validated, never silently
 projected; projection of raw data happens only in the CLI ingestion layer.
 Distances are computed from a `chart` of each batch (the angle, the height
 or the ambient coordinates, one contiguous row each), as squared geodesic
-distances (`squared_distances`, which the kernel reads) or their square
-roots (`cross_distances`).
+distances (`squared_distances`, which the kernel reads) or, for the default
+grid's pairs (`pair_distance_blocks`), their square roots.
 """
 
 from __future__ import annotations
@@ -202,12 +202,13 @@ def pairwise_distances(manifold: Manifold, points: np.ndarray) -> np.ndarray:
 
 def pair_distance_blocks(manifold: Manifold, points: np.ndarray):
     """The positive geodesic distances of the pairs i < j of validated points,
-    per block of whole rows: ``cross_distances`` of rows s:s+step against the
-    points from s on, at most ``BLOCK_CELLS`` cells (or one row), bit for bit."""
-    n = points.shape[0]
+    per block of whole rows, from one `chart`: the square roots of the
+    `squared_distances` of rows s:s+step against the points from s on, at
+    most ``BLOCK_CELLS`` cells (or one row), ``cross_distances``' bits."""
+    n, c = points.shape[0], chart(manifold, points)
     step = max(1, BLOCK_CELLS // max(n, 1))
     for s in range(0, n, step):
-        d = cross_distances(manifold, points[s:s + step], points[s:])
+        d = np.sqrt(squared_distances(manifold, c[:, s:s + step], c[:, s:]))
         yield d[(np.arange(n - s) > np.arange(d.shape[0])[:, None]) & (d > 0)]
 
 

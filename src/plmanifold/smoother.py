@@ -3,7 +3,7 @@
 The local fit at a query point composes three pieces: normalized quartic
 kernel weights built from squared geodesic distances (the kernel depends on
 d through d^2 only) and the volume density, one block of query rows at a
-time (`window_weights`, so no n x n array is made), a weighted median /
+time (`_block_plan`, so no n x n array is made), a weighted median /
 weighted MAD pair giving the robust local scale, and a score equation
 solved by bracketed Newton steps (Huber) or by Newton steps whenever the
 slope sum is positive and reweighting steps otherwise (bisquare), all in
@@ -32,6 +32,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import numbers
 import os
 import threading
 from concurrent import futures
@@ -101,16 +102,10 @@ if hasattr(os, "register_at_fork"):  # a pool inherited over fork has no threads
     os.register_at_fork(after_in_child=_helper_pool.cache_clear)
 
 
-def quartic_kernel(u):
-    """The smoothing kernel K(u) = 0.9375 (1 - u^2)^2 on |u| < 1, 0 elsewhere,
-    in a new array, leaving u as it is."""
-    # asarray: a scalar u squares to a scalar
-    return _quartic_of_square(np.asarray(np.square(u, dtype=float)))
-
-
 def _quartic_of_square(t):
-    """`quartic_kernel` of u from t = u^2, in a new array; t is overwritten:
-    block-sized temporaries cost page faults, not just arithmetic."""
+    """The smoothing kernel K(u) = 0.9375 (1 - u^2)^2 on |u| < 1, 0 elsewhere,
+    from the array t = u^2, in a new array; t is overwritten: block-sized
+    temporaries cost page faults, not just arithmetic."""
     np.subtract(1.0, t, out=t)
     np.maximum(t, 0.0, out=t)
     k = 0.9375 * t
@@ -135,7 +130,10 @@ class ScoreFunction:
     c: float | None
 
     def __post_init__(self):
-        if self.code != 0 and not (np.isfinite(self.c) and self.c > 0):
+        if not (isinstance(self.code, numbers.Integral) and 0 <= self.code <= 2):
+            raise ValueError(f"score code must be 0, 1 or 2, got {self.code!r}")
+        if self.code and not (isinstance(self.c, numbers.Real) and math.isfinite(self.c)
+                              and self.c > 0):
             raise ValueError(f"{_SCORE_NAMES[self.code]} constant must be finite "
                              f"and > 0, got {self.c!r}")
 
@@ -213,8 +211,8 @@ def _check_weight_pair(weights, values):
 
 def _squared_bandwidth(h: float) -> float:
     """The least double t whose rounded square root reaches h, h * h or a step
-    below: a pair's d^2 lies below t exactly when its distance, the square
-    root of d^2 as ``cross_distances`` rounds it, lies below h."""
+    below: a pair's d^2 lies below t exactly when its distance, ``np.sqrt``
+    of d^2 (as `manifold.pair_distance_blocks` takes it), lies below h."""
     t = h * h
     while math.sqrt(t) < h:  # only if h * h underflows
         t = math.nextafter(t, math.inf)
@@ -275,12 +273,15 @@ def _key_blocks(manifold: Manifold, hs, qc: np.ndarray, sc: np.ndarray):
 
 
 def _block_plan(manifold, hs, queries, sample, leave_one_out):
-    """(blocks, share) of a call at the bandwidths ``hs``: blocks yields
-    (i, rows, cols, own), a block of hs[i] as in `window_weights`; share is
-    (qc, sc, squared), the queries' and the sample's `chart`, each taken
-    once per call (one array when the queries are the sample), and the one
-    block's squared distances, which every bandwidth weighs, or None when
-    each block builds its own."""
+    """(blocks, share) of a call at the bandwidths ``hs``.  blocks yields
+    (i, rows, cols, own) per block of hs[i]: query indices, the sample
+    indices weighed (zero weight off them) and each row's own position in
+    cols; the one block, every query against every sample point as slices,
+    when queries x sample <= ``BLOCK_CELLS`` (none without a query), else
+    `_key_blocks`.  share is (qc, sc, squared): the queries' and the
+    sample's `chart`, once per call (one array when the queries are the
+    sample), and the one block's squared distances, which every bandwidth
+    weighs, or None.  ``leave_one_out`` needs ``queries is sample``."""
     if leave_one_out and queries is not sample:
         raise ValueError("leave_one_out needs the sample itself as the queries")
     qc = chart(manifold, queries)
@@ -293,7 +294,7 @@ def _block_plan(manifold, hs, queries, sample, leave_one_out):
 
 
 def _block_weights(manifold, hs, queries, sample, leave_one_out, share, block):
-    """One block of `window_weights`: (W, totals, hollow, nearest), hollow the
+    """One block of `_block_plan`: (W, totals, hollow, nearest), hollow the
     block's query indices whose window is empty and nearest the largest
     distance from one of them to the whole sample (0.0 if none)."""
     i, rows, cols, own = block
@@ -328,40 +329,6 @@ def _empty_window_error(empty):
     return EmptyWindowError(f"empty kernel window at {len(indices)} query indices [{listed}]; "
                             f"the bandwidth must exceed {nearest:.6g}",
                             nearest_distance=nearest, indices=indices)
-
-
-def window_weights(manifold: Manifold, h: float, queries: np.ndarray, sample: np.ndarray,
-                   leave_one_out: bool = False):
-    """Raw kernel weights of the query rows against the sample, one row block
-    at a time.
-
-    Yields (rows, cols, W, totals) per block: W holds the weights of the
-    queries ``rows`` against the sample points ``cols``, zero off them, and
-    totals its row sums.  A block is one of two kinds.  When every cell fits
-    in one block (queries x sample <= ``BLOCK_CELLS``), the one block is
-    every query against every sample point, as slices; no query yields no
-    block.  A larger call runs through the queries in ``coordinate_key``
-    order, with index arrays from `_key_blocks`.  No array larger than a
-    block is made.
-    ``leave_one_out`` zeroes each query's weight on itself; it raises
-    ValueError unless ``queries is sample``.  After the last block, raises
-    EmptyWindowError whose ``indices`` list every query index whose window
-    is empty, ascending (the message shows the first 10 and the count),
-    with the smallest bandwidth that would cover them all as
-    ``nearest_distance``, measured against the whole sample; no block is
-    yielded once an empty window is found.
-    """
-    empty = []
-    plan, share = _block_plan(manifold, [h], queries, sample, leave_one_out)
-    for block in plan:
-        W, totals, hollow, nearest = _block_weights(manifold, [h], queries, sample,
-                                                    leave_one_out, share, block)
-        if hollow.size:
-            empty.append((hollow, nearest))
-        elif not empty:
-            yield block[1], block[2], W, totals
-    if empty:
-        raise _empty_window_error(empty)
 
 
 def _engine_row(w, v):
@@ -422,12 +389,11 @@ def smooth_columns(manifold: Manifold, bandwidths, sample: np.ndarray,
                    queries: np.ndarray | None = None,
                    leave_one_out: bool = False) -> list:
     """Smooth several value columns at each of the ``bandwidths`` (a CV
-    sweep's grid, or one h), one row block of kernel weights (the blocks of
-    `window_weights`) at a time.  A call whose cells fit in one block
-    weighs that block's squared distances, built once, at every bandwidth,
-    in the calling thread; a larger call chains each bandwidth's key-sorted
-    blocks, spread over the calling thread and the helper pool (module
-    docstring).
+    sweep's grid, or one h), one row block of kernel weights (`_block_plan`)
+    at a time.  A call whose cells fit in one block weighs that block's
+    squared distances, built once, at every bandwidth, in the calling
+    thread; a larger call chains each bandwidth's key-sorted blocks, spread
+    over the calling thread and the helper pool (module docstring).
 
     ``sample`` are validated training coordinates, ``columns`` an (n, k)
     value matrix with one row per sample point (else ValueError), ``score``
@@ -437,8 +403,9 @@ def smooth_columns(manifold: Manifold, bandwidths, sample: np.ndarray,
     queries.  Returns one entry per bandwidth: (estimates, flags), both of
     shape (n_queries, k), flag 1 marking a degenerate local MAD
     (weighted-median fallback), or, unraised (`only_entry` raises it), the
-    EmptyWindowError listing every query index whose window is empty with
-    the smallest bandwidth that would cover them all, else the
+    EmptyWindowError listing every query index whose window is empty,
+    ascending, with the smallest bandwidth that would cover them all,
+    measured against the whole sample, as ``nearest_distance``, else the
     ConvergenceError listing every query index where a local solve ran out
     of iterations.
     """

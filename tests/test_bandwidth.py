@@ -72,22 +72,18 @@ def test_single_element_grid():
 
 def _record_distances(monkeypatch):
     """The (rows, columns) of every distance block, in call order: the
-    default grid's cross_distances calls and the smoother's
-    squared_distances calls (on charts, one column per point)."""
+    squared_distances calls of the default grid's pair blocks and of the
+    smoother (on charts, one column per point)."""
     from plmanifold import manifold, smoother
 
-    shapes, cross, squared = [], manifold.cross_distances, smoother.squared_distances
+    shapes, squared = [], manifold.squared_distances
 
     def recording(m, a, b):
-        shapes.append((a.shape[0], b.shape[0]))
-        return cross(m, a, b)
-
-    def recording_squared(m, a, b):
         shapes.append((a.shape[1], b.shape[1]))
         return squared(m, a, b)
 
-    monkeypatch.setattr(manifold, "cross_distances", recording)
-    monkeypatch.setattr(smoother, "squared_distances", recording_squared)
+    monkeypatch.setattr(manifold, "squared_distances", recording)
+    monkeypatch.setattr(smoother, "squared_distances", recording)
     return shapes
 
 
@@ -124,6 +120,24 @@ def test_a_sweep_larger_than_one_block_builds_no_n_by_n_array(mode, monkeypatch)
         h, diagnostics = select_bandwidth(ds, grid, mode=mode)
         assert all(d.feasible for d in diagnostics)
         assert shapes and max(r * c for r, c in shapes) <= BLOCK_CELLS < ds.n ** 2
+
+
+def test_the_default_grid_charts_the_sample_once_per_pass(monkeypatch):
+    """Each of the default grid's two passes over the pair distances takes
+    one chart of the whole sample, not one per block of its more than three."""
+    from plmanifold import manifold
+
+    charts, chart = [], manifold.chart
+    shapes = _record_distances(monkeypatch)
+
+    def charting(m, points):
+        charts.append(points.shape[0])
+        return chart(m, points)
+
+    monkeypatch.setattr(manifold, "chart", charting)
+    ds, _ = random_cylinder_dataset(7, n=700, p=1)
+    default_grid(ds)
+    assert charts == [700, 700] and len(shapes) > 2 * 3
 
 
 @pytest.mark.parametrize("mode", ["robust", "classical"])

@@ -605,6 +605,35 @@ def test_click_simulate_smoke(tmp_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize("command,option", [("fit", "--out"), ("cv", "--out"),
+                                            ("simulate", "--out"),
+                                            ("simulate", "--export-data")])
+def test_an_output_path_in_a_missing_directory_exits_2_before_any_fitting(
+        tmp_path, monkeypatch, command, option):
+    """An --out (or --export-data) in a directory that does not exist is a
+    configuration error, one line naming the path, found before any fit."""
+    from plmanifold import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    for name in ("fit", "select_bandwidth", "run_campaign"):
+        monkeypatch.setattr(cli, name, refuse)
+    data = tmp_path / "lin.csv"
+    make_linear_csv(data, seed=29)
+    argv = {"fit": ["fit", "--input", str(data), "--map", MAPPING, "--bandwidth", "1.5"],
+            "cv": ["cv", "--input", str(data), "--map", MAPPING, "--cv-grid", "1.0,1.5"],
+            "simulate": ["simulate", "--n", "40", "--replications", "2"]}[command]
+    missing = str(tmp_path / "missing" / "r.out")
+    for name, path in {"--out": str(tmp_path / "r.json"), option: missing}.items():
+        argv += [name, path]
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code == 2, result.output
+    assert result.output == (f"error: ConfigError: cannot write {missing!r}: "
+                             "its directory does not exist\n")
+    assert not (tmp_path / "missing").exists() and not (tmp_path / "r.json").exists()
+
+
 def test_importing_the_package_or_the_cli_loads_no_scipy_module():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pm.__file__)))
     code = ("import sys\n"

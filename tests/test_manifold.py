@@ -22,7 +22,7 @@ from plmanifold.manifold import (
     validate_coords,
     volume_density_from_distance,
 )
-from conftest import random_points
+from conftest import random_points, squared_cross
 
 CYL = Manifold.cylinder()
 SPH = Manifold.sphere()
@@ -83,29 +83,39 @@ def test_distance_axioms_on_random_pairs(manifold):
 @pytest.mark.parametrize("manifold", [CYL, SPH, CIR, EUC3],
                          ids=["cylinder", "sphere", "circle", "euclidean"])
 def test_blocked_pairwise_distances_equal_the_full_matrix(manifold, monkeypatch):
-    # more than three blocks of whole rows, in order, each of at most
-    # BLOCK_CELLS cells against the points from its first row on; together
-    # they yield every positive pair i < j once, with the full matrix's bits;
+    # one chart of the points, then more than three blocks of whole rows, in
+    # order, each the squared distances of at most BLOCK_CELLS cells of its
+    # rows of the chart against its columns from the block's first row on;
+    # together they yield every positive pair i < j once, the strict upper
+    # triangle of the square root of the full squared matrix, bit for bit;
     # pairwise_distances is that matrix and exactly symmetric
     from plmanifold import manifold as module
 
     n = math.isqrt(6 * BLOCK_CELLS) + 3
     pts = random_points(manifold, np.random.default_rng(13), n)
     pts[5] = pts[2]  # a zero distance, which no block yields
-    calls = []
+    charts, calls = [], []
+
+    def charting(m, points):
+        charts.append(points)
+        return chart(m, points)
 
     def recording(m, a, b):
         calls.append((a, b))
-        return cross_distances(m, a, b)
+        return squared_distances(m, a, b)
 
-    monkeypatch.setattr(module, "cross_distances", recording)
+    monkeypatch.setattr(module, "chart", charting)
+    monkeypatch.setattr(module, "squared_distances", recording)
     blocks = list(pair_distance_blocks(manifold, pts))
+    monkeypatch.undo()
+    c = chart(manifold, pts)
+    assert len(charts) == 1 and charts[0] is pts
     assert len(calls) == len(blocks) > 3
-    assert all(a.shape[0] * b.shape[0] <= BLOCK_CELLS for a, b in calls)
-    assert np.array_equal(np.concatenate([a for a, _ in calls]), pts)
-    starts = np.cumsum([0] + [a.shape[0] for a, _ in calls[:-1]])
-    assert all(np.array_equal(b, pts[s:]) for s, (_, b) in zip(starts, calls))
-    D = cross_distances(manifold, pts, pts)
+    assert all(a.shape[1] * b.shape[1] <= BLOCK_CELLS for a, b in calls)
+    assert np.array_equal(np.concatenate([a for a, _ in calls], axis=1), c)
+    starts = np.cumsum([0] + [a.shape[1] for a, _ in calls[:-1]])
+    assert all(np.array_equal(b, c[:, s:]) for s, (_, b) in zip(starts, calls))
+    D = np.sqrt(squared_cross(manifold, pts, pts))
     upper = D[np.triu_indices(n, k=1)]
     assert np.array_equal(np.concatenate(blocks), upper[upper > 0]) and D[2, 5] == 0.0
     P = pairwise_distances(manifold, pts)

@@ -29,11 +29,9 @@ from plmanifold.smoother import (
     check_bandwidth,
     local_m_estimate,
     local_mad,
-    quartic_kernel,
     raw_weight_matrix,
     smooth_columns,
     weighted_median,
-    window_weights,
 )
 from conftest import random_points, random_weights, smooth_at, squared_cross
 
@@ -46,27 +44,52 @@ def quartic_oracle(u):
     return 0.9375 * (1.0 - u * u) ** 2 if abs(u) < 1.0 else 0.0
 
 
+def masked_quartic(u):
+    """The quartic kernel of u by masked writes: 0.9375 (1 - u^2)^2 on
+    |u| < 1, 0 elsewhere."""
+    ref = np.zeros_like(u)
+    inside = np.abs(u) < 1.0
+    t = 1.0 - u[inside] ** 2
+    ref[inside] = 0.9375 * t * t
+    return ref
+
+
+def window_blocks(manifold, h, queries, sample, leave_one_out=False):
+    """(rows, cols, W, totals) of every block of a one-bandwidth smoothing
+    call, in plan order: the blocks of `_block_plan`, weighed by
+    `_block_weights`.  Raises the call's EmptyWindowError after the last
+    block if any window is empty."""
+    plan, share = smoother._block_plan(manifold, [h], queries, sample, leave_one_out)
+    blocks, empty = [], []
+    for block in plan:
+        W, totals, hollow, nearest = smoother._block_weights(
+            manifold, [h], queries, sample, leave_one_out, share, block)
+        if hollow.size:
+            empty.append((hollow, nearest))
+        blocks.append((block[1], block[2], W, totals))
+    if empty:
+        raise smoother._empty_window_error(empty)
+    return blocks
+
+
 # ------------------------------------------------------------------ kernel
 
 def test_quadratic_kernel_values():
-    assert quartic_kernel(0.0) == pytest.approx(15.0 / 16.0, abs=1e-15)
-    assert quartic_kernel(0.5) == pytest.approx(quartic_oracle(0.5), abs=1e-15)
-    assert quartic_kernel(1.0) == 0.0
-    assert quartic_kernel(1.5) == 0.0
+    u = np.array([0.0, 0.5, 1.0, 1.5])
+    got = smoother._quartic_of_square(u * u)
+    assert got[0] == pytest.approx(15.0 / 16.0, abs=1e-15)
+    assert got[1] == pytest.approx(quartic_oracle(0.5), abs=1e-15)
+    assert got[2] == 0.0 and got[3] == 0.0
 
 
 def test_quadratic_kernel_equals_the_masked_formula_bit_for_bit():
     below_one = np.nextafter(1.0, 0.0)
     u = np.concatenate([np.linspace(-1.5, 1.5, 3001), [1.0, -1.0, below_one, -below_one,
                         np.nextafter(1.0, 2.0), 1.0 - 1e-9, 0.0, np.inf]])
-    ref = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    t = 1.0 - u[inside] ** 2
-    ref[inside] = 0.9375 * t * t
-    before = u.copy()
-    got = quartic_kernel(u)
-    assert np.array_equal(got, ref)
-    assert np.array_equal(u, before)
+    t = u * u
+    got = smoother._quartic_of_square(t)
+    assert got is not t
+    assert np.array_equal(got, masked_quartic(u))
     assert not np.any(np.signbit(got))
 
 
@@ -114,11 +137,11 @@ def test_the_reported_nearest_distance_opens_every_window(manifold, n, h):
     else:
         sample = random_points(manifold, rng, n)
     with pytest.raises(EmptyWindowError) as err:
-        list(window_weights(manifold, h, sample, sample, leave_one_out=True))
+        window_blocks(manifold, h, sample, sample, leave_one_out=True)
     assert err.value.indices
     wide = err.value.nearest_distance * (1 + 1e-12)
-    totals = np.concatenate([t for *_, t in window_weights(manifold, wide, sample, sample,
-                                                             leave_one_out=True)])
+    totals = np.concatenate([t for *_, t in window_blocks(manifold, wide, sample, sample,
+                                                            leave_one_out=True)])
     assert totals.size == n and np.all(totals > 0)
 
 
@@ -156,9 +179,9 @@ def flat_cases(draw):
 @given(flat_cases())
 def test_weights_from_squared_distances_are_the_kernel_of_the_distance(case):
     """The weights from d^2 are 0 exactly where the distance reaches h and
-    positive below it (the support of quartic_kernel(d / h)), exactly
+    positive below it (the support of the kernel of d / h), exactly
     0.9375 at d = 0, within 3 units in the last place of 0.9375 of the exact
-    kernel of their own d^2, and within 7 of quartic_kernel(d / h), which
+    kernel of their own d^2, and within 7 of the kernel of d / h, which
     rounds up to 4 units from the exact kernel through its square root,
     division and square."""
     manifold, queries, sample, h = case
@@ -169,14 +192,14 @@ def test_weights_from_squared_distances_are_the_kernel_of_the_distance(case):
     assert np.all(W[d == 0] == 0.9375)
     exact = np.vectorize(_exact_kernel)(squared, h)
     assert np.max(np.abs(W - exact)) <= 3 * ULP
-    assert np.max(np.abs(W - quartic_kernel(d / h))) <= 7 * ULP
+    assert np.max(np.abs(W - masked_quartic(d / h))) <= 7 * ULP
 
 
 # ----------------------------------------------------------------- weights
 
 def _weights(manifold, h, t, sample):
     """Normalized kernel weights of the sample relative to the one point t."""
-    [(_, _, W, totals)] = window_weights(manifold, h, t[None, :], sample)
+    [(_, _, W, totals)] = window_blocks(manifold, h, t[None, :], sample)
     return W[0] / totals[0]
 
 
@@ -247,20 +270,20 @@ def test_window_weights_leave_one_out_leaves_the_distances_alone():
     diagonal its weights are those of the call without it."""
     rng = np.random.default_rng(12)
     sample = cylinder_coords(rng.uniform(0, 2 * np.pi, 15), rng.uniform(0, 1, 15))
-    [(rows, cols, W, totals)] = window_weights(CYL, 1.5, sample, sample, leave_one_out=True)
+    [(rows, cols, W, totals)] = window_blocks(CYL, 1.5, sample, sample, leave_one_out=True)
     assert (rows, cols) == (slice(None), slice(None))
     assert np.all(np.diag(W) == 0.0)
     assert np.array_equal(totals, W.sum(axis=1))
-    [(_, _, W_all, _)] = window_weights(CYL, 1.5, sample, sample)
+    [(_, _, W_all, _)] = window_blocks(CYL, 1.5, sample, sample)
     assert np.all(np.diag(W_all) == 0.9375)
     off = ~np.eye(15, dtype=bool)
     assert np.array_equal(W[off], W_all[off])
     # the diagonal is a sample point's own weight only when the queries are the sample
     foreign = cylinder_coords(rng.uniform(0, 2 * np.pi, 10), rng.uniform(0, 1, 10))
     with pytest.raises(ValueError, match="leave_one_out"):
-        next(window_weights(CYL, 1.5, foreign, sample, leave_one_out=True))
+        window_blocks(CYL, 1.5, foreign, sample, leave_one_out=True)
     with pytest.raises(ValueError, match="leave_one_out"):
-        next(window_weights(CYL, 1.5, sample.copy(), sample, leave_one_out=True))
+        window_blocks(CYL, 1.5, sample.copy(), sample, leave_one_out=True)
 
 
 MANIFOLD_BANDWIDTHS = [(CYL, 0.8), (Manifold.sphere(), 0.8), (CIR, 0.3),
@@ -296,12 +319,12 @@ def _indices(index, size):
 
 
 def _check_blocks(manifold, h, q, sample, loo, dense, atol=0.0):
-    """Every block of window_weights is the dense kernel on its rows x cols
+    """Every block of the call's plan is the dense kernel on its rows x cols
     (to ``atol``), the dense kernel is exactly zero off its cols, each block
     holds at most BLOCK_CELLS cells (or one row), and the blocks cover every
     query once.  Returns the blocks' (rows, cols) as index arrays."""
     n, seen = sample.shape[0], []
-    for rows, cols, W, totals in window_weights(manifold, h, q, sample, leave_one_out=loo):
+    for rows, cols, W, totals in window_blocks(manifold, h, q, sample, leave_one_out=loo):
         r, c = _indices(rows, q.shape[0]), _indices(cols, n)
         assert W.shape == (r.size, c.size)
         assert W.size <= smoother.BLOCK_CELLS or r.size == 1
@@ -332,8 +355,8 @@ def test_blocked_window_weights_equal_the_dense_kernel(manifold, h, monkeypatch)
         assert len(built) > 1
     monkeypatch.setattr(smoother, "BLOCK_CELLS", n * n)
     for (q, loo, _), W in zip(cases, dense):
-        [(rows, cols, W_one, totals)] = window_weights(manifold, h, q, sample,
-                                                       leave_one_out=loo)
+        [(rows, cols, W_one, totals)] = window_blocks(manifold, h, q, sample,
+                                                      leave_one_out=loo)
         assert (rows, cols) == (slice(None), slice(None))
         assert np.array_equal(W_one, W) and np.array_equal(totals, W.sum(axis=1))
 
@@ -414,12 +437,12 @@ def test_empty_window_beyond_the_band_reports_the_nearest_point_of_the_sample():
     at angle 4.0 has the lonely point, 1.0 away, outside its band."""
     sample = circle_coords(np.append(np.linspace(0.0, 1.0, 299), 3.0))
     with pytest.raises(EmptyWindowError) as err:
-        list(window_weights(CIR, 0.3, sample, sample, leave_one_out=True))
+        window_blocks(CIR, 0.3, sample, sample, leave_one_out=True)
     assert err.value.indices == [299]
     assert err.value.nearest_distance == pytest.approx(2.0, abs=1e-12)
     queries = circle_coords(np.append(np.linspace(0.0, 1.0, 299), 4.0))
     with pytest.raises(EmptyWindowError) as err:
-        list(window_weights(CIR, 0.3, queries, sample))
+        window_blocks(CIR, 0.3, queries, sample)
     assert err.value.indices == [299]
     assert err.value.nearest_distance == pytest.approx(1.0, abs=1e-12)
 
@@ -474,7 +497,7 @@ def test_leave_one_out_empty_window_reports_the_nearest_other_point():
     # h = 0.3 every leave-one-out window is empty, and 2 needs h > 1.2
     sample = circle_coords([0.0, 0.5, -1.2])
     with pytest.raises(EmptyWindowError) as err:
-        list(window_weights(CIR, 0.3, sample, sample, leave_one_out=True))
+        window_blocks(CIR, 0.3, sample, sample, leave_one_out=True)
     assert err.value.indices == [0, 1, 2]
     assert err.value.nearest_distance == pytest.approx(1.2, abs=1e-12)
 
@@ -483,20 +506,27 @@ def test_empty_windows_in_two_blocks_raise_one_error(monkeypatch):
     """Point 5 (angle 5.0, 1.5 from the cluster on [3.0, 3.5]) and point 600
     (angle 1.0, 2.0 from it) lie in different key-sorted row blocks, point
     600's the first.  One error names both in input order, with the
-    bandwidth that would cover them all, and no block after the first empty
-    window reaches the caller.  The one block, where BLOCK_CELLS holds every
-    cell, raises the same error and yields no block."""
+    bandwidth that would cover them all, and on one CPU no block after the
+    first empty window is solved.  The one block, where BLOCK_CELLS holds
+    every cell, raises the same error and solves nothing."""
     angles = np.linspace(3.0, 3.5, 700)
     angles[5], angles[600] = 5.0, 1.0
     sample = circle_coords(angles)
-    blocks, key_blocks = [], smoother._key_blocks
+    blocks, solved = [], []
+    key_blocks, local_m_rows = smoother._key_blocks, _kernels.local_m_rows
 
     def recording(*args):
         for block in key_blocks(*args):
             blocks.append(block[1])
             yield block
 
+    def solving(W, *args):
+        solved.append(W.shape[0])
+        return local_m_rows(W, *args)
+
     monkeypatch.setattr(smoother, "_key_blocks", recording)
+    monkeypatch.setattr(_kernels, "local_m_rows", solving)
+    monkeypatch.setattr(smoother, "_usable_cpus", lambda: 1)
     errors = []
     for one_block in (False, True):
         if one_block:
@@ -510,11 +540,7 @@ def test_empty_windows_in_two_blocks_raise_one_error(monkeypatch):
         assert error.indices == [5, 600]
         assert error.nearest_distance == pytest.approx(2.0, abs=1e-12)
         assert str(error) == str(errors[0])
-    seen = []
-    with pytest.raises(EmptyWindowError):
-        for rows, _, _, _ in window_weights(CIR, 0.3, sample, sample, leave_one_out=True):
-            seen.append(rows)
-    assert seen == []
+    assert solved == []
 
 
 def test_the_empty_window_diagnosis_measures_a_block_at_a_time(monkeypatch):
@@ -535,7 +561,7 @@ def test_the_empty_window_diagnosis_measures_a_block_at_a_time(monkeypatch):
 
     monkeypatch.setattr(smoother, "squared_distances", recording)
     with pytest.raises(EmptyWindowError) as err:
-        list(window_weights(CYL, 1e-5, sample, sample, leave_one_out=True))
+        window_blocks(CYL, 1e-5, sample, sample, leave_one_out=True)
     assert max(cells) <= BLOCK_CELLS
     assert err.value.indices == list(range(2000))
     nearest = np.empty(2000)
@@ -756,6 +782,18 @@ def test_builtin_score_properties(score):
 def test_score_constant_must_be_finite_and_positive(make, c):
     with pytest.raises(ValueError, match=f"{make.__name__} constant must be finite"):
         make(c)
+
+
+@pytest.mark.parametrize("code,c,message", [
+    (3, 1.0, "score code must be 0, 1 or 2, got 3"),
+    (-1, 1.0, "score code must be 0, 1 or 2, got -1"),
+    (1, None, "huber constant must be finite and > 0, got None"),
+    (1, "2", "huber constant must be finite and > 0, got '2'"),
+], ids=["code-3", "code-minus-1", "c-none", "c-string"])
+def test_a_score_the_engine_cannot_run_is_refused_naming_the_field(code, c, message):
+    with pytest.raises(ValueError) as err:
+        ScoreFunction(code, c)
+    assert str(err.value) == message
 
 
 def test_huber_psi_prime_zero_at_kink():
@@ -992,12 +1030,12 @@ def _first_two_blocks_on_two_threads(monkeypatch):
 
 
 def _serial_smooth(manifold, h, sample, columns, score, queries, loo):
-    """smooth_columns composed from window_weights and the engine, one block
+    """smooth_columns composed from window_blocks and the engine, one block
     after another in this thread."""
     q = sample if queries is None else queries
     est = np.empty((q.shape[0], columns.shape[1]))
     flags = np.zeros(est.shape, dtype=np.int8)
-    for rows, cols, W, totals in window_weights(manifold, h, q, sample, leave_one_out=loo):
+    for rows, cols, W, totals in window_blocks(manifold, h, q, sample, leave_one_out=loo):
         if score.code == 0:
             est[rows] = (W @ columns[cols]) / totals[:, None]
             continue
@@ -1040,7 +1078,7 @@ def test_empty_windows_in_blocks_on_two_threads_raise_the_serial_error(helpers, 
                              np.linspace(3.2, 4.2, 398)])
     sample = circle_coords(angles)
     with pytest.raises(EmptyWindowError) as serial:
-        list(window_weights(CIR, 0.3, sample, sample, leave_one_out=True))
+        window_blocks(CIR, 0.3, sample, sample, leave_one_out=True)
     log = _first_two_blocks_on_two_threads(monkeypatch)
     with pytest.raises(EmptyWindowError) as threaded:
         smooth_at(CIR, 0.3, sample, angles, ScoreFunction.huber(), leave_one_out=True)
