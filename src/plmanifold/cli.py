@@ -4,7 +4,7 @@ Angles arrive in degrees and are embedded as (cos, sin) internally; the
 cylinder height column is min-max normalized into [0.01, 0.99] unless the
 mapping uses ``height_raw``, which takes the values as-is (they must already
 lie inside the height interval).  Exit codes: 0 success, 2 configuration
-errors, 3 numerical failures.
+or output errors, 3 numerical failures.
 """
 
 from __future__ import annotations
@@ -50,16 +50,6 @@ class ColumnMapping:
     height_raw: bool = False
 
 
-def _cylinder_column(roles: dict, item: str, token: str) -> None:
-    """Record the KEY=COL ``item`` of the cylinder part of ``token``."""
-    key, _, column = item.partition("=")
-    key, column = key.strip(), column.strip()
-    if not column or key not in _CYLINDER_KEYS:
-        raise ConfigError(f"mapping token {token!r}: the cylinder takes "
-                          "angle_deg=COL, height=COL or height_raw=COL")
-    _assign(roles, key, column, token)
-
-
 def _assign(roles: dict, key: str, column: str, token: str) -> None:
     """Record in ``roles`` (column -> key) that ``token`` gives ``column`` the
     role ``key``.  Each role but linear is named once (height and
@@ -83,26 +73,24 @@ def parse_mapping(text: str) -> ColumnMapping:
         token = token.strip()
         if not token:
             continue
-        if "=" in token:
-            key, value = token.split("=", 1)
-            key = key.strip()
-            if key in _TOP_KEYS:
-                current = key
-                if key != "manifold":
-                    _assign(roles, key, value.strip(), token)
-                else:
-                    kind, _, rest = value.partition(":")
-                    if kind.strip() != "cylinder":
-                        raise ConfigError(f"unsupported manifold kind {kind.strip()!r}")
-                    _cylinder_column(roles, rest, token)
-            elif current == "manifold":
-                _cylinder_column(roles, token, token)
-            else:
-                raise ConfigError(f"unknown mapping key {key!r}")
-        else:
+        key, eq, column = (part.strip() for part in token.partition("="))
+        if not eq:
             if current != "linear":
                 raise ConfigError(f"stray mapping token {token!r}")
-            _assign(roles, "linear", token, token)
+            key, column = "linear", token
+        elif key in _TOP_KEYS:
+            current = key
+            if key == "manifold":  # manifold=cylinder:KEY=COL
+                kind, _, item = column.partition(":")
+                if kind.strip() != "cylinder":
+                    raise ConfigError(f"unsupported manifold kind {kind.strip()!r}")
+                key, _, column = (part.strip() for part in item.partition("="))
+        elif current != "manifold":
+            raise ConfigError(f"unknown mapping key {key!r}")
+        if current == "manifold" and not (column and key in _CYLINDER_KEYS):
+            raise ConfigError(f"mapping token {token!r}: the cylinder takes "
+                              "angle_deg=COL, height=COL or height_raw=COL")
+        _assign(roles, key, column, token)
 
     named = {key: column for column, key in roles.items()}  # one column a key, but linear
     if "response" not in named:
@@ -372,16 +360,19 @@ def _run_simulate(contamination, n, replications, workers, export_data, seed,
 
 
 def _run(runner, **options) -> None:
-    """Call a command's runner and exit 0, 2 (configuration) or 3 (numerical);
-    an output path in a missing directory is a configuration error at once."""
+    """Call a command's runner and exit 0, 2 (configuration or output) or 3
+    (numerical); an output path that is a directory or lies in a missing one
+    is a configuration error at once."""
     code = 0
     try:
-        for path in (options["out"], options.get("export_data")):
-            if path and not Path(path).absolute().parent.is_dir():
+        for path in filter(None, (options["out"], options.get("export_data"))):
+            if Path(path).is_dir():
+                raise ConfigError(f"cannot write {path!r}: it is a directory")
+            if not Path(path).absolute().parent.is_dir():
                 raise ConfigError(f"cannot write {path!r}: its directory does not exist")
         runner(**options)
-    except (ValueError, PLMError) as err:
-        code = 2 if isinstance(err, ValueError) else 3  # ConfigError is one too
+    except (ValueError, OSError, PLMError) as err:
+        code = 2 if isinstance(err, (ValueError, OSError)) else 3  # ConfigError is a ValueError
         click.echo(f"error: {type(err).__name__}: {err}", err=True)
     sys.exit(code)
 

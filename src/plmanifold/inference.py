@@ -6,8 +6,10 @@ form s^2 A^{-1} Sigma A^{-1} / n with
     A     = (1/n) sum_i psi'(e_i/s) w1(||eta_i||) eta_i eta_i'
     Sigma = [(1/n) sum_i psi(e_i/s)^2] (1/n) sum_i w1(||eta_i||)^2 eta_i eta_i'
 
-estimated by plugging in fitted residuals and smoothed covariate residuals.
-A is ``robust_linear.slope_sum`` / n, the matrix of the regression's Newton steps.
+estimated from what the regression step solved on (``PLMFit.regression``):
+its residuals e_i, scale s, design rows eta_i and their w1 weights.  A is
+``robust_linear.slope_sum`` / n at the final residuals, formed here: the
+regression's last Newton H is one step stale, and reweighting forms none.
 With the identity score and unit weights this collapses to the classical
 least-squares covariance.
 
@@ -81,30 +83,26 @@ def _sym(m: np.ndarray) -> np.ndarray:
 def estimate_covariance(fit: PLMFit) -> AsymptoticCovariance:
     """Sandwich covariance of the fitted regression coefficients.
 
-    Uses the score and design weight the fit was estimated with
-    (``fit.gm_config``), at the cutoff the regression step resolved
-    (``fit.regression.w1_cutoff``), so a classical fit gets the
-    identity-score reduction.  Raises SingularMatrixError when the A matrix
-    is numerically singular.
+    Sums over what the regression step solved on: its design rows, their w1
+    weights and its residuals (``fit.regression``), with the score the fit
+    was estimated with (``fit.gm_config.score``), so a classical fit gets
+    the identity-score reduction.  Raises SingularMatrixError when the A
+    matrix is numerically singular.
     """
-    ds = fit.dataset
-    if ds.p == 0:
+    reg = fit.regression
+    eta, w, eps = reg.design, reg.weights, reg.residuals
+    n, p = eta.shape
+    if p == 0:
         raise ValueError("the fit has no linear coefficients")
-    eta = ds.x - fit.phi_hat
-    eps = fit.residuals
-    n = ds.n
-
-    score, w1 = fit.gm_config.score, fit.gm_config.w1
+    score = fit.gm_config.score
 
     if score.code == 0:
         s = float(np.sqrt(np.mean(eps ** 2)))
     else:
-        s = float(fit.scale)
+        s = float(reg.scale)
     # scale 0 is the regression step's verdict of an exact fit: u = 0, se = 0
     u = eps / s if s > 0.0 else np.zeros_like(eps)
 
-    norms = np.linalg.norm(eta, axis=1)
-    w = w1.weights(norms, fit.regression.w1_cutoff)
     A = _sym(slope_sum(eta, u, score, w) / n)
     M = _sym((eta * (w ** 2)[:, None]).T @ eta / n)
     Sigma = float(np.mean(score.psi(u) ** 2)) * M
@@ -114,7 +112,7 @@ def estimate_covariance(fit: PLMFit) -> AsymptoticCovariance:
             "the A matrix of the sandwich is numerically singular "
             f"(condition number above {_COND_LIMIT:g})"
         )
-    Ainv = np.linalg.solve(A, np.eye(ds.p))
+    Ainv = np.linalg.solve(A, np.eye(p))
     V = _sym(s ** 2 * Ainv @ Sigma @ Ainv / n)
     se = np.sqrt(np.clip(np.diag(V), 0.0, None))
     return AsymptoticCovariance(A, Sigma, V, se, s, n)

@@ -20,7 +20,7 @@ from .robust_linear import (
     RegressionResult,
     WeightFunction,
     gm_estimate,
-    residual_scale_or_zero,
+    ols_estimate,
 )
 from .smoother import ScoreFunction, check_bandwidth, only_entry, smooth_columns
 
@@ -177,13 +177,13 @@ def fit(dataset: PLMDataset, bandwidth: float, mode: str = "robust",
                 "to identify the regression coefficients"
             )
         reg = gm_estimate(r, eta, gm)
-    else:
-        reg = _null_regression(r)
+    else:  # p = 0: nothing to regress, the smoothed residuals are the errors
+        reg = ols_estimate(r, eta)
 
     beta = reg.beta
     g_hat = phi0 - phi @ beta
     residuals = reg.residuals
-    degenerate = sorted(set(np.flatnonzero((fl == 1).any(axis=1)).tolist()))
+    degenerate = np.flatnonzero((fl == 1).any(axis=1)).tolist()
     flags = {"degenerate_windows": degenerate, "regression_iterations": reg.iterations}
     return PLMFit(
         beta=beta,
@@ -199,11 +199,6 @@ def fit(dataset: PLMDataset, bandwidth: float, mode: str = "robust",
         local_score=local_score,
         gm_config=gm,
     )
-
-
-def _null_regression(r: np.ndarray) -> RegressionResult:
-    # p = 0: nothing to regress, the smoothed residuals are the errors
-    return RegressionResult(np.zeros(0), residual_scale_or_zero(r), r.copy(), 0)
 
 
 def predict_g(fit_result: PLMFit, t):

@@ -33,9 +33,9 @@ class WeightFunction:
 
     ``one`` is the plain M-estimator.  ``huber`` downweights high-leverage
     rows as min(1, cutoff / u), the Huber score's weight; the cutoff is a
-    finite positive number or the string "q95", resolved at fit time as the
-    0.95 quantile of the observed norms.  Any other name or cutoff raises
-    ValueError.
+    finite positive number or the string "q95", which ``weights`` resolves
+    as the 0.95 quantile of the norms it is given.  Any other name or cutoff
+    raises ValueError.
     """
 
     name: str = "one"
@@ -59,22 +59,16 @@ class WeightFunction:
     def huber(cls, cutoff: float | str = "q95") -> "WeightFunction":
         return cls("huber", cutoff)
 
-    def resolve_cutoff(self, norms) -> float | None:
-        if self.name == "one":
-            return None
-        if isinstance(self.cutoff, str):
-            q95 = float(quantile(norms, 0.95))
-            if q95 <= 0.0:  # eta = 0 on more than 95% of the rows
-                raise DegenerateScaleError("the 0.95 quantile of the design-row norms is zero")
-            return q95
-        return float(self.cutoff)
-
-    def weights(self, norms, cutoff: float | None = None) -> np.ndarray:
+    def weights(self, norms) -> np.ndarray:
         norms = np.asarray(norms, dtype=float)
         if self.name == "one":
             return np.ones_like(norms)
-        cw = self.resolve_cutoff(norms) if cutoff is None else float(cutoff)
-        return ScoreFunction.huber(cw).weight(norms)
+        cutoff = self.cutoff
+        if isinstance(cutoff, str):
+            cutoff = quantile(norms, 0.95)
+            if cutoff <= 0.0:  # eta = 0 on more than 95% of the rows
+                raise DegenerateScaleError("the 0.95 quantile of the design-row norms is zero")
+        return ScoreFunction.huber(float(cutoff)).weight(norms)
 
 
 @dataclass(frozen=True)
@@ -90,13 +84,16 @@ class GMConfig:
 
 @dataclass
 class RegressionResult:
-    """A solved regression step; a solve that does not converge raises."""
+    """A solved regression step; a solve that does not converge raises.
+    ``design`` is the rows eta_i it solved on and ``weights`` their w1 values
+    (ones for least squares), the rows the sandwich covariance sums over."""
 
     beta: np.ndarray
     scale: float
     residuals: np.ndarray
     iterations: int
-    w1_cutoff: float | None = None
+    design: np.ndarray
+    weights: np.ndarray
 
 
 def residual_scale(residuals) -> float:
@@ -152,7 +149,8 @@ def ols_estimate(r, eta) -> RegressionResult:
         raise SingularDesignError("design matrix is rank deficient")
     residuals = r - eta @ beta
     # an exact or half-degenerate fit records scale 0.0 as-is
-    return RegressionResult(beta, residual_scale_or_zero(residuals), residuals, 0)
+    return RegressionResult(beta, residual_scale_or_zero(residuals), residuals, 0, eta,
+                            np.ones(n))
 
 
 def slope_sum(eta, u, score: ScoreFunction, w) -> np.ndarray:
@@ -205,19 +203,17 @@ def gm_estimate(r, eta, config: GMConfig | None = None) -> RegressionResult:
         return start
     beta = start.beta
     res = start.residuals
-    norms = np.linalg.norm(eta, axis=1)
-    cutoff = config.w1.resolve_cutoff(norms)
-    wd = config.w1.weights(norms, cutoff)
+    wd = config.w1.weights(np.linalg.norm(eta, axis=1))
 
     exact_tol = 1e-12 * float(np.max(np.abs(r), initial=0.0))
     if np.max(np.abs(res)) <= exact_tol:
-        return RegressionResult(beta, 0.0, res, 0, cutoff)
-    s = residual_scale(res)
+        return RegressionResult(beta, 0.0, res, 0, eta, wd)
+    s = start.scale or residual_scale(res)  # raises where the start's MAD is 0
 
     solved, taken = (_newton(r, eta, wd, config.score, beta, res, s, exact_tol)
                      if config.score.code == 1 else (None, 0))
     if solved is not None:
-        return RegressionResult(*solved, taken, cutoff)
+        return RegressionResult(*solved, taken, eta, wd)
 
     last_step = np.inf
     for it in range(1, GM_MAX_ITERATIONS + 1):
@@ -232,10 +228,10 @@ def gm_estimate(r, eta, config: GMConfig | None = None) -> RegressionResult:
         beta = beta_new
         res = r - eta @ beta
         if np.max(np.abs(res)) <= exact_tol:
-            return RegressionResult(beta, 0.0, res, taken + it, cutoff)
+            return RegressionResult(beta, 0.0, res, taken + it, eta, wd)
         s = residual_scale(res)
         if last_step < GM_TOL:
-            return RegressionResult(beta, s, res, taken + it, cutoff)
+            return RegressionResult(beta, s, res, taken + it, eta, wd)
     raise ConvergenceError(
         f"reweighting did not converge in {GM_MAX_ITERATIONS} iterations "
         f"(last relative step {last_step:.3e})",

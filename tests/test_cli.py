@@ -7,9 +7,12 @@ import warnings
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import plmanifold as pm
 from plmanifold.cli import (
+    ColumnMapping,
     _write_json,
     ingest_csv,
     main,
@@ -49,12 +52,18 @@ def test_parse_mapping_height_raw_variant():
 
 
 def test_parse_mapping_rejects_unknown_bits():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^cylinder mapping needs angle_deg=COL and "
+                       r"height=COL \(or height_raw=COL\)$"):
         parse_mapping("response=y")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^unsupported manifold kind 'sphere'$"):
         parse_mapping("response=y,manifold=sphere:angle_deg=a,height=b")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^unknown mapping key 'bogus'$"):
         parse_mapping("response=y,bogus=1,manifold=cylinder:angle_deg=a,height=b")
+    # a bare token is a linear column only after linear=
+    for text in ("y,response=y,linear=x1,manifold=cylinder:angle_deg=a,height=h",
+                 "response=y,linear=x1,manifold=cylinder:angle_deg=a,height=h,x2"):
+        with pytest.raises(ConfigError, match=r"^stray mapping token '(y|x2)'$"):
+            parse_mapping(text)
     for text, token in [
         ("response=y,linear=x1,manifold=cylinder:angle_deg", "manifold=cylinder:angle_deg"),
         ("response=y,linear=x1,manifold=cylinder:angle_deg=a,height_raw=h,heigth=foo",
@@ -77,6 +86,29 @@ def test_parse_mapping_rejects_unknown_bits():
     ]:
         with pytest.raises(ConfigError, match=f"mapping token '{token}'"):
             parse_mapping(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.permutations(["angle_deg=dir", "height_raw=spd"]),
+       st.lists(st.sampled_from(["hum", "pres", "temp"]), unique=True),
+       st.booleans(),
+       st.lists(st.sampled_from(["", " ", "  ", "\t"]), min_size=42, max_size=42))
+def test_parse_mapping_is_the_same_in_any_order_and_spacing(cylinder, extra, response_first,
+                                                            pads):
+    """The cylinder items in either order, any extra linear columns and
+    spaces around the tokens and their = and : give the same mapping."""
+    pad = iter(pads)  # six a token: around its =, its : and itself
+
+    def spaced(token):
+        for sep in "=:":
+            token = token.replace(sep, next(pad) + sep + next(pad))
+        return next(pad) + token + next(pad)
+
+    head = ["response=y"] if response_first else []
+    tokens = (head + ["linear=x1"] + extra + ["manifold=cylinder:" + cylinder[0]]
+              + cylinder[1:] + ([] if response_first else ["response=y"]))
+    m = parse_mapping(",".join(map(spaced, tokens)))
+    assert m == ColumnMapping("y", ["x1"] + extra, "dir", "spd", True)
 
 
 def test_parse_score_and_w1():
@@ -605,13 +637,13 @@ def test_click_simulate_smoke(tmp_path):
     assert out.exists()
 
 
-@pytest.mark.parametrize("command,option", [("fit", "--out"), ("cv", "--out"),
-                                            ("simulate", "--out"),
-                                            ("simulate", "--export-data")])
-def test_an_output_path_in_a_missing_directory_exits_2_before_any_fitting(
-        tmp_path, monkeypatch, command, option):
-    """An --out (or --export-data) in a directory that does not exist is a
-    configuration error, one line naming the path, found before any fit."""
+OUTPUT_OPTIONS = [("fit", "--out"), ("cv", "--out"), ("simulate", "--out"),
+                  ("simulate", "--export-data")]
+
+
+def refused_output(tmp_path, monkeypatch, command, option, path):
+    """Run ``command`` with ``path`` as its ``option`` (and r.json as the
+    --out of the others) under a patch that fails any fitting."""
     from plmanifold import cli
 
     def refuse(*args, **kwargs):
@@ -624,14 +656,54 @@ def test_an_output_path_in_a_missing_directory_exits_2_before_any_fitting(
     argv = {"fit": ["fit", "--input", str(data), "--map", MAPPING, "--bandwidth", "1.5"],
             "cv": ["cv", "--input", str(data), "--map", MAPPING, "--cv-grid", "1.0,1.5"],
             "simulate": ["simulate", "--n", "40", "--replications", "2"]}[command]
-    missing = str(tmp_path / "missing" / "r.out")
-    for name, path in {"--out": str(tmp_path / "r.json"), option: missing}.items():
-        argv += [name, path]
+    for name, value in {"--out": str(tmp_path / "r.json"), option: path}.items():
+        argv += [name, value]
     result = CliRunner().invoke(main, argv)
     assert result.exit_code == 2, result.output
-    assert result.output == (f"error: ConfigError: cannot write {missing!r}: "
-                             "its directory does not exist\n")
-    assert not (tmp_path / "missing").exists() and not (tmp_path / "r.json").exists()
+    assert not (tmp_path / "r.json").exists()
+    return result.output
+
+
+@pytest.mark.parametrize("command,option", OUTPUT_OPTIONS)
+def test_an_output_path_in_a_missing_directory_exits_2_before_any_fitting(
+        tmp_path, monkeypatch, command, option):
+    """An --out (or --export-data) in a directory that does not exist is a
+    configuration error, one line naming the path, found before any fit."""
+    missing = str(tmp_path / "missing" / "r.out")
+    assert refused_output(tmp_path, monkeypatch, command, option, missing) == (
+        f"error: ConfigError: cannot write {missing!r}: its directory does not exist\n")
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("command,option", OUTPUT_OPTIONS)
+def test_an_output_path_that_is_a_directory_exits_2_before_any_fitting(
+        tmp_path, monkeypatch, command, option):
+    """An --out (or --export-data) that names an existing directory is a
+    configuration error, one line naming the path, found before any fit."""
+    outdir = tmp_path / "outdir"
+    outdir.mkdir()
+    path = str(outdir) + os.sep
+    assert refused_output(tmp_path, monkeypatch, command, option, path) == (
+        f"error: ConfigError: cannot write {path!r}: it is a directory\n")
+    assert not any(outdir.iterdir())
+
+
+@pytest.mark.parametrize("command,sibling", [("fit", "r_ghat.csv"),
+                                             ("simulate", "r_boxplot.csv")])
+def test_a_failed_write_after_the_run_exits_2_with_one_line_naming_the_path(
+        tmp_path, command, sibling):
+    """An output that cannot be written once the run is done (here the
+    sibling CSV's path is a directory) exits 2, not with a traceback."""
+    data = tmp_path / "lin.csv"
+    make_linear_csv(data, seed=29)
+    (tmp_path / sibling).mkdir()
+    argv = {"fit": ["fit", "--input", str(data), "--map", MAPPING, "--bandwidth", "1.5"],
+            "simulate": ["simulate", "--n", "40", "--replications", "2",
+                         "--bandwidth", "1.2"]}[command]
+    result = CliRunner().invoke(main, argv + ["--out", str(tmp_path / "r.json")])
+    assert result.exit_code == 2, result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and str(tmp_path / sibling) in errors[0]
 
 
 def test_importing_the_package_or_the_cli_loads_no_scipy_module():

@@ -8,6 +8,7 @@ from scipy.stats import chi2, norm
 from plmanifold.errors import DegenerateTestError, SingularMatrixError
 from plmanifold.inference import (
     AsymptoticCovariance,
+    _sym,
     chi2_sf,
     confidence_interval,
     estimate_covariance,
@@ -16,7 +17,7 @@ from plmanifold.inference import (
 )
 from plmanifold.manifold import Manifold, cylinder_coords
 from plmanifold.plm import PLMDataset, PLMFit, fit
-from plmanifold.robust_linear import GMConfig, RegressionResult, WeightFunction
+from plmanifold.robust_linear import GMConfig, RegressionResult, WeightFunction, slope_sum
 from plmanifold.smoother import ScoreFunction
 from conftest import random_cylinder_dataset
 
@@ -24,21 +25,24 @@ CYL = Manifold.cylinder()
 
 
 def make_fit(eta, eps, scale, gm=None):
-    """Assemble a PLMFit directly so covariance formulas can be hand-checked."""
+    """Assemble a PLMFit directly so covariance formulas can be hand-checked:
+    the regression step solved on the design ``eta`` with its w1 weights."""
     eta = np.asarray(eta, dtype=float)
     if eta.ndim == 1:
         eta = eta[:, None]
     n, p = eta.shape
+    gm = gm or GMConfig()
     rng = np.random.default_rng(0)
     t = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
     ds = PLMDataset(np.zeros(n), eta, t, CYL)
-    reg = RegressionResult(np.zeros(p), scale, np.asarray(eps, dtype=float), 1)
+    reg = RegressionResult(np.zeros(p), scale, np.asarray(eps, dtype=float), 1, eta,
+                           gm.w1.weights(np.linalg.norm(eta, axis=1)))
     return PLMFit(
         beta=np.zeros(p), phi0_hat=np.zeros(n), phi_hat=np.zeros((n, p)),
         g_hat=np.zeros(n), residuals=np.asarray(eps, dtype=float), scale=scale,
         bandwidth=1.0, flags={}, regression=reg, dataset=ds,
         local_score=ScoreFunction.huber(),
-        gm_config=gm or GMConfig(),
+        gm_config=gm,
     )
 
 
@@ -87,16 +91,15 @@ def test_covariance_with_mallows_weights():
 
 
 def test_covariance_weights_rows_at_the_cutoff_the_fit_resolved():
-    """w1 in A and Sigma uses the regression step's cutoff, not a fresh 0.95
-    quantile of the recomputed norms."""
+    """w1 in A and Sigma are the regression step's weights, not a fresh w1 of
+    the norms at their 0.95 quantile."""
     rng = np.random.default_rng(3)
     eta = rng.normal(size=40)
     eps = rng.normal(size=40)
     f = make_fit(eta, eps, 1.0, gm=GMConfig(w1=WeightFunction.huber("q95")))
     norms = np.abs(eta)
-    f.regression.w1_cutoff = float(np.median(norms))
+    w = f.regression.weights = np.minimum(1.0, float(np.median(norms)) / norms)
     cov = estimate_covariance(f)
-    w = np.minimum(1.0, f.regression.w1_cutoff / norms)
     psi = np.clip(eps, -1.345, 1.345)
     assert cov.A_hat[0, 0] == pytest.approx(np.mean((np.abs(eps) < 1.345) * w * eta ** 2),
                                             rel=1e-12)
@@ -127,7 +130,8 @@ def test_A_is_the_slope_sum_of_the_fit_over_n(gm):
     """A_hat = (1/n) sum_i w1(||eta_i||) psi'(e_i / s) eta_i eta_i', row by row."""
     ds, _ = random_cylinder_dataset(8, n=120, p=2)
     f = fit(ds, 1.2, gm=gm)
-    eta = ds.x - f.phi_hat
+    eta = f.regression.design
+    cutoff = np.quantile(np.linalg.norm(eta, axis=1), 0.95)
     c = gm.score.c
     A = np.zeros((2, 2))
     for e, row in zip(f.residuals / f.scale, eta):
@@ -136,9 +140,36 @@ def test_A_is_the_slope_sum_of_the_fit_over_n(gm):
         else:
             slope = (1 - (e / c) ** 2) * (1 - 5 * (e / c) ** 2) if abs(e) < c else 0.0
         norm = np.linalg.norm(row)
-        w = 1.0 if gm.w1.name == "one" else min(1.0, f.regression.w1_cutoff / norm)
+        w = 1.0 if gm.w1.name == "one" else min(1.0, cutoff / norm)
         A += w * slope * np.outer(row, row)
     assert np.allclose(estimate_covariance(f).A_hat, A / ds.n, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("mode,gm", [
+    ("classical", None), ("robust", GMConfig()),
+    ("robust", GMConfig(score=ScoreFunction.bisquare(), w1=WeightFunction.huber("q95")))],
+    ids=["classical", "huber", "bisquare-q95"])
+def test_the_sandwich_reads_only_what_the_regression_solved_on(mode, gm):
+    """Zeroing the covariates after the fit changes no standard error: the
+    sandwich sums over the regression's own design rows and weights."""
+    ds, _ = random_cylinder_dataset(8, n=120, p=2)
+    f = fit(ds, 1.2, mode=mode, gm=gm)
+    se = estimate_covariance(f).se
+    f.dataset.x = np.zeros_like(f.dataset.x)
+    assert np.array_equal(estimate_covariance(f).se, se)
+
+
+def test_A_sums_over_the_regression_weights():
+    """A row's weight, scaled in the regression result, is the weight A uses."""
+    gm = GMConfig(score=ScoreFunction.bisquare(), w1=WeightFunction.huber("q95"))
+    ds, _ = random_cylinder_dataset(8, n=120, p=2)
+    f = fit(ds, 1.2, gm=gm)
+    reg = f.regression
+    reg.weights = reg.weights.copy()
+    reg.weights[7] *= 0.25
+    u = reg.residuals / reg.scale
+    A = _sym(slope_sum(reg.design, u, gm.score, reg.weights) / ds.n)
+    assert np.array_equal(estimate_covariance(f).A_hat, A)
 
 
 def test_singular_A_detected():

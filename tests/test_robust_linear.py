@@ -129,6 +129,19 @@ def test_gm_identity_equals_ols():
     assert res.beta == pytest.approx(ols.beta, abs=1e-8)
 
 
+@pytest.mark.parametrize("config", [CLASSICAL_GM, GMConfig(),
+                                    GMConfig(score=ScoreFunction.bisquare(),
+                                             w1=WeightFunction.huber("q95"))],
+                         ids=["classical", "huber", "bisquare-q95"])
+def test_the_step_records_the_design_and_weights_it_solved_with(config):
+    rng = np.random.default_rng(12)
+    eta = rng.normal(size=(60, 2))
+    r = eta @ np.array([1.0, -1.0]) + rng.standard_t(3, 60)
+    res = gm_estimate(r, eta, config)
+    assert np.array_equal(res.design, eta)
+    assert np.array_equal(res.weights, config.w1.weights(np.linalg.norm(eta, axis=1)))
+
+
 def test_gm_estimating_equation_near_zero():
     rng = np.random.default_rng(6)
     eta = rng.normal(size=(80, 2))
@@ -136,7 +149,7 @@ def test_gm_estimating_equation_near_zero():
     config = GMConfig()
     res = gm_estimate(r, eta, config)
     # (1/n) sum_i psi(res_i / s) w1(||eta_i||) eta_i at the estimate
-    wd = config.w1.weights(np.linalg.norm(eta, axis=1), res.w1_cutoff)
+    wd = config.w1.weights(np.linalg.norm(eta, axis=1))
     psi = config.score.psi(res.residuals / res.scale)
     ee = (eta * (psi * wd)[:, None]).mean(axis=0)
     assert np.linalg.norm(ee) < 1e-6
@@ -177,8 +190,9 @@ def test_gm_bounded_influence_with_huber_weights():
     config = GMConfig(w1=WeightFunction.huber("q95"))
     res = gm_estimate(r, eta, config)
     norms = np.linalg.norm(eta, axis=1)
-    w = config.w1.weights(norms, res.w1_cutoff)
-    assert np.all(w * norms <= res.w1_cutoff + 1e-12)
+    # the weights the step solved with cap each row's weighted norm at q95
+    assert np.all(res.weights * norms <= np.quantile(norms, 0.95) + 1e-12)
+    assert res.weights[0] < 0.05
 
 
 def test_gm_breakdown_smoke_one_huge_outlier():
@@ -240,10 +254,9 @@ def test_weight_function_one_is_unit():
 def test_weight_function_huber_cutoff_q95():
     rng = np.random.default_rng(10)
     norms = rng.uniform(0, 10, 500)
-    w1 = WeightFunction.huber("q95")
-    cw = w1.resolve_cutoff(norms)
-    assert cw == pytest.approx(np.quantile(norms, 0.95))
-    w = w1.weights(norms, cw)
+    w = WeightFunction.huber("q95").weights(norms)
+    cw = np.quantile(norms, 0.95)
+    assert np.max(w * norms) == pytest.approx(cw, rel=1e-12)
     assert np.all((w > 0) & (w <= 1.0))
     assert np.all(np.abs(w * norms - np.minimum(norms, cw)) < 1e-12)
 
@@ -299,8 +312,7 @@ def reweighting(r, eta, config, tol=robust_linear.GM_TOL, max_iterations=100):
     loop gm_estimate falls back to, operation for operation."""
     beta = ols_estimate(r, eta).beta
     res = r - eta @ beta
-    norms = np.linalg.norm(eta, axis=1)
-    wd = config.w1.weights(norms, config.w1.resolve_cutoff(norms))
+    wd = config.w1.weights(np.linalg.norm(eta, axis=1))
     s = residual_scale(res)
     for it in range(1, max_iterations + 1):
         sw = np.sqrt(wd * config.score.weight(res / s))
