@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +23,7 @@ import numpy as np
 from .bandwidth import check_choice, select_bandwidth
 from .errors import ConfigError, InsufficientDataError, PLMError
 from .inference import confidence_interval, estimate_covariance, wald_test
-from .manifold import CYLINDER_HEIGHTS, ON_MANIFOLD_TOL, Manifold
+from .manifold import CYLINDER_HEIGHTS, ON_MANIFOLD_TOL, Manifold, cylinder_coords
 from .plm import MODES, PLMDataset, fit
 from .robust_linear import GMConfig, WeightFunction
 from .simulation import (
@@ -164,7 +165,7 @@ def ingest_csv(path, mapping: ColumnMapping) -> PLMDataset:
     """
     lo, hi = CYLINDER_HEIGHTS
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")  # a leading BOM is not data
     except OSError as err:
         raise ConfigError(f"cannot read input file: {err}")
     with fh:
@@ -210,7 +211,7 @@ def ingest_csv(path, mapping: ColumnMapping) -> PLMDataset:
         else:
             height = np.full_like(height, 0.5)
 
-    t = np.column_stack([np.cos(angle), np.sin(angle), height])
+    t = cylinder_coords(angle, height)
     return PLMDataset(y, x, t, _CYLINDER, {"n_dropped": dropped})
 
 
@@ -245,8 +246,8 @@ def _fit_entry(fitted, level: float, null: tuple[float, ...] | None) -> dict:
         "h": fitted.bandwidth,
         "n_dropped": int(fitted.dataset.meta.get("n_dropped", 0)),
         "flags": {
-            "degenerate_windows": [int(i) for i in fitted.flags["degenerate_windows"]],
-            "regression_iterations": int(fitted.flags["regression_iterations"]),
+            "degenerate_windows": [int(i) for i in fitted.degenerate_windows],
+            "regression_iterations": int(fitted.regression.iterations),
         },
     }
     if null is not None:
@@ -265,8 +266,7 @@ def _fit_entry(fitted, level: float, null: tuple[float, ...] | None) -> dict:
 def _write_json(path, payload) -> None:
     """Write strict JSON; a NaN or infinity raises before the file is opened."""
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+    Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
 def _sibling(out: str, suffix: str) -> Path:
@@ -299,11 +299,10 @@ def _run_fit(input_path, map_text, level, null_text, bandwidth, mode, score_text
         click.echo(f"{m}: beta={entry['beta']} se={entry['se']} h={entry['h']:.6g}")
     _write_json(out, report)
     gpath = _sibling(out, "ghat")
-    with open(gpath, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(["index"] + [f"ghat_{m}" for m in fits]) + "\n")
-        for i in range(dataset.n):
-            cells = [str(i)] + [repr(float(f.g_hat[i])) for f in fits.values()]
-            fh.write(",".join(cells) + "\n")
+    with open(gpath, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["index"] + [f"ghat_{m}" for m in fits])
+        writer.writerows(zip(range(dataset.n), *(f.g_hat.tolist() for f in fits.values())))
     click.echo(f"report written to {out}; ghat table to {gpath}")
 
 
@@ -347,8 +346,7 @@ def _run_simulate(contamination, n, replications, workers, export_data, seed,
     }
     _write_json(out, payload)
     bpath = _sibling(out, "boxplot")
-    with open(bpath, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(boxplot_csv(report))
+    bpath.write_text(boxplot_csv(report), encoding="utf-8", newline="\n")
     for m in sim.modes:
         click.echo(f"{m}: {report.results[m].summary}")
     click.echo(f"summary written to {out}; boxplot rows to {bpath}")
@@ -361,15 +359,23 @@ def _run_simulate(contamination, n, replications, workers, export_data, seed,
 
 def _run(runner, **options) -> None:
     """Call a command's runner and exit 0, 2 (configuration or output) or 3
-    (numerical); an output path that is a directory or lies in a missing one
-    is a configuration error at once."""
+    (numerical).  An output that is a directory, lies in a missing one or is
+    the input or another output is a configuration error before any work."""
     code = 0
     try:
-        for path in filter(None, (options["out"], options.get("export_data"))):
+        out = options["out"]
+        table = {_run_fit: "ghat", _run_simulate: "boxplot"}.get(runner)
+        outputs = (out, table and str(_sibling(out, table)), options.get("export_data"))
+        taken = {os.path.realpath(p): "it is the input" for p in [options.get("input_path")] if p}
+        for path in filter(None, outputs):
             if Path(path).is_dir():
                 raise ConfigError(f"cannot write {path!r}: it is a directory")
             if not Path(path).absolute().parent.is_dir():
                 raise ConfigError(f"cannot write {path!r}: its directory does not exist")
+            target = os.path.realpath(path)  # unlike resolve(), no error on a symlink loop
+            if target in taken:
+                raise ConfigError(f"cannot write {path!r}: {taken[target]}")
+            taken[target] = "another output of this run goes there"
         runner(**options)
     except (ValueError, OSError, PLMError) as err:
         code = 2 if isinstance(err, (ValueError, OSError)) else 3  # ConfigError is a ValueError

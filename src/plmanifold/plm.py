@@ -83,25 +83,21 @@ class PLMFit:
     """Fitted three-step model, immutable smoother state included.
 
     ``g_hat``, ``phi0_hat`` and ``phi_hat`` are evaluated at the sample
-    points; predictions at new points re-run the local smoother against the
-    stored training data.
+    points; `predict_g` re-runs the local smoother at new points against
+    the stored training data.  ``regression`` is the regression step's own
+    result: its residuals, scale and iteration count.
     """
 
     beta: np.ndarray
     phi0_hat: np.ndarray
     phi_hat: np.ndarray
     g_hat: np.ndarray
-    residuals: np.ndarray
-    scale: float
     bandwidth: float
-    flags: dict
+    degenerate_windows: list[int]
     regression: RegressionResult
     dataset: PLMDataset
     local_score: ScoreFunction
     gm_config: GMConfig
-
-    def predict_g(self, t):
-        return predict_g(self, t)
 
 
 def smooth_dataset(dataset: PLMDataset, bandwidths, score: ScoreFunction,
@@ -180,20 +176,15 @@ def fit(dataset: PLMDataset, bandwidth: float, mode: str = "robust",
     else:  # p = 0: nothing to regress, the smoothed residuals are the errors
         reg = ols_estimate(r, eta)
 
-    beta = reg.beta
-    g_hat = phi0 - phi @ beta
-    residuals = reg.residuals
+    g_hat = phi0 - phi @ reg.beta
     degenerate = np.flatnonzero((fl == 1).any(axis=1)).tolist()
-    flags = {"degenerate_windows": degenerate, "regression_iterations": reg.iterations}
     return PLMFit(
-        beta=beta,
+        beta=reg.beta,
         phi0_hat=phi0,
         phi_hat=phi,
         g_hat=g_hat,
-        residuals=residuals,
-        scale=reg.scale,
         bandwidth=h,
-        flags=flags,
+        degenerate_windows=degenerate,
         regression=reg,
         dataset=dataset,
         local_score=local_score,

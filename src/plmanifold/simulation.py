@@ -17,6 +17,7 @@ execution order and worker count.
 
 from __future__ import annotations
 
+import csv
 import functools
 import io
 from concurrent.futures import ThreadPoolExecutor
@@ -201,13 +202,12 @@ def boxplot_csv(report: SimulationReport) -> str:
     """CSV of one (mode, contamination, replication, beta_hat) row per
     successful fit (fixed header, LF endings)."""
     buf = io.StringIO()
-    buf.write(BOXPLOT_HEADER + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(BOXPLOT_HEADER.split(","))
     cont = report.config.contamination
     for mode in report.config.modes:
-        beta = report.results[mode].beta
-        for r in range(report.config.replications):
-            if np.isfinite(beta[r]):
-                buf.write(f"{mode},{cont},{r},{float(beta[r])!r}\n")
+        beta = report.results[mode].beta.tolist()
+        writer.writerows([mode, cont, r, b] for r, b in enumerate(beta) if np.isfinite(b))
     return buf.getvalue()
 
 
@@ -217,13 +217,10 @@ def sample_to_csv(sample: GeneratedSample, path) -> None:
     Columns: y, x1..xp, angle_deg, height.  Full-precision floats so a
     height_raw re-ingest reproduces the dataset.
     """
-    p = sample.dataset.p
-    header = ["y"] + [f"x{j + 1}" for j in range(p)] + ["angle_deg", "height"]
-    deg = np.degrees(sample.angles)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(sample.dataset.n):
-            cells = [repr(float(sample.dataset.y[i]))]
-            cells += [repr(float(sample.dataset.x[i, j])) for j in range(p)]
-            cells += [repr(float(deg[i])), repr(float(sample.heights[i]))]
-            fh.write(",".join(cells) + "\n")
+    ds = sample.dataset
+    header = ["y"] + [f"x{j + 1}" for j in range(ds.p)] + ["angle_deg", "height"]
+    rows = np.column_stack([ds.y, ds.x, np.degrees(sample.angles), sample.heights]).tolist()
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -21,7 +21,14 @@ from plmanifold.cli import (
     parse_w1,
 )
 from plmanifold.errors import ConfigError, InsufficientDataError
-from plmanifold.simulation import generate_sample, replication_rng, sample_to_csv
+from plmanifold.simulation import (
+    SimulationConfig,
+    boxplot_csv,
+    generate_sample,
+    replication_rng,
+    run_campaign,
+    sample_to_csv,
+)
 
 MAPPING = "response=y,linear=x1,manifold=cylinder:angle_deg=angle_deg,height=height"
 MAPPING_RAW = "response=y,linear=x1,manifold=cylinder:angle_deg=angle_deg,height_raw=height"
@@ -55,6 +62,8 @@ def test_parse_mapping_rejects_unknown_bits():
     with pytest.raises(ConfigError, match=r"^cylinder mapping needs angle_deg=COL and "
                        r"height=COL \(or height_raw=COL\)$"):
         parse_mapping("response=y")
+    with pytest.raises(ConfigError, match="^mapping must name a response column$"):
+        parse_mapping("linear=x1,manifold=cylinder:angle_deg=a,height=h")
     with pytest.raises(ConfigError, match="^unsupported manifold kind 'sphere'$"):
         parse_mapping("response=y,manifold=sphere:angle_deg=a,height=b")
     with pytest.raises(ConfigError, match="^unknown mapping key 'bogus'$"):
@@ -163,11 +172,27 @@ def test_ingest_drops_and_counts_missing_rows(tmp_path):
         fh.write("1.0,0.1,0.0,10.0\n")
         fh.write("2.0,0.2,45.0,\n")          # missing height
         fh.write("3.0,0.3,90.0,15.0\n")
+        fh.write("3.5,nan,100.0,11.0\n")     # NaN covariate
         fh.write("4.0,0.4,135.0,12.0\n")
+        fh.write("4.5,0.45,150.0\n")         # short row: no height cell
         fh.write("5.0,0.5,180.0,13.0\n")
     ds = ingest_csv(path, parse_mapping(MAPPING))
-    assert ds.n == 4
-    assert ds.meta["n_dropped"] == 1
+    assert ds.y.tolist() == [1.0, 3.0, 4.0, 5.0]
+    assert ds.meta["n_dropped"] == 3
+
+
+def test_a_csv_with_a_byte_order_mark_gives_the_plain_file_s_report(tmp_path):
+    """Spreadsheets save "CSV UTF-8" with a leading BOM; it is not part of
+    the first column's name."""
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    sample_to_csv(generate_sample(60, "C0", replication_rng(12, 0)), plain)
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for data in (plain, bom):
+        assert run_cli("fit", "--input", str(data), "--map", MAPPING_RAW, "--mode", "both",
+                       "--bandwidth", "1.2", "--out", str(tmp_path / f"{data.stem}.json")) == 0
+    for name in ("{}.json", "{}_ghat.csv"):
+        assert ((tmp_path / name.format("bom")).read_bytes()
+                == (tmp_path / name.format("plain")).read_bytes())
 
 
 def test_ingest_missing_column_named(tmp_path):
@@ -500,6 +525,39 @@ def test_round_trip_through_simulate_export(tmp_path):
                                       abs=1e-10)
 
 
+def test_the_csv_writers_write_each_float_as_its_repr(tmp_path):
+    """sample_to_csv, boxplot_csv and the fit command's ghat table write
+    comma-separated cells, each float its repr, one LF-ended line a row; the
+    expected text is joined cell by cell here."""
+    def text(rows):
+        return "".join(",".join(row) + "\n" for row in rows)
+
+    s = generate_sample(30, "C2", replication_rng(61, 0))
+    data = tmp_path / "s.csv"
+    sample_to_csv(s, data)
+    deg = np.degrees(s.angles)
+    assert data.read_bytes() == text([["y", "x1", "angle_deg", "height"]] + [
+        [repr(float(v)) for v in (s.dataset.y[i], s.dataset.x[i, 0], deg[i], s.heights[i])]
+        for i in range(30)]).encode()
+
+    config = SimulationConfig(n=30, replications=3, contamination="C2", bandwidth=1.2,
+                              modes=("robust", "classical"), master_seed=61)
+    report = run_campaign(config)
+    report.results["classical"].beta[1] = np.nan  # a failed replication has no row
+    assert boxplot_csv(report) == text([["mode", "contamination", "replication", "beta_hat"]] + [
+        [m, "C2", str(r), repr(float(b))]
+        for m in config.modes for r, b in enumerate(report.results[m].beta) if np.isfinite(b)])
+
+    assert run_cli("fit", "--input", str(data), "--map", MAPPING_RAW, "--mode", "both",
+                   "--bandwidth", "1.2", "--out", str(tmp_path / "r.json")) == 0
+    ds = ingest_csv(data, parse_mapping(MAPPING_RAW))
+    robust, classical = (pm.fit(ds, 1.2, mode=m).g_hat for m in ("robust", "classical"))
+    assert (tmp_path / "r_ghat.csv").read_bytes() == text(
+        [["index", "ghat_robust", "ghat_classical"]]
+        + [[str(i), repr(float(robust[i])), repr(float(classical[i]))] for i in range(30)]
+    ).encode()
+
+
 # ------------------------------------------------------------ click wiring
 
 def test_click_fit_end_to_end(tmp_path):
@@ -641,9 +699,7 @@ OUTPUT_OPTIONS = [("fit", "--out"), ("cv", "--out"), ("simulate", "--out"),
                   ("simulate", "--export-data")]
 
 
-def refused_output(tmp_path, monkeypatch, command, option, path):
-    """Run ``command`` with ``path`` as its ``option`` (and r.json as the
-    --out of the others) under a patch that fails any fitting."""
+def refuse_any_fitting(monkeypatch):
     from plmanifold import cli
 
     def refuse(*args, **kwargs):
@@ -651,6 +707,12 @@ def refused_output(tmp_path, monkeypatch, command, option, path):
 
     for name in ("fit", "select_bandwidth", "run_campaign"):
         monkeypatch.setattr(cli, name, refuse)
+
+
+def refused_output(tmp_path, monkeypatch, command, option, path):
+    """Run ``command`` with ``path`` as its ``option`` (and r.json as the
+    --out of the others) under a patch that fails any fitting."""
+    refuse_any_fitting(monkeypatch)
     data = tmp_path / "lin.csv"
     make_linear_csv(data, seed=29)
     argv = {"fit": ["fit", "--input", str(data), "--map", MAPPING, "--bandwidth", "1.5"],
@@ -690,20 +752,41 @@ def test_an_output_path_that_is_a_directory_exits_2_before_any_fitting(
 
 @pytest.mark.parametrize("command,sibling", [("fit", "r_ghat.csv"),
                                              ("simulate", "r_boxplot.csv")])
-def test_a_failed_write_after_the_run_exits_2_with_one_line_naming_the_path(
-        tmp_path, command, sibling):
-    """An output that cannot be written once the run is done (here the
-    sibling CSV's path is a directory) exits 2, not with a traceback."""
-    data = tmp_path / "lin.csv"
-    make_linear_csv(data, seed=29)
+def test_a_sibling_csv_that_is_a_directory_exits_2(tmp_path, monkeypatch, command, sibling):
+    """The --out's ghat or boxplot table whose path is a directory exits 2,
+    one line naming the path, before any fitting and with no file written."""
     (tmp_path / sibling).mkdir()
-    argv = {"fit": ["fit", "--input", str(data), "--map", MAPPING, "--bandwidth", "1.5"],
-            "simulate": ["simulate", "--n", "40", "--replications", "2",
-                         "--bandwidth", "1.2"]}[command]
-    result = CliRunner().invoke(main, argv + ["--out", str(tmp_path / "r.json")])
+    path = str(tmp_path / sibling)
+    assert refused_output(tmp_path, monkeypatch, command, "--out", str(tmp_path / "r.json")) == (
+        f"error: ConfigError: cannot write {path!r}: it is a directory\n")
+    assert not any((tmp_path / sibling).iterdir())
+
+
+@pytest.mark.parametrize("argv,clash,other", [
+    (["cv", "--input", "IN", "--map", MAPPING, "--cv-grid", "0.8,1.2", "--out", "in.csv"],
+     "in.csv", "it is the input"),
+    (["fit", "--input", "IN", "--map", MAPPING, "--bandwidth", "1.5", "--out", "in.json"],
+     "in_ghat.csv", "it is the input"),
+    (["simulate", "--n", "40", "--replications", "2", "--out", "same.csv",
+      "--export-data", "./same.csv"], "./same.csv", "another output of this run goes there"),
+    (["simulate", "--n", "40", "--replications", "2", "--out", "z.json",
+      "--export-data", "z_boxplot.csv"], "z_boxplot.csv", "another output of this run goes there"),
+], ids=["cv-out-is-input", "fit-ghat-is-input", "simulate-export-is-out",
+        "simulate-export-is-boxplot"])
+def test_an_output_that_is_the_input_or_another_output_exits_2_writing_nothing(
+        tmp_path, monkeypatch, argv, clash, other):
+    """Two paths of one run that resolve to the same file are a configuration
+    error before any fitting: the input and any file already there keep
+    their bytes, and no output is written."""
+    refuse_any_fitting(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    make_linear_csv(tmp_path / clash, seed=29)  # the input, or a file the run would replace
+    argv = [str(tmp_path / clash) if a == "IN" else a for a in argv]
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    result = CliRunner().invoke(main, argv)
     assert result.exit_code == 2, result.output
-    errors = [line for line in result.output.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1 and str(tmp_path / sibling) in errors[0]
+    assert result.output == f"error: ConfigError: cannot write {clash!r}: {other}\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_importing_the_package_or_the_cli_loads_no_scipy_module():

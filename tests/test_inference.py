@@ -39,8 +39,7 @@ def make_fit(eta, eps, scale, gm=None):
                            gm.w1.weights(np.linalg.norm(eta, axis=1)))
     return PLMFit(
         beta=np.zeros(p), phi0_hat=np.zeros(n), phi_hat=np.zeros((n, p)),
-        g_hat=np.zeros(n), residuals=np.asarray(eps, dtype=float), scale=scale,
-        bandwidth=1.0, flags={}, regression=reg, dataset=ds,
+        g_hat=np.zeros(n), bandwidth=1.0, degenerate_windows=[], regression=reg, dataset=ds,
         local_score=ScoreFunction.huber(),
         gm_config=gm,
     )
@@ -63,7 +62,7 @@ def test_identity_reduction_matches_ols_covariance_formula():
         f = fit(ds, 1.2, mode="classical")
         cov = estimate_covariance(f)
         eta = ds.x - f.phi_hat
-        eps = f.residuals
+        eps = f.regression.residuals
         oracle = float(np.mean(eps ** 2)) * np.linalg.inv(eta.T @ eta)
         assert cov.V_hat == pytest.approx(oracle, abs=1e-8)
 
@@ -119,7 +118,7 @@ def test_noise_free_robust_fit_has_zero_se_in_any_units(score, c):
     x = rng.normal(size=n)
     fitted = fit(PLMDataset(2.0 * c * x, x, t, CYL), 1.5, local_score=score,
                  gm=GMConfig(score=score))
-    assert fitted.scale == 0.0
+    assert fitted.regression.scale == 0.0
     assert np.all(estimate_covariance(fitted).se == 0.0)
 
 
@@ -134,7 +133,7 @@ def test_A_is_the_slope_sum_of_the_fit_over_n(gm):
     cutoff = np.quantile(np.linalg.norm(eta, axis=1), 0.95)
     c = gm.score.c
     A = np.zeros((2, 2))
-    for e, row in zip(f.residuals / f.scale, eta):
+    for e, row in zip(f.regression.residuals / f.regression.scale, eta):
         if gm.score.code == 1:
             slope = float(abs(e) < c)
         else:
@@ -170,6 +169,15 @@ def test_A_sums_over_the_regression_weights():
     u = reg.residuals / reg.scale
     A = _sym(slope_sum(reg.design, u, gm.score, reg.weights) / ds.n)
     assert np.array_equal(estimate_covariance(f).A_hat, A)
+
+
+def test_a_fit_with_no_linear_part_has_no_covariance():
+    rng = np.random.default_rng(6)
+    n = 30
+    t = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
+    f = fit(PLMDataset(rng.normal(size=n), np.zeros((n, 0)), t, CYL), 1.2)
+    with pytest.raises(ValueError, match="^the fit has no linear coefficients$"):
+        estimate_covariance(f)
 
 
 def test_singular_A_detected():
@@ -260,8 +268,9 @@ def test_normal_tail_matches_scipy():
 
 @pytest.mark.parametrize("p", range(1, 12))
 def test_chi2_tail_matches_scipy(p):
-    x = np.geomspace(1e-6, 400.0, 1000)
+    x = np.concatenate([[0.0], np.geomspace(1e-6, 400.0, 1000)])
     tail = np.array([chi2_sf(float(xi), p) for xi in x])
+    assert tail[0] == 1.0
     assert tail == pytest.approx(chdtrc(p, x), rel=1e-13)
     assert tail == pytest.approx(chi2.sf(x, p), rel=1e-13)
 
@@ -324,6 +333,13 @@ def test_wald_joint_quadratic_form():
     assert p == pytest.approx(math.exp(-stat / 2), rel=1e-13)
     stat0, p0 = wald_test(beta, cov, beta)
     assert stat0 == 0.0 and p0 == 1.0
+
+
+def test_joint_wald_test_on_a_singular_covariance_raises():
+    V = np.array([[0.04, 0.04], [0.04, 0.04]])  # rank 1
+    cov = AsymptoticCovariance(np.eye(2), np.eye(2), V, np.sqrt(np.diag(V)), 1.0, 100)
+    with pytest.raises(SingularMatrixError, match="^covariance matrix is numerically singular$"):
+        wald_test(np.array([1.0, 2.0]), cov, np.array([0.8, 2.2]))
 
 
 @pytest.mark.parametrize("beta,null", [

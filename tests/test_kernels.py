@@ -645,7 +645,7 @@ def test_local_m_rows_call_shape_is_pinned_for_the_benchmark_tracer(monkeypatch)
     monkeypatch.setattr(plm, "smooth_columns", recording)
     ds = simulation.generate_sample(40, "C0", simulation.replication_rng(3, 0)).dataset
     fitted = plm.fit(ds, 1.2)
-    fitted.predict_g(ds.t[:3])
+    plm.predict_g(fitted, ds.t[:3])
     bandwidth.rcv_score(ds, 1.2)
     assert len(calls) == 3
     assert all("columns" in kwargs for kwargs in calls)

@@ -70,7 +70,7 @@ def test_noiseless_linear_data_recovers_beta_exactly():
     for mode in ("robust", "classical"):
         f = fit(ds, 1.5, mode=mode)
         assert f.beta[0] == pytest.approx(3.0, abs=1e-8)
-        assert np.max(np.abs(f.residuals)) < 1e-8
+        assert np.max(np.abs(f.regression.residuals)) < 1e-8
 
 
 def test_robust_identity_matches_classical_pipeline():
@@ -286,7 +286,7 @@ def test_fit_state_is_recomputable():
     ds, _ = random_cylinder_dataset(10, n=40, p=2)
     f = fit(ds, 1.2, mode="robust")
     assert f.g_hat == pytest.approx(f.phi0_hat - f.phi_hat @ f.beta, abs=1e-12)
-    assert f.residuals == pytest.approx(ds.y - ds.x @ f.beta - f.g_hat, abs=1e-12)
+    assert f.regression.residuals == pytest.approx(ds.y - ds.x @ f.beta - f.g_hat, abs=1e-12)
 
 
 def test_invalid_mode_and_bandwidth():
@@ -366,13 +366,6 @@ def test_predict_g_empty_window_reports_nearest_distance():
     assert err.value.nearest_distance > 0.5
 
 
-def test_predict_methods_on_fit_object():
-    ds, _ = random_cylinder_dataset(18, n=30, p=1)
-    f = fit(ds, 1.2, mode="classical")
-    probe = cylinder_coords([1.0], [0.5])[0]
-    assert f.predict_g(probe) == predict_g(f, probe)
-
-
 def test_fit_on_circle_and_sphere_manifolds():
     rng = np.random.default_rng(24)
     n = 40
@@ -401,7 +394,7 @@ def test_fit_flags_degenerate_windows():
     rng = np.random.default_rng(19)
     ds = PLMDataset(rng.normal(size=11), rng.normal(size=(11, 1)), t, CYL)
     f = fit(ds, 0.8, mode="robust")
-    assert 0 in f.flags["degenerate_windows"]
+    assert 0 in f.degenerate_windows
 
 
 def test_classical_mode_is_the_identity_case_of_the_given_configs():

@@ -368,6 +368,32 @@ def test_huber_newton_falls_back_to_reweighting_bit_for_bit():
     assert steps < res.iterations < steps + robust_linear.GM_MAX_ITERATIONS
 
 
+def test_huber_newton_at_a_singular_slope_sum_reweights_bit_for_bit(monkeypatch):
+    """Rows 12-19 alone carry the second coefficient, each with a residual of
+    +-1000 far past the Huber corner: psi' = 0 on them, so the start's slope
+    sum is singular, no Newton step is taken and the solve is the
+    reweighting's."""
+    rng = np.random.default_rng(0)
+    eta = np.zeros((20, 2))
+    eta[:12, 0] = rng.normal(size=12)
+    eta[12:, 1] = 1.0
+    r = np.concatenate([2.0 * eta[:12, 0] + 0.1 * rng.normal(size=12),
+                        np.tile([1000.0, -1000.0], 4)])
+    newton, calls = robust_linear._newton, []
+
+    def recording(*args):
+        calls.append(newton(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(robust_linear, "_newton", recording)
+    config = GMConfig()
+    res = gm_estimate(r, eta, config)
+    assert calls == [(None, 0)]
+    beta, scale, steps = reweighting(r, eta, config)
+    assert np.array_equal(res.beta, beta) and res.scale == scale
+    assert res.iterations == steps
+
+
 def test_q95_cutoff_of_zero_is_a_degenerate_scale():
     """More than 95% of the design rows at eta = 0: no q95 cutoff."""
     rng = np.random.default_rng(3)
