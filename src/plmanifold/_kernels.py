@@ -18,10 +18,10 @@ values in ascending order, into a (rows, width) window; every later step
 works on that window only.  The cost is rows x window width x iterations,
 where width is the largest window of the block, not the n columns of W.
 
-The pieces (`window_rows`, `median_rows`, `mad_rows`, `newton_rows`,
-`reweight_rows`) work on weights as given, with per-row values V sorted
-as in a window; `local_m_rows` normalizes and composes them, and the
-scalar functions in `smoother` are one-row calls into the same pieces.
+`window_rows` sorts v itself (stably); the later pieces (`median_rows`,
+`mad_rows`, `newton_rows`, `reweight_rows`) take weights as given and
+values V ascending per row, as in a window; `local_m_rows` normalizes and
+composes them, and `smoother`'s scalar functions are one-row calls into them.
 Each block's arrays are freed with the block, so the pieces make as few
 block-sized temporaries as they can: `window_rows` places a row's entries
 by boolean masks and `mad_rows` gathers with one flat index array, with no
@@ -59,16 +59,17 @@ _MEDIAN_EPS = 1e-12
 _SCORE_BISQUARE = 2
 
 
-def window_rows(W, v, order):
-    """Each row's positive weights and their values, ascending by value.
+def window_rows(W, v):
+    """Each row's positive weights and their values, in a stable sort of v.
 
-    ``order`` sorts v ascending.  Returns (Ww, Vw), both (rows, width) with
-    width the largest count of positive weights in a row.  Entries are
-    left-aligned; a shorter row is padded with weight 0 and the row's largest
-    value, so every row of Vw stays sorted.  Every row needs a positive
-    weight.  Boolean masks place the entries (row-major: ascending value
-    within a row), so no index array as large as the block is made.
+    Returns (Ww, Vw), both (rows, width) with width the largest count of
+    positive weights in a row.  Entries are left-aligned; a shorter row is
+    padded with weight 0 and the row's largest value, so every row of Vw
+    stays sorted.  Every row needs a positive weight.  Boolean masks place
+    the entries (row-major: ascending value within a row), so no index
+    array as large as the block is made.
     """
+    order = np.argsort(v, kind="stable")
     Ws = np.take(W, order, axis=1)
     positive = Ws > 0.0
     counts = np.count_nonzero(positive, axis=1)
@@ -283,15 +284,12 @@ def solve_rows(W, V, start, scale, code, c):
     return est + start, np.where(ok, 0, 2).astype(np.int8)
 
 
-def local_m_rows(W, v, order, code, c, totals=None):
+def local_m_rows(W, v, code, c, totals):
     """Batched local M solve with the weighted MAD as scale: (estimates, flags)
-    per row.  ``order`` sorts v ascending; ``code`` is 1 (huber) or 2
-    (bisquare) with constant ``c``; ``totals``, W's row sums if the caller
-    has them (one pass over W less per call), else summed here."""
-    W = np.asarray(W, dtype=float)
-    v = np.asarray(v, dtype=float)
-    Ww, Vw = window_rows(W, v, order)
-    Ww /= (W.sum(axis=1) if totals is None else totals)[:, None]
+    per row.  ``code`` is 1 (huber) or 2 (bisquare) with constant ``c``;
+    ``totals`` are W's row sums, which normalize the windows."""
+    Ww, Vw = window_rows(W, v)
+    Ww /= totals[:, None]
     med = median_rows(Ww, Vw)
     mad = mad_rows(Ww, Vw, med)
 

@@ -176,6 +176,10 @@ def ingest_csv(path, mapping: ColumnMapping) -> PLMDataset:
         missing = [c for c in needed if c not in reader.fieldnames]
         if missing:
             raise ConfigError(f"missing column(s): {', '.join(missing)}")
+        repeated = [c for c in needed if reader.fieldnames.count(c) > 1]
+        if repeated:  # DictReader would keep the last of them
+            raise ConfigError(f"column(s) named more than once in the header: "
+                              f"{', '.join(repeated)}")
         kept: list[list[float]] = []
         dropped = 0
         for row in reader:

@@ -92,8 +92,9 @@ def validate_coords(manifold: Manifold, points, name: str = "point") -> np.ndarr
             f"{name}: expected {manifold.ambient_dim} ambient coordinates, "
             f"got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
-        raise InvalidPointError(f"{name}: coordinates must be finite")
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        raise InvalidPointError(f"{name} {int(np.argmin(finite))}: coordinates must be finite")
 
     if manifold.kind != EUCLIDEAN:
         # the whole point on the circle and sphere, (c1, c2) on the cylinder

@@ -134,8 +134,9 @@ def _check_design(r, eta):
     n, p = eta.shape
     if n <= p:
         raise ValueError(f"need more observations than coefficients (n={n}, p={p})")
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(eta))):
-        raise ValueError("responses and design must be finite")
+    bad = np.flatnonzero(~(np.isfinite(r) & np.isfinite(eta).all(axis=1)))
+    if bad.size:
+        raise ValueError(f"row {bad[0]}: responses and design must be finite")
     return r, eta
 
 

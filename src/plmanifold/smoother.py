@@ -22,9 +22,9 @@ One `smooth_columns` call smooths a whole CV grid, and its block plan
 queries and the sample (`manifold.chart`, one ``arctan2`` per point per
 call), and either the one block's squared distances or the key order of
 the pruned blocks.  A call of more than one block runs on every usable CPU
-(the process's affinity, the one control): the caller and helpers from one
-thread pool take whole blocks and write their own rows, so the result is
-the serial one bit for bit, and memory is a block working set per thread.
+(the process's affinity, the one control): the caller and the pool helpers
+it submits up front take whole blocks in one loop and write their own rows:
+the serial result bit for bit, and a block working set of memory per thread.
 """
 
 from __future__ import annotations
@@ -331,14 +331,10 @@ def _empty_window_error(empty):
                             nearest_distance=nearest, indices=indices)
 
 
-def _engine_row(w, v):
-    # the engine's window of one row: positive weights, values ascending
-    return _kernels.window_rows(w[None], v, np.argsort(v, kind="stable"))
-
-
 def weighted_median(weights, values) -> float:
     """Smallest value whose cumulative weight reaches 1/2."""
-    W, V = _engine_row(*_check_weight_pair(weights, values))
+    w, v = _check_weight_pair(weights, values)
+    W, V = _kernels.window_rows(w[None], v)
     return float(_kernels.median_rows(W, V)[0])
 
 
@@ -350,7 +346,8 @@ def local_mad(weights, values) -> float:
     react (the smoother falls back to the weighted median and flags the
     query point).
     """
-    W, V = _engine_row(*_check_weight_pair(weights, values))
+    w, v = _check_weight_pair(weights, values)
+    W, V = _kernels.window_rows(w[None], v)
     return float(_kernels.mad_rows(W, V, _kernels.median_rows(W, V))[0])
 
 
@@ -374,7 +371,7 @@ def local_m_estimate(weights, values, score: ScoreFunction, scale: float) -> flo
         return float(w @ v)
     if not scale > 0:
         raise ValueError("scale must be positive")
-    W, V = _engine_row(w, v)
+    W, V = _kernels.window_rows(w[None], v)
     est, flags = _kernels.solve_rows(W, V, _kernels.median_rows(W, V),
                                      np.array([float(scale)]), score.code, score.c)
     if flags[0] == 2:
@@ -424,21 +421,14 @@ def smooth_columns(manifold: Manifold, bandwidths, sample: np.ndarray,
     flags = [np.zeros(shape, dtype=np.int8) for _ in hs]
     empty = [[] for _ in hs]
     plan, share = _block_plan(manifold, hs, queries, sample, leave_one_out)
-    # the one block's squared distances stay in the caller: the last bandwidth reuses them
-    ahead, spare = next(plan, None), _usable_cpus() - 1 if share[2] is None else 0
-    lock, helpers = threading.Lock(), []
+    lock = threading.Lock()
 
     def run():
-        """Solve blocks until the plan is empty; while blocks remain after the
-        one taken and a CPU is spare, one more helper starts."""
-        nonlocal ahead, spare
+        """Take blocks from the plan and solve them until it is empty."""
+        nonlocal plan
         while True:
             with lock:
-                block = ahead
-                ahead = None if block is None else next(plan, None)
-                if ahead is not None and spare > 0:
-                    spare -= 1
-                    helpers.append(_helper_pool().submit(run))
+                block = next(plan, None)
             if block is None:
                 return
             i, rows, cols, _ = block
@@ -454,18 +444,20 @@ def smooth_columns(manifold: Manifold, bandwidths, sample: np.ndarray,
                 else:
                     for j, v in enumerate(columns[cols].T):
                         estimates[i][rows, j], flags[i][rows, j] = _kernels.local_m_rows(
-                            W, v, np.argsort(v, kind="stable"), score.code, score.c, totals)
+                            W, v, code=score.code, c=score.c, totals=totals)
             except BaseException:
                 with lock:  # no thread takes another block
-                    ahead = None
+                    plan = iter(())
                 raise
 
+    # the one block's squared distances stay in the caller: the last bandwidth reuses them
+    helpers = [_helper_pool().submit(run)
+               for _ in range(_usable_cpus() - 1 if share[2] is None else 0)]
     try:
         run()
     finally:  # a helper that has not started never will; the others are waited for
         started = [helper for helper in helpers if not helper.cancel()]
         futures.wait(started)
-        del run  # run refers to itself: without this the call's arrays wait for the gc
     for helper in started:
         helper.result()  # raises the helper's error
     entries = []

@@ -684,6 +684,25 @@ def test_infinite_manifold_cell_exits_2_naming_column_and_line(tmp_path, capsys,
     assert f"column {column!r} at CSV line 6" in err
 
 
+def test_a_mapped_column_named_twice_in_the_header_exits_2_naming_it(tmp_path):
+    """csv.DictReader keeps the last of two columns of one name, so a header
+    that repeats the response would fit its second copy (here 1000, 1001,
+    ...): the header is refused, naming the column, and no report is
+    written."""
+    data = tmp_path / "dup.csv"
+    rng = np.random.default_rng(3)
+    write_csv(data, [(y, x, a, h, 1000.0 + i) for i, (y, x, a, h) in enumerate(zip(
+        rng.normal(size=40), rng.normal(size=40), rng.uniform(0, 360, 40),
+        rng.uniform(0, 1, 40)))], header="y,x1,angle_deg,height,y")
+    out = tmp_path / "r.json"
+    result = CliRunner().invoke(main, ["fit", "--input", str(data), "--map", MAPPING_RAW,
+                                       "--bandwidth", "1.2", "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.output.strip().splitlines() == [
+        "error: ConfigError: column(s) named more than once in the header: y"]
+    assert not out.exists()
+
+
 def test_click_simulate_smoke(tmp_path):
     out = tmp_path / "sim.json"
     runner = CliRunner()

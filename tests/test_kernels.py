@@ -29,24 +29,13 @@ def random_problem(rng, nq=25, n=40):
     W[rng.random((nq, n)) < 0.4] = 0.0
     W[:, 0] = np.maximum(W[:, 0], 0.05)  # keep every row nonempty
     v = rng.normal(0.0, 2.0, n)
-    order = np.argsort(v)
-    return W, v, order
-
-
-def test_local_m_rows_given_the_row_totals_is_bit_identical(rng):
-    """The caller's row totals (a block's W.sum(axis=1)) normalize the rows
-    as the engine's own sums do, bit for bit."""
-    for code, c in ((1, HUBER_C), (2, BISQUARE_C)):
-        W, v, order = random_problem(rng)
-        got = _kernels.local_m_rows(W, v, order, code, c, W.sum(axis=1))
-        want = _kernels.local_m_rows(W, v, order, code, c)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    return W, v
 
 
 def test_numpy_backend_solves_the_score_equation(rng):
     for _ in range(30):
-        W, v, order = random_problem(rng)
-        est, flags = _kernels.local_m_rows(W, v, order, 1, HUBER_C)
+        W, v = random_problem(rng)
+        est, flags = _kernels.local_m_rows(W, v, 1, HUBER_C, W.sum(axis=1))
         Wn = W / W.sum(axis=1, keepdims=True)
         for q in range(W.shape[0]):
             if flags[q] != 0:
@@ -147,9 +136,9 @@ OVERFLOW_ROW = (np.array([[0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0]]),
 @example(OVERFLOW_ROW)
 def test_engine_matches_sort_based_oracle(problem):
     W, v = problem
-    est, flags = _kernels.local_m_rows(W, v, np.argsort(v), 1, HUBER_C)
+    est, flags = _kernels.local_m_rows(W, v, 1, HUBER_C, W.sum(axis=1))
     Wn = W / W.sum(axis=1, keepdims=True)
-    med = _kernels.median_rows(*_kernels.window_rows(Wn, v, np.argsort(v)))
+    med = _kernels.median_rows(*_kernels.window_rows(Wn, v))
     mad = _kernels.mad_rows(Wn, v, med)
     for q in range(W.shape[0]):
         assert med[q] == oracle_median(W[q], v)
@@ -176,8 +165,8 @@ def test_a_value_whose_u_overflows_weighs_what_any_value_beyond_c_weighs(code, c
     W, v = OVERFLOW_ROW
     finite = v.copy()
     finite[6] = 1e-300
-    est, flags = _kernels.local_m_rows(W, v, np.argsort(v), code, c)
-    want, want_flags = _kernels.local_m_rows(W, finite, np.argsort(finite), code, c)
+    est, flags = _kernels.local_m_rows(W, v, code, c, W.sum(axis=1))
+    want, want_flags = _kernels.local_m_rows(W, finite, code, c, W.sum(axis=1))
     assert flags[0] == want_flags[0] == 0
     assert est.tobytes() == want.tobytes()
     assert 0.0 <= est[0] <= 1e-307
@@ -194,9 +183,9 @@ def test_a_one_row_call_is_an_engine_row():
         n = int(rng.integers(1, 40))
         w = rng.multinomial(64, rng.dirichlet(np.ones(n))) / 64.0
         v = np.round(rng.normal(0.0, 2.0, n), 1)
-        order = np.argsort(v, kind="stable")
         for score in (ScoreFunction.huber(HUBER_C), ScoreFunction.bisquare()):
-            est, flags = _kernels.local_m_rows(w[None], v, order, score.code, score.c)
+            est, flags = _kernels.local_m_rows(w[None], v, score.code, score.c,
+                                               np.array([w.sum()]))
             if flags[0] != 0:
                 continue
             assert local_m_estimate(w, v, score, local_mad(w, v)) == est[0]
@@ -209,7 +198,7 @@ def test_single_point_and_zero_mad_rows():
     W = np.array([[0.0, 0.0, 0.0, 1.0, 0.0],    # one point in the window
                   [1.0, 1.0, 1.0, 0.5, 0.5],    # tied block holds the MAD at 0
                   [1.0, 0.0, 0.0, 1.0, 1.0]])
-    est, flags = _kernels.local_m_rows(W, v, np.argsort(v), 1, HUBER_C)
+    est, flags = _kernels.local_m_rows(W, v, 1, HUBER_C, W.sum(axis=1))
     assert flags[0] == 1 and est[0] == 8.0
     assert flags[1] == 1 and est[1] == 3.0
     assert flags[2] == 0
@@ -238,7 +227,7 @@ def test_monotone_rows_that_run_out_of_iterations_raise(monkeypatch):
     t = cylinder_coords(rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 1, n))
     v = rng.normal(size=n) + np.linspace(0, 5, n)
     W = raw_weight_matrix(cyl, 2.0, squared_cross(cyl, t, t))
-    _, flags = _kernels.local_m_rows(W, v, np.argsort(v), 1, HUBER_C)
+    _, flags = _kernels.local_m_rows(W, v, 1, HUBER_C, W.sum(axis=1))
     stuck = np.flatnonzero(flags == 2).tolist()
     assert stuck
     with pytest.raises(ConvergenceError) as err:
@@ -295,8 +284,8 @@ WIDEST_LAST = (WIDEST_FIRST[0][::-1].copy(), _V8)
 @example(WIDEST_LAST)
 def test_window_rows_gathers_each_rows_support_in_value_order(problem):
     W, v = problem
-    order = np.argsort(v)
-    Ww, Vw = _kernels.window_rows(W, v, order)
+    order = np.argsort(v, kind="stable")
+    Ww, Vw = _kernels.window_rows(W, v)
     Ww0, Vw0 = _window_by_index_arithmetic(W, v, order)
     assert Ww.tobytes() == Ww0.tobytes() and Vw.tobytes() == Vw0.tobytes()
     assert Ww.shape == Ww0.shape and Vw.shape == Vw0.shape
@@ -315,7 +304,7 @@ def test_window_rows_gathers_each_rows_support_in_value_order(problem):
 @given(windows())
 def test_median_and_mad_never_land_on_a_pad(problem):
     W, v = problem
-    Ww, Vw = _kernels.window_rows(W / W.sum(axis=1, keepdims=True), v, np.argsort(v))
+    Ww, Vw = _kernels.window_rows(W / W.sum(axis=1, keepdims=True), v)
     med = _kernels.median_rows(Ww, Vw)
     mad = _kernels.mad_rows(Ww, Vw, med)
     # a pad moved far above the row leaves both statistics where they were
@@ -332,14 +321,14 @@ def test_window_rows_ties_at_the_maximum_and_single_points():
     W = np.array([[0.0, 1.0, 2.0, 0.0, 3.0, 1.0],   # tied maximum, duplicate minimum
                   [0.0, 0.0, 0.0, 4.0, 0.0, 0.0],   # a single point
                   [1.0, 1.0, 1.0, 1.0, 1.0, 1.0]])  # the whole sample
-    Ww, Vw = _kernels.window_rows(W, v, np.argsort(v, kind="stable"))
+    Ww, Vw = _kernels.window_rows(W, v)
     assert Vw.tolist() == [[1.0, 1.0, 5.0, 5.0, 5.0, 5.0],
                            [2.0, 2.0, 2.0, 2.0, 2.0, 2.0],
                            [1.0, 1.0, 2.0, 5.0, 5.0, 5.0]]
     assert Ww.tolist() == [[1.0, 1.0, 2.0, 3.0, 0.0, 0.0],
                            [4.0, 0.0, 0.0, 0.0, 0.0, 0.0],
                            [1.0, 1.0, 1.0, 1.0, 1.0, 1.0]]
-    est, flags = _kernels.local_m_rows(W, v, np.argsort(v), 1, HUBER_C)
+    est, flags = _kernels.local_m_rows(W, v, 1, HUBER_C, W.sum(axis=1))
     assert flags[1] == 1 and est[1] == 2.0
 
 
@@ -560,7 +549,7 @@ def test_bisquare_reaches_the_plain_reweighting_root_on_multi_root_windows():
     W = np.zeros((len(windows), v.size))
     for q, ((w, _), a) in enumerate(zip(windows, np.cumsum([0] + sizes[:-1]))):
         W[q, a:a + w.size] = w
-    est, flags = _kernels.local_m_rows(W, v, np.argsort(v, kind="stable"), 2, BISQUARE_C)
+    est, flags = _kernels.local_m_rows(W, v, 2, BISQUARE_C, W.sum(axis=1))
     plain = _plain_reweighting(windows)
     several, rival = np.zeros(2, dtype=int), np.zeros(2, dtype=int)
     for q, ((w, vq), ref) in enumerate(zip(windows, plain)):
@@ -592,7 +581,7 @@ def test_a_bisquare_newton_step_that_empties_the_weights_falls_back(monkeypatch)
         return original(u, c, out)
 
     monkeypatch.setattr(_kernels, "bisquare_q", recording)
-    est, flags = _kernels.local_m_rows(w[None], v, np.argsort(v, kind="stable"), 2, BISQUARE_C)
+    est, flags = _kernels.local_m_rows(w[None], v, 2, BISQUARE_C, np.array([w.sum()]))
     assert any(np.all(np.abs(u[0]) >= BISQUARE_C) for u in evaluated)
     w = w / w.sum()
     scale = oracle_mad(w, v)
@@ -621,31 +610,41 @@ def test_bisquare_columns_converge_in_6_iterations_on_cli_fits_samples(monkeypat
 # ------------------------------------------- the call shape the tracer reads
 
 def test_local_m_rows_call_shape_is_pinned_for_the_benchmark_tracer(monkeypatch):
-    """perfbench/spans.py wraps `_kernels.local_m_rows` by position: it reads
-    W at position 0, the score code at position 3 and the flags at result[1].
-    It reads `smooth_columns`' value columns as the keyword ``columns``
-    (position 4 otherwise), so the package passes them by keyword.  A change
-    to either call shape must update perfbench/spans.py and this test
-    together."""
+    """perfbench/spans.py wraps `_kernels.local_m_rows`: it reads W at
+    position 0, the score code as the keyword ``code`` before position 3
+    (where ``c`` stands) and the flags at result[1], so `smooth_columns`
+    passes ``code`` by keyword.  It reads `smooth_columns`' value columns as
+    the keyword ``columns`` (position 4 otherwise), so the package passes
+    them by keyword.  A change to either call shape must update
+    perfbench/spans.py and this test together."""
     params = list(inspect.signature(_kernels.local_m_rows).parameters)
-    assert params[:4] == ["W", "v", "order", "code"]
-    W, v, order = random_problem(np.random.default_rng(5))
-    result = _kernels.local_m_rows(W, v, order, 1, HUBER_C)
+    assert params == ["W", "v", "code", "c", "totals"]
+    W, v = random_problem(np.random.default_rng(5))
+    result = _kernels.local_m_rows(W, v, 1, HUBER_C, W.sum(axis=1))
     assert isinstance(result, tuple) and len(result) == 2
     est, flags = result
     assert est.shape == flags.shape == (W.shape[0],)
     assert flags.dtype == np.int8
 
-    calls = []
+    calls, engine_calls, engine = [], [], _kernels.local_m_rows
 
     def recording(*args, **kwargs):
         calls.append(kwargs)
         return smooth_columns(*args, **kwargs)
 
+    def recording_engine(*args, **kwargs):
+        engine_calls.append((args, kwargs))
+        return engine(*args, **kwargs)
+
     monkeypatch.setattr(plm, "smooth_columns", recording)
+    monkeypatch.setattr(_kernels, "local_m_rows", recording_engine)
     ds = simulation.generate_sample(40, "C0", simulation.replication_rng(3, 0)).dataset
     fitted = plm.fit(ds, 1.2)
     plm.predict_g(fitted, ds.t[:3])
     bandwidth.rcv_score(ds, 1.2)
     assert len(calls) == 3
     assert all("columns" in kwargs for kwargs in calls)
+    assert engine_calls
+    for args, kwargs in engine_calls:
+        assert isinstance(args[0], np.ndarray) and args[0].ndim == 2
+        assert kwargs["code"] == 1 and len(args) < 4

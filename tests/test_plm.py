@@ -51,6 +51,13 @@ def test_dataset_validates_manifold_points():
         PLMDataset(np.arange(5.0), np.ones((5, 1)), t, CYL)
 
 
+def test_a_dataset_names_the_first_row_of_t_that_is_not_finite():
+    t = cylinder_coords(np.linspace(0, 5, 10), np.linspace(0.1, 0.9, 10))
+    t[7, 0], t[9, 2] = np.nan, np.inf
+    with pytest.raises(InvalidPointError, match="^t 7: coordinates must be finite$"):
+        PLMDataset(np.arange(10.0), np.ones((10, 1)), t, CYL)
+
+
 def test_dataset_reshapes_single_covariate():
     t = cylinder_coords(np.linspace(0, 5, 6), np.linspace(0.1, 0.9, 6))
     ds = PLMDataset(np.arange(6.0), np.arange(6.0), t, CYL)

@@ -54,6 +54,18 @@ def test_residual_scale_names_the_first_residual_that_is_not_finite(bad):
         residual_scale([0.5, -1.0, bad, 2.0, bad])
 
 
+@pytest.mark.parametrize("where", ["response", "design"])
+def test_gm_names_the_first_row_that_is_not_finite(where):
+    rng = np.random.default_rng(9)
+    r, eta = rng.normal(size=20), rng.normal(size=(20, 2))
+    if where == "response":
+        r[[4, 11]] = np.inf
+    else:
+        eta[4, 1], r[11] = -np.inf, np.nan
+    with pytest.raises(ValueError, match="^row 4: responses and design must be finite$"):
+        gm_estimate(r, eta, GMConfig())
+
+
 def test_residual_scale_is_the_numpy_median_mad_bit_for_bit():
     res = np.random.default_rng(8).standard_t(3, size=201)
     for r in (res, res[:200]):

@@ -1,10 +1,12 @@
 import ctypes
+import gc
 import math
 import multiprocessing
 import os
 import resource
 import sys
 import threading
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -465,7 +467,7 @@ def test_streamed_smoothing_equals_dense_kernel_smoothing(manifold, h, monkeypat
                 dense = (W @ columns) / W.sum(axis=1)[:, None]
             else:
                 dense = np.column_stack([_kernels.local_m_rows(
-                    W, v, np.argsort(v), score.code, score.c)[0] for v in columns.T])
+                    W, v, score.code, score.c, W.sum(axis=1))[0] for v in columns.T])
             for one_block in (False, True):
                 with monkeypatch.context() as m:
                     if one_block:
@@ -520,9 +522,9 @@ def test_empty_windows_in_two_blocks_raise_one_error(monkeypatch):
             blocks.append(block[1])
             yield block
 
-    def solving(W, *args):
+    def solving(W, *args, **kwargs):
         solved.append(W.shape[0])
-        return local_m_rows(W, *args)
+        return local_m_rows(W, *args, **kwargs)
 
     monkeypatch.setattr(smoother, "_key_blocks", recording)
     monkeypatch.setattr(_kernels, "local_m_rows", solving)
@@ -1010,19 +1012,18 @@ def helpers(monkeypatch):
 
 
 def _first_two_blocks_on_two_threads(monkeypatch):
-    """Hold the calling thread in its first block of a call until a helper
-    has taken a block, so the first two blocks run on different threads.
-    Returns the log of (thread, block rows) per block, in the order the
-    blocks start; clear it between calls."""
-    weigh, caller, started, log = smoother._block_weights, threading.current_thread(), \
-        threading.Condition(), []
+    """Hold the thread that takes the first block of a call (the caller or a
+    helper) until another thread has taken a block, so the first two blocks
+    run on different threads.  Returns the log of (thread, block rows) per
+    block, in the order the blocks start; clear it between calls."""
+    weigh, started, log = smoother._block_weights, threading.Condition(), []
 
     def gated(*args):
         with started:
             log.append((threading.current_thread(), np.arange(args[2].shape[0])[args[-1][1]]))
             started.notify_all()
-            if len(log) == 1 and log[0][0] is caller:
-                assert started.wait_for(lambda: len(log) > 1, 30), "no helper took a block"
+            if len(log) == 1:
+                assert started.wait_for(lambda: len(log) > 1, 30), "no other thread took a block"
         return weigh(*args)
 
     monkeypatch.setattr(smoother, "_block_weights", gated)
@@ -1041,7 +1042,7 @@ def _serial_smooth(manifold, h, sample, columns, score, queries, loo):
             continue
         for j, v in enumerate(columns[cols].T):
             est[rows, j], flags[rows, j] = _kernels.local_m_rows(
-                W, v, np.argsort(v, kind="stable"), score.code, score.c)
+                W, v, score.code, score.c, totals)
     return est, flags
 
 
@@ -1082,9 +1083,9 @@ def test_empty_windows_in_blocks_on_two_threads_raise_the_serial_error(helpers, 
     log = _first_two_blocks_on_two_threads(monkeypatch)
     with pytest.raises(EmptyWindowError) as threaded:
         smooth_at(CIR, 0.3, sample, angles, ScoreFunction.huber(), leave_one_out=True)
-    caller, first = log[0]
+    first_thread, first = log[0]
     assert first[0] == 0 and 301 not in first
-    assert all(thread is not caller for thread, rows in log if 301 in rows)
+    assert all(thread is not first_thread for thread, rows in log if 301 in rows)
     assert threaded.value.indices == serial.value.indices == [0, 301]
     assert threaded.value.nearest_distance == serial.value.nearest_distance
     assert threaded.value.nearest_distance == pytest.approx(0.8, abs=1e-12)
@@ -1124,7 +1125,7 @@ def test_an_engine_error_on_one_thread_reaches_the_caller_after_every_thread_sto
     solve, caller, lock, running = _kernels.local_m_rows, threading.current_thread(), \
         threading.Lock(), [0]
 
-    def failing_once(*args):
+    def failing_once(*args, **kwargs):
         with lock:
             running[0] += 1
         try:
@@ -1132,7 +1133,7 @@ def test_an_engine_error_on_one_thread_reaches_the_caller_after_every_thread_sto
                     and not failed.is_set():
                 failed.set()
                 raise FloatingPointError("engine failed")
-            return solve(*args)
+            return solve(*args, **kwargs)
         finally:
             with lock:
                 running[0] -= 1
@@ -1193,6 +1194,26 @@ def test_one_usable_cpu_starts_no_helper(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 5)
     assert smoother._usable_cpus() == 5
+
+
+@pytest.mark.parametrize("score", [ScoreFunction.identity(), ScoreFunction.huber()],
+                         ids=["identity", "huber"])
+def test_a_smoothing_call_frees_its_arrays_without_the_gc(score, helpers):
+    """With the gc off, a streamed call on the caller and two helpers keeps
+    no reference to its value columns once it returns: nothing the call
+    made refers to itself, so its arrays are freed by reference counting."""
+    rng = np.random.default_rng(66)
+    sample, columns = random_points(CYL, rng, 1200), rng.normal(size=(1200, 2))
+    alive = weakref.ref(columns)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        smooth_columns(CYL, [0.8], sample, columns, score)
+        del columns
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("n", [150, 700], ids=["one-block", "streamed"])
